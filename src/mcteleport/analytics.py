@@ -19,8 +19,7 @@ from .channels import (
     SchmidtChannel,
     multiplicity_profile,
 )
-from .discrimination import USEFUL_MARGIN
-from .engine import KIND_DETERMINISTIC, KIND_SMC, StrategyConfig
+from .discrimination import KIND_DETERMINISTIC, KIND_SMC, USEFUL_MARGIN, StrategyConfig
 
 IDENTITY_ATOL = 1e-12
 
@@ -60,8 +59,11 @@ def _sum_amplitudes(profile: MultiplicityProfile) -> float:
 def f_me(ch: SchmidtChannel, tie_tolerance: float = DEFAULT_TIE_TOL) -> float:
     """Average fidelity of the optimal deterministic protocol,
     (1 + (sum_m a_m)^2) / (D + 1)."""
-    s = _sum_amplitudes(multiplicity_profile(ch, tie_tolerance))
-    return (1.0 + s**2) / (ch.D + 1)
+    return _f_me(multiplicity_profile(ch, tie_tolerance), ch.D)
+
+
+def _f_me(profile: MultiplicityProfile, D: int) -> float:
+    return (1.0 + _sum_amplitudes(profile) ** 2) / (D + 1)
 
 
 def f_clas(D: int) -> float:
@@ -106,13 +108,16 @@ def f_mc_conclusive(
     of coefficients surviving into stage k, and by recursion from stage 1
     subtracting each consumed multiplicity -- and checked to agree.
     """
-    profile = multiplicity_profile(ch, tie_tolerance)
+    return _f_mc_conclusive(multiplicity_profile(ch, tie_tolerance), ch.D, k)
+
+
+def _f_mc_conclusive(profile: MultiplicityProfile, D: int, k: int) -> float:
     if not 1 <= k <= profile.M:
         raise ValueError(f"stage {k} out of range 1..{profile.M}")
-    direct = (1.0 + profile.support_size(k)) / (ch.D + 1)
-    recursive = (1.0 + profile.N) / (ch.D + 1)
+    direct = (1.0 + profile.support_size(k)) / (D + 1)
+    recursive = (1.0 + profile.N) / (D + 1)
     for j in range(1, k):
-        recursive -= profile.multiplicities[j - 1] / (ch.D + 1)
+        recursive -= profile.multiplicities[j - 1] / (D + 1)
     if abs(direct - recursive) > IDENTITY_ATOL:
         raise AssertionError(
             f"stage-fidelity forms disagree: {direct!r} vs {recursive!r}"
@@ -142,13 +147,15 @@ def f_me_after_fail(ch: SchmidtChannel, tie_tolerance: float = DEFAULT_TIE_TOL) 
     """Average fidelity of the minimum-error completion after one failed
     filter stage: the deterministic formula applied to the failure-family
     coefficients.  Undefined (error) when all coefficients are equal."""
-    profile = multiplicity_profile(ch, tie_tolerance)
-    if profile.d < 2:
-        raise ValueError("all coefficients are equal: the filter cannot fail")
+    return _f_me_after_fail(multiplicity_profile(ch, tie_tolerance), ch.D)
+
+
+def _f_me_after_fail(profile: MultiplicityProfile, D: int) -> float:
+    _require_failure_branch(profile)
     s = _failure_family_sum(profile, 1)
-    value = (1.0 + s**2) / (ch.D + 1)
-    check = f_me_after_fail_double_sum(ch, tie_tolerance)
-    if abs(value - check) > IDENTITY_ATOL:
+    value = (1.0 + s**2) / (D + 1)
+    check = _f_me_after_fail_double_sum(profile, D)
+    if not abs(value - check) <= IDENTITY_ATOL:
         raise AssertionError(
             f"failure-fidelity forms disagree: {value!r} vs {check!r}"
         )
@@ -161,19 +168,28 @@ def f_me_after_fail_double_sum(
     """Same quantity as :func:`f_me_after_fail`, written as the classical
     fidelity plus the pairwise cross terms of the excess weights
     sqrt((a_m^2 - a_min^2)(a_m'^2 - a_min^2)) / ((D + 1) p_fail)."""
-    profile = multiplicity_profile(ch, tie_tolerance)
+    return _f_me_after_fail_double_sum(multiplicity_profile(ch, tie_tolerance), ch.D)
+
+
+def _require_failure_branch(profile: MultiplicityProfile) -> None:
     if profile.d < 2:
         raise ValueError("all coefficients are equal: the filter cannot fail")
+
+
+def _f_me_after_fail_double_sum(profile: MultiplicityProfile, D: int) -> float:
+    _require_failure_branch(profile)
     a = np.repeat(profile.values, profile.multiplicities)
     a_min_sq = profile.values[0] ** 2
     p_fail = 1.0 - a.size * a_min_sq
-    excess = np.sqrt(a**2 - a_min_sq)
+    # a**2 and a_min_sq round differently, so the smallest group can land
+    # one ulp below zero.
+    excess = np.sqrt(np.maximum(a**2 - a_min_sq, 0.0))
     cross = 0.0
     for m in range(a.size):
         for mp in range(a.size):
             if m != mp:
                 cross += excess[m] * excess[mp]
-    return f_clas(ch.D) + cross / ((ch.D + 1) * p_fail)
+    return f_clas(D) + cross / ((D + 1) * p_fail)
 
 
 def stage_probabilities(
@@ -199,13 +215,16 @@ def overall_fidelity(
     attempts deliver nothing), so the value is conditioned on success;
     pair it with the overall success probability when reporting.
     """
+    return _overall_fidelity(multiplicity_profile(ch, tie_tolerance), ch.D, cfg)
+
+
+def _overall_fidelity(profile: MultiplicityProfile, D: int, cfg: StrategyConfig) -> float:
     if cfg.kind == KIND_DETERMINISTIC:
-        return f_me(ch, tie_tolerance)
-    profile = multiplicity_profile(ch, tie_tolerance)
+        return _f_me(profile, D)
     if not 1 <= cfg.k_max <= profile.M:
         raise ValueError(f"k_max={cfg.k_max} out of range 1..{profile.M}")
     _, p_success, cumulative = _stage_cascade(profile)
-    fid = [(1.0 + profile.support_size(j)) / (ch.D + 1) for j in range(1, cfg.k_max + 1)]
+    fid = [(1.0 + profile.support_size(j)) / (D + 1) for j in range(1, cfg.k_max + 1)]
     base = float(np.dot(p_success[: cfg.k_max], fid))
     residual = 1.0 - float(cumulative[cfg.k_max - 1])
     residual = max(residual, 0.0)
@@ -214,40 +233,41 @@ def overall_fidelity(
     if residual < 1e-15:
         return base
     if cfg.fallback == "guess":
-        return base + residual * f_clas(ch.D)
+        return base + residual * f_clas(D)
     s = _failure_family_sum(profile, cfg.k_max)
     if s is None:
         return base
-    return base + residual * (1.0 + s**2) / (ch.D + 1)
+    return base + residual * (1.0 + s**2) / (D + 1)
 
 
 def channel_report(
     ch: SchmidtChannel, tie_tolerance: float = DEFAULT_TIE_TOL
 ) -> ChannelReport:
     """Evaluate every closed form for one channel and assert the internal
-    identities that tie them together."""
+    identities that tie them together.  The coefficients are grouped once
+    and every quantity is evaluated from that profile."""
     D = ch.D
     profile = multiplicity_profile(ch, tie_tolerance)
     sum_a = _sum_amplitudes(profile)
-    F_me_val = (1.0 + sum_a**2) / (D + 1)
+    F_me_val = _f_me(profile, D)
     f_me_frac = sum_a**2 / D
     F_clas_val = f_clas(D)
 
     M = profile.M
     if M >= 1 and profile.N >= 2:
         p_fail, p_success, cumulative = _stage_cascade(profile)
-        F_mc = np.array([f_mc_conclusive(ch, k, tie_tolerance) for k in range(1, M + 1)])
+        F_mc = np.array([_f_mc_conclusive(profile, D, k) for k in range(1, M + 1)])
         f_mc = np.array([profile.support_size(k) / D for k in range(1, M + 1)])
         useful = tuple(
             bool(profile.support_size(k) - sum_a**2 > USEFUL_MARGIN)
             for k in range(1, M + 1)
         )
         cfg_full = StrategyConfig(kind=KIND_SMC, k_max=M, fallback="guess")
-        overall_smc_val = overall_fidelity(ch, cfg_full, tie_tolerance)
+        overall_smc_val = _overall_fidelity(profile, D, cfg_full)
         cfg_one = StrategyConfig(kind=KIND_SMC, k_max=1, fallback="me")
-        overall_me_val = overall_fidelity(ch, cfg_one, tie_tolerance)
+        overall_me_val = _overall_fidelity(profile, D, cfg_one)
         fail_defined = profile.d >= 2
-        F_fail = f_me_after_fail(ch, tie_tolerance) if fail_defined else None
+        F_fail = _f_me_after_fail(profile, D) if fail_defined else None
 
         # Cross identities between independent routes to the same numbers.
         mu = profile.multiplicities

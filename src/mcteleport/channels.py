@@ -10,6 +10,7 @@ explicit, tolerance-controlled step shared by analytics and simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -71,6 +72,8 @@ def _validated_coeffs(coeffs, D: int) -> np.ndarray:
         raise ValueError("coefficient list is empty")
     if arr.size > D:
         raise ValueError(f"{arr.size} coefficients exceed the dimension D={D}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"coefficients must be finite, got {arr.tolist()}")
     if np.any(arr <= 0):
         raise ValueError(f"coefficients must be strictly positive, got {arr.tolist()}")
     total = float(np.sum(arr**2))
@@ -106,8 +109,11 @@ def group_coefficients(coeffs, tie_tolerance: float = DEFAULT_TIE_TOL):
     Returns (values, multiplicities) ordered smallest to largest.  Linkage
     is by consecutive gap on the sorted list; each group's representative
     value is the root mean square of its members, which preserves the
-    total squared weight exactly.
+    total squared weight exactly.  ``tie_tolerance`` must be finite and
+    non-negative.
     """
+    if not (isfinite(tie_tolerance) and tie_tolerance >= 0):
+        raise ValueError(f"tie tolerance must be finite and >= 0, got {tie_tolerance!r}")
     arr = np.sort(np.asarray(coeffs, dtype=float).ravel())
     values = []
     mults = []

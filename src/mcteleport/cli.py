@@ -36,14 +36,8 @@ from .analytics import (
     stage_probabilities,
 )
 from .channels import DEFAULT_TIE_TOL, SchmidtChannel, make_channel
-from .discrimination import build_stage_plan
-from .engine import (
-    KIND_SMC,
-    StrategyConfig,
-    exact_average_fidelity,
-    exact_branch_probabilities,
-    monte_carlo,
-)
+from .discrimination import KIND_SMC, StrategyConfig, build_stage_plan
+from .engine import exact_average_fidelity, exact_branch_probabilities, monte_carlo
 
 SWEEP_EPS = 1e-3  # free squared coefficients live in [eps, 1 - eps]
 

@@ -28,9 +28,42 @@ from .channels import (
 )
 from .qudit import KRAUS_ATOL, DenseOperator, QuditState, fourier
 
+KIND_DETERMINISTIC = "deterministic-me"
+KIND_SMC = "mc-smc"
+FALLBACKS = ("discard", "me", "guess")
+
 # Strict margin for "stage k beats the deterministic protocol" comparisons;
 # keeps exactly-equal coefficient sets on the not-useful side of the fence.
 USEFUL_MARGIN = 1e-12
+
+
+@dataclass(frozen=True)
+class StrategyConfig:
+    """What the two parties agree to run.
+
+    ``deterministic-me`` ignores ``k_max`` and ``fallback``.  For
+    ``mc-smc``, up to ``k_max`` filtering stages are attempted; after the
+    last inconclusive outcome the ``fallback`` applies:
+
+    * ``me``: finish anyway with the minimum-error completion.
+    * ``guess``: both of the sender's systems are read out in the
+      computational basis and the receiver keeps the basis state left
+      behind, shifted by the classically known index; equivalent to a
+      measure-and-reprepare of the input, average fidelity 2/(D+1).
+    * ``discard``: abort, no output state.
+    """
+
+    kind: str = KIND_SMC
+    k_max: int = 1
+    fallback: str = "me"
+
+    def __post_init__(self):
+        if self.kind not in (KIND_DETERMINISTIC, KIND_SMC):
+            raise ValueError(f"unknown strategy kind {self.kind!r}")
+        if self.fallback not in FALLBACKS:
+            raise ValueError(f"unknown fallback {self.fallback!r}")
+        if self.kind == KIND_SMC and self.k_max < 1:
+            raise ValueError("k_max must be >= 1 for the staged strategy")
 
 
 @dataclass(frozen=True)
@@ -73,17 +106,19 @@ def me_correct_probability(coeffs, D: int) -> float:
 class McStage:
     """One two-outcome filtering stage over a coefficient list.
 
-    ``K_s``/``K_f`` are diagonal D x D operators: success rescales every
-    surviving amplitude to the smallest one, failure keeps the excess.
-    Indices outside the current support get 0 in ``K_s`` and 1 in ``K_f``
-    so the pair is complete on the whole space.  A ``terminal`` stage has
-    all input coefficients equal: it cannot fail and ends the chain.
+    ``K_s``/``K_f`` hold the diagonals (real, length D, read-only) of the
+    two diagonal Kraus operators; ``np.diag(K_s)`` is the matrix.  Success
+    rescales every surviving amplitude to the smallest one, failure keeps
+    the excess.  Indices outside the current support get 0 in ``K_s`` and
+    1 in ``K_f`` so the pair is complete on the whole space.  A
+    ``terminal`` stage has all input coefficients equal: it cannot fail
+    and ends the chain.
     """
 
     stage_index: int
     input_coeffs: np.ndarray
-    K_s: DenseOperator
-    K_f: DenseOperator
+    K_s: np.ndarray
+    K_f: np.ndarray
     p_fail: float
     success_coeffs: np.ndarray
     failure_coeffs: np.ndarray
@@ -158,16 +193,14 @@ def mc_stage(
     a_min = snapped[-1]
 
     ratios = a_min / snapped
-    ks_diag = np.zeros(D)
-    ks_diag[:n] = ratios
-    kf_diag = np.ones(D)
-    kf_diag[:n] = np.sqrt(np.maximum(0.0, 1.0 - ratios**2))
-    K_s = DenseOperator(D, np.diag(ks_diag).astype(complex))
-    K_f = DenseOperator(D, np.diag(kf_diag).astype(complex))
-
-    gram = np.abs(np.diag(K_s.entries)) ** 2 + np.abs(np.diag(K_f.entries)) ** 2
-    if np.max(np.abs(gram - 1.0)) > KRAUS_ATOL:
+    K_s = np.zeros(D)
+    K_s[:n] = ratios
+    K_f = np.ones(D)
+    K_f[:n] = np.sqrt(np.maximum(0.0, 1.0 - ratios**2))
+    if np.max(np.abs(K_s**2 + K_f**2 - 1.0)) > KRAUS_ATOL:
         raise ValueError("generated Kraus pair violates completeness")
+    K_s.setflags(write=False)
+    K_f.setflags(write=False)
 
     terminal = bool(np.all(snapped == a_min))
     p_fail = 0.0 if terminal else float(1.0 - n * a_min**2)

@@ -2,74 +2,43 @@
 
 The register layout is fixed: subsystem 0 is the receiver's half of the
 entangled pair, subsystem 1 the sender's half, subsystem 2 the unknown
-input state, flattened with subsystem 0 most significant.
+input state, flattened with subsystem 0 most significant.  Every object
+is kept in one form: the register after the controlled shift comes from
+``_post_shift``, stage operators are the diagonals stored on each
+``McStage``, and the receiver correction X^-k Z^l is a phase multiply
+and a cyclic shift read from two D x D tables (``_correction_tables``).
 
 Two evaluation routes are provided for every strategy.  ``monte_carlo``
 samples full protocol runs (Haar-random inputs, Born-rule measurements).
 ``exact_average_fidelity`` enumerates every measurement branch as a linear
-operator on the input, forms the conditioned completely positive map, and
-converts its normalized maximally-entangled-state overlap f into the
-average fidelity (D*f + 1)/(D + 1); it involves no sampling and serves as
-the oracle the sampled statistics are checked against.
+operator on the input and sums, per branch set, the squared traces Q and
+the squared norms T of those operators; the Haar-averaged fidelity is
+(Q + T) / ((D + 1) T).  It involves no sampling and serves as the oracle
+the sampled statistics are checked against.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import ceil, log2
 
 import numpy as np
 
 from .channels import DEFAULT_TIE_TOL, SchmidtChannel, channel_state, make_channel
-from .discrimination import StagePlan, build_stage_plan
-from .qudit import (
-    QuditState,
-    _gxor_permutation,
-    apply_gxor,
-    fourier,
-    haar_random_state,
-    pauli_x_power,
-    pauli_z_power,
+from .discrimination import (
+    KIND_DETERMINISTIC,
+    KIND_SMC,
+    StagePlan,
+    StrategyConfig,
+    build_stage_plan,
 )
-
-KIND_DETERMINISTIC = "deterministic-me"
-KIND_SMC = "mc-smc"
-FALLBACKS = ("discard", "me", "guess")
+from .qudit import QuditState, _gxor_permutation, _phase_table, fourier, haar_random_state
 
 # Branch sets with less Haar-averaged probability than this are treated as
 # unreachable when conditioning.
 MIN_BRANCH_MASS = 1e-12
-
-
-@dataclass(frozen=True)
-class StrategyConfig:
-    """What the two parties agree to run.
-
-    ``deterministic-me`` ignores ``k_max`` and ``fallback``.  For
-    ``mc-smc``, up to ``k_max`` filtering stages are attempted; after the
-    last inconclusive outcome the ``fallback`` applies:
-
-    * ``me``: finish anyway with the minimum-error completion.
-    * ``guess``: both of the sender's systems are read out in the
-      computational basis and the receiver keeps the basis state left
-      behind, shifted by the classically known index; equivalent to a
-      measure-and-reprepare of the input, average fidelity 2/(D+1).
-    * ``discard``: abort, no output state.
-    """
-
-    kind: str = KIND_SMC
-    k_max: int = 1
-    fallback: str = "me"
-
-    def __post_init__(self):
-        if self.kind not in (KIND_DETERMINISTIC, KIND_SMC):
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.fallback not in FALLBACKS:
-            raise ValueError(f"unknown fallback {self.fallback!r}")
-        if self.kind == KIND_SMC and self.k_max < 1:
-            raise ValueError("k_max must be >= 1 for the staged strategy")
 
 
 @dataclass(frozen=True)
@@ -90,19 +59,35 @@ class TeleportRecord:
     run_fidelity: float | None
 
 
+def _post_shift(chvec: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Register after the controlled shift (sender half controls the input).
+
+    ``inputs`` is one input vector, shape (D,), or D input columns, shape
+    (D, D).  Returns t[b, m, j] or t[b, m, j, i] for input column i.
+    """
+    D = inputs.shape[0]
+    flat = np.multiply.outer(chvec, inputs).reshape((D**3,) + inputs.shape[1:])
+    return flat[_gxor_permutation((D,) * 3, 1, 2)].reshape((D,) * 3 + inputs.shape[1:])
+
+
 @lru_cache(maxsize=16)
-def _correction_matrices(D: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Receiver corrections indexed [l][k]: X^-k Z^l."""
-    rows = []
-    for l in range(D):
-        zl = pauli_z_power(D, l)
-        row = []
-        for k in range(D):
-            mat = (pauli_x_power(D, -k) @ zl).entries
-            mat.setflags(write=False)
-            row.append(mat)
-        rows.append(tuple(row))
-    return tuple(rows)
+def _correction_tables(D: int) -> tuple[np.ndarray, np.ndarray]:
+    """phases[l, n] = exp(2 pi i l n / D) and shifts[k, m] = (m + k) mod D.
+
+    X^-k Z^l v is ``(phases[l] * v)[shifts[k]]``; ``phases`` is symmetric.
+    """
+    n = np.arange(D)
+    phases = _phase_table(D)[np.multiply.outer(n, n) % D]
+    shifts = np.add.outer(n, n) % D
+    phases.setflags(write=False)
+    shifts.setflags(write=False)
+    return phases, shifts
+
+
+def _receiver_correction(vec: np.ndarray, l: int, k: int) -> np.ndarray:
+    """X^-k Z^l applied to the receiver's vector."""
+    phases, shifts = _correction_tables(vec.size)
+    return (phases[l] * vec)[shifts[k]]
 
 
 class ProtocolRunner:
@@ -125,11 +110,9 @@ class ProtocolRunner:
         self.D = channel.D
         self._chvec = channel_state(channel).amplitudes
         self._finv = fourier(channel.D).dagger().entries
-        self._corrections = _correction_matrices(channel.D)
         self._bits_base = 2 * ceil(log2(channel.D))
-        self._perm = _gxor_permutation((self.D,) * 3, 1, 2)
         self.plan: StagePlan | None = None
-        self._stage_diags: list[tuple[np.ndarray, np.ndarray]] = []
+        self._filters = []
         if cfg.kind == KIND_SMC:
             self.plan = build_stage_plan(channel, tie_tolerance)
             if cfg.k_max > self.plan.M:
@@ -137,9 +120,9 @@ class ProtocolRunner:
                     f"k_max={cfg.k_max} exceeds the {self.plan.M} stage(s) "
                     f"this channel admits"
                 )
-            self._stage_diags = [
-                (np.diag(s.K_s.entries).copy(), np.diag(s.K_f.entries).copy())
-                for s in self.plan.stages[: cfg.k_max]
+            # Views of the stage diagonals, aligned with the sender axis.
+            self._filters = [
+                (s.K_s[:, None], s.K_f[:, None]) for s in self.plan.stages[: cfg.k_max]
             ]
 
     @staticmethod
@@ -154,64 +137,46 @@ class ProtocolRunner:
                 f"input must be a single qudit of dimension {self.D}, "
                 f"got dims {input_state.dims}"
             )
-        D = self.D
-        t = (
-            np.multiply.outer(self._chvec, input_state.amplitudes)
-            .ravel()[self._perm]
-            .reshape(D, D, D)
-        )
+        t = _post_shift(self._chvec, input_state.amplitudes)
 
         stage_reached = 0
-        executed = 0
         conclusive = True
         if self.cfg.kind == KIND_SMC:
             conclusive = False
-            for k, (ks_diag, kf_diag) in enumerate(self._stage_diags, start=1):
-                psi = t * ks_diag[None, :, None]
+            for stage_reached, (ks, kf) in enumerate(self._filters, start=1):
+                psi = t * ks
                 p_s = np.vdot(psi, psi).real
-                stage_reached = executed = k
                 if rng.random() < p_s:
                     t = psi / np.sqrt(p_s)
                     conclusive = True
                     break
-                psi = t * kf_diag[None, :, None]
+                psi = t * kf
                 t = psi / np.sqrt(np.vdot(psi, psi).real)
 
-        outcomes: tuple[int, int] | None
-        bob_vec: np.ndarray | None
-        if conclusive or self.cfg.fallback == "me":
-            rotated = np.matmul(self._finv, t)
-            probs_l = (np.abs(rotated) ** 2).sum(axis=(0, 2))
+        outcomes = bob = fid = None
+        if conclusive or self.cfg.fallback != "discard":
+            # Minimum-error readout (Fourier basis, correction X^-k Z^l), or
+            # for ``guess`` a computational readout corrected by X^-k.
+            me = conclusive or self.cfg.fallback == "me"
+            if me:
+                t = np.matmul(self._finv, t)
+            probs_l = (np.abs(t) ** 2).sum(axis=(0, 2))
             l = self._sample_axis(probs_l, rng)
-            slice_l = rotated[:, l, :] / np.sqrt(probs_l[l])
+            slice_l = t[:, l, :] / np.sqrt(probs_l[l])
             probs_k = (np.abs(slice_l) ** 2).sum(axis=0)
             k = self._sample_axis(probs_k, rng)
-            bob_vec = self._corrections[l][k] @ (slice_l[:, k] / np.sqrt(probs_k[k]))
+            bob_vec = _receiver_correction(
+                slice_l[:, k] / np.sqrt(probs_k[k]), l if me else 0, k
+            )
             outcomes = (l, k)
-        elif self.cfg.fallback == "guess":
-            probs_m = (np.abs(t) ** 2).sum(axis=(0, 2))
-            m = self._sample_axis(probs_m, rng)
-            slice_m = t[:, m, :] / np.sqrt(probs_m[m])
-            probs_k = (np.abs(slice_m) ** 2).sum(axis=0)
-            k = self._sample_axis(probs_k, rng)
-            bob_vec = np.roll(slice_m[:, k] / np.sqrt(probs_k[k]), -k)
-            outcomes = (m, k)
-        else:  # discard
-            bob_vec = None
-            outcomes = None
-
-        if bob_vec is None:
-            bob = None
-            fid = None
-        else:
-            bob = QuditState((D,), bob_vec)
+            bob = QuditState((self.D,), bob_vec)
             fid = float(np.abs(np.vdot(input_state.amplitudes, bob_vec)) ** 2)
         return TeleportRecord(
             input_state=input_state,
             stage_reached=stage_reached,
             conclusive=conclusive,
             alice_outcomes=outcomes,
-            classical_bits_used=self._bits_base + executed,
+            classical_bits_used=self._bits_base + stage_reached,
             bob_state=bob,
             run_fidelity=fid,
         )
@@ -356,7 +321,7 @@ def monte_carlo(
         bounds = np.linspace(0, trials, workers + 1).astype(int)
         chunks = [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_mc_chunk_star, [(args, s, c) for s, c in chunks]))
+            parts = list(pool.map(partial(_mc_chunk, *args), *zip(*chunks)))
         stages = np.concatenate([p[0] for p in parts])
         conclusive = np.concatenate([p[1] for p in parts])
         fids = np.concatenate([p[2] for p in parts])
@@ -390,111 +355,70 @@ def monte_carlo(
     )
 
 
-def _mc_chunk_star(packed):
-    args, start, count = packed
-    return _mc_chunk(*args, start, count)
-
-
 # ---------------------------------------------------------------------------
 # Exact branch enumeration
 
 
-class _BranchEnumeration:
-    """All measurement branches of a strategy as operators on the input.
+def _branch_sums(t: np.ndarray, rotate: bool) -> tuple[float, float]:
+    """(Q, T) of the D^2 branch operators C_lk R_lk of one readout.
+
+    ``t[b, s, k, i]`` is the register entering the sender's readout for
+    basis input i.  With ``rotate`` the readout is the minimum-error one,
+    R_lk = (F^+ t)[:, l, k, :] with F^+ acting on s and C_lk = X^-k Z^l;
+    without it (``guess``) R_lk = t[:, l, k, :] and C_lk = X^-k.  Since
+    tr(C_lk R_lk) = sum_i phases[l, i + k] R_lk[i + k, i], the rotation is
+    applied to those D^3 entries only, and T = sum |t|^2 because C_lk and
+    F^+ are unitary.
+    """
+    D = t.shape[0]
+    phases, shifts = _correction_tables(D)
+    # diag[k, i, s] = t[(i + k) mod D, s, k, i]
+    diag = t[shifts, :, np.arange(D)[:, None], np.arange(D)]
+    if rotate:
+        finv = fourier(D).dagger().entries
+        diag = np.tensordot(diag, finv, axes=([2], [1])) * phases[shifts]
+    traces = diag.sum(axis=1)
+    return float(np.vdot(traces, traces).real), float(np.vdot(t, t).real)
+
+
+def _branch_sets(
+    channel: SchmidtChannel, cfg: StrategyConfig, tie_tolerance: float
+) -> dict[str, tuple[float, float]]:
+    """All measurement branches of a strategy, as (Q, T) per branch set.
 
     Everything before the measurements is linear in the input state, so
     feeding the D basis states through the pipeline and projecting on each
     outcome yields, branch by branch, a D x D operator M_i (receiver
-    correction included).  The Haar-averaged fidelity of any branch set
-    follows from Q = sum |tr M_i|^2 and T = sum tr(M_i^+ M_i) as
-    (Q + T) / ((D + 1) T); T/D is the set's total probability.
+    correction included).  A set of branches is kept as its pair
+    Q = sum |tr M_i|^2, T = sum tr(M_i^+ M_i): its Haar-averaged fidelity
+    is (Q + T) / ((D + 1) T) and its total probability T/D.  The sets are
+    "deterministic", or "stage1".."stage{k_max}" plus the exhausted
+    branches finished by the minimum-error readout ("exhausted-me") or
+    read out directly ("exhausted-guess").
     """
-
-    def __init__(
-        self,
-        channel: SchmidtChannel,
-        cfg: StrategyConfig,
-        tie_tolerance: float = DEFAULT_TIE_TOL,
-    ):
-        D = channel.D
-        self.D = D
-        self.cfg = cfg
-        chvec = channel_state(channel).amplitudes
-        finv = fourier(D).dagger().entries
-        corrections = _correction_matrices(D)
-
-        # tensor[b, m2, m3, j]: amplitudes after the controlled shift, for
-        # basis input |j>.
-        tensor = np.zeros((D, D, D, D), dtype=complex)
-        for j in range(D):
-            basis = np.zeros(D, dtype=complex)
-            basis[j] = 1.0
-            amps = np.multiply.outer(chvec, basis).ravel()
-            state = apply_gxor(QuditState((D, D, D), amps), 1, 2)
-            tensor[..., j] = state.tensor()
-
-        def me_branches(t: np.ndarray) -> list[np.ndarray]:
-            rotated = np.einsum("ls,bsmj->blmj", finv, t)
-            return [
-                corrections[l][k] @ rotated[:, l, k, :]
-                for l in range(D)
-                for k in range(D)
-            ]
-
-        def guess_branches(t: np.ndarray) -> list[np.ndarray]:
-            return [
-                pauli_x_power(D, -k).entries @ t[:, m, k, :]
-                for m in range(D)
-                for k in range(D)
-            ]
-
-        def mass(t: np.ndarray) -> float:
-            return float(np.sum(np.abs(t) ** 2)) / D
-
-        self.conclusive_ops: dict[int, list[np.ndarray]] = {}
-        self.conclusive_mass: dict[int, float] = {}
-        if cfg.kind == KIND_DETERMINISTIC:
-            self.deterministic_ops = me_branches(tensor)
-            self.exhausted_mass = 0.0
-            self.exhausted_me_ops: list[np.ndarray] = []
-            self.exhausted_guess_ops: list[np.ndarray] = []
-            total = mass(tensor)
-        else:
-            plan = build_stage_plan(channel, tie_tolerance)
-            if cfg.k_max > plan.M:
-                raise ValueError(
-                    f"k_max={cfg.k_max} exceeds the {plan.M} stage(s) "
-                    f"this channel admits"
-                )
-            self.deterministic_ops = []
-            cur = tensor
-            total = 0.0
-            for k, stage in enumerate(plan.stages[: cfg.k_max], start=1):
-                ks = np.diag(stage.K_s.entries)
-                kf = np.diag(stage.K_f.entries)
-                succ = cur * ks[None, :, None, None]
-                self.conclusive_ops[k] = me_branches(succ)
-                self.conclusive_mass[k] = mass(succ)
-                total += self.conclusive_mass[k]
-                cur = cur * kf[None, :, None, None]
-            self.exhausted_mass = mass(cur)
-            total += self.exhausted_mass
-            if self.exhausted_mass > MIN_BRANCH_MASS:
-                self.exhausted_me_ops = me_branches(cur)
-                self.exhausted_guess_ops = guess_branches(cur)
-            else:
-                self.exhausted_me_ops = []
-                self.exhausted_guess_ops = []
-        if abs(total - 1.0) > 1e-10:
-            raise AssertionError(f"branch probabilities sum to {total!r}, not 1")
-
-    @staticmethod
-    def average_fidelity(ops: list[np.ndarray], D: int) -> float:
-        q = sum(abs(np.trace(m)) ** 2 for m in ops)
-        t = sum(float(np.sum(np.abs(m) ** 2)) for m in ops)
-        if t / D < MIN_BRANCH_MASS:
-            raise ValueError("branch set has ~zero probability; fidelity undefined")
-        return (q + t) / ((D + 1) * t)
+    D = channel.D
+    tensor = _post_shift(channel_state(channel).amplitudes, np.eye(D, dtype=complex))
+    if cfg.kind == KIND_DETERMINISTIC:
+        sets = {"deterministic": _branch_sums(tensor, rotate=True)}
+    else:
+        plan = build_stage_plan(channel, tie_tolerance)
+        if cfg.k_max > plan.M:
+            raise ValueError(
+                f"k_max={cfg.k_max} exceeds the {plan.M} stage(s) "
+                f"this channel admits"
+            )
+        sets = {}
+        for k, stage in enumerate(plan.stages[: cfg.k_max], start=1):
+            sets[f"stage{k}"] = _branch_sums(
+                tensor * stage.K_s[None, :, None, None], rotate=True
+            )
+            tensor *= stage.K_f[None, :, None, None]
+        sets["exhausted-me"] = _branch_sums(tensor, rotate=True)
+        sets["exhausted-guess"] = _branch_sums(tensor, rotate=False)
+    total = sum(t for label, (_, t) in sets.items() if label != "exhausted-guess") / D
+    if abs(total - 1.0) > 1e-10:
+        raise AssertionError(f"branch probabilities sum to {total!r}, not 1")
+    return sets
 
 
 def exact_average_fidelity(
@@ -520,33 +444,34 @@ def exact_average_fidelity(
     channel, e.g. a stage beyond ``k_max`` or an inconclusive branch that
     cannot occur.
     """
-    enum = _BranchEnumeration(channel, cfg, tie_tolerance)
-    D = channel.D
+    sets = _branch_sets(channel, cfg, tie_tolerance)
     if condition == "overall":
         if cfg.kind == KIND_DETERMINISTIC:
-            ops = enum.deterministic_ops
+            chosen = ["deterministic"]
         else:
-            ops = [m for k in enum.conclusive_ops for m in enum.conclusive_ops[k]]
-            if cfg.fallback == "me":
-                ops += enum.exhausted_me_ops
-            elif cfg.fallback == "guess":
-                ops += enum.exhausted_guess_ops
-        return _BranchEnumeration.average_fidelity(ops, D)
-    if cfg.kind == KIND_DETERMINISTIC:
+            chosen = [f"stage{k}" for k in range(1, cfg.k_max + 1)]
+            if cfg.fallback != "discard":
+                chosen.append(f"exhausted-{cfg.fallback}")
+    elif cfg.kind == KIND_DETERMINISTIC:
         raise ValueError(f"condition {condition!r} needs the staged strategy")
-    if condition == "conclusive-at-stage":
+    elif condition == "conclusive-at-stage":
         if stage is None:
             raise ValueError("condition 'conclusive-at-stage' requires a stage")
-        if stage not in enum.conclusive_ops:
+        if f"stage{stage}" not in sets:
             raise ValueError(f"stage {stage} is outside the executed range")
-        if enum.conclusive_mass[stage] < MIN_BRANCH_MASS:
-            raise ValueError(f"stage {stage} is unreachable for this channel")
-        return _BranchEnumeration.average_fidelity(enum.conclusive_ops[stage], D)
-    if condition == "inconclusive-then-me":
-        if enum.exhausted_mass < MIN_BRANCH_MASS:
-            raise ValueError("the strategy has no inconclusive branch on this channel")
-        return _BranchEnumeration.average_fidelity(enum.exhausted_me_ops, D)
-    raise ValueError(f"unknown condition {condition!r}")
+        chosen = [f"stage{stage}"]
+    elif condition == "inconclusive-then-me":
+        chosen = ["exhausted-me"]
+    else:
+        raise ValueError(f"unknown condition {condition!r}")
+    q = sum(sets[label][0] for label in chosen)
+    t = sum(sets[label][1] for label in chosen)
+    if t / channel.D < MIN_BRANCH_MASS:
+        raise ValueError(
+            f"condition {condition!r} has ~zero probability on this channel; "
+            f"fidelity undefined"
+        )
+    return (q + t) / ((channel.D + 1) * t)
 
 
 def exact_branch_probabilities(
@@ -555,9 +480,9 @@ def exact_branch_probabilities(
     tie_tolerance: float = DEFAULT_TIE_TOL,
 ) -> dict[str, float]:
     """Haar-averaged probability of each branch bucket, from enumeration."""
-    enum = _BranchEnumeration(channel, cfg, tie_tolerance)
+    sets = _branch_sets(channel, cfg, tie_tolerance)
     if cfg.kind == KIND_DETERMINISTIC:
         return {"deterministic": 1.0}
-    out = {f"stage{k}": enum.conclusive_mass[k] for k in sorted(enum.conclusive_ops)}
-    out["exhausted"] = enum.exhausted_mass
+    out = {k: t / channel.D for k, (_, t) in sets.items() if k.startswith("stage")}
+    out["exhausted"] = sets["exhausted-me"][1] / channel.D
     return out

@@ -82,10 +82,6 @@ def make_state(dims, amplitudes) -> QuditState:
     return QuditState(dims, amps / norm)
 
 
-def identity(D: int) -> DenseOperator:
-    return DenseOperator(D, np.eye(D, dtype=complex))
-
-
 def _phase_table(D: int) -> np.ndarray:
     """The D-th roots of unity, exp(2*pi*i*k/D) for k = 0..D-1."""
     return np.exp(2j * np.pi * np.arange(D) / D)
@@ -142,7 +138,7 @@ def apply_local(state: QuditState, op: DenseOperator, subsystem: int) -> QuditSt
 @lru_cache(maxsize=64)
 def _gxor_permutation(dims: tuple[int, ...], control: int, target: int) -> np.ndarray:
     """Flat index permutation with new[idx] = old[perm[idx]]."""
-    coords = list(np.indices(dims))
+    coords = list(np.indices(dims, sparse=True))
     coords[target] = (coords[control] - coords[target]) % dims[target]
     perm = np.ravel_multi_index(coords, dims).ravel()
     perm.setflags(write=False)

@@ -1,5 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import mcteleport.analytics
 
 from conftest import channel_with_multiplicities, random_channel
 from mcteleport import (
@@ -87,6 +92,26 @@ def test_f_me_after_fail_substitution_identity():
     expected = (1 + np.sum(b) ** 2) / 5
     assert f_me_after_fail(EXAMPLE) == pytest.approx(expected, abs=1e-12)
     assert f_me_after_fail_double_sum(EXAMPLE) == pytest.approx(expected, abs=1e-12)
+
+
+def test_f_me_after_fail_double_sum_is_finite_under_round_off():
+    # Squaring the smallest coefficient two ways lands one ulp below zero
+    # under the square root on this channel.
+    ch = make_channel(16, [0.653249090107, 0.556478502659, 0.513417278978])
+    check = f_me_after_fail_double_sum(ch)
+    assert np.isfinite(check)
+    assert f_me_after_fail(ch) == pytest.approx(check, abs=1e-12)
+
+
+def test_analytics_does_not_import_engine():
+    tree = ast.parse(Path(mcteleport.analytics.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any(name.split(".")[-1] == "engine" for name in imported), imported
 
 
 def test_f_me_after_fail_below_deterministic():

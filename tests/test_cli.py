@@ -61,6 +61,23 @@ def test_report_malformed_channel_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--D", "3", "--coeffs", "nan"],
+        ["--D", "3", "--coeffs", "0.5,nan,0.3"],
+        ["--D", "3", "--coeffs", "0.6,0.3,0.1", "--squared", "--tie-tol", "nan"],
+        ["--D", "3", "--coeffs", "0.6,0.3,0.1", "--squared", "--tie-tol", "inf"],
+        ["--D", "4", "--coeffs", "0.5,0.25,0.25", "--squared", "--tie-tol", "-1"],
+    ],
+)
+def test_report_rejects_non_finite_input(capsys, argv):
+    code, out, err = run_cli(capsys, "report", *argv)
+    assert code == 1
+    assert "error:" in err
+    assert out == ""
+
+
 def test_report_missing_dimension_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "report", "--coeffs", "0.5,0.5", "--squared")
     assert code == 1

@@ -93,8 +93,8 @@ def test_mc_stage_rejects_unsorted():
 def test_mc_stage_kraus_diagonals():
     coeffs = np.sqrt([0.5, 0.3, 0.2])
     stage = mc_stage(coeffs, 4)
-    ks = np.diag(stage.K_s.entries)
-    kf = np.diag(stage.K_f.entries)
+    ks = stage.K_s
+    kf = stage.K_f
     np.testing.assert_allclose(ks[:3], coeffs[2] / coeffs, atol=1e-14)
     np.testing.assert_allclose(ks[3], 0.0)
     np.testing.assert_allclose(kf[3], 1.0)
@@ -231,7 +231,7 @@ def test_stage_chain_matches_sequential_filtering():
             next_family = symmetric_family(nxt.input_coeffs, ch.D)
             new_family = []
             for l, nu in enumerate(family):
-                vec = stage.K_f.entries @ nu.amplitudes
+                vec = np.diag(stage.K_f) @ nu.amplitudes
                 vec = vec / np.linalg.norm(vec)
                 overlap = abs(np.vdot(next_family[l].amplitudes, vec))
                 assert overlap >= 1 - 1e-9
@@ -258,7 +258,7 @@ def test_generated_stages_satisfy_completeness():
         ch = random_channel(rng)
         for stage in build_stage_plan(ch).stages:
             gram = (
-                stage.K_s.entries.conj().T @ stage.K_s.entries
-                + stage.K_f.entries.conj().T @ stage.K_f.entries
+                np.diag(stage.K_s).conj().T @ np.diag(stage.K_s)
+                + np.diag(stage.K_f).conj().T @ np.diag(stage.K_f)
             )
             np.testing.assert_allclose(gram, np.eye(ch.D), atol=1e-10)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_channel
 from mcteleport import (
+    DenseOperator,
     QuditState,
     StrategyConfig,
     apply_gxor,
@@ -51,7 +54,9 @@ def _reference_run(channel, input_state, cfg, rng):
         conclusive = False
         plan = build_stage_plan(channel)
         for k, stage in enumerate(plan.stages[: cfg.k_max], start=1):
-            branch, full, _ = apply_two_outcome_kraus(full, 1, stage.K_s, stage.K_f, rng)
+            K_s = DenseOperator(D, np.diag(stage.K_s))
+            K_f = DenseOperator(D, np.diag(stage.K_f))
+            branch, full, _ = apply_two_outcome_kraus(full, 1, K_s, K_f, rng)
             stage_reached = k
             if branch == "success":
                 conclusive = True
@@ -342,3 +347,18 @@ def test_runner_rejects_rank_one_staged_strategy():
     ch = make_channel(4, [1.0])
     with pytest.raises(ValueError):
         ProtocolRunner(ch, StrategyConfig(kind="mc-smc", k_max=1, fallback="me"))
+
+
+def test_runner_construction_memory_stays_small_at_large_dimension():
+    # No per-(l, k) correction matrices: the build must not grow as D^4.
+    D = 64
+    weights = np.linspace(2.0, 1.0, D)
+    ch = make_channel(D, np.sqrt(weights / weights.sum()))
+    cfg = StrategyConfig(kind="mc-smc", k_max=2, fallback="me")
+    tracemalloc.start()
+    try:
+        ProtocolRunner(ch, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20

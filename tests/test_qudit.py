@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcteleport import (
+    DenseOperator,
     apply_gxor,
     apply_local,
     apply_two_outcome_kraus,
@@ -211,8 +212,6 @@ def test_measure_rejects_zero_state():
 
 
 def test_kraus_identity_pair_always_succeeds():
-    from mcteleport import DenseOperator
-
     rng = np.random.default_rng(6)
     state = haar_random_state(3, rng)
     K_s = DenseOperator(3, np.eye(3, dtype=complex))
@@ -227,8 +226,10 @@ def test_kraus_equal_coefficients_never_fail():
     rng = np.random.default_rng(7)
     coeffs = np.full(3, 1 / np.sqrt(3))
     stage = mc_stage(coeffs, 4)
+    K_s = DenseOperator(4, np.diag(stage.K_s))
+    K_f = DenseOperator(4, np.diag(stage.K_f))
     for nu in symmetric_family(coeffs, 4):
-        branch, _, p = apply_two_outcome_kraus(nu, 0, stage.K_s, stage.K_f, rng)
+        branch, _, p = apply_two_outcome_kraus(nu, 0, K_s, K_f, rng)
         assert branch == "success"
         assert p == pytest.approx(1.0, abs=1e-12)
 
@@ -240,13 +241,14 @@ def test_kraus_success_branch_maps_to_uniform_family():
     uniform = symmetric_family(stage.success_coeffs, D)
     rng = np.random.default_rng(8)
     for l, nu in enumerate(symmetric_family(coeffs, D)):
-        direct = stage.K_s.entries @ nu.amplitudes
+        direct = np.diag(stage.K_s) @ nu.amplitudes
         direct = direct / np.linalg.norm(direct)
         assert abs(np.vdot(uniform[l].amplitudes, direct)) == pytest.approx(
             1.0, abs=1e-10
         )
         branch, collapsed, p = apply_two_outcome_kraus(
-            nu, 0, stage.K_s, stage.K_f, rng
+            nu, 0, DenseOperator(D, np.diag(stage.K_s)),
+            DenseOperator(D, np.diag(stage.K_f)), rng
         )
         target = uniform[l] if branch == "success" else None
         if branch == "success":
@@ -257,8 +259,6 @@ def test_kraus_success_branch_maps_to_uniform_family():
 
 
 def test_kraus_rejects_incomplete_pair():
-    from mcteleport import DenseOperator
-
     rng = np.random.default_rng(9)
     state = haar_random_state(2, rng)
     K = DenseOperator(2, 0.5 * np.eye(2, dtype=complex))
@@ -272,8 +272,8 @@ def test_kraus_branch_probabilities_sum_to_one():
     stage = mc_stage(coeffs, 5)
     for _ in range(10):
         psi = haar_random_state(5, rng)
-        p_s = np.linalg.norm(stage.K_s.entries @ psi.amplitudes) ** 2
-        p_f = np.linalg.norm(stage.K_f.entries @ psi.amplitudes) ** 2
+        p_s = np.linalg.norm(np.diag(stage.K_s) @ psi.amplitudes) ** 2
+        p_f = np.linalg.norm(np.diag(stage.K_f) @ psi.amplitudes) ** 2
         assert p_s + p_f == pytest.approx(1.0, abs=1e-10)
 
 
