@@ -19,6 +19,11 @@ from .qudit import QuditState, pauli_z_power
 # Coefficients closer than this (as amplitudes) form one multiplicity group.
 DEFAULT_TIE_TOL = 1e-9
 
+# Largest accepted tie tolerance.  Grouping snaps values that differ by up
+# to this much, so a tolerance near the coefficient gaps would merge
+# distinct coefficients and report a wrong multiplicity structure.
+MAX_TIE_TOL = 1e-6
+
 # Inputs whose squared coefficients deviate from 1 by less than this are
 # silently renormalized; larger deviations are rejected as data errors.
 NORMALIZATION_SLACK = 1e-6
@@ -109,11 +114,14 @@ def group_coefficients(coeffs, tie_tolerance: float = DEFAULT_TIE_TOL):
     Returns (values, multiplicities) ordered smallest to largest.  Linkage
     is by consecutive gap on the sorted list; each group's representative
     value is the root mean square of its members, which preserves the
-    total squared weight exactly.  ``tie_tolerance`` must be finite and
-    non-negative.
+    total squared weight exactly.  ``tie_tolerance`` must be finite and in
+    [0, MAX_TIE_TOL].
     """
-    if not (isfinite(tie_tolerance) and tie_tolerance >= 0):
-        raise ValueError(f"tie tolerance must be finite and >= 0, got {tie_tolerance!r}")
+    if not (isfinite(tie_tolerance) and 0 <= tie_tolerance <= MAX_TIE_TOL):
+        raise ValueError(
+            f"tie tolerance must be finite and in [0, {MAX_TIE_TOL:g}], "
+            f"got {tie_tolerance!r}"
+        )
     arr = np.sort(np.asarray(coeffs, dtype=float).ravel())
     values = []
     mults = []

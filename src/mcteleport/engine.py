@@ -9,16 +9,21 @@ is kept in one form: the register after the controlled shift comes from
 and a cyclic shift read from two D x D tables (``_correction_tables``).
 
 Two evaluation routes are provided for every strategy.  ``monte_carlo``
-samples full protocol runs (Haar-random inputs, Born-rule measurements).
-``exact_average_fidelity`` enumerates every measurement branch as a linear
-operator on the input and sums, per branch set, the squared traces Q and
-the squared norms T of those operators; the Haar-averaged fidelity is
-(Q + T) / ((D + 1) T).  It involves no sampling and serves as the oracle
-the sampled statistics are checked against.
+samples full protocol runs (Haar-random inputs, Born-rule measurements)
+in blocks of trials with ``ProtocolRunner.run_block``, which keeps each
+trial on the b = m support of the register; ``ProtocolRunner.run`` is the
+single-run reference, and every ``monte_carlo`` call replays one trial
+through both and requires them to agree.  ``exact_average_fidelity``
+enumerates every measurement branch as a linear operator on the input and
+sums, per branch set, the squared traces Q and the squared norms T of
+those operators; the Haar-averaged fidelity is (Q + T) / ((D + 1) T).  It
+involves no sampling and serves as the oracle the sampled statistics are
+checked against.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -26,7 +31,9 @@ from math import ceil, log2
 
 import numpy as np
 
-from .channels import DEFAULT_TIE_TOL, SchmidtChannel, channel_state, make_channel
+# ``make_channel`` is unused here but stays importable from this module:
+# the benchmark's layer trace (perfbench/layers.py) wraps it by this name.
+from .channels import DEFAULT_TIE_TOL, SchmidtChannel, channel_state, make_channel  # noqa: F401
 from .discrimination import (
     KIND_DETERMINISTIC,
     KIND_SMC,
@@ -34,11 +41,26 @@ from .discrimination import (
     StrategyConfig,
     build_stage_plan,
 )
-from .qudit import QuditState, _gxor_permutation, _phase_table, fourier, haar_random_state
+from .qudit import (
+    QuditState,
+    _gxor_permutation,
+    _phase_table,
+    fourier,
+    haar_random_state,
+    haar_random_states,
+)
 
 # Branch sets with less Haar-averaged probability than this are treated as
 # unreachable when conditioning.
 MIN_BRANCH_MASS = 1e-12
+
+# Monte Carlo block size: a block's largest array, (B, D, D) reals, holds
+# about this many entries (512 KB), so B = BLOCK_ENTRIES // D^2.
+BLOCK_ENTRIES = 2**16
+
+# Largest fidelity difference the replayed trial may show between
+# ``ProtocolRunner.run`` and ``ProtocolRunner.run_block``.
+REPLAY_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,10 +115,11 @@ def _receiver_correction(vec: np.ndarray, l: int, k: int) -> np.ndarray:
 class ProtocolRunner:
     """Prepared protocol for one channel and strategy; reusable across runs.
 
-    The run loop works on raw (D, D, D) amplitude arrays with the stage
+    ``run`` works on raw (D, D, D) amplitude arrays with the stage
     operators applied as diagonals, but draws from the generator in
     exactly the same order and with the same Born weights as the public
     register operations, so a run is reproducible either way.
+    ``run_block`` is the same process for a block of trials at once.
     """
 
     def __init__(
@@ -107,10 +130,10 @@ class ProtocolRunner:
     ):
         self.channel = channel
         self.cfg = cfg
-        self.D = channel.D
+        self.D = D = channel.D
         self._chvec = channel_state(channel).amplitudes
-        self._finv = fourier(channel.D).dagger().entries
-        self._bits_base = 2 * ceil(log2(channel.D))
+        self._finv = fourier(D).dagger().entries
+        self._bits_base = 2 * ceil(log2(D))
         self.plan: StagePlan | None = None
         self._filters = []
         if cfg.kind == KIND_SMC:
@@ -120,10 +143,16 @@ class ProtocolRunner:
                     f"k_max={cfg.k_max} exceeds the {self.plan.M} stage(s) "
                     f"this channel admits"
                 )
-            # Views of the stage diagonals, aligned with the sender axis.
-            self._filters = [
-                (s.K_s[:, None], s.K_f[:, None]) for s in self.plan.stages[: cfg.k_max]
-            ]
+            self._filters = [(s.K_s, s.K_f) for s in self.plan.stages[: cfg.k_max]]
+        # Uniforms one trial may consume: one per stage, then l and k.
+        self.draws_per_trial = len(self._filters) + 2
+        # Tables of the block kernel: the Schmidt weights padded to D,
+        # |F^+[l, b]|^2, and the input index (b - j) mod D that meets
+        # receiver index b at j.
+        self._weights = np.zeros(D)
+        self._weights[: channel.N] = channel.coeffs
+        self._rot_weights = np.abs(self._finv) ** 2
+        self._diff = np.subtract.outer(np.arange(D), np.arange(D)) % D
 
     @staticmethod
     def _sample_axis(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -144,13 +173,13 @@ class ProtocolRunner:
         if self.cfg.kind == KIND_SMC:
             conclusive = False
             for stage_reached, (ks, kf) in enumerate(self._filters, start=1):
-                psi = t * ks
+                psi = t * ks[:, None]
                 p_s = np.vdot(psi, psi).real
                 if rng.random() < p_s:
                     t = psi / np.sqrt(p_s)
                     conclusive = True
                     break
-                psi = t * kf
+                psi = t * kf[:, None]
                 t = psi / np.sqrt(np.vdot(psi, psi).real)
 
         outcomes = bob = fid = None
@@ -183,6 +212,84 @@ class ProtocolRunner:
 
     def run_haar(self, rng: np.random.Generator) -> TeleportRecord:
         return self.run(haar_random_state(self.D, rng), rng)
+
+    def run_block(
+        self, inputs: np.ndarray, uniforms: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Run a block of trials at once: ``run`` vectorised over rows.
+
+        ``inputs`` holds one unit input vector per row, shape (B, D).
+        ``uniforms`` holds each trial's uniform numbers, shape
+        (B, draws_per_trial), taken in the order ``run`` draws them: one
+        per stage decision the trial makes, then one for each readout
+        outcome.  Given the same input and numbers, a row here and ``run``
+        agree on stage, conclusiveness and outcomes, and on the fidelity up
+        to rounding.
+
+        After the controlled shift the register t[b, m, j] vanishes unless
+        b = m, where it equals w_b psi[(b - j) mod D] with w the Schmidt
+        weights.  Stage operators act on m and so only rescale w, and every
+        readout probability and the corrected receiver state follow from
+        (w, psi): a trial never needs its (D, D, D) register.
+
+        Returns (stage_reached, conclusive, outcomes, fidelity) per row;
+        outcomes are (-1, -1) and fidelity NaN for discarded trials.
+        """
+        B, D = inputs.shape
+        if D != self.D or uniforms.shape != (B, self.draws_per_trial):
+            raise ValueError(
+                f"expected inputs (B, {self.D}) and uniforms (B, {self.draws_per_trial}), "
+                f"got {inputs.shape} and {uniforms.shape}"
+            )
+        w = np.tile(self._weights, (B, 1))
+        stages = np.zeros(B, dtype=np.int64)
+        conclusive = np.full(B, self.cfg.kind != KIND_SMC)
+        live = np.arange(B)
+        for s, (ks, kf) in enumerate(self._filters, start=1):
+            stages[live] = s
+            ws = w[live] * ks
+            p_s = np.einsum("ij,ij->i", ws, ws)
+            hit = uniforms[live, s - 1] < p_s
+            w[live[hit]] = ws[hit] / np.sqrt(p_s[hit])[:, None]
+            conclusive[live[hit]] = True
+            live = live[~hit]
+            wf = w[live] * kf
+            w[live] = wf / np.sqrt(np.einsum("ij,ij->i", wf, wf))[:, None]
+
+        outcomes = np.full((B, 2), -1, dtype=np.int64)
+        fids = np.full(B, np.nan)
+        rows = np.arange(B) if self.cfg.fallback != "discard" else np.flatnonzero(conclusive)
+        # Minimum-error readout for conclusive trials and the ``me``
+        # fallback; ``guess`` reads the sender index m directly.
+        me = conclusive[rows] | (self.cfg.fallback == "me")
+        w = w[rows]
+        w2 = w**2
+        q = np.abs(inputs[rows]) ** 2
+        first = stages[rows]
+        # Sender outcome o: l after the Fourier rotation, else m.  g[b] is
+        # the weight receiver index b carries into outcome o.
+        probs1 = np.where(me[:, None], w2 @ self._rot_weights.T, w2)
+        o1 = _sample_rows(probs1, uniforms[rows, first])
+        g = np.where(me[:, None], self._rot_weights[o1], np.arange(D) == o1[:, None])
+        p1 = np.take_along_axis(probs1, o1[:, None], axis=1)[:, 0]
+        probs2 = np.matmul((g * w2)[:, None, :], q[:, self._diff])[:, 0] / p1[:, None]
+        o2 = _sample_rows(probs2, uniforms[rows, first + 1])
+        p2 = np.take_along_axis(probs2, o2[:, None], axis=1)[:, 0]
+        # After X^-k Z^l the receiver holds coef[s] w_s psi[n] / sqrt(p1 p2)
+        # at index n, with s = n + k mod D (l = 0 for ``guess``).
+        phases, shifts = _correction_tables(D)
+        coef = np.where(me[:, None], phases[o1] * self._finv[o1], g)
+        amp = np.take_along_axis(coef * w, shifts[o2], axis=1)
+        outcomes[rows] = np.stack((o1, o2), axis=1)
+        fids[rows] = np.abs(np.einsum("rn,rn->r", q, amp)) ** 2 / (p1 * p2)
+        return stages, conclusive, outcomes, fids
+
+
+def _sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise ``ProtocolRunner._sample_axis``: one outcome per row."""
+    cum = np.cumsum(probs, axis=1)
+    # Counting over all but the last column clamps the outcome at D - 1.
+    return (cum[:, :-1] <= (u * cum[:, -1])[:, None]).sum(axis=1)
 
 
 def run_protocol(
@@ -246,33 +353,56 @@ def _bucket_labels(cfg: StrategyConfig) -> tuple[str, ...]:
     return tuple(f"stage{k}" for k in range(1, cfg.k_max + 1)) + (terminal[cfg.fallback],)
 
 
-def _mc_chunk(
-    D: int,
-    coeffs: tuple[float, ...],
-    kind: str,
-    k_max: int,
-    fallback: str,
-    tie_tolerance: float,
-    seed: int,
-    start: int,
-    count: int,
-):
-    """Simulate trials [start, start+count); per-trial generators depend
-    only on (seed, trial index), so results are worker-count independent."""
-    channel = make_channel(D, coeffs)
-    cfg = StrategyConfig(kind=kind, k_max=k_max, fallback=fallback)
-    runner = ProtocolRunner(channel, cfg, tie_tolerance)
-    stages = np.empty(count, dtype=np.int64)
-    conclusive = np.empty(count, dtype=bool)
-    fids = np.full(count, np.nan)
-    for i in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, start + i)))
-        rec = runner.run_haar(rng)
-        stages[i] = rec.stage_reached
-        conclusive[i] = rec.conclusive
-        if rec.run_fidelity is not None:
-            fids[i] = rec.run_fidelity
-    return stages, conclusive, fids
+def block_size(D: int) -> int:
+    """Trials per Monte Carlo block at dimension D (at least 1)."""
+    return max(1, BLOCK_ENTRIES // (D * D))
+
+
+# Generator streams under one seed: the blocks, and the replayed trial.
+_BLOCK_STREAM, _REPLAY_STREAM = 0, 1
+
+
+def _generator(seed: int, *key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def _draw(runner: ProtocolRunner, rng: np.random.Generator, n: int):
+    """Inputs, then uniforms, of ``n`` trials for ``run_block``."""
+    return haar_random_states(runner.D, n, rng), rng.random((n, runner.draws_per_trial))
+
+
+def _run_blocks(runner: ProtocolRunner, seed: int, trials: int, first: int, stop: int):
+    """(stage_reached, conclusive, fidelity) of blocks [first, stop), in
+    block order.  Block i draws from its own generator, keyed by
+    (seed, i), so the result does not depend on how blocks are shared."""
+    size = block_size(runner.D)
+    parts = []
+    for block in range(first, stop):
+        n = min(size, trials - block * size)
+        rng = _generator(seed, _BLOCK_STREAM, block)
+        stages, conclusive, _, fids = runner.run_block(*_draw(runner, rng, n))
+        parts.append((stages, conclusive, fids))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _replay_check(runner: ProtocolRunner, seed: int) -> None:
+    """Run one trial through ``run_haar``, and the same input and uniforms
+    (re-drawn from an equal generator) through ``run_block``; raise
+    AssertionError if stage, conclusiveness, outcomes or fidelity differ."""
+    rec = runner.run_haar(_generator(seed, _REPLAY_STREAM))
+    batch = runner.run_block(*_draw(runner, _generator(seed, _REPLAY_STREAM), 1))
+    stage, conclusive, outcomes, fid = (a[0] for a in batch)
+    want = (rec.stage_reached, rec.conclusive, rec.alice_outcomes or (-1, -1))
+    got = (int(stage), bool(conclusive), tuple(outcomes.tolist()))
+    if rec.run_fidelity is None:
+        same_fid = bool(np.isnan(fid))
+    else:
+        same_fid = abs(fid - rec.run_fidelity) <= REPLAY_ATOL
+    if got != want or not same_fid:
+        raise AssertionError(
+            f"replayed trial disagrees: (stage, conclusive, outcomes) is {want} "
+            f"with F={rec.run_fidelity!r} from run, {got} with F={fid!r} from run_block"
+        )
 
 
 def _summarize(values: np.ndarray) -> tuple[float, float, float, float]:
@@ -295,36 +425,32 @@ def monte_carlo(
 ) -> AggregateStats:
     """Sample ``trials`` protocol runs on fresh Haar inputs.
 
-    Deterministic given ``seed`` regardless of ``workers``: each trial owns
-    a generator derived from (seed, trial index), and aggregation reduces
-    the per-trial results in trial order.
+    Trials run in blocks of ``block_size(D)``; block i draws its inputs
+    and uniforms from one generator keyed by (seed, i).  The result is
+    deterministic given ``seed`` and bit-identical for any ``workers``:
+    each worker (at most ``os.cpu_count()`` and the number of blocks) gets
+    whole blocks, and aggregation folds them in block order.  One more
+    trial, from a generator of its own, is replayed through
+    ``ProtocolRunner.run_haar`` and ``run_block``; AssertionError if the
+    two disagree.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    # Validate the configuration against the channel before spawning work.
-    ProtocolRunner(channel, cfg, tie_tolerance)
+    runner = ProtocolRunner(channel, cfg, tie_tolerance)
+    _replay_check(runner, seed)
 
-    args = (
-        channel.D,
-        tuple(float(c) for c in channel.coeffs),
-        cfg.kind,
-        cfg.k_max,
-        cfg.fallback,
-        tie_tolerance,
-        seed,
-    )
+    n_blocks = ceil(trials / block_size(channel.D))
+    workers = min(workers, os.cpu_count() or 1, n_blocks)
     if workers <= 1:
-        stages, conclusive, fids = _mc_chunk(*args, 0, trials)
+        stages, conclusive, fids = _run_blocks(runner, seed, trials, 0, n_blocks)
     else:
-        bounds = np.linspace(0, trials, workers + 1).astype(int)
-        chunks = [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+        bounds = np.linspace(0, n_blocks, workers + 1).astype(int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(partial(_mc_chunk, *args), *zip(*chunks)))
-        stages = np.concatenate([p[0] for p in parts])
-        conclusive = np.concatenate([p[1] for p in parts])
-        fids = np.concatenate([p[2] for p in parts])
+            parts = list(pool.map(partial(_run_blocks, runner, seed, trials),
+                                  bounds[:-1], bounds[1:]))
+        stages, conclusive, fids = (np.concatenate(p) for p in zip(*parts))
 
     labels = _bucket_labels(cfg)
     counts = np.zeros(len(labels), dtype=int)

@@ -224,16 +224,27 @@ def apply_two_outcome_kraus(
     return "failure", QuditState(state.dims, psi_f / np.sqrt(p_f)), p_f
 
 
-def haar_random_state(D: int, rng: np.random.Generator) -> QuditState:
-    """Single-qudit pure state drawn uniformly (Haar) in dimension D."""
+def haar_random_states(D: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` single-qudit pure states drawn uniformly (Haar), one per row.
+
+    The real parts of all rows are drawn first, then the imaginary parts,
+    so ``n = 1`` consumes the generator exactly like one scalar draw.
+    """
     if D < 1:
         raise ValueError(f"dimension must be >= 1, got {D}")
-    z = rng.standard_normal(D) + 1j * rng.standard_normal(D)
-    norm = np.linalg.norm(z)
-    while norm < 1e-12:  # probability zero, but keep the contract total
-        z = rng.standard_normal(D) + 1j * rng.standard_normal(D)
-        norm = np.linalg.norm(z)
-    return QuditState((D,), z / norm)
+    z = rng.standard_normal((n, D)) + 1j * rng.standard_normal((n, D))
+    norms = np.linalg.norm(z, axis=1)
+    bad = np.flatnonzero(norms < 1e-12)
+    while bad.size:  # probability zero, but keep the contract total
+        z[bad] = rng.standard_normal((bad.size, D)) + 1j * rng.standard_normal((bad.size, D))
+        norms[bad] = np.linalg.norm(z[bad], axis=1)
+        bad = bad[norms[bad] < 1e-12]
+    return z / norms[:, None]
+
+
+def haar_random_state(D: int, rng: np.random.Generator) -> QuditState:
+    """Single-qudit pure state drawn uniformly (Haar) in dimension D."""
+    return QuditState((D,), haar_random_states(D, 1, rng)[0])
 
 
 def fidelity(a: QuditState, b: QuditState) -> float:

@@ -36,3 +36,23 @@ def random_multiplicity_pattern(rng, max_n=10):
         int(c) for c in rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False)
     ) + [n]
     return tuple(b - a for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+class InlinePool:
+    """ProcessPoolExecutor stand-in: records each ``max_workers`` in
+    ``sizes`` and runs the mapped chunks in this process, so a test of the
+    worker count starts no process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        InlinePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import InlinePool
 from mcteleport import channel_report, make_channel
 from mcteleport.cli import main, parse_csv, report_quantity
 
@@ -69,6 +70,7 @@ def test_report_malformed_channel_is_usage_error(capsys):
         ["--D", "3", "--coeffs", "0.6,0.3,0.1", "--squared", "--tie-tol", "nan"],
         ["--D", "3", "--coeffs", "0.6,0.3,0.1", "--squared", "--tie-tol", "inf"],
         ["--D", "4", "--coeffs", "0.5,0.25,0.25", "--squared", "--tie-tol", "-1"],
+        ["--D", "3", "--coeffs", "0.6,0.3,0.1", "--squared", "--tie-tol", "10"],
     ],
 )
 def test_report_rejects_non_finite_input(capsys, argv):
@@ -240,6 +242,66 @@ def test_verify_corrupt_mode_fails(capsys):
     )
     assert code == 2
     assert "verdict: FAIL" in out
+
+
+SPARSE_STAGE1 = (
+    "verify", "--D", "4", "--coeffs", "0.4999,0.4999,0.0001,0.0001", "--squared",
+    "--trials", "1000", "--k-max", "2",
+)
+
+
+def test_verify_sparse_bucket_is_not_a_failure(capsys):
+    # Stage 1 succeeds with p = 0.0004: about 0.4 hits in 1000 trials.
+    code, out, _ = run_cli(capsys, *SPARSE_STAGE1)
+    assert code == 0
+    rows = {line.split()[0]: line for line in out.splitlines()}
+    assert rows["F_mc_s1"].split()[-1] in ("n=0", "n=1")
+    assert rows["F_mc_s1"].split()[-2] == "sparse"
+    # the count itself is tested against the band of the analytic p
+    assert rows["P_stage1"].endswith("pass")
+    assert "+-0.000632" in rows["P_stage1"]
+    assert "verdict: PASS" in out
+
+    code, out, _ = run_cli(capsys, *SPARSE_STAGE1, "--self-test-corrupt")
+    assert code == 2
+    assert "verdict: FAIL" in out
+
+
+def test_failed_internal_cross_check_exits_2_without_traceback(capsys, monkeypatch):
+    from mcteleport.engine import ProtocolRunner
+
+    kernel = ProtocolRunner.run_block
+
+    def flipped(self, inputs, uniforms):
+        stages, conclusive, outcomes, fids = kernel(self, inputs, uniforms)
+        return stages, conclusive, outcomes, 1.0 - fids
+
+    monkeypatch.setattr(ProtocolRunner, "run_block", flipped)
+    code, out, err = run_cli(
+        capsys, "verify", "--D", "4", "--coeffs", "0.5,0.3,0.2", "--squared",
+        "--trials", "1000",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: internal cross-check failed: replayed trial")
+    assert "Traceback" not in err
+
+
+def test_sweep_caps_workers_at_cpus_and_points(monkeypatch, tmp_path, capsys):
+    from mcteleport import cli
+
+    InlinePool.sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    outputs = []
+    for grid, workers in (("9", "1"), ("9", "64"), ("2", "64")):
+        path = tmp_path / f"sweep{grid}-{workers}.csv"
+        assert run_cli(capsys, "sweep", "--D", "4", "--N", "2", "--grid", grid,
+                       "--workers", workers, "--out", str(path))[0] == 0
+        outputs.append(path.read_bytes())
+    # 9 points: min(64, 3 cpus); 2 points: one worker per point
+    assert InlinePool.sizes == [3, 2]
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_rejects_excess_stage_budget_before_sampling(capsys):

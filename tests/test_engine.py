@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_channel
+from conftest import InlinePool, random_channel
 from mcteleport import (
     DenseOperator,
     QuditState,
@@ -31,7 +31,9 @@ from mcteleport import (
     run_protocol,
     stage_probabilities,
 )
+from mcteleport import engine
 from mcteleport.engine import ProtocolRunner
+from mcteleport.qudit import haar_random_states
 
 EXAMPLE = make_channel(4, np.sqrt([0.5, 0.3, 0.2]))
 DET = StrategyConfig(kind="deterministic-me")
@@ -362,3 +364,130 @@ def test_runner_construction_memory_stays_small_at_large_dimension():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+class _ReplayedUniforms:
+    """Stands in for a generator in ``ProtocolRunner.run``, which draws only
+    ``random()``; hands out a fixed row of uniforms in order."""
+
+    def __init__(self, values):
+        self.values = iter(values.tolist())
+
+    def random(self):
+        return next(self.values)
+
+
+def _staged_channel(D):
+    weights = np.linspace(2.0, 1.0, D)
+    return make_channel(D, np.sqrt(weights / weights.sum()))
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 8, 32])
+@pytest.mark.parametrize(
+    "kind,fallback",
+    [("deterministic-me", "me"), ("mc-smc", "me"), ("mc-smc", "guess"),
+     ("mc-smc", "discard")],
+)
+def test_block_kernel_matches_single_run_trial_by_trial(D, kind, fallback):
+    ch = _staged_channel(D)
+    cfg = StrategyConfig(kind=kind, k_max=min(3, D - 1), fallback=fallback)
+    runner = ProtocolRunner(ch, cfg)
+    trials = 20 if D == 32 else 60
+    rng = np.random.default_rng(np.random.SeedSequence((21, D)))
+    inputs = haar_random_states(D, trials, rng)
+    uniforms = rng.random((trials, runner.draws_per_trial))
+    stages, conclusive, outcomes, fids = runner.run_block(inputs, uniforms)
+    for i in range(trials):
+        rec = runner.run(QuditState((D,), inputs[i]), _ReplayedUniforms(uniforms[i]))
+        assert stages[i] == rec.stage_reached
+        assert conclusive[i] == rec.conclusive
+        assert tuple(outcomes[i]) == (rec.alice_outcomes or (-1, -1))
+        if rec.run_fidelity is None:
+            assert np.isnan(fids[i])
+        else:
+            assert abs(fids[i] - rec.run_fidelity) <= 1e-12
+    if kind == "mc-smc":
+        assert 0 < stages.min() and conclusive.any() and not conclusive.all()
+
+
+def test_block_kernel_rejects_mismatched_shapes():
+    runner = ProtocolRunner(EXAMPLE, StrategyConfig(kind="mc-smc", k_max=2, fallback="me"))
+    inputs = np.full((3, 4), 0.5, dtype=complex)
+    with pytest.raises(ValueError):
+        runner.run_block(inputs[:, :3], np.zeros((3, runner.draws_per_trial)))
+    with pytest.raises(ValueError):
+        runner.run_block(inputs, np.zeros((3, runner.draws_per_trial - 1)))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [DET, StrategyConfig(kind="mc-smc", k_max=2, fallback="me"),
+     StrategyConfig(kind="mc-smc", k_max=2, fallback="discard")],
+)
+def test_batched_and_single_run_samples_agree_statistically(cfg):
+    trials = 3000
+    runner = ProtocolRunner(EXAMPLE, cfg)
+    labels = engine._bucket_labels(cfg)
+    rng = np.random.default_rng(31)
+    single = {label: [] for label in labels}
+    for _ in range(trials):
+        rec = runner.run_haar(rng)
+        if cfg.kind == "deterministic-me":
+            label = labels[0]
+        else:
+            label = f"stage{rec.stage_reached}" if rec.conclusive else labels[-1]
+        single[label].append(np.nan if rec.run_fidelity is None else rec.run_fidelity)
+    stats = monte_carlo(EXAMPLE, cfg, trials, seed=32)
+    for i, label in enumerate(labels):
+        p = (len(single[label]) + stats.counts[i]) / (2 * trials)
+        sigma = np.sqrt(2 * p * (1 - p) / trials)
+        assert abs(len(single[label]) / trials - stats.probabilities[i]) <= 4 * sigma + 1e-15
+        f = np.asarray(single[label])
+        if np.isnan(f).all():
+            assert np.isnan(stats.mean_fidelity[i])
+            continue
+        err = np.hypot(f.std(ddof=1) / np.sqrt(f.size), stats.stderr_fidelity[i])
+        assert abs(f.mean() - stats.mean_fidelity[i]) < 4 * err
+
+
+def test_monte_carlo_worker_invariance_across_blocks(monkeypatch):
+    ch = _staged_channel(8)
+    cfg = StrategyConfig(kind="mc-smc", k_max=2, fallback="guess")
+    size = engine.block_size(8)
+    trials = 3 * size + 100
+    serial = monte_carlo(ch, cfg, trials, seed=41)
+    pooled = [monte_carlo(ch, cfg, trials, seed=41, workers=2)]
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
+    InlinePool.sizes = []
+    pooled += [monte_carlo(ch, cfg, trials, seed=41, workers=w) for w in (2, 3, 4)]
+    assert InlinePool.sizes == [2, 3, 4]
+    for stats in pooled:
+        np.testing.assert_array_equal(stats.counts, serial.counts)
+        np.testing.assert_array_equal(stats.mean_fidelity, serial.mean_fidelity)
+        np.testing.assert_array_equal(stats.stderr_fidelity, serial.stderr_fidelity)
+        assert stats.overall_mean_fidelity == serial.overall_mean_fidelity
+
+
+def test_monte_carlo_caps_workers_at_cpus_and_blocks(monkeypatch):
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+    cfg = StrategyConfig(kind="mc-smc", k_max=1, fallback="me")
+    size = engine.block_size(4)
+    InlinePool.sizes = []
+    monte_carlo(EXAMPLE, cfg, 5 * size, seed=1, workers=64)
+    monte_carlo(EXAMPLE, cfg, 2 * size, seed=1, workers=64)
+    monte_carlo(EXAMPLE, cfg, size, seed=1, workers=64)  # one block: no pool
+    assert InlinePool.sizes == [3, 2]
+
+
+def test_monte_carlo_replay_check_catches_a_disagreeing_kernel(monkeypatch):
+    kernel = ProtocolRunner.run_block
+
+    def flipped(self, inputs, uniforms):
+        stages, conclusive, outcomes, fids = kernel(self, inputs, uniforms)
+        return stages, conclusive, outcomes, 1.0 - fids
+
+    monkeypatch.setattr(ProtocolRunner, "run_block", flipped)
+    with pytest.raises(AssertionError, match="replayed trial"):
+        monte_carlo(EXAMPLE, DET, 1000, seed=3)

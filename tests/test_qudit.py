@@ -20,6 +20,7 @@ from mcteleport import (
     pauli_z_power,
     symmetric_family,
 )
+from mcteleport.qudit import haar_random_states
 
 
 def test_make_state_basis():
@@ -289,6 +290,40 @@ def test_haar_norm_and_first_moment():
     # |c_0|^2 is Beta(1, D-1): mean 1/D, var (D-1)/(D^2 (D+1))
     sigma = np.sqrt((D - 1) / (D**2 * (D + 1)) / n)
     assert abs(acc / n - 1 / D) < 3 * sigma
+
+
+def test_batched_haar_draw_matches_scalar_stream():
+    # One row consumes the generator exactly like the scalar draw, and a
+    # block of rows is the scalar draws' real parts, then imaginary parts.
+    D = 5
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    row = haar_random_states(D, 1, a)[0]
+    np.testing.assert_array_equal(row, haar_random_state(D, b).amplitudes)
+    assert a.random() == b.random()
+    block = haar_random_states(D, 300, a)
+    np.testing.assert_allclose(np.linalg.norm(block, axis=1), 1.0, atol=1e-12)
+    z = b.standard_normal((300, D)) + 1j * b.standard_normal((300, D))
+    np.testing.assert_allclose(block, z / np.linalg.norm(z, axis=1)[:, None], atol=1e-15)
+
+
+def test_batched_haar_draw_redraws_zero_rows():
+    class ZerosFirst:
+        """Gives a zero row among the first draws, normals afterwards."""
+
+        def __init__(self):
+            self.calls = 0
+            self.rng = np.random.default_rng(0)
+
+        def standard_normal(self, size):
+            self.calls += 1
+            out = self.rng.standard_normal(size)
+            if self.calls <= 2:
+                out[1] = 0.0
+            return out
+
+    states = haar_random_states(3, 4, ZerosFirst())
+    assert np.all(np.isfinite(states))
+    np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-12)
 
 
 def test_identity_channel_fidelity_is_one():
