@@ -74,29 +74,26 @@ def f_clas(D: int) -> float:
 
 
 def _stage_cascade(profile: MultiplicityProfile):
-    """Per-stage failure/success probabilities of the filtering cascade.
+    """Per-stage probabilities of the filtering cascade.
 
     Stage k consumes the k-th smallest coefficient group; its success
     probability telescopes to n_k * (v_k^2 - v_{k-1}^2) where n_k counts
-    the surviving coefficients.  Returns (p_fail, p_success, cumulative)
-    arrays of length M.
+    the surviving coefficients.  Returns (p_fail, p_success, cumulative,
+    survival) arrays of length M; ``survival[k - 1]`` is the probability
+    that stages 1..k all fail.
     """
-    v_sq = profile.values**2
-    p_fail = []
-    p_success = []
+    M = profile.M
+    p_success = profile.support[:M] * np.diff(profile.values[:M] ** 2, prepend=0.0)
+    p_fail = np.empty(M)
+    survival = np.empty(M)
     prod = 1.0
-    prev = 0.0
-    for k in range(1, profile.M + 1):
-        n_k = profile.support_size(k)
-        gap = v_sq[k - 1] - prev
-        q = 1.0 - n_k * gap / prod if prod > 0 else 0.0
+    for k, p in enumerate(p_success.tolist()):
+        q = 1.0 - p / prod if prod > 0 else 0.0
         q = min(max(q, 0.0), 1.0)  # the terminal stage lands at -1e-16-ish
-        p_fail.append(q)
-        p_success.append(n_k * gap)
+        p_fail[k] = q
         prod *= q
-        prev = v_sq[k - 1]
-    p_success = np.asarray(p_success)
-    return np.asarray(p_fail), p_success, np.cumsum(p_success)
+        survival[k] = prod
+    return p_fail, p_success, np.cumsum(p_success), survival
 
 
 def f_mc_conclusive(
@@ -108,38 +105,38 @@ def f_mc_conclusive(
     of coefficients surviving into stage k, and by recursion from stage 1
     subtracting each consumed multiplicity -- and checked to agree.
     """
-    return _f_mc_conclusive(multiplicity_profile(ch, tie_tolerance), ch.D, k)
-
-
-def _f_mc_conclusive(profile: MultiplicityProfile, D: int, k: int) -> float:
+    profile = multiplicity_profile(ch, tie_tolerance)
     if not 1 <= k <= profile.M:
         raise ValueError(f"stage {k} out of range 1..{profile.M}")
-    direct = (1.0 + profile.support_size(k)) / (D + 1)
-    recursive = (1.0 + profile.N) / (D + 1)
-    for j in range(1, k):
-        recursive -= profile.multiplicities[j - 1] / (D + 1)
-    if abs(direct - recursive) > IDENTITY_ATOL:
+    return float(_f_mc_stages(profile, ch.D)[k - 1])
+
+
+def _f_mc_stages(profile: MultiplicityProfile, D: int) -> np.ndarray:
+    """Conclusive fidelity of every stage 1..M."""
+    M = profile.M
+    direct = (1.0 + profile.support[:M]) / (D + 1)
+    # Stage k's value less each multiplicity consumed before it, in turn.
+    recursive = np.subtract.accumulate(np.concatenate((
+        [(1.0 + profile.N) / (D + 1)], profile.multiplicities[: M - 1] / (D + 1))))
+    bad = np.flatnonzero(np.abs(direct - recursive) > IDENTITY_ATOL)
+    if bad.size:
         raise AssertionError(
-            f"stage-fidelity forms disagree: {direct!r} vs {recursive!r}"
+            f"stage-fidelity forms disagree: {float(direct[bad[0]])!r} "
+            f"vs {float(recursive[bad[0]])!r}"
         )
     return direct
 
 
-def _failure_family_sum(profile: MultiplicityProfile, depth: int) -> float | None:
-    """Sum of the failure-family coefficients after ``depth`` failed stages,
-    or None when that branch has no probability mass."""
-    v_sq = profile.values**2
-    prod = 1.0
-    for k in range(1, depth + 1):
-        if prod <= 0:
-            return None
-        n_k = profile.support_size(k)
-        prev = v_sq[k - 2] if k >= 2 else 0.0
-        prod *= 1.0 - n_k * (v_sq[k - 1] - prev) / prod
+def _failure_family_sum(
+    profile: MultiplicityProfile, depth: int, survival: np.ndarray
+) -> float | None:
+    """Sum of the failure-family coefficients after ``depth`` >= 1 failed
+    stages, or None when that branch has no probability mass."""
+    prod = survival[depth - 1]
     if prod <= 0 or depth >= profile.d:
         return None
-    floor = v_sq[depth - 1] if depth >= 1 else 0.0
-    tail_v = np.sqrt((v_sq[depth:] - floor) / prod)
+    v_sq = profile.values**2
+    tail_v = np.sqrt((v_sq[depth:] - v_sq[depth - 1]) / prod)
     return float(np.sum(tail_v * profile.multiplicities[depth:]))
 
 
@@ -147,12 +144,14 @@ def f_me_after_fail(ch: SchmidtChannel, tie_tolerance: float = DEFAULT_TIE_TOL) 
     """Average fidelity of the minimum-error completion after one failed
     filter stage: the deterministic formula applied to the failure-family
     coefficients.  Undefined (error) when all coefficients are equal."""
-    return _f_me_after_fail(multiplicity_profile(ch, tie_tolerance), ch.D)
+    profile = multiplicity_profile(ch, tie_tolerance)
+    return _f_me_after_fail(profile, ch.D, _stage_cascade(profile))
 
 
-def _f_me_after_fail(profile: MultiplicityProfile, D: int) -> float:
+def _f_me_after_fail(profile: MultiplicityProfile, D: int, cascade) -> float:
     _require_failure_branch(profile)
-    s = _failure_family_sum(profile, 1)
+    _, _, _, survival = cascade
+    s = _failure_family_sum(profile, 1, survival)
     value = (1.0 + s**2) / (D + 1)
     check = _f_me_after_fail_double_sum(profile, D)
     if not abs(value - check) <= IDENTITY_ATOL:
@@ -179,16 +178,14 @@ def _require_failure_branch(profile: MultiplicityProfile) -> None:
 def _f_me_after_fail_double_sum(profile: MultiplicityProfile, D: int) -> float:
     _require_failure_branch(profile)
     a = np.repeat(profile.values, profile.multiplicities)
-    a_min_sq = profile.values[0] ** 2
-    p_fail = 1.0 - a.size * a_min_sq
-    # a**2 and a_min_sq round differently, so the smallest group can land
-    # one ulp below zero.
-    excess = np.sqrt(np.maximum(a**2 - a_min_sq, 0.0))
-    cross = 0.0
-    for m in range(a.size):
-        for mp in range(a.size):
-            if m != mp:
-                cross += excess[m] * excess[mp]
+    a_sq = a**2
+    p_fail = 1.0 - a.size * a_sq[0]
+    # The smallest group's excess must be exactly 0, so a_min^2 is taken
+    # from the same array (a scalar x**2 can round one ulp off x*x, and
+    # the square root magnifies that ulp to about 1e-9).
+    excess = np.sqrt(np.maximum(a_sq - a_sq[0], 0.0))
+    # Sum over ordered pairs m != m'.
+    cross = np.sum(excess) ** 2 - np.dot(excess, excess)
     return f_clas(D) + cross / ((D + 1) * p_fail)
 
 
@@ -199,7 +196,7 @@ def stage_probabilities(
     profile = multiplicity_profile(ch, tie_tolerance)
     if not 1 <= k <= profile.M:
         raise ValueError(f"stage {k} out of range 1..{profile.M}")
-    _, p_success, cumulative = _stage_cascade(profile)
+    _, p_success, cumulative, _ = _stage_cascade(profile)
     return p_success[:k].copy(), float(cumulative[k - 1])
 
 
@@ -215,16 +212,19 @@ def overall_fidelity(
     attempts deliver nothing), so the value is conditioned on success;
     pair it with the overall success probability when reporting.
     """
-    return _overall_fidelity(multiplicity_profile(ch, tie_tolerance), ch.D, cfg)
+    profile = multiplicity_profile(ch, tie_tolerance)
+    return _overall_fidelity(profile, ch.D, cfg, _stage_cascade(profile))
 
 
-def _overall_fidelity(profile: MultiplicityProfile, D: int, cfg: StrategyConfig) -> float:
+def _overall_fidelity(
+    profile: MultiplicityProfile, D: int, cfg: StrategyConfig, cascade
+) -> float:
     if cfg.kind == KIND_DETERMINISTIC:
         return _f_me(profile, D)
     if not 1 <= cfg.k_max <= profile.M:
         raise ValueError(f"k_max={cfg.k_max} out of range 1..{profile.M}")
-    _, p_success, cumulative = _stage_cascade(profile)
-    fid = [(1.0 + profile.support_size(j)) / (D + 1) for j in range(1, cfg.k_max + 1)]
+    _, p_success, cumulative, survival = cascade
+    fid = (1.0 + profile.support[: cfg.k_max]) / (D + 1)
     base = float(np.dot(p_success[: cfg.k_max], fid))
     residual = 1.0 - float(cumulative[cfg.k_max - 1])
     residual = max(residual, 0.0)
@@ -234,7 +234,7 @@ def _overall_fidelity(profile: MultiplicityProfile, D: int, cfg: StrategyConfig)
         return base
     if cfg.fallback == "guess":
         return base + residual * f_clas(D)
-    s = _failure_family_sum(profile, cfg.k_max)
+    s = _failure_family_sum(profile, cfg.k_max, survival)
     if s is None:
         return base
     return base + residual * (1.0 + s**2) / (D + 1)
@@ -245,7 +245,8 @@ def channel_report(
 ) -> ChannelReport:
     """Evaluate every closed form for one channel and assert the internal
     identities that tie them together.  The coefficients are grouped once
-    and every quantity is evaluated from that profile."""
+    and the filtering cascade is walked once; every quantity is evaluated
+    from that profile and that cascade."""
     D = ch.D
     profile = multiplicity_profile(ch, tie_tolerance)
     sum_a = _sum_amplitudes(profile)
@@ -254,20 +255,20 @@ def channel_report(
     F_clas_val = f_clas(D)
 
     M = profile.M
-    if M >= 1 and profile.N >= 2:
-        p_fail, p_success, cumulative = _stage_cascade(profile)
-        F_mc = np.array([_f_mc_conclusive(profile, D, k) for k in range(1, M + 1)])
-        f_mc = np.array([profile.support_size(k) / D for k in range(1, M + 1)])
-        useful = tuple(
-            bool(profile.support_size(k) - sum_a**2 > USEFUL_MARGIN)
-            for k in range(1, M + 1)
-        )
+    if M >= 1:
+        cascade = _stage_cascade(profile)
+        p_fail, p_success, cumulative, survival = cascade
+        support = profile.support[:M]
+        F_mc = _f_mc_stages(profile, D)
+        f_mc = support / D
+        margin = support - sum_a**2
+        useful = tuple((margin > USEFUL_MARGIN).tolist())
         cfg_full = StrategyConfig(kind=KIND_SMC, k_max=M, fallback="guess")
-        overall_smc_val = _overall_fidelity(profile, D, cfg_full)
+        overall_smc_val = _overall_fidelity(profile, D, cfg_full, cascade)
         cfg_one = StrategyConfig(kind=KIND_SMC, k_max=1, fallback="me")
-        overall_me_val = _overall_fidelity(profile, D, cfg_one)
+        overall_me_val = _overall_fidelity(profile, D, cfg_one, cascade)
         fail_defined = profile.d >= 2
-        F_fail = _f_me_after_fail(profile, D) if fail_defined else None
+        F_fail = _f_me_after_fail(profile, D, cascade) if fail_defined else None
 
         # Cross identities between independent routes to the same numbers.
         mu = profile.multiplicities
@@ -275,20 +276,15 @@ def channel_report(
             if profile.d >= 2 else (mu[-1] + 1) / (D + 1)
         _require(abs(final_form - F_mc[M - 1]) <= IDENTITY_ATOL,
                  "final-stage fidelity forms disagree")
-        prod = 1.0
-        for k in range(M):
-            _require(abs(p_success[k] - (1.0 - p_fail[k]) * prod) <= IDENTITY_ATOL,
-                     f"stage {k + 1} success probability forms disagree")
-            prod *= p_fail[k]
-        _require(abs(cumulative[M - 1] - (1.0 - prod)) <= IDENTITY_ATOL,
+        survived = np.concatenate(([1.0], survival[:-1]))
+        _require_stages(np.abs(p_success - (1.0 - p_fail) * survived) <= IDENTITY_ATOL,
+                        "success probability forms disagree")
+        _require(abs(cumulative[M - 1] - (1.0 - survival[M - 1])) <= IDENTITY_ATOL,
                  "cumulative success probability forms disagree")
-        for k in range(1, M + 1):
-            _require(abs((F_mc[k - 1] * (D + 1) - 1.0) / D - f_mc[k - 1]) <= IDENTITY_ATOL,
-                     f"stage {k} fidelity-confidence identity fails")
-            _require(
-                abs((F_mc[k - 1] - F_me_val) * (D + 1)
-                    - (profile.support_size(k) - sum_a**2)) <= 1e-9,
-                f"stage {k} usefulness identity fails")
+        _require_stages(np.abs((F_mc * (D + 1) - 1.0) / D - f_mc) <= IDENTITY_ATOL,
+                        "fidelity-confidence identity fails")
+        _require_stages(np.abs((F_mc - F_me_val) * (D + 1) - margin) <= 1e-9,
+                        "usefulness identity fails")
         _require(abs((F_me_val * (D + 1) - 1.0) / D - f_me_frac) <= IDENTITY_ATOL,
                  "deterministic fidelity-confidence identity fails")
         _require(F_mc[0] - F_me_val >= -IDENTITY_ATOL,
@@ -328,3 +324,10 @@ def channel_report(
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise AssertionError(message)
+
+
+def _require_stages(ok: np.ndarray, message: str) -> None:
+    """``_require`` for a per-stage identity; names the first failing stage."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise AssertionError(f"stage {bad[0] + 1} {message}")

@@ -10,6 +10,7 @@ explicit, tolerance-controlled step shared by analytics and simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isfinite
 
 import numpy as np
@@ -66,9 +67,17 @@ class MultiplicityProfile:
     def M(self) -> int:
         return self.d - 1 if int(self.multiplicities[-1]) == 1 else self.d
 
+    @cached_property
+    def support(self) -> np.ndarray:
+        """``support[k - 1]`` counts the coefficients still alive entering
+        stage k: the suffix sums of the multiplicities."""
+        counts = np.cumsum(self.multiplicities[::-1])[::-1]
+        counts.setflags(write=False)
+        return counts
+
     def support_size(self, k: int) -> int:
         """Number of coefficients still alive entering stage k (1-based)."""
-        return int(self.multiplicities[k - 1 :].sum())
+        return int(self.support[k - 1])
 
 
 def _validated_coeffs(coeffs, D: int) -> np.ndarray:
@@ -123,16 +132,11 @@ def group_coefficients(coeffs, tie_tolerance: float = DEFAULT_TIE_TOL):
             f"got {tie_tolerance!r}"
         )
     arr = np.sort(np.asarray(coeffs, dtype=float).ravel())
-    values = []
-    mults = []
-    start = 0
-    for i in range(1, arr.size + 1):
-        if i == arr.size or arr[i] - arr[i - 1] > tie_tolerance:
-            members = arr[start:i]
-            values.append(float(np.sqrt(np.mean(members**2))))
-            mults.append(len(members))
-            start = i
-    return np.asarray(values), np.asarray(mults, dtype=int)
+    cuts = (np.flatnonzero(np.diff(arr) > tie_tolerance) + 1).tolist()
+    edges = [0, *cuts, arr.size] if arr.size else [0]
+    sq = arr**2
+    values = [np.sqrt(np.mean(sq[a:b])) for a, b in zip(edges, edges[1:])]
+    return np.asarray(values, dtype=float), np.diff(edges)
 
 
 def snap_to_groups(coeffs, tie_tolerance: float = DEFAULT_TIE_TOL) -> np.ndarray:

@@ -188,28 +188,26 @@ def _tie_tol(args: argparse.Namespace) -> float:
 # ---------------------------------------------------------------------------
 # Quantity lookup on a ChannelReport
 
+_FLAT_QUANTITIES = ("D", "N", "d", "M", "F_me", "f_me", "F_clas", "F_me_after_fail",
+                    "overall_me", "overall_smc", "P_smc_overall")
 _STAGE_RE = re.compile(r"^(F_mc_s|f_mc_s|p_fail_s|P_stage|P_smc_s|useful_s)(\d+)$")
+
+
+def _check_quantity(name: str) -> None:
+    """Reject a name no report defines.  Any stage index passes; stages a
+    channel lacks read NaN."""
+    if name not in _FLAT_QUANTITIES and not _STAGE_RE.match(name):
+        raise ValueError(f"unknown quantity {name!r}")
 
 
 def report_quantity(report: ChannelReport, name: str) -> float:
     """Resolve a named scalar from a report; stage-indexed names yield NaN
     when the channel has fewer stages."""
-    flat = {
-        "D": report.D,
-        "N": report.N,
-        "d": report.d,
-        "M": report.M,
-        "F_me": report.F_me,
-        "f_me": report.f_me,
-        "F_clas": report.F_clas,
-        "F_me_after_fail": np.nan if report.F_me_after_fail is None
-        else report.F_me_after_fail,
-        "overall_me": report.overall_me,
-        "overall_smc": report.overall_smc,
-        "P_smc_overall": report.P_smc[-1] if report.P_smc else np.nan,
-    }
-    if name in flat:
-        return flat[name]
+    if name == "P_smc_overall":
+        return report.P_smc[-1] if report.P_smc else np.nan
+    if name in _FLAT_QUANTITIES:
+        value = getattr(report, name)  # only F_me_after_fail can be None
+        return np.nan if value is None else value
     m = _STAGE_RE.match(name)
     if not m:
         raise KeyError(f"unknown quantity {name!r}")
@@ -236,8 +234,7 @@ def report_quantity(report: ChannelReport, name: str) -> float:
 
 
 def _report_csv_columns(report: ChannelReport) -> list[str]:
-    cols = ["D", "N", "d", "M", "F_me", "f_me", "F_clas", "F_me_after_fail",
-            "overall_me", "overall_smc", "P_smc_overall"]
+    cols = list(_FLAT_QUANTITIES)
     for k in range(1, report.M + 1):
         cols += [f"F_mc_s{k}", f"f_mc_s{k}", f"p_fail_s{k}", f"P_stage{k}",
                  f"P_smc_s{k}", f"useful_s{k}"]
@@ -338,7 +335,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[str], list[list[str]], i
     by grid index regardless of worker count; at most ``os.cpu_count()``
     and one worker per point are started."""
     for name in spec.quantities:
-        report_quantity(_probe_report(), name)  # fail fast on unknown names
+        _check_quantity(name)
     points, skipped = sweep_points(spec)
     header = [f"a{i}_sq" for i in range(spec.N)] + list(spec.quantities)
     workers = min(spec.workers, os.cpu_count() or 1, len(points))
@@ -363,18 +360,6 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[str], list[list[str]], i
         f"skipped_infeasible: {skipped}",
     ]
     return metadata, header, rows, skipped
-
-
-# A fixed report used only to validate quantity names before sweeping.
-_PROBE_CACHE: list[ChannelReport] = []
-
-
-def _probe_report() -> ChannelReport:
-    if not _PROBE_CACHE:
-        _PROBE_CACHE.append(
-            channel_report(make_channel(4, [sqrt(0.5), sqrt(0.3), sqrt(0.2)]))
-        )
-    return _PROBE_CACHE[0]
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +500,8 @@ def cmd_verify(args) -> int:
     fallback = args.fallback if args.fallback is not None else "me"
     workers = args.workers if args.workers is not None else 1
     cfg = StrategyConfig(kind=KIND_SMC, k_max=k_max, fallback=fallback)
-    plan = build_stage_plan(ch, tie)
-    if k_max > plan.M:
-        raise ValueError(f"k_max={k_max} exceeds the {plan.M} stage(s) "
-                         f"this channel admits")
-
+    # The runner that monte_carlo builds first rejects rank-1 channels and
+    # an excess k_max before any trial is sampled.
     rows = _verify_rows(ch, cfg, trials, seed, workers, tie)
     if args.self_test_corrupt:
         name, analytic, *rest = rows[0]

@@ -5,6 +5,11 @@ subsystems, flattened row-major with subsystem 0 most significant.  All
 values are treated as immutable after construction; anything stochastic
 takes an explicit ``numpy.random.Generator`` so runs are reproducible and
 safe to parallelize (one generator per worker).
+
+The register operations (``apply_local``, ``measure_computational``,
+``apply_two_outcome_kraus``) are the reference implementation that the
+engine's tests rebuild each run from; they stay public here, since moving
+them under ``tests/`` would not remove any code.
 """
 
 from __future__ import annotations

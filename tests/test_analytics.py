@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcteleport.analytics
 
@@ -101,6 +103,15 @@ def test_f_me_after_fail_double_sum_is_finite_under_round_off():
     check = f_me_after_fail_double_sum(ch)
     assert np.isfinite(check)
     assert f_me_after_fail(ch) == pytest.approx(check, abs=1e-12)
+
+
+def test_f_me_after_fail_double_sum_smallest_group_has_no_excess():
+    # Squaring the smallest coefficient as a scalar lands one ulp above the
+    # array square here; its square root would add cross terms of ~1e-9.
+    ch = make_channel(11, [0.41176194562886004] * 5 + [0.37253032376315864]
+                      + [0.08210255336040086] * 2)
+    assert channel_report(ch).F_me_after_fail == f_me_after_fail(ch)
+    assert f_me_after_fail(ch) == pytest.approx(f_me_after_fail_double_sum(ch), abs=1e-12)
 
 
 def test_analytics_does_not_import_engine():
@@ -305,3 +316,50 @@ def test_report_useful_flags_agree_with_stage_plan():
     for _ in range(50):
         ch = random_channel(rng)
         assert channel_report(ch).useful == build_stage_plan(ch).useful_flags
+
+
+@st.composite
+def tied_channels(draw):
+    """Channels with D <= 8 and random groups of exactly or nearly (within
+    the default tie tolerance) equal coefficients."""
+    D = draw(st.integers(min_value=2, max_value=8))
+    N = draw(st.integers(min_value=1, max_value=D))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=N - 1))) if N > 1 else ())
+    mults = np.diff([0, *cuts, N])
+    levels = draw(st.lists(st.floats(min_value=0.01, max_value=1.0),
+                           min_size=mults.size, max_size=mults.size))
+    amps = np.sqrt(np.repeat(levels, mults))
+    jitter = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=N, max_size=N))
+    amps = amps * (1.0 + 1e-12 * np.asarray(jitter))
+    return make_channel(D, amps / np.linalg.norm(amps))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tied_channels())
+def test_report_fields_equal_public_functions_bit_for_bit(ch):
+    rep = channel_report(ch)
+    assert rep.F_me == f_me(ch)
+    for k in range(1, rep.M + 1):
+        assert rep.F_mc_s[k - 1] == f_mc_conclusive(ch, k)
+        p, total = stage_probabilities(ch, k)
+        assert tuple(p.tolist()) == rep.p_success[:k]
+        assert total == rep.P_smc[k - 1]
+    if rep.M >= 1:
+        me = StrategyConfig(kind="mc-smc", k_max=1, fallback="me")
+        guess = StrategyConfig(kind="mc-smc", k_max=rep.M, fallback="guess")
+        assert rep.overall_me == overall_fidelity(ch, me)
+        assert rep.overall_smc == overall_fidelity(ch, guess)
+    if rep.d >= 2:
+        assert rep.F_me_after_fail == f_me_after_fail(ch)
+
+
+def test_channel_report_walks_the_cascade_once(monkeypatch):
+    calls = []
+    cascade = mcteleport.analytics._stage_cascade
+    monkeypatch.setattr(mcteleport.analytics, "_stage_cascade",
+                        lambda profile: calls.append(1) or cascade(profile))
+    rng = np.random.default_rng(13)
+    for ch in [EXAMPLE] + [random_channel(rng, D=8) for _ in range(5)]:
+        calls.clear()
+        channel_report(ch)
+        assert len(calls) == 1

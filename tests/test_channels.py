@@ -15,6 +15,7 @@ from mcteleport import (
     pauli_z_power,
     symmetric_family,
 )
+from mcteleport.channels import group_coefficients
 
 
 def test_make_channel_rank3_example():
@@ -176,3 +177,23 @@ def test_symmetric_family_pairwise_overlaps():
                 )
                 overlap = np.vdot(family[l].amplitudes, family[lp].amplitudes)
                 np.testing.assert_allclose(overlap, direct, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.integers(min_value=1, max_value=10_000),
+                       st.integers(min_value=1, max_value=20)),
+             min_size=1, max_size=6, unique_by=lambda t: t[0]),
+    st.randoms(use_true_random=False),
+)
+def test_group_values_are_rms_of_members(groups, rnd):
+    # Levels at least 1e-4 apart; members within 2e-10 of their level.
+    members = [[1e-4 * level + 1e-11 * rnd.randint(-10, 10) for _ in range(mult)]
+               for level, mult in groups]
+    coeffs = [c for group in members for c in group]
+    rnd.shuffle(coeffs)
+    values, mults = group_coefficients(coeffs)
+    expected = sorted(members, key=min)
+    assert mults.tolist() == [len(group) for group in expected]
+    for value, group in zip(values, expected):
+        assert value == np.sqrt(np.mean(np.sort(group) ** 2))

@@ -217,10 +217,19 @@ def test_sweep_quantity_selection_and_unknown_name(tmp_path, capsys):
 
     code, _, err = run_cli(
         capsys, "sweep", "--D", "4", "--N", "3", "--grid", "5",
-        "--quantities", "not_a_quantity", "--out", str(out_path),
+        "--quantities", "F_me,bogus", "--out", str(out_path),
     )
     assert code == 1
-    assert "unknown quantity" in err
+    assert err == "error: unknown quantity 'bogus'\n"
+
+    # Stage names beyond the channel's M are accepted and read NaN.
+    code, _, _ = run_cli(
+        capsys, "sweep", "--D", "4", "--N", "3", "--grid", "5",
+        "--quantities", "F_mc_s7", "--out", str(out_path),
+    )
+    assert code == 0
+    _, _, rows = parse_csv(out_path.read_text())
+    assert {row[-1] for row in rows} == {"nan"}
 
 
 def test_verify_passes_and_is_deterministic(capsys):
@@ -310,7 +319,11 @@ def test_verify_rejects_excess_stage_budget_before_sampling(capsys):
         "--trials", "1000", "--k-max", "5",
     )
     assert code == 1
-    assert "k_max" in err
+    assert err == "error: k_max=5 exceeds the 2 stage(s) this channel admits\n"
+
+    code, _, err = run_cli(capsys, "verify", "--D", "4", "--coeffs", "1", "--trials", "1000")
+    assert code == 1
+    assert err == "error: rank-1 channels admit no discrimination stages\n"
 
 
 def test_verify_requires_enough_trials(capsys):
