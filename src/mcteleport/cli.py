@@ -515,9 +515,10 @@ def cmd_verify(args) -> int:
         if abs(oracle - analytic) > ORACLE_ATOL:
             notes.append("oracle!=analytic")
         # A fidelity mean needs two samples for a stderr; fewer get no
-        # empirical test (their bucket count is tested by the P row).
+        # empirical test (their bucket count is tested by the P row).  A
+        # stderr of samples equal up to rounding is below the mean's rounding.
         sparse = samples is not None and samples < MIN_FIDELITY_SAMPLES
-        band = EMPIRICAL_SIGMAS * err if np.isfinite(err) and err > 0 else ORACLE_ATOL
+        band = max(EMPIRICAL_SIGMAS * err, ORACLE_ATOL) if np.isfinite(err) else ORACLE_ATOL
         if not sparse and (not np.isfinite(empirical) or abs(empirical - analytic) > band):
             notes.append("empirical out of band")
         all_ok &= not notes

@@ -26,7 +26,7 @@ from .channels import (
     multiplicity_profile,
     snap_to_groups,
 )
-from .qudit import KRAUS_ATOL, DenseOperator, QuditState, fourier
+from .qudit import KRAUS_ATOL, DenseOperator, QuditState, check_allocation, fourier
 
 KIND_DETERMINISTIC = "deterministic-me"
 KIND_SMC = "mc-smc"
@@ -163,14 +163,29 @@ def failure_coefficients(coeffs, tie_tolerance: float = DEFAULT_TIE_TOL) -> np.n
     values, mults = group_coefficients(arr, tie_tolerance)
     if values.size < 2:
         raise ValueError("all coefficients are equal: the failure branch is empty")
-    n = arr.size
     v_min_sq = values[0] ** 2
-    p_fail = 1.0 - n * v_min_sq
-    out = []
-    for v, mu in zip(values[1:][::-1], mults[1:][::-1]):  # largest first
-        out.extend([np.sqrt((v**2 - v_min_sq) / p_fail)] * int(mu))
-    out = np.asarray(out)
+    p_fail = 1.0 - arr.size * v_min_sq
+    out = np.repeat(np.sqrt((values[1:] ** 2 - v_min_sq) / p_fail), mults[1:])[::-1]
     return out / np.linalg.norm(out)
+
+
+def _filter_stage(k: int, input_coeffs, family: np.ndarray, D: int, terminal: bool,
+                  failure: np.ndarray) -> McStage:
+    """Stage k filtering over a snapped, normalized, non-increasing
+    ``family``; ``failure`` is the family a failed filter leaves."""
+    n = family.size
+    ratios = family[-1] / family
+    K_s = np.zeros(D)
+    K_s[:n] = ratios
+    K_f = np.ones(D)
+    K_f[:n] = np.sqrt(np.maximum(0.0, 1.0 - ratios**2))
+    if np.max(np.abs(K_s**2 + K_f**2 - 1.0)) > KRAUS_ATOL:
+        raise ValueError("generated Kraus pair violates completeness")
+    K_s.setflags(write=False)
+    K_f.setflags(write=False)
+    p_fail = 0.0 if terminal else float(1.0 - n * family[-1] ** 2)
+    return McStage(k, input_coeffs, K_s, K_f, p_fail, np.full(n, 1.0 / np.sqrt(n)),
+                   failure, terminal)
 
 
 def mc_stage(
@@ -181,7 +196,8 @@ def mc_stage(
     Coefficients must be sorted non-increasing and there must be at least
     two of them (a single survivor admits no informative measurement).
     Nearly tied values are snapped to their group representative first so
-    the operators treat them as exactly degenerate.
+    the operators treat them as exactly degenerate.  The single-stage
+    reference that ``build_stage_plan`` is tested against.
     """
     arr = np.asarray(input_coeffs, dtype=float).ravel()
     _check_sorted_positive(arr, 2)
@@ -189,36 +205,9 @@ def mc_stage(
         raise ValueError(f"{arr.size} coefficients exceed the dimension D={D}")
     arr = arr / np.linalg.norm(arr)
     snapped = snap_to_groups(arr, tie_tolerance)
-    n = arr.size
-    a_min = snapped[-1]
-
-    ratios = a_min / snapped
-    K_s = np.zeros(D)
-    K_s[:n] = ratios
-    K_f = np.ones(D)
-    K_f[:n] = np.sqrt(np.maximum(0.0, 1.0 - ratios**2))
-    if np.max(np.abs(K_s**2 + K_f**2 - 1.0)) > KRAUS_ATOL:
-        raise ValueError("generated Kraus pair violates completeness")
-    K_s.setflags(write=False)
-    K_f.setflags(write=False)
-
-    terminal = bool(np.all(snapped == a_min))
-    p_fail = 0.0 if terminal else float(1.0 - n * a_min**2)
-    fail = (
-        np.empty(0)
-        if terminal
-        else failure_coefficients(snapped, tie_tolerance)
-    )
-    return McStage(
-        stage_index=k,
-        input_coeffs=arr,
-        K_s=K_s,
-        K_f=K_f,
-        p_fail=p_fail,
-        success_coeffs=np.full(n, 1.0 / np.sqrt(n)),
-        failure_coeffs=fail,
-        terminal=terminal,
-    )
+    terminal = bool(np.all(snapped == snapped[-1]))
+    fail = np.empty(0) if terminal else failure_coefficients(snapped, tie_tolerance)
+    return _filter_stage(k, arr, snapped, D, terminal, fail)
 
 
 def confidence_at_stage(profile: MultiplicityProfile, D: int, k: int) -> float:
@@ -231,32 +220,29 @@ def confidence_at_stage(profile: MultiplicityProfile, D: int, k: int) -> float:
 def build_stage_plan(
     ch: SchmidtChannel, tie_tolerance: float = DEFAULT_TIE_TOL
 ) -> StagePlan:
-    """Chain filtering stages until the family carries no more structure.
+    """Every filtering stage the channel admits, from one grouping.
 
-    Stage k is flagged useful when a conclusive outcome there beats the
-    deterministic protocol, i.e. when the surviving coefficient count
-    exceeds (sum_m a_m)^2 strictly.
+    The family entering stage k is sqrt(a_m^2 - v^2), normalized, over the
+    ``support_size(k)`` largest snapped coefficients, v being the largest
+    group value consumed before stage k (0 at stage 1); it is also the
+    failure family of stage k - 1.  Stage k is useful when a conclusive
+    outcome there beats the deterministic protocol, i.e. when the surviving
+    coefficient count exceeds (sum_m a_m)^2 strictly.
     """
     if ch.N < 2:
         raise ValueError("rank-1 channels admit no discrimination stages")
     profile = multiplicity_profile(ch, tie_tolerance)
+    M, d = profile.M, profile.d
+    check_allocation(f"the Kraus diagonals of {M} stage(s) at D={ch.D}", 16 * M * ch.D)
     sum_a = float(np.sum(profile.values * profile.multiplicities))
 
-    stages: list[McStage] = []
-    useful: list[bool] = []
-    coeffs = ch.coeffs
-    k = 1
-    while coeffs.size >= 2:
-        stage = mc_stage(coeffs, ch.D, k, tie_tolerance)
-        stages.append(stage)
-        useful.append(profile.support_size(k) - sum_a**2 > USEFUL_MARGIN)
-        if stage.terminal:
-            break
-        coeffs = stage.failure_coeffs
-        k += 1
-
-    if len(stages) != profile.M:
-        raise AssertionError(
-            f"stage chain length {len(stages)} disagrees with profile M={profile.M}"
-        )
-    return StagePlan(ch, profile, tuple(stages), tuple(useful))
+    squares = np.repeat(profile.values, profile.multiplicities)[::-1] ** 2
+    consumed = np.concatenate(([0.0], profile.values[:-1] ** 2))
+    families = [np.sqrt(squares[:n] - v_sq) for n, v_sq in zip(profile.support, consumed)]
+    families = [f / np.linalg.norm(f) for f in families] + [np.empty(0)]
+    stages = tuple(
+        _filter_stage(k, families[k - 1], families[k - 1], ch.D, k == d, families[k])
+        for k in range(1, M + 1)
+    )
+    useful = tuple(bool(u) for u in profile.support[:M] - sum_a**2 > USEFUL_MARGIN)
+    return StagePlan(ch, profile, stages, useful)

@@ -18,7 +18,8 @@ enumerates every measurement branch as a linear operator on the input and
 sums, per branch set, the squared traces Q and the squared norms T of
 those operators; the Haar-averaged fidelity is (Q + T) / ((D + 1) T).  It
 involves no sampling and serves as the oracle the sampled statistics are
-checked against.
+checked against.  It starts from the D filtered Schmidt weights, since
+the register after the controlled shift vanishes unless b = m.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .channels import DEFAULT_TIE_TOL, SchmidtChannel, channel_state, make_chann
 from .discrimination import (
     KIND_DETERMINISTIC,
     KIND_SMC,
-    StagePlan,
     StrategyConfig,
     build_stage_plan,
 )
@@ -45,6 +45,7 @@ from .qudit import (
     QuditState,
     _gxor_permutation,
     _phase_table,
+    check_allocation,
     fourier,
     haar_random_state,
     haar_random_states,
@@ -81,15 +82,12 @@ class TeleportRecord:
     run_fidelity: float | None
 
 
-def _post_shift(chvec: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Register after the controlled shift (sender half controls the input).
-
-    ``inputs`` is one input vector, shape (D,), or D input columns, shape
-    (D, D).  Returns t[b, m, j] or t[b, m, j, i] for input column i.
-    """
-    D = inputs.shape[0]
-    flat = np.multiply.outer(chvec, inputs).reshape((D**3,) + inputs.shape[1:])
-    return flat[_gxor_permutation((D,) * 3, 1, 2)].reshape((D,) * 3 + inputs.shape[1:])
+def _post_shift(chvec: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Register t[b, m, j] after the controlled shift (sender half m
+    controls the input j), for channel vector ``chvec`` and input ``psi``."""
+    D = psi.size
+    flat = np.multiply.outer(chvec, psi).ravel()
+    return flat[_gxor_permutation((D,) * 3, 1, 2)].reshape((D,) * 3)
 
 
 @lru_cache(maxsize=16)
@@ -104,6 +102,18 @@ def _correction_tables(D: int) -> tuple[np.ndarray, np.ndarray]:
     phases.setflags(write=False)
     shifts.setflags(write=False)
     return phases, shifts
+
+
+def _stage_filters(channel: SchmidtChannel, cfg: StrategyConfig,
+                   tie_tolerance: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(K_s, K_f) diagonals of the first ``cfg.k_max`` filtering stages (none
+    for the deterministic strategy); ValueError if there are fewer."""
+    if cfg.kind != KIND_SMC:
+        return []
+    plan = build_stage_plan(channel, tie_tolerance)
+    if cfg.k_max > plan.M:
+        raise ValueError(f"k_max={cfg.k_max} exceeds the {plan.M} stage(s) this channel admits")
+    return [(s.K_s, s.K_f) for s in plan.stages[: cfg.k_max]]
 
 
 def _receiver_correction(vec: np.ndarray, l: int, k: int) -> np.ndarray:
@@ -128,29 +138,21 @@ class ProtocolRunner:
         cfg: StrategyConfig,
         tie_tolerance: float = DEFAULT_TIE_TOL,
     ):
+        self.D = D = channel.D
+        # ``run`` builds this register; the D x D tables below are smaller.
+        check_allocation(f"the (D, D, D) protocol register at D={D}", 16 * D**3)
         self.channel = channel
         self.cfg = cfg
-        self.D = D = channel.D
         self._chvec = channel_state(channel).amplitudes
         self._finv = fourier(D).dagger().entries
         self._bits_base = 2 * ceil(log2(D))
-        self.plan: StagePlan | None = None
-        self._filters = []
-        if cfg.kind == KIND_SMC:
-            self.plan = build_stage_plan(channel, tie_tolerance)
-            if cfg.k_max > self.plan.M:
-                raise ValueError(
-                    f"k_max={cfg.k_max} exceeds the {self.plan.M} stage(s) "
-                    f"this channel admits"
-                )
-            self._filters = [(s.K_s, s.K_f) for s in self.plan.stages[: cfg.k_max]]
+        self._filters = _stage_filters(channel, cfg, tie_tolerance)
         # Uniforms one trial may consume: one per stage, then l and k.
         self.draws_per_trial = len(self._filters) + 2
         # Tables of the block kernel: the Schmidt weights padded to D,
         # |F^+[l, b]|^2, and the input index (b - j) mod D that meets
         # receiver index b at j.
-        self._weights = np.zeros(D)
-        self._weights[: channel.N] = channel.coeffs
+        self._weights = np.pad(channel.coeffs, (0, D - channel.N))
         self._rot_weights = np.abs(self._finv) ** 2
         self._diff = np.subtract.outer(np.arange(D), np.arange(D)) % D
 
@@ -169,18 +171,16 @@ class ProtocolRunner:
         t = _post_shift(self._chvec, input_state.amplitudes)
 
         stage_reached = 0
-        conclusive = True
-        if self.cfg.kind == KIND_SMC:
-            conclusive = False
-            for stage_reached, (ks, kf) in enumerate(self._filters, start=1):
-                psi = t * ks[:, None]
-                p_s = np.vdot(psi, psi).real
-                if rng.random() < p_s:
-                    t = psi / np.sqrt(p_s)
-                    conclusive = True
-                    break
-                psi = t * kf[:, None]
-                t = psi / np.sqrt(np.vdot(psi, psi).real)
+        conclusive = self.cfg.kind != KIND_SMC
+        for stage_reached, (ks, kf) in enumerate(self._filters, start=1):
+            psi = t * ks[:, None]
+            p_s = np.vdot(psi, psi).real
+            if rng.random() < p_s:
+                t = psi / np.sqrt(p_s)
+                conclusive = True
+                break
+            psi = t * kf[:, None]
+            t = psi / np.sqrt(np.vdot(psi, psi).real)
 
         outcomes = bob = fid = None
         if conclusive or self.cfg.fallback != "discard":
@@ -485,26 +485,30 @@ def monte_carlo(
 # Exact branch enumeration
 
 
-def _branch_sums(t: np.ndarray, rotate: bool) -> tuple[float, float]:
+def _branch_sums(w: np.ndarray, rotate: bool) -> tuple[float, float]:
     """(Q, T) of the D^2 branch operators C_lk R_lk of one readout.
 
-    ``t[b, s, k, i]`` is the register entering the sender's readout for
-    basis input i.  With ``rotate`` the readout is the minimum-error one,
-    R_lk = (F^+ t)[:, l, k, :] with F^+ acting on s and C_lk = X^-k Z^l;
-    without it (``guess``) R_lk = t[:, l, k, :] and C_lk = X^-k.  Since
-    tr(C_lk R_lk) = sum_i phases[l, i + k] R_lk[i + k, i], the rotation is
-    applied to those D^3 entries only, and T = sum |t|^2 because C_lk and
-    F^+ are unitary.
+    ``w`` holds the Schmidt weights times the stage diagonals applied so
+    far.  For basis input i the register t[b, s, j] entering the readout is
+    w[s] at b = s, j = (s - i) mod D, else 0.  With ``rotate`` the readout
+    is the minimum-error one, R_lk = (F^+ t)[:, l, k] with F^+ acting on s
+    and C_lk = X^-k Z^l; without it (``guess``) R_lk = t[:, l, k] and
+    C_lk = X^-k.  As tr(C_lk R_lk) = sum_i phases[l, i + k] R_lk[i + k, i],
+    the rotation and trace sum need only diag[k, i, s], which is w[s] at
+    s = (i + k) mod D and 0 elsewhere; T is its squared norm, since C_lk
+    and F^+ are unitary.
     """
-    D = t.shape[0]
+    D = w.size
     phases, shifts = _correction_tables(D)
-    # diag[k, i, s] = t[(i + k) mod D, s, k, i]
-    diag = t[shifts, :, np.arange(D)[:, None], np.arange(D)]
+    k, i = np.ogrid[:D, :D]
+    diag = np.zeros((D, D, D), dtype=complex)
+    diag[k, i, shifts] = w[shifts]
+    t = float(np.vdot(diag, diag).real)
     if rotate:
-        finv = fourier(D).dagger().entries
-        diag = np.tensordot(diag, finv, axes=([2], [1])) * phases[shifts]
+        diag = np.tensordot(diag, fourier(D).dagger().entries, axes=([2], [1]))
+        diag *= phases[shifts]
     traces = diag.sum(axis=1)
-    return float(np.vdot(traces, traces).real), float(np.vdot(t, t).real)
+    return float(np.vdot(traces, traces).real), t
 
 
 def _branch_sets(
@@ -523,24 +527,17 @@ def _branch_sets(
     read out directly ("exhausted-guess").
     """
     D = channel.D
-    tensor = _post_shift(channel_state(channel).amplitudes, np.eye(D, dtype=complex))
+    check_allocation(f"the (D, D, D) branch enumeration at D={D}", 16 * D**3)
+    w = np.pad(channel.coeffs, (0, D - channel.N))
     if cfg.kind == KIND_DETERMINISTIC:
-        sets = {"deterministic": _branch_sums(tensor, rotate=True)}
+        sets = {"deterministic": _branch_sums(w, rotate=True)}
     else:
-        plan = build_stage_plan(channel, tie_tolerance)
-        if cfg.k_max > plan.M:
-            raise ValueError(
-                f"k_max={cfg.k_max} exceeds the {plan.M} stage(s) "
-                f"this channel admits"
-            )
         sets = {}
-        for k, stage in enumerate(plan.stages[: cfg.k_max], start=1):
-            sets[f"stage{k}"] = _branch_sums(
-                tensor * stage.K_s[None, :, None, None], rotate=True
-            )
-            tensor *= stage.K_f[None, :, None, None]
-        sets["exhausted-me"] = _branch_sums(tensor, rotate=True)
-        sets["exhausted-guess"] = _branch_sums(tensor, rotate=False)
+        for k, (ks, kf) in enumerate(_stage_filters(channel, cfg, tie_tolerance), start=1):
+            sets[f"stage{k}"] = _branch_sums(w * ks, rotate=True)
+            w = w * kf
+        sets["exhausted-me"] = _branch_sums(w, rotate=True)
+        sets["exhausted-guess"] = _branch_sums(w, rotate=False)
     total = sum(t for label, (_, t) in sets.items() if label != "exhausted-guess") / D
     if abs(total - 1.0) > 1e-10:
         raise AssertionError(f"branch probabilities sum to {total!r}, not 1")

@@ -26,6 +26,10 @@ import numpy as np
 UNITARY_ATOL = 1e-12
 KRAUS_ATOL = 1e-10
 
+# Largest array, in bytes, a run may allocate: a complex (D, D, D) array
+# fits up to D = 203, and a run holds a few such arrays at once.
+MAX_ARRAY_BYTES = 2**27
+
 Branch = Literal["success", "failure"]
 
 
@@ -85,6 +89,15 @@ def make_state(dims, amplitudes) -> QuditState:
     if norm < 1e-12:
         raise ValueError("cannot normalize a zero state vector")
     return QuditState(dims, amps / norm)
+
+
+def check_allocation(what: str, nbytes: int) -> None:
+    """ValueError naming the size if ``what`` needs over MAX_ARRAY_BYTES."""
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ValueError(
+            f"{what} would need {nbytes / 2**20:,.0f} MiB, more than the "
+            f"{MAX_ARRAY_BYTES // 2**20} MiB limit (qudit.MAX_ARRAY_BYTES)"
+        )
 
 
 def _phase_table(D: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared generators for randomized tests."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from mcteleport import SchmidtChannel, make_channel
 
@@ -36,6 +37,22 @@ def random_multiplicity_pattern(rng, max_n=10):
         int(c) for c in rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False)
     ) + [n]
     return tuple(b - a for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+@st.composite
+def tied_channels(draw):
+    """Channels with D <= 8 and random groups of exactly or nearly (within
+    the default tie tolerance) equal coefficients."""
+    D = draw(st.integers(min_value=2, max_value=8))
+    N = draw(st.integers(min_value=1, max_value=D))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=N - 1))) if N > 1 else ())
+    mults = np.diff([0, *cuts, N])
+    levels = draw(st.lists(st.floats(min_value=0.01, max_value=1.0),
+                           min_size=mults.size, max_size=mults.size))
+    amps = np.sqrt(np.repeat(levels, mults))
+    jitter = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=N, max_size=N))
+    amps = amps * (1.0 + 1e-12 * np.asarray(jitter))
+    return make_channel(D, amps / np.linalg.norm(amps))
 
 
 class InlinePool:

@@ -4,11 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import mcteleport.analytics
 
-from conftest import channel_with_multiplicities, random_channel
+from conftest import channel_with_multiplicities, random_channel, tied_channels
 from mcteleport import (
     StrategyConfig,
     channel_report,
@@ -316,22 +315,6 @@ def test_report_useful_flags_agree_with_stage_plan():
     for _ in range(50):
         ch = random_channel(rng)
         assert channel_report(ch).useful == build_stage_plan(ch).useful_flags
-
-
-@st.composite
-def tied_channels(draw):
-    """Channels with D <= 8 and random groups of exactly or nearly (within
-    the default tie tolerance) equal coefficients."""
-    D = draw(st.integers(min_value=2, max_value=8))
-    N = draw(st.integers(min_value=1, max_value=D))
-    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=N - 1))) if N > 1 else ())
-    mults = np.diff([0, *cuts, N])
-    levels = draw(st.lists(st.floats(min_value=0.01, max_value=1.0),
-                           min_size=mults.size, max_size=mults.size))
-    amps = np.sqrt(np.repeat(levels, mults))
-    jitter = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=N, max_size=N))
-    amps = amps * (1.0 + 1e-12 * np.asarray(jitter))
-    return make_channel(D, amps / np.linalg.norm(amps))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -366,3 +368,65 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 1
+
+
+ROUNDED_STAGE1 = (
+    "verify", "--D", "10", "--coeffs",
+    "0.24320488431,0.263346895805,0.367813583591,0.367100376041,0.374033821154,"
+    "0.396194618802,0.352262127011,0.27584226302,0.245531230487,0.210037276882",
+    "--trials", "1000", "--seed", "346", "--k-max", "1", "--fallback", "me",
+)
+
+
+def test_verify_band_covers_rounding_of_an_exact_bucket(capsys):
+    # Full rank: every stage-1 fidelity is 1 up to rounding, so the bucket's
+    # stderr (~1e-17) is smaller than the rounding error of its mean.
+    code, out, _ = run_cli(capsys, *ROUNDED_STAGE1)
+    assert code == 0, out
+    assert "verdict: PASS" in out
+    code, out, _ = run_cli(capsys, *ROUNDED_STAGE1, "--self-test-corrupt")
+    assert code == 2
+
+
+def test_verify_band_never_falls_below_the_oracle_tolerance(capsys, monkeypatch):
+    from mcteleport import cli
+
+    row = ("F_mc_s1", 1.0, 1.0, 1.0 - 2e-16, 3e-17, 1000)
+    monkeypatch.setattr(cli, "_verify_rows", lambda *args: [row])
+    code, out, _ = run_cli(capsys, "verify", "--D", "4", "--coeffs", "0.5,0.3,0.2",
+                           "--squared", "--trials", "1000")
+    assert code == 0, out
+    assert out.splitlines()[1].endswith("pass")
+    # a real spread keeps its 4-sigma band
+    monkeypatch.setattr(cli, "_verify_rows", lambda *args: [(*row[:3], 0.99, 1e-3, 1000)])
+    code, out, _ = run_cli(capsys, "verify", "--D", "4", "--coeffs", "0.5,0.3,0.2",
+                           "--squared", "--trials", "1000")
+    assert code == 2
+    assert "FAIL empirical out of band" in out
+
+
+@pytest.mark.parametrize("argv,what", [
+    (("verify", "--D", "3000", "--coeffs", "0.6,0.8", "--trials", "1000"),
+     "the (D, D, D) protocol register at D=3000 would need 411,987 MiB"),
+    (("plan", "--D", "100000000", "--coeffs", "0.6,0.8"),
+     "the Kraus diagonals of 1 stage(s) at D=100000000 would need 1,526 MiB"),
+], ids=["verify", "plan"])
+def test_oversized_dimension_is_a_usage_error_before_allocating(capsys, argv, what):
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert err.startswith(f"error: {what}, more than the 128 MiB limit")
+    assert "Traceback" not in err
+    assert peak < 2**20
+
+
+def test_report_and_verify_still_run_at_large_dimension(capsys):
+    code, out, _ = run_cli(capsys, "report", "--D", "100000000", "--coeffs", "0.6,0.8")
+    assert code == 0 and "stage 1:" in out
+    code, out, _ = run_cli(capsys, "verify", "--D", "128", "--coeffs", "0.6,0.8",
+                           "--trials", "1000")
+    assert code == 0 and "verdict: PASS" in out

@@ -262,3 +262,67 @@ def test_generated_stages_satisfy_completeness():
                 + np.diag(stage.K_f).conj().T @ np.diag(stage.K_f)
             )
             np.testing.assert_allclose(gram, np.eye(ch.D), atol=1e-10)
+
+
+def _single_stage_chain(ch):
+    """The cascade rebuilt one stage at a time from ``mc_stage`` and
+    ``failure_coefficients``, regrouping the family at every stage."""
+    stages, coeffs = [], ch.coeffs
+    while coeffs.size >= 2:
+        stage = mc_stage(coeffs, ch.D, len(stages) + 1)
+        stages.append(stage)
+        if stage.terminal:
+            break
+        coeffs = stage.failure_coeffs
+    return stages
+
+
+def _tied_channel(rng, D):
+    """Random groups of equal coefficients, each perturbed within the
+    default tie tolerance."""
+    N = int(rng.integers(2, D + 1))
+    d = int(rng.integers(1, N + 1))
+    cuts = np.sort(rng.choice(np.arange(1, N), size=d - 1, replace=False))
+    mults = np.diff(np.concatenate(([0], cuts, [N])))
+    levels = np.sort(rng.uniform(0.05, 1.0, size=d))[::-1]
+    amps = np.sqrt(np.repeat(levels, mults))
+    amps = amps * (1.0 + rng.integers(-3, 4, size=N) * 1e-12)
+    return make_channel(D, amps / np.linalg.norm(amps))
+
+
+def test_stage_plan_equals_single_stage_chain():
+    rng = np.random.default_rng(16)
+    for D in [2, 3, 4, 5, 8] * 8 + [16, 24, 32] * 5:
+        ch = _tied_channel(rng, D)
+        plan = build_stage_plan(ch)
+        chain = _single_stage_chain(ch)
+        assert plan.M == len(chain)
+        for got, want in zip(plan.stages, chain):
+            assert got.stage_index == want.stage_index
+            assert got.terminal == want.terminal
+            np.testing.assert_allclose(got.K_s, want.K_s, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.K_f, want.K_f, rtol=0, atol=1e-12)
+            assert abs(got.p_fail - want.p_fail) <= 1e-12
+            np.testing.assert_allclose(got.failure_coeffs, want.failure_coeffs, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(got.success_coeffs, want.success_coeffs)
+            # the chain keeps its stage-1 input as given, before snapping
+            np.testing.assert_allclose(got.input_coeffs, want.input_coeffs, rtol=0, atol=1e-9)
+
+
+def test_build_stage_plan_groups_the_coefficients_once(monkeypatch):
+    import mcteleport.channels
+    import mcteleport.discrimination
+
+    calls = []
+    group = mcteleport.channels.group_coefficients
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return group(*args, **kwargs)
+
+    monkeypatch.setattr(mcteleport.channels, "group_coefficients", counted)
+    monkeypatch.setattr(mcteleport.discrimination, "group_coefficients", counted)
+    weights = np.linspace(2.0, 1.0, 32)
+    plan = build_stage_plan(make_channel(32, np.sqrt(weights / weights.sum())))
+    assert plan.M == 31
+    assert len(calls) == 1

@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import InlinePool, random_channel
+from conftest import InlinePool, random_channel, tied_channels
 from mcteleport import (
     DenseOperator,
     QuditState,
@@ -491,3 +493,80 @@ def test_monte_carlo_replay_check_catches_a_disagreeing_kernel(monkeypatch):
     monkeypatch.setattr(ProtocolRunner, "run_block", flipped)
     with pytest.raises(AssertionError, match="replayed trial"):
         monte_carlo(EXAMPLE, DET, 1000, seed=3)
+
+
+def _d4_branch_sums(t, rotate):
+    """(Q, T) and the gather diag[k, i, s] = t[(i + k) mod D, s, k, i] of a
+    full (D, D, D, D) register, one column per basis input i."""
+    D = t.shape[0]
+    phases, shifts = engine._correction_tables(D)
+    diag = t[shifts, :, np.arange(D)[:, None], np.arange(D)]
+    gather = diag.copy()
+    if rotate:
+        diag = np.tensordot(diag, fourier(D).dagger().entries, axes=([2], [1])) * phases[shifts]
+    traces = diag.sum(axis=1)
+    return (float(np.vdot(traces, traces).real), float(np.vdot(t, t).real)), gather
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5, 6])
+def test_branch_sets_match_a_full_register_reference(D):
+    # Each set's (Q, T) from the D^4 register fed one basis input at a
+    # time, and the premise of the D^3 gather: the register's only nonzero
+    # gathered entries are the filtered Schmidt weights w[s] at
+    # s = (i + k) mod D.
+    rng = np.random.default_rng(40 + D)
+    shifts = engine._correction_tables(D)[1]
+    rows, cols = np.arange(D)[:, None], np.arange(D)
+    for _ in range(4):
+        ch = random_channel(rng, D=D)
+        chvec = channel_state(ch).amplitudes
+        register = np.stack([engine._post_shift(chvec, col) for col in np.eye(D, dtype=complex)],
+                            axis=-1)
+        M = multiplicity_profile(ch).M if ch.N > 1 else 0
+        for cfg in [DET] + [StrategyConfig(kind="mc-smc", k_max=k) for k in range(1, M + 1)]:
+            t, w = register.copy(), np.pad(ch.coeffs, (0, D - ch.N))
+            inputs = {}
+            for k, (ks, kf) in enumerate(engine._stage_filters(ch, cfg, 1e-9), start=1):
+                inputs[f"stage{k}"] = (t * ks[None, :, None, None], w * ks, True)
+                t, w = t * kf[None, :, None, None], w * kf
+            if cfg.kind == "deterministic-me":
+                inputs["deterministic"] = (t, w, True)
+            else:
+                inputs["exhausted-me"] = (t, w, True)
+                inputs["exhausted-guess"] = (t, w, False)
+            sets = engine._branch_sets(ch, cfg, 1e-9)
+            assert sets.keys() == inputs.keys()
+            for label, (t_in, w_in, rotate) in inputs.items():
+                (q, t_sum), gather = _d4_branch_sums(t_in, rotate)
+                expected = np.zeros((D, D, D))
+                expected[rows, cols, shifts] = w_in[shifts]
+                np.testing.assert_array_equal(gather, expected)
+                assert sets[label][0] == pytest.approx(q, rel=1e-13, abs=1e-13)
+                assert sets[label][1] == pytest.approx(t_sum, rel=1e-13, abs=1e-13)
+
+
+def test_branch_sets_memory_stays_cubic_at_dimension_48():
+    ch = _staged_channel(48)
+    cfg = StrategyConfig(kind="mc-smc", k_max=3, fallback="me")
+    engine._branch_sets(ch, cfg, 1e-9)  # fill the per-D caches first
+    tracemalloc.start()
+    try:
+        engine._branch_sets(ch, cfg, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tied_channels(), st.integers(min_value=0, max_value=8))
+def test_branch_sets_conserve_mass_and_bound_fidelity(ch, k_max):
+    M = multiplicity_profile(ch).M if ch.N > 1 else 0
+    cfg = DET if k_max == 0 or M == 0 else StrategyConfig(kind="mc-smc", k_max=min(k_max, M))
+    sets = engine._branch_sets(ch, cfg, 1e-9)
+    masses = [t / ch.D for label, (_, t) in sets.items() if label != "exhausted-guess"]
+    assert sum(masses) == pytest.approx(1.0, abs=1e-12)
+    for q, t in sets.values():
+        if t / ch.D >= engine.MIN_BRANCH_MASS:
+            fid = (q + t) / ((ch.D + 1) * t)
+            assert 1 / (ch.D + 1) - 1e-12 <= fid <= 1 + 1e-12
