@@ -15,8 +15,10 @@ import numpy as np
 
 from .channels import (
     DEFAULT_TIE_TOL,
+    NORMALIZATION_SLACK,
     MultiplicityProfile,
     SchmidtChannel,
+    check_tie_tolerance,
     multiplicity_profile,
 )
 from .discrimination import KIND_DETERMINISTIC, KIND_SMC, USEFUL_MARGIN, StrategyConfig
@@ -331,3 +333,193 @@ def _require_stages(ok: np.ndarray, message: str) -> None:
     bad = np.flatnonzero(~ok)
     if bad.size:
         raise AssertionError(f"stage {bad[0] + 1} {message}")
+
+
+@dataclass(frozen=True)
+class ReportBlock:
+    """The :class:`ChannelReport` fields of a block of channels that share
+    one tie pattern, and so d, M and the multiplicities.
+
+    ``rows`` indexes these channels in the evaluated block.  Fields that
+    depend only on the pattern (D, N, d, M, F_clas and the stage fidelities
+    ``F_mc_s``/``f_mc_s``, shape (M,)) are shared; the other scalars are
+    (P,) arrays and the other stage series (P, M) arrays.
+    ``F_me_after_fail`` is None when d < 2.
+    """
+
+    rows: np.ndarray
+    D: int
+    N: int
+    d: int
+    M: int
+    F_me: np.ndarray
+    f_me: np.ndarray
+    F_clas: float
+    F_mc_s: np.ndarray
+    f_mc_s: np.ndarray
+    p_fail: np.ndarray
+    p_success: np.ndarray
+    P_smc: np.ndarray
+    useful: np.ndarray
+    F_me_after_fail: np.ndarray | None
+    overall_me: np.ndarray
+    overall_smc: np.ndarray
+
+
+def report_blocks(
+    D: int, squared, tie_tolerance: float = DEFAULT_TIE_TOL
+) -> list[ReportBlock]:
+    """:func:`channel_report` of every row of ``squared``, a (P, N) block of
+    squared Schmidt coefficients with 2 <= N <= D, on whole arrays.
+
+    Each row is normalised and sorted as ``make_channel`` does, then the
+    rows are split by their tie pattern (the gap mask of
+    ``group_coefficients``).  Within one pattern every quantity is column
+    arithmetic on the (P, d) group values; only the survival recurrence
+    loops, over the M stages.  Each operation is the one ``channel_report``
+    applies to a single channel, so every value equals it bit for bit, and
+    every identity ``channel_report`` asserts is asserted on every row,
+    naming the first point that fails it.
+    """
+    check_tie_tolerance(tie_tolerance)
+    squared = np.asarray(squared, dtype=float)
+    N = squared.shape[1]
+    if not 2 <= N <= D:
+        raise ValueError(f"need 2 <= N <= D, got N={N}, D={D}")
+    if not np.all(np.isfinite(squared) & (squared > 0)):
+        raise ValueError("squared coefficients must be finite and strictly positive")
+    amps = np.sqrt(squared)
+    total = np.sum(amps**2, axis=1)
+    if np.any(np.abs(total - 1.0) > NORMALIZATION_SLACK):
+        raise ValueError(f"squared coefficients must sum to 1 within {NORMALIZATION_SLACK:g}")
+    amps = np.sort(amps / np.sqrt(total)[:, None], axis=1)
+    patterns, which = np.unique(np.diff(amps, axis=1) > tie_tolerance, axis=0,
+                                return_inverse=True)
+    which = which.ravel()
+    return [_pattern_block(D, squared, amps, np.flatnonzero(which == g), gaps)
+            for g, gaps in enumerate(patterns)]
+
+
+def _pattern_block(D, squared, amps, rows, gaps) -> ReportBlock:
+    """``report_blocks`` on the rows whose sorted amplitudes have the gap
+    mask ``gaps``.  The comments name the ``channel_report`` step each line
+    reproduces."""
+    N = amps.shape[1]
+    points = squared[rows]
+    edges = np.concatenate(([0], np.flatnonzero(gaps) + 1, [N]))
+    mults = np.diff(edges)
+    d = mults.size
+    M = d - 1 if mults[-1] == 1 else d
+    support = np.cumsum(mults[::-1])[::-1][:M]
+    # group_coefficients: root mean square of each group's members.
+    sq = amps[rows] ** 2
+    values = np.column_stack([np.sqrt(np.sum(sq[:, a:b], axis=1) / (b - a))
+                              for a, b in zip(edges[:-1], edges[1:])])
+    v_sq = values**2
+    # The scalar path squares the Python float sum_a with pow(), which can
+    # differ from x*x by an ulp; float_power calls the same pow().
+    sum_a_sq = np.float_power(np.sum(values * mults, axis=1), 2)
+    F_me = (1.0 + sum_a_sq) / (D + 1)
+    f_me = sum_a_sq / D
+    F_clas = f_clas(D)
+
+    # _stage_cascade
+    p_success = support * np.diff(v_sq[:, :M], prepend=0.0, axis=1)
+    p_fail = np.empty_like(p_success)
+    survival = np.empty_like(p_success)
+    prod = np.ones(rows.size)
+    for k in range(M):
+        alive = prod > 0
+        q = np.where(alive, 1.0 - p_success[:, k] / np.where(alive, prod, 1.0), 0.0)
+        p_fail[:, k] = q = np.minimum(np.maximum(q, 0.0), 1.0)
+        survival[:, k] = prod = prod * q
+    cumulative = np.cumsum(p_success, axis=1)
+
+    # _f_mc_stages
+    F_mc = (1.0 + support) / (D + 1)
+    recursive = np.subtract.accumulate(np.concatenate(([(1.0 + N) / (D + 1)],
+                                                       mults[: M - 1] / (D + 1))))
+    bad = np.flatnonzero(np.abs(F_mc - recursive) > IDENTITY_ATOL)
+    if bad.size:
+        raise AssertionError(
+            f"stage-fidelity forms disagree: {float(F_mc[bad[0]])!r} vs "
+            f"{float(recursive[bad[0]])!r} at point {points[0].tolist()}")
+    f_mc = support / D
+    margin = support - sum_a_sq[:, None]
+    useful = margin > USEFUL_MARGIN
+
+    # _overall_fidelity, full cascade with the guess fallback
+    base = np.vecdot(p_success, F_mc)
+    residual = np.maximum(1.0 - cumulative[:, M - 1], 0.0)
+    overall_smc = np.where(residual < 1e-15, base, base + residual * F_clas)
+
+    # _overall_fidelity, one stage with the me fallback, and _f_me_after_fail:
+    # both need the failure family after stage 1 (_failure_family_sum).
+    base = np.vecdot(p_success[:, :1], F_mc[:1])
+    residual = np.maximum(1.0 - cumulative[:, 0], 0.0)
+    if d >= 2:
+        live = survival[:, 0] > 0
+        tail = np.sqrt((v_sq[:, 1:] - v_sq[:, :1])
+                       / np.where(live, survival[:, 0], 1.0)[:, None])
+        s_sq = np.float_power(np.where(live, np.sum(tail * mults[1:], axis=1), np.nan), 2)
+        F_fail = (1.0 + s_sq) / (D + 1)
+        check = _f_me_after_fail_double_sums(values, mults, D)
+        bad = np.flatnonzero(~(np.abs(F_fail - check) <= IDENTITY_ATOL))
+        if bad.size:
+            raise AssertionError(
+                f"failure-fidelity forms disagree: {float(F_fail[bad[0]])!r} vs "
+                f"{float(check[bad[0]])!r} at point {points[bad[0]].tolist()}")
+        plain = (residual < 1e-15) | ~live
+        overall_me = np.where(plain, base, base + residual * (1.0 + s_sq) / (D + 1))
+    else:
+        F_fail = None
+        overall_me = base
+
+    # channel_report's cross identities
+    final_form = (mults[-2] * (1 if mults[-1] == 1 else 0) + mults[-1] + 1) / (D + 1) \
+        if d >= 2 else (mults[-1] + 1) / (D + 1)
+    _require_rows(np.full(rows.size, abs(final_form - F_mc[M - 1]) <= IDENTITY_ATOL),
+                  points, "final-stage fidelity forms disagree")
+    survived = np.concatenate((np.ones((rows.size, 1)), survival[:, :-1]), axis=1)
+    _require_rows(np.abs(p_success - (1.0 - p_fail) * survived) <= IDENTITY_ATOL,
+                  points, "success probability forms disagree")
+    _require_rows(np.abs(cumulative[:, M - 1] - (1.0 - survival[:, M - 1])) <= IDENTITY_ATOL,
+                  points, "cumulative success probability forms disagree")
+    _require_rows(np.broadcast_to(np.abs((F_mc * (D + 1) - 1.0) / D - f_mc) <= IDENTITY_ATOL,
+                                  p_success.shape),
+                  points, "fidelity-confidence identity fails")
+    _require_rows(np.abs((F_mc - F_me[:, None]) * (D + 1) - margin) <= 1e-9,
+                  points, "usefulness identity fails")
+    _require_rows(np.abs((F_me * (D + 1) - 1.0) / D - f_me) <= IDENTITY_ATOL,
+                  points, "deterministic fidelity-confidence identity fails")
+    _require_rows(F_mc[0] - F_me >= -IDENTITY_ATOL,
+                  points, "stage-1 fidelity fell below the deterministic one")
+    if d >= 2:
+        assembled = (1.0 - p_fail[:, 0]) * F_mc[0] + p_fail[:, 0] * F_fail
+        _require_rows(np.abs(assembled - overall_me) <= IDENTITY_ATOL,
+                      points, "single-stage overall fidelity assembly disagrees")
+
+    return ReportBlock(
+        rows=rows, D=D, N=N, d=d, M=M, F_me=F_me, f_me=f_me, F_clas=F_clas,
+        F_mc_s=F_mc, f_mc_s=f_mc, p_fail=p_fail, p_success=p_success,
+        P_smc=cumulative, useful=useful, F_me_after_fail=F_fail,
+        overall_me=overall_me, overall_smc=overall_smc,
+    )
+
+
+def _f_me_after_fail_double_sums(values, mults, D) -> np.ndarray:
+    """``_f_me_after_fail_double_sum`` of each row of group values."""
+    a_sq = np.repeat(values, mults, axis=1) ** 2
+    p_fail = 1.0 - a_sq.shape[1] * a_sq[:, 0]
+    excess = np.sqrt(np.maximum(a_sq - a_sq[:, :1], 0.0))
+    cross = np.sum(excess, axis=1) ** 2 - np.vecdot(excess, excess)
+    return f_clas(D) + cross / ((D + 1) * p_fail)
+
+
+def _require_rows(ok: np.ndarray, points: np.ndarray, message: str) -> None:
+    """``_require`` (``_require_stages`` for a (P, M) ``ok``) on a block of
+    channels; the message names the first failing point."""
+    bad = np.argwhere(~ok)
+    if bad.size:
+        stage = f"stage {bad[0, 1] + 1} " if ok.ndim == 2 else ""
+        raise AssertionError(f"{stage}{message} at point {points[bad[0, 0]].tolist()}")

@@ -117,6 +117,15 @@ def channel_state(ch: SchmidtChannel) -> QuditState:
     return QuditState((ch.D, ch.D), amps)
 
 
+def check_tie_tolerance(tie_tolerance: float) -> None:
+    """ValueError unless ``tie_tolerance`` is finite and in [0, MAX_TIE_TOL]."""
+    if not (isfinite(tie_tolerance) and 0 <= tie_tolerance <= MAX_TIE_TOL):
+        raise ValueError(
+            f"tie tolerance must be finite and in [0, {MAX_TIE_TOL:g}], "
+            f"got {tie_tolerance!r}"
+        )
+
+
 def group_coefficients(coeffs, tie_tolerance: float = DEFAULT_TIE_TOL):
     """Cluster coefficients that are equal within ``tie_tolerance``.
 
@@ -126,11 +135,7 @@ def group_coefficients(coeffs, tie_tolerance: float = DEFAULT_TIE_TOL):
     total squared weight exactly.  ``tie_tolerance`` must be finite and in
     [0, MAX_TIE_TOL].
     """
-    if not (isfinite(tie_tolerance) and 0 <= tie_tolerance <= MAX_TIE_TOL):
-        raise ValueError(
-            f"tie tolerance must be finite and in [0, {MAX_TIE_TOL:g}], "
-            f"got {tie_tolerance!r}"
-        )
+    check_tie_tolerance(tie_tolerance)
     arr = np.sort(np.asarray(coeffs, dtype=float).ravel())
     cuts = (np.flatnonzero(np.diff(arr) > tie_tolerance) + 1).tolist()
     edges = [0, *cuts, arr.size] if arr.size else [0]

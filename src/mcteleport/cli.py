@@ -24,24 +24,27 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
-from math import ceil, log2, sqrt
+from math import ceil, comb, log2, sqrt
 
 import numpy as np
 
 from . import __version__
 from .analytics import (
     ChannelReport,
+    ReportBlock,
     channel_report,
     f_mc_conclusive,
     overall_fidelity,
+    report_blocks,
     stage_probabilities,
 )
-from .channels import DEFAULT_TIE_TOL, SchmidtChannel, make_channel
+from .channels import DEFAULT_TIE_TOL, SchmidtChannel, check_tie_tolerance, make_channel
 from .discrimination import KIND_SMC, StrategyConfig, build_stage_plan
 from .engine import exact_average_fidelity, exact_branch_probabilities, monte_carlo
+from .qudit import check_allocation
 
 SWEEP_EPS = 1e-3  # free squared coefficients live in [eps, 1 - eps]
+SWEEP_BLOCK_ROWS = 1 << 14  # sweep points evaluated per array pass
 
 DEFAULT_QUANTITIES = (
     "F_me",
@@ -186,11 +189,14 @@ def _tie_tol(args: argparse.Namespace) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Quantity lookup on a ChannelReport
+# Quantity lookup on a ChannelReport or a ReportBlock
 
 _FLAT_QUANTITIES = ("D", "N", "d", "M", "F_me", "f_me", "F_clas", "F_me_after_fail",
                     "overall_me", "overall_smc", "P_smc_overall")
-_STAGE_RE = re.compile(r"^(F_mc_s|f_mc_s|p_fail_s|P_stage|P_smc_s|useful_s)(\d+)$")
+# Stage-indexed name prefix -> report field holding the per-stage series.
+_STAGE_FIELDS = {"F_mc_s": "F_mc_s", "f_mc_s": "f_mc_s", "p_fail_s": "p_fail",
+                 "P_stage": "p_success", "P_smc_s": "P_smc", "useful_s": "useful"}
+_STAGE_RE = re.compile(rf"^({'|'.join(_STAGE_FIELDS)})(\d+)$")
 
 
 def _check_quantity(name: str) -> None:
@@ -200,12 +206,13 @@ def _check_quantity(name: str) -> None:
         raise ValueError(f"unknown quantity {name!r}")
 
 
-def report_quantity(report: ChannelReport, name: str) -> float:
-    """Resolve a named scalar from a report; stage-indexed names yield NaN
-    when the channel has fewer stages."""
+def report_quantity(report: ChannelReport | ReportBlock, name: str):
+    """Resolve a named quantity from a report: a scalar from a
+    ``ChannelReport``, a scalar or a (P,) column from a ``ReportBlock``.
+    Stage-indexed names yield NaN when the channel has fewer stages."""
     if name == "P_smc_overall":
-        return report.P_smc[-1] if report.P_smc else np.nan
-    if name in _FLAT_QUANTITIES:
+        name = f"P_smc_s{report.M}"  # the last stage's; NaN with no stage
+    elif name in _FLAT_QUANTITIES:
         value = getattr(report, name)  # only F_me_after_fail can be None
         return np.nan if value is None else value
     m = _STAGE_RE.match(name)
@@ -222,15 +229,8 @@ def report_quantity(report: ChannelReport, name: str) -> float:
             if prefix == "f_mc_s":
                 return 1.0 / report.D
         return np.nan
-    series = {
-        "F_mc_s": report.F_mc_s,
-        "f_mc_s": report.f_mc_s,
-        "p_fail_s": report.p_fail,
-        "P_stage": report.p_success,
-        "P_smc_s": report.P_smc,
-        "useful_s": tuple(1.0 if u else 0.0 for u in report.useful),
-    }[prefix]
-    return series[k - 1]
+    # (M,) tuple or array, or a block's (P, M) array; useful reads 1.0/0.0.
+    return np.asarray(getattr(report, _STAGE_FIELDS[prefix]), dtype=float)[..., k - 1]
 
 
 def _report_csv_columns(report: ChannelReport) -> list[str]:
@@ -246,10 +246,11 @@ def _report_csv_columns(report: ChannelReport) -> list[str]:
 
 
 def _emit_csv(out: str | None, metadata: list[str], header: list[str],
-              rows: list[list[str]]) -> None:
+              rows: list[str]) -> None:
+    """Write the CSV; ``rows`` are comma-joined lines."""
     lines = [f"# {item}" for item in metadata]
     lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(rows)
     text = "\n".join(lines) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -304,36 +305,75 @@ class SweepSpec:
             raise ValueError("grid resolution must be >= 2")
 
 
-def sweep_points(spec: SweepSpec) -> tuple[list[tuple[float, ...]], int]:
-    """Feasible grid points (all N squared coefficients) and skip count."""
+def sweep_points(spec: SweepSpec) -> tuple[np.ndarray, int]:
+    """Feasible grid points, shape (P, N) (all N squared coefficients),
+    and the number of grid points skipped as infeasible.
+
+    Only grid index tuples whose sum is at most ``resolution - 1`` are
+    formed: a larger index sum leaves the dependent coordinate below eps by
+    (1 - 2 eps)/(resolution - 1).  These candidates take the float test of
+    a walk over every ``itertools.product`` tuple (the dependent coordinate
+    is 1.0 less the free ones summed left to right, and a point is skipped
+    if it falls below eps), in the walk's order, so the points and their
+    order are the walk's.
+    """
+    n, top = spec.N - 1, spec.resolution - 1
+    count = comb(top + n, n)
+    check_allocation(f"a sweep over {count:,} candidate grid points", 8 * spec.N * count)
     axis = np.linspace(spec.eps, 1.0 - spec.eps, spec.resolution)
-    points: list[tuple[float, ...]] = []
-    skipped = 0
-    for free in product(axis, repeat=spec.N - 1):
-        last = 1.0 - sum(free)
-        if last < spec.eps:
-            skipped += 1
-            continue
-        points.append(tuple(free) + (last,))
-    return points, skipped
+    free = axis[_bounded_compositions(n, top)]
+    total = free[:, 0]
+    for j in range(1, n):
+        total = total + free[:, j]
+    last = 1.0 - total
+    keep = ~(last < spec.eps)
+    points = np.column_stack((free[keep], last[keep]))
+    return points, spec.resolution**n - len(points)
 
 
-def _sweep_chunk(packed) -> list[list[str]]:
-    D, tie_tol, quantities, chunk = packed
+def _bounded_compositions(n: int, top: int) -> np.ndarray:
+    """Every length-n tuple of non-negative integers summing to at most
+    ``top``, in lexicographic (``itertools.product``) order, shape (rows, n)."""
+    idx = np.arange(top + 1)[:, None]
+    for _ in range(n - 1):
+        # Prefix each leading index i to the shorter tuples that still fit.
+        sums = idx.sum(axis=1)
+        parts = []
+        for i in range(top + 1):
+            tail = idx[sums <= top - i]
+            parts.append(np.column_stack((np.full(len(tail), i), tail)))
+        idx = np.concatenate(parts)
+    return idx
+
+
+def _sweep_table(D: int, tie_tol: float, quantities: tuple[str, ...],
+                 points: np.ndarray) -> np.ndarray:
+    """The sweep's values at ``points``: (P, N + Q), the N squared
+    coefficients and then one column per quantity."""
+    N = points.shape[1]
+    table = np.empty((len(points), N + len(quantities)))
+    table[:, :N] = points
+    for block in report_blocks(D, points, tie_tol):
+        for j, name in enumerate(quantities):
+            table[block.rows, N + j] = report_quantity(block, name)
+    return table
+
+
+def _sweep_chunk(packed) -> list[str]:
+    D, tie_tol, quantities, points = packed
+    line = ",".join(["%.15g"] * (points.shape[1] + len(quantities)))
     rows = []
-    for squared in chunk:
-        ch = make_channel(D, [sqrt(s) for s in squared])
-        rep = channel_report(ch, tie_tol)
-        row = [_fmt(s) for s in squared]
-        row += [_fmt(report_quantity(rep, q)) for q in quantities]
-        rows.append(row)
+    for start in range(0, len(points), SWEEP_BLOCK_ROWS):
+        table = _sweep_table(D, tie_tol, quantities, points[start:start + SWEEP_BLOCK_ROWS])
+        rows += [line % tuple(values) for values in table.tolist()]
     return rows
 
 
-def run_sweep(spec: SweepSpec) -> tuple[list[str], list[str], list[list[str]], int]:
-    """Compute a sweep: (metadata, header, rows, skipped).  Rows are ordered
-    by grid index regardless of worker count; at most ``os.cpu_count()``
-    and one worker per point are started."""
+def run_sweep(spec: SweepSpec) -> tuple[list[str], list[str], list[str], int]:
+    """Compute a sweep: (metadata, header, CSV rows, skipped).  Rows are
+    ordered by grid index regardless of worker count; at most
+    ``os.cpu_count()`` and one worker per point are started."""
+    check_tie_tolerance(spec.tie_tol)
     for name in spec.quantities:
         _check_quantity(name)
     points, skipped = sweep_points(spec)
@@ -398,7 +438,7 @@ def cmd_report(args) -> int:
             f"tie_tol={tie:g}",
         ]
         row = [_fmt(report_quantity(rep, c)) for c in cols]
-        _emit_csv(args.out, metadata, cols, [row])
+        _emit_csv(args.out, metadata, cols, [",".join(row)])
     return 0
 
 
@@ -586,12 +626,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
+        for arg in argv or ():
+            if not isinstance(arg, str):
+                raise TypeError(f"command-line arguments must be strings, "
+                                f"got {arg!r} ({type(arg).__name__})")
         args = parser.parse_args(argv)
         _merge_config(args)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

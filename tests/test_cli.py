@@ -430,3 +430,23 @@ def test_report_and_verify_still_run_at_large_dimension(capsys):
     code, out, _ = run_cli(capsys, "verify", "--D", "128", "--coeffs", "0.6,0.8",
                            "--trials", "1000")
     assert code == 0 and "verdict: PASS" in out
+
+
+def test_non_string_argument_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "report", "--D", 4, "--coeffs", "0.6,0.8")
+    assert code == 1
+    assert out == ""
+    assert err == "error: command-line arguments must be strings, got 4 (int)\n"
+
+
+def test_type_error_in_a_command_is_a_usage_error(capsys, monkeypatch):
+    from mcteleport import cli
+
+    def broken(*args):
+        raise TypeError("unsupported operand type(s) for +: 'int' and 'str'")
+
+    monkeypatch.setattr(cli, "channel_report", broken)
+    code, out, err = run_cli(capsys, "report", "--D", "4", "--coeffs", "0.6,0.8")
+    assert code == 1
+    assert out == ""
+    assert err == "error: unsupported operand type(s) for +: 'int' and 'str'\n"

@@ -570,3 +570,27 @@ def test_branch_sets_conserve_mass_and_bound_fidelity(ch, k_max):
         if t / ch.D >= engine.MIN_BRANCH_MASS:
             fid = (q + t) / ((ch.D + 1) * t)
             assert 1 / (ch.D + 1) - 1e-12 <= fid <= 1 + 1e-12
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(tied_channels(), st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_block_kernel_matches_single_run_on_random_channels(ch, k_max, seed):
+    M = multiplicity_profile(ch).M if ch.N > 1 else 0
+    cfgs = [DET] + ([StrategyConfig(kind="mc-smc", k_max=min(k_max, M), fallback=fb)
+                     for fb in ("me", "guess", "discard")] if M else [])
+    rng = np.random.default_rng(seed)
+    inputs = haar_random_states(ch.D, 8, rng)
+    for cfg in cfgs:
+        runner = ProtocolRunner(ch, cfg)
+        uniforms = rng.random((len(inputs), runner.draws_per_trial))
+        stages, conclusive, outcomes, fids = runner.run_block(inputs, uniforms)
+        for i in range(len(inputs)):
+            rec = runner.run(QuditState((ch.D,), inputs[i]), _ReplayedUniforms(uniforms[i]))
+            assert stages[i] == rec.stage_reached
+            assert conclusive[i] == rec.conclusive
+            assert tuple(outcomes[i]) == (rec.alice_outcomes or (-1, -1))
+            if rec.run_fidelity is None:
+                assert np.isnan(fids[i])
+            else:
+                assert abs(fids[i] - rec.run_fidelity) <= 1e-12

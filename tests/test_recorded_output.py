@@ -2,10 +2,9 @@
 
 ``perfbench/digests.json`` holds the stdout SHA-256 of every report, plan
 and sweep command the benchmark issues, recorded when the benchmark was
-introduced.  This replays every recorded ``report`` and ``plan`` and the
-``large_d`` sweeps (the two ``small_d`` grids take longer and exercise the
-same code) and compares digests, so an output change fails here and not
-only in the benchmark.
+introduced.  This replays every recorded command (each ``report``, ``plan``
+and all six sweeps) and compares digests, so an output change fails here
+and not only in the benchmark.
 """
 
 import contextlib
@@ -25,9 +24,8 @@ def test_recorded_commands_print_identical_bytes(monkeypatch):
 
     recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text())
     assert recorded["pool_sha256"] == workloads.pool_fingerprint()
-    large_sweeps = {workloads._sweep_op(*s).argv for s in workloads.SWEEPS["large_d"]}
-    ops = [op for op in workloads.recorded_ops()
-           if op.kind in ("report", "plan") or op.argv in large_sweeps]
+    ops = workloads.recorded_ops()
+    assert sum(op.kind == "sweep" for op in ops) == 6
 
     changed = []
     for op in ops:
