@@ -5,6 +5,14 @@ Everything here is evaluated from the coefficient multiplicity profile
 propagate consistently between these formulas and the simulated operators.
 Quantities named ``F_*`` are average teleportation fidelities; the
 corresponding singlet fractions are recovered as (F*(D+1) - 1)/D.
+
+The public per-quantity functions (``f_me``, ``stage_probabilities``, ...)
+are scalar.  Reports come from one array evaluator, ``_pattern_block``,
+which assembles every field for a block of channels sharing a tie pattern
+and asserts the identities between them: ``report_blocks`` feeds it sweep
+points, ``channel_report`` one channel as a one-row block.  It performs
+the scalar functions' floating-point operations, and the tests hold the
+two to bit-for-bit equality.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from .channels import (
     check_tie_tolerance,
     multiplicity_profile,
 )
-from .discrimination import KIND_DETERMINISTIC, KIND_SMC, USEFUL_MARGIN, StrategyConfig
+from .discrimination import KIND_DETERMINISTIC, USEFUL_MARGIN, StrategyConfig
 
 IDENTITY_ATOL = 1e-12
 
@@ -33,7 +41,8 @@ class ChannelReport:
     Stage-indexed tuples have length M (the number of stages the channel
     admits).  ``F_me_after_fail`` is None when all coefficients are equal,
     since then the filter cannot fail.  ``overall_smc`` assumes the full
-    M-stage cascade.
+    M-stage cascade.  The fields are those of :class:`ReportBlock` but
+    ``rows``: :func:`channel_report` reads them from a one-row block.
     """
 
     D: int
@@ -155,10 +164,11 @@ def _f_me_after_fail(profile: MultiplicityProfile, D: int, cascade) -> float:
     _, _, _, survival = cascade
     s = _failure_family_sum(profile, 1, survival)
     value = (1.0 + s**2) / (D + 1)
-    check = _f_me_after_fail_double_sum(profile, D)
-    if not abs(value - check) <= IDENTITY_ATOL:
+    (check,), (budget,) = _f_me_after_fail_double_sums(
+        profile.values[None], profile.multiplicities, D)
+    if not abs(value - check) <= budget:
         raise AssertionError(
-            f"failure-fidelity forms disagree: {value!r} vs {check!r}"
+            f"failure-fidelity forms disagree: {value!r} vs {float(check)!r}"
         )
     return value
 
@@ -169,26 +179,15 @@ def f_me_after_fail_double_sum(
     """Same quantity as :func:`f_me_after_fail`, written as the classical
     fidelity plus the pairwise cross terms of the excess weights
     sqrt((a_m^2 - a_min^2)(a_m'^2 - a_min^2)) / ((D + 1) p_fail)."""
-    return _f_me_after_fail_double_sum(multiplicity_profile(ch, tie_tolerance), ch.D)
+    profile = multiplicity_profile(ch, tie_tolerance)
+    _require_failure_branch(profile)
+    (check,), _ = _f_me_after_fail_double_sums(profile.values[None], profile.multiplicities, ch.D)
+    return float(check)
 
 
 def _require_failure_branch(profile: MultiplicityProfile) -> None:
     if profile.d < 2:
         raise ValueError("all coefficients are equal: the filter cannot fail")
-
-
-def _f_me_after_fail_double_sum(profile: MultiplicityProfile, D: int) -> float:
-    _require_failure_branch(profile)
-    a = np.repeat(profile.values, profile.multiplicities)
-    a_sq = a**2
-    p_fail = 1.0 - a.size * a_sq[0]
-    # The smallest group's excess must be exactly 0, so a_min^2 is taken
-    # from the same array (a scalar x**2 can round one ulp off x*x, and
-    # the square root magnifies that ulp to about 1e-9).
-    excess = np.sqrt(np.maximum(a_sq - a_sq[0], 0.0))
-    # Sum over ordered pairs m != m'.
-    cross = np.sum(excess) ** 2 - np.dot(excess, excess)
-    return f_clas(D) + cross / ((D + 1) * p_fail)
 
 
 def stage_probabilities(
@@ -246,93 +245,38 @@ def channel_report(
     ch: SchmidtChannel, tie_tolerance: float = DEFAULT_TIE_TOL
 ) -> ChannelReport:
     """Evaluate every closed form for one channel and assert the internal
-    identities that tie them together.  The coefficients are grouped once
-    and the filtering cascade is walked once; every quantity is evaluated
-    from that profile and that cascade."""
+    identities that tie them together: the one-row case of
+    :func:`report_blocks`.  ``make_channel`` has already validated, sorted
+    and normalised the coefficients, so their ascending row goes straight
+    to the per-pattern evaluator."""
+    check_tie_tolerance(tie_tolerance)
     D = ch.D
-    profile = multiplicity_profile(ch, tie_tolerance)
-    sum_a = _sum_amplitudes(profile)
-    F_me_val = _f_me(profile, D)
-    f_me_frac = sum_a**2 / D
-    F_clas_val = f_clas(D)
+    if ch.N == 1:
+        # Rank 1: no stage, so every strategy is the deterministic one.  The
+        # group value sqrt(a^2) is formed as group_coefficients forms it.
+        sum_a_sq = float(np.sqrt(ch.coeffs[0] ** 2)) ** 2
+        F_me = (1.0 + sum_a_sq) / (D + 1)
+        return ChannelReport(
+            D=D, N=1, d=1, M=0, F_me=F_me, f_me=sum_a_sq / D, F_clas=f_clas(D),
+            F_mc_s=(), f_mc_s=(), p_fail=(), p_success=(), P_smc=(), useful=(),
+            F_me_after_fail=None, overall_me=F_me, overall_smc=F_me,
+        )
+    amps = ch.coeffs[None, ::-1]
+    block = _pattern_block(D, amps, np.diff(amps[0]) > tie_tolerance, amps**2, [0])
 
-    M = profile.M
-    if M >= 1:
-        cascade = _stage_cascade(profile)
-        p_fail, p_success, cumulative, survival = cascade
-        support = profile.support[:M]
-        F_mc = _f_mc_stages(profile, D)
-        f_mc = support / D
-        margin = support - sum_a**2
-        useful = tuple((margin > USEFUL_MARGIN).tolist())
-        cfg_full = StrategyConfig(kind=KIND_SMC, k_max=M, fallback="guess")
-        overall_smc_val = _overall_fidelity(profile, D, cfg_full, cascade)
-        cfg_one = StrategyConfig(kind=KIND_SMC, k_max=1, fallback="me")
-        overall_me_val = _overall_fidelity(profile, D, cfg_one, cascade)
-        fail_defined = profile.d >= 2
-        F_fail = _f_me_after_fail(profile, D, cascade) if fail_defined else None
-
-        # Cross identities between independent routes to the same numbers.
-        mu = profile.multiplicities
-        final_form = (mu[-2] * (1 if mu[-1] == 1 else 0) + mu[-1] + 1) / (D + 1) \
-            if profile.d >= 2 else (mu[-1] + 1) / (D + 1)
-        _require(abs(final_form - F_mc[M - 1]) <= IDENTITY_ATOL,
-                 "final-stage fidelity forms disagree")
-        survived = np.concatenate(([1.0], survival[:-1]))
-        _require_stages(np.abs(p_success - (1.0 - p_fail) * survived) <= IDENTITY_ATOL,
-                        "success probability forms disagree")
-        _require(abs(cumulative[M - 1] - (1.0 - survival[M - 1])) <= IDENTITY_ATOL,
-                 "cumulative success probability forms disagree")
-        _require_stages(np.abs((F_mc * (D + 1) - 1.0) / D - f_mc) <= IDENTITY_ATOL,
-                        "fidelity-confidence identity fails")
-        _require_stages(np.abs((F_mc - F_me_val) * (D + 1) - margin) <= 1e-9,
-                        "usefulness identity fails")
-        _require(abs((F_me_val * (D + 1) - 1.0) / D - f_me_frac) <= IDENTITY_ATOL,
-                 "deterministic fidelity-confidence identity fails")
-        _require(F_mc[0] - F_me_val >= -IDENTITY_ATOL,
-                 "stage-1 fidelity fell below the deterministic one")
-        if fail_defined:
-            assembled = (1.0 - p_fail[0]) * F_mc[0] + p_fail[0] * F_fail
-            _require(abs(assembled - overall_me_val) <= IDENTITY_ATOL,
-                     "single-stage overall fidelity assembly disagrees")
-    else:
-        p_fail = p_success = cumulative = np.empty(0)
-        F_mc = f_mc = np.empty(0)
-        useful = ()
-        F_fail = None
-        overall_me_val = F_me_val
-        overall_smc_val = F_me_val
+    def row(series):
+        return tuple(series[0].tolist())
 
     return ChannelReport(
-        D=D,
-        N=profile.N,
-        d=profile.d,
-        M=M,
-        F_me=F_me_val,
-        f_me=f_me_frac,
-        F_clas=F_clas_val,
-        F_mc_s=tuple(float(x) for x in F_mc),
-        f_mc_s=tuple(float(x) for x in f_mc),
-        p_fail=tuple(float(x) for x in p_fail),
-        p_success=tuple(float(x) for x in p_success),
-        P_smc=tuple(float(x) for x in cumulative),
-        useful=useful,
-        F_me_after_fail=F_fail,
-        overall_me=overall_me_val,
-        overall_smc=overall_smc_val,
+        D=D, N=block.N, d=block.d, M=block.M,
+        F_me=float(block.F_me[0]), f_me=float(block.f_me[0]), F_clas=block.F_clas,
+        F_mc_s=tuple(block.F_mc_s.tolist()), f_mc_s=tuple(block.f_mc_s.tolist()),
+        p_fail=row(block.p_fail), p_success=row(block.p_success), P_smc=row(block.P_smc),
+        useful=row(block.useful),
+        F_me_after_fail=None if block.F_me_after_fail is None
+        else float(block.F_me_after_fail[0]),
+        overall_me=float(block.overall_me[0]), overall_smc=float(block.overall_smc[0]),
     )
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise AssertionError(message)
-
-
-def _require_stages(ok: np.ndarray, message: str) -> None:
-    """``_require`` for a per-stage identity; names the first failing stage."""
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        raise AssertionError(f"stage {bad[0] + 1} {message}")
 
 
 @dataclass(frozen=True)
@@ -344,7 +288,8 @@ class ReportBlock:
     depend only on the pattern (D, N, d, M, F_clas and the stage fidelities
     ``F_mc_s``/``f_mc_s``, shape (M,)) are shared; the other scalars are
     (P,) arrays and the other stage series (P, M) arrays.
-    ``F_me_after_fail`` is None when d < 2.
+    ``F_me_after_fail`` is None when d < 2.  A one-row block read back
+    field by field is :func:`channel_report`'s ``ChannelReport``.
     """
 
     rows: np.ndarray
@@ -374,12 +319,8 @@ def report_blocks(
 
     Each row is normalised and sorted as ``make_channel`` does, then the
     rows are split by their tie pattern (the gap mask of
-    ``group_coefficients``).  Within one pattern every quantity is column
-    arithmetic on the (P, d) group values; only the survival recurrence
-    loops, over the M stages.  Each operation is the one ``channel_report``
-    applies to a single channel, so every value equals it bit for bit, and
-    every identity ``channel_report`` asserts is asserted on every row,
-    naming the first point that fails it.
+    ``group_coefficients``) and each pattern is evaluated by
+    ``_pattern_block``, the evaluator ``channel_report`` also uses.
     """
     check_tie_tolerance(tie_tolerance)
     squared = np.asarray(squared, dtype=float)
@@ -396,28 +337,35 @@ def report_blocks(
     patterns, which = np.unique(np.diff(amps, axis=1) > tie_tolerance, axis=0,
                                 return_inverse=True)
     which = which.ravel()
-    return [_pattern_block(D, squared, amps, np.flatnonzero(which == g), gaps)
+    return [_pattern_block(D, amps, gaps, squared, np.flatnonzero(which == g))
             for g, gaps in enumerate(patterns)]
 
 
-def _pattern_block(D, squared, amps, rows, gaps) -> ReportBlock:
-    """``report_blocks`` on the rows whose sorted amplitudes have the gap
-    mask ``gaps``.  The comments name the ``channel_report`` step each line
-    reproduces."""
-    N = amps.shape[1]
-    points = squared[rows]
+def _pattern_block(D, amps, gaps, points, rows) -> ReportBlock:
+    """Every closed form of the channels whose ascending amplitudes are the
+    ``rows`` of ``amps`` (shape (., N), N >= 2), all with the gap mask
+    ``gaps``, and every identity that ties them together, asserted on each
+    row; a failure names the failing row of ``points``.  Within the pattern
+    every quantity is column arithmetic on the (P, d) group values; only
+    the survival recurrence loops, over the M stages.  The comments name
+    the scalar function each step matches bit for bit."""
+    amps, points = amps[rows], points[rows]
+    P, N = amps.shape
     edges = np.concatenate(([0], np.flatnonzero(gaps) + 1, [N]))
     mults = np.diff(edges)
     d = mults.size
     M = d - 1 if mults[-1] == 1 else d
     support = np.cumsum(mults[::-1])[::-1][:M]
-    # group_coefficients: root mean square of each group's members.
-    sq = amps[rows] ** 2
-    values = np.column_stack([np.sqrt(np.sum(sq[:, a:b], axis=1) / (b - a))
-                              for a, b in zip(edges[:-1], edges[1:])])
+    # group_coefficients: root mean square of each group's members; a lone
+    # member's mean is its own square.
+    sq = amps**2
+    values = np.sqrt(sq[:, edges[:-1]])
+    for j in np.flatnonzero(mults > 1).tolist():
+        a, b = edges[j], edges[j + 1]
+        values[:, j] = np.sqrt(np.add.reduce(sq[:, a:b], axis=1) / (b - a))
     v_sq = values**2
-    # The scalar path squares the Python float sum_a with pow(), which can
-    # differ from x*x by an ulp; float_power calls the same pow().
+    # _f_me squares the Python float sum with pow(), which can differ from
+    # x*x by an ulp; float_power calls the same pow().
     sum_a_sq = np.float_power(np.sum(values * mults, axis=1), 2)
     F_me = (1.0 + sum_a_sq) / (D + 1)
     f_me = sum_a_sq / D
@@ -427,12 +375,13 @@ def _pattern_block(D, squared, amps, rows, gaps) -> ReportBlock:
     p_success = support * np.diff(v_sq[:, :M], prepend=0.0, axis=1)
     p_fail = np.empty_like(p_success)
     survival = np.empty_like(p_success)
-    prod = np.ones(rows.size)
-    for k in range(M):
-        alive = prod > 0
-        q = np.where(alive, 1.0 - p_success[:, k] / np.where(alive, prod, 1.0), 0.0)
-        p_fail[:, k] = q = np.minimum(np.maximum(q, 0.0), 1.0)
-        survival[:, k] = prod = prod * q
+    prod = np.ones(P)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(M):
+            # Once a branch is dead (prod == 0) the quotient is inf or nan,
+            # and both clamp to the scalar path's 0.
+            p_fail[:, k] = q = np.minimum(np.fmax(1.0 - p_success[:, k] / prod, 0.0), 1.0)
+            survival[:, k] = prod = prod * q
     cumulative = np.cumsum(p_success, axis=1)
 
     # _f_mc_stages
@@ -463,30 +412,26 @@ def _pattern_block(D, squared, amps, rows, gaps) -> ReportBlock:
                        / np.where(live, survival[:, 0], 1.0)[:, None])
         s_sq = np.float_power(np.where(live, np.sum(tail * mults[1:], axis=1), np.nan), 2)
         F_fail = (1.0 + s_sq) / (D + 1)
-        check = _f_me_after_fail_double_sums(values, mults, D)
-        bad = np.flatnonzero(~(np.abs(F_fail - check) <= IDENTITY_ATOL))
-        if bad.size:
-            raise AssertionError(
-                f"failure-fidelity forms disagree: {float(F_fail[bad[0]])!r} vs "
-                f"{float(check[bad[0]])!r} at point {points[bad[0]].tolist()}")
+        check, budget = _f_me_after_fail_double_sums(values, mults, D)
+        _require_rows(np.abs(F_fail - check) <= budget,
+                      points, "failure-fidelity forms disagree", (F_fail, check))
         plain = (residual < 1e-15) | ~live
         overall_me = np.where(plain, base, base + residual * (1.0 + s_sq) / (D + 1))
     else:
         F_fail = None
         overall_me = base
 
-    # channel_report's cross identities
+    # Cross identities between independent routes to the same numbers.
     final_form = (mults[-2] * (1 if mults[-1] == 1 else 0) + mults[-1] + 1) / (D + 1) \
         if d >= 2 else (mults[-1] + 1) / (D + 1)
-    _require_rows(np.full(rows.size, abs(final_form - F_mc[M - 1]) <= IDENTITY_ATOL),
+    _require_rows(np.array([abs(final_form - F_mc[M - 1]) <= IDENTITY_ATOL]),
                   points, "final-stage fidelity forms disagree")
-    survived = np.concatenate((np.ones((rows.size, 1)), survival[:, :-1]), axis=1)
+    survived = np.concatenate((np.ones((P, 1)), survival[:, :-1]), axis=1)
     _require_rows(np.abs(p_success - (1.0 - p_fail) * survived) <= IDENTITY_ATOL,
                   points, "success probability forms disagree")
     _require_rows(np.abs(cumulative[:, M - 1] - (1.0 - survival[:, M - 1])) <= IDENTITY_ATOL,
                   points, "cumulative success probability forms disagree")
-    _require_rows(np.broadcast_to(np.abs((F_mc * (D + 1) - 1.0) / D - f_mc) <= IDENTITY_ATOL,
-                                  p_success.shape),
+    _require_rows((np.abs((F_mc * (D + 1) - 1.0) / D - f_mc) <= IDENTITY_ATOL)[None],
                   points, "fidelity-confidence identity fails")
     _require_rows(np.abs((F_mc - F_me[:, None]) * (D + 1) - margin) <= 1e-9,
                   points, "usefulness identity fails")
@@ -507,19 +452,36 @@ def _pattern_block(D, squared, amps, rows, gaps) -> ReportBlock:
     )
 
 
-def _f_me_after_fail_double_sums(values, mults, D) -> np.ndarray:
-    """``_f_me_after_fail_double_sum`` of each row of group values."""
+def _f_me_after_fail_double_sums(values, mults, D) -> tuple[np.ndarray, np.ndarray]:
+    """``f_me_after_fail_double_sum`` of each row of group values, and the
+    amount by which the single-sum form may differ from it.
+
+    The two forms differ by exactly (sum_m e_m^2 - p_fail)/((D + 1) p_fail),
+    e_m = sqrt(a_m^2 - a_min^2): the normalisation residual of the group
+    values, which 1/p_fail magnifies when the smallest group lies just
+    below the others.  The budget is that measured term plus IDENTITY_ATOL.
+    """
     a_sq = np.repeat(values, mults, axis=1) ** 2
     p_fail = 1.0 - a_sq.shape[1] * a_sq[:, 0]
+    # The smallest group's excess must be exactly 0, so a_min^2 is taken
+    # from the same array (a scalar x**2 can round one ulp off x*x, and
+    # the square root magnifies that ulp to about 1e-9).
     excess = np.sqrt(np.maximum(a_sq - a_sq[:, :1], 0.0))
-    cross = np.sum(excess, axis=1) ** 2 - np.vecdot(excess, excess)
-    return f_clas(D) + cross / ((D + 1) * p_fail)
+    norm = np.vecdot(excess, excess)
+    # Sum over ordered pairs m != m'.
+    cross = np.sum(excess, axis=1) ** 2 - norm
+    scale = (D + 1) * p_fail
+    return f_clas(D) + cross / scale, IDENTITY_ATOL + np.abs(norm - p_fail) / scale
 
 
-def _require_rows(ok: np.ndarray, points: np.ndarray, message: str) -> None:
-    """``_require`` (``_require_stages`` for a (P, M) ``ok``) on a block of
-    channels; the message names the first failing point."""
-    bad = np.argwhere(~ok)
-    if bad.size:
-        stage = f"stage {bad[0, 1] + 1} " if ok.ndim == 2 else ""
-        raise AssertionError(f"{stage}{message} at point {points[bad[0, 0]].tolist()}")
+def _require_rows(ok: np.ndarray, points: np.ndarray, message: str, compared=()) -> None:
+    """AssertionError unless ``ok``, a (P,) or (P, M) mask, holds on every
+    row.  The message names the first failing stage of a (P, M) mask, the
+    two ``compared`` (P,) values of the failing row when given, and that
+    row of ``points``."""
+    if ok.all():
+        return
+    i, *k = np.argwhere(~ok)[0]
+    stage = f"stage {k[0] + 1} " if k else ""
+    values = ": {!r} vs {!r}".format(*(float(c[i]) for c in compared)) if compared else ""
+    raise AssertionError(f"{stage}{message}{values} at point {points[i].tolist()}")

@@ -1,9 +1,14 @@
-"""Shared generators for randomized tests."""
+"""Shared generators for randomized tests, and the one ``hypothesis``
+profile: every property test draws the same examples on every run."""
 
 import numpy as np
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from mcteleport import SchmidtChannel, make_channel
+
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_channel(rng, D=None, N=None, min_sq=0.01) -> SchmidtChannel:

@@ -110,7 +110,7 @@ def test_profile_near_ties_respect_tolerance():
     assert prof_tight.d == 3
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_profile_multiplicities_sum_to_rank(seed):
     rng = np.random.default_rng(seed)
@@ -179,7 +179,7 @@ def test_symmetric_family_pairwise_overlaps():
                 np.testing.assert_allclose(overlap, direct, atol=1e-12)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(
     st.lists(st.tuples(st.integers(min_value=1, max_value=10_000),
                        st.integers(min_value=1, max_value=20)),

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -450,3 +451,31 @@ def test_type_error_in_a_command_is_a_usage_error(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: unsupported operand type(s) for +: 'int' and 'str'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--D", "4", "--coeffs", "0.4999875249376247,0.5000124750623753", "--squared"),
+    ("report", "--D", "7", "--coeffs", "0.7071067811869012,0.707106781186194", "--tie-tol", "0"),
+    ("sweep", "--D", "4", "--N", "2", "--grid", "100000", "--quantities", "F_me_after_fail"),
+], ids=["report", "report-tie-tol-0", "sweep"])
+def test_near_tied_smallest_group_passes_the_failure_fidelity_check(tmp_path, capsys, argv):
+    # p_fail = 1 - N a_min^2 cancels to ~1e-5 (~1e-12 at --tie-tol 0), and
+    # 1/p_fail magnifies the normalisation residual between the two
+    # F_me_after_fail forms past 1e-12; the check budgets that term.
+    out = ["--out", str(tmp_path / "out.csv")] if argv[0] == "sweep" else []
+    code, _, err = run_cli(capsys, *argv, *out)
+    assert (code, err) == (0, "")
+
+
+def test_corrupted_failure_form_exits_2_naming_plain_floats(capsys, monkeypatch):
+    from mcteleport import analytics
+
+    forms = analytics._f_me_after_fail_double_sums
+    monkeypatch.setattr(analytics, "_f_me_after_fail_double_sums",
+                        lambda *args: (forms(*args)[0] + 1e-9, forms(*args)[1]))
+    code, out, err = run_cli(capsys, "report", "--D", "4", "--coeffs", "0.5,0.3,0.2",
+                             "--squared")
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"error: internal cross-check failed: failure-fidelity forms "
+                        r"disagree: 0\.57320508\d+ vs 0\.57320508\d+ at point \[.*\]\n", err)

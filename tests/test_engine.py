@@ -558,7 +558,7 @@ def test_branch_sets_memory_stays_cubic_at_dimension_48():
     assert peak < 16 * 2**20
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(tied_channels(), st.integers(min_value=0, max_value=8))
 def test_branch_sets_conserve_mass_and_bound_fidelity(ch, k_max):
     M = multiplicity_profile(ch).M if ch.N > 1 else 0
@@ -572,7 +572,7 @@ def test_branch_sets_conserve_mass_and_bound_fidelity(ch, k_max):
             assert 1 / (ch.D + 1) - 1e-12 <= fid <= 1 + 1e-12
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(tied_channels(), st.integers(min_value=1, max_value=8),
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_block_kernel_matches_single_run_on_random_channels(ch, k_max, seed):

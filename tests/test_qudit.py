@@ -343,7 +343,7 @@ def test_fidelity_examples():
         fidelity(a, make_state([2], [1, 0]))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     st.integers(min_value=2, max_value=6),
     st.floats(min_value=0, max_value=2 * np.pi),
