@@ -6,7 +6,9 @@ it to the per-point reference: the full ``itertools.product`` walk for the
 points, and the public scalar functions (``f_me``, ``f_mc_conclusive``,
 ``stage_probabilities``, ``overall_fidelity``, ``f_me_after_fail``,
 ``confidence_at_stage``, the stage plan's useful flags) for every value.
-``channel_report`` shares the array evaluator, so it is no reference here.
+``channel_report`` shares the array evaluator, so it is no independent
+reference; it is checked as the one-row case: batching rows of mixed tie
+patterns must not change any row's value.
 """
 
 import tracemalloc
@@ -22,6 +24,7 @@ from mcteleport import (
     StrategyConfig,
     analytics,
     build_stage_plan,
+    channel_report,
     cli,
     confidence_at_stage,
     f_clas,
@@ -34,7 +37,7 @@ from mcteleport import (
     stage_probabilities,
 )
 from mcteleport.channels import DEFAULT_TIE_TOL
-from mcteleport.cli import SweepSpec, main, sweep_points
+from mcteleport.cli import SweepSpec, main, report_quantity, sweep_points
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -92,19 +95,24 @@ def _scalar_quantities(D, point, tie_tol):
     return values
 
 
-def _assert_matches_scalar_route(D, N, grid, tie_tol):
+def _assert_matches_references(D, N, grid, tie_tol):
+    """Every sweep value equals, bit for bit, both the scalar route and
+    the point's own one-row ``channel_report``."""
     points, _ = sweep_points(SweepSpec(D=D, N=N, resolution=grid, quantities=(),
                                        out=None, tie_tol=tie_tol))
     names = _names(N)
     table = cli._sweep_table(D, tie_tol, names, points)
     assert table[:, :N].tobytes() == points.tobytes()
-    expected = np.array([[float(ref.get(q, np.nan)) for q in names]
-                         for ref in (_scalar_quantities(D, p, tie_tol) for p in points)])
-    same = _same_bits(table[:, N:], expected)
-    if not same.all():
-        i, j = np.argwhere(~same)[0]
-        pytest.fail(f"{names[j]} at {points[i].tolist()}: "
-                    f"{table[i, N + j]!r} != {expected[i, j]!r}")
+    scalar = np.array([[float(ref.get(q, np.nan)) for q in names]
+                       for ref in (_scalar_quantities(D, p, tie_tol) for p in points)])
+    reports = [channel_report(make_channel(D, np.sqrt(p)), tie_tol) for p in points]
+    one_row = np.array([[float(report_quantity(rep, q)) for q in names] for rep in reports])
+    for route, expected in (("scalar route", scalar), ("channel_report", one_row)):
+        same = _same_bits(table[:, N:], expected)
+        if not same.all():
+            i, j = np.argwhere(~same)[0]
+            pytest.fail(f"{names[j]} at {points[i].tolist()} ({route}): "
+                        f"{table[i, N + j]!r} != {expected[i, j]!r}")
 
 
 @pytest.mark.parametrize("N,grid", [
@@ -120,23 +128,23 @@ def test_enumeration_equals_the_product_walk(N, grid):
     assert skipped == walked_skipped == grid ** (N - 1) - len(points)
 
 
-def test_every_recorded_sweep_point_equals_the_scalar_route(monkeypatch):
+def test_every_recorded_sweep_point_equals_its_channel_report(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import workloads
 
     sweeps = [s for runs in workloads.SWEEPS.values() for s in runs]
     assert len(sweeps) == 6
     for D, N, grid in sweeps:
-        _assert_matches_scalar_route(D, N, grid, DEFAULT_TIE_TOL)
+        _assert_matches_references(D, N, grid, DEFAULT_TIE_TOL)
 
 
 @settings(max_examples=100)
 @given(st.integers(min_value=2, max_value=8), st.data())
-def test_sweep_columns_equal_the_scalar_route(D, data):
+def test_sweep_columns_equal_channel_reports(D, data):
     N = data.draw(st.integers(min_value=2, max_value=min(5, D)))
     grid = data.draw(st.integers(min_value=2, max_value=12 if N < 4 else 6))
     tie_tol = data.draw(st.sampled_from([0.0, DEFAULT_TIE_TOL]))
-    _assert_matches_scalar_route(D, N, grid, tie_tol)
+    _assert_matches_references(D, N, grid, tie_tol)
 
 
 def test_sweep_calls_no_per_point_report(monkeypatch, capsys):
