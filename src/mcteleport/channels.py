@@ -139,9 +139,13 @@ def group_coefficients(coeffs, tie_tolerance: float = DEFAULT_TIE_TOL):
     arr = np.sort(np.asarray(coeffs, dtype=float).ravel())
     cuts = (np.flatnonzero(np.diff(arr) > tie_tolerance) + 1).tolist()
     edges = [0, *cuts, arr.size] if arr.size else [0]
+    mults = np.diff(edges)
     sq = arr**2
-    values = [np.sqrt(np.mean(sq[a:b])) for a, b in zip(edges, edges[1:])]
-    return np.asarray(values, dtype=float), np.diff(edges)
+    # A singleton's mean is its one member, so only larger groups need np.mean.
+    values = np.sqrt(sq[edges[:-1]])
+    for j in np.flatnonzero(mults > 1).tolist():
+        values[j] = np.sqrt(np.mean(sq[edges[j]:edges[j + 1]]))
+    return values, mults
 
 
 def snap_to_groups(coeffs, tie_tolerance: float = DEFAULT_TIE_TOL) -> np.ndarray:

@@ -19,6 +19,7 @@ with 15 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -308,6 +309,10 @@ class SweepSpec:
             raise ValueError(f"need 2 <= N <= D, got N={self.N}, D={self.D}")
         if self.resolution < 2:
             raise ValueError("grid resolution must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 def sweep_points(spec: SweepSpec) -> tuple[np.ndarray, int]:
@@ -594,11 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="closed-form channel report")
     _add_channel_options(p_report)
     p_report.add_argument("--out", default=None, help="CSV output path")
-    p_report.set_defaults(func=cmd_report)
 
     p_plan = sub.add_parser("plan", help="per-stage filtering plan")
     _add_channel_options(p_plan)
-    p_plan.set_defaults(func=cmd_plan)
 
     p_sweep = sub.add_parser("sweep", help="coefficient-grid sweep to CSV")
     p_sweep.add_argument("--D", type=int, default=None)
@@ -612,7 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--tie-tol", dest="tie_tol", type=float, default=None)
     p_sweep.add_argument("--out", default=None, help="CSV path ('-' = stdout)")
     p_sweep.add_argument("--config", default=None)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="cross-check the three routes")
     _add_channel_options(p_verify)
@@ -625,12 +627,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--self-test-corrupt", action="store_true",
                           help="perturb one analytic value; the run must fail "
                                "(harness self-test)")
-    p_verify.set_defaults(func=cmd_verify)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first command and shared by every later one in the
+    # process: parse_args returns a fresh Namespace per call, no action
+    # holds a mutable default, and _merge_config writes only to that
+    # Namespace.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         for arg in argv or ():
             if not isinstance(arg, str):
@@ -638,7 +648,9 @@ def main(argv=None) -> int:
                                 f"got {arg!r} ({type(arg).__name__})")
         args = parser.parse_args(argv)
         _merge_config(args)
-        return args.func(args)
+        # Looked up per call, so a cmd_* replaced after the parser was
+        # built is the one that runs.
+        return globals()[f"cmd_{args.command}"](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except (ValueError, OSError, KeyError, TypeError) as exc:

@@ -438,6 +438,8 @@ def monte_carlo(
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     runner = ProtocolRunner(channel, cfg, tie_tolerance)
     _replay_check(runner, seed)
 

@@ -197,3 +197,33 @@ def test_group_values_are_rms_of_members(groups, rnd):
     assert mults.tolist() == [len(group) for group in expected]
     for value, group in zip(values, expected):
         assert value == np.sqrt(np.mean(np.sort(group) ** 2))
+
+
+def _group_coefficients_by_list_of_means(coeffs, tie_tolerance):
+    """Reference: one ``np.mean`` per group, singletons included."""
+    arr = np.sort(np.asarray(coeffs, dtype=float).ravel())
+    cuts = (np.flatnonzero(np.diff(arr) > tie_tolerance) + 1).tolist()
+    edges = [0, *cuts, arr.size] if arr.size else [0]
+    sq = arr**2
+    values = [np.sqrt(np.mean(sq[a:b])) for a, b in zip(edges, edges[1:])]
+    return np.asarray(values, dtype=float), np.diff(edges)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(st.floats(min_value=1e-3, max_value=1.0),
+                       st.integers(min_value=1, max_value=8)),
+             min_size=0, max_size=12),
+    st.sampled_from([0.0, 1e-12, 1e-10, 5e-10]),
+    st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+    st.randoms(use_true_random=False),
+)
+def test_group_coefficients_equals_list_of_means_bit_for_bit(levels, spread, tol, rnd):
+    coeffs = [level + spread * rnd.uniform(-1, 1)
+              for level, mult in levels for _ in range(mult)]
+    rnd.shuffle(coeffs)
+    values, mults = group_coefficients(coeffs, tol)
+    ref_values, ref_mults = _group_coefficients_by_list_of_means(coeffs, tol)
+    assert values.dtype == ref_values.dtype and mults.dtype == ref_mults.dtype
+    assert values.tobytes() == ref_values.tobytes()
+    assert mults.tolist() == ref_mults.tolist()

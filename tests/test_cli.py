@@ -479,3 +479,68 @@ def test_corrupted_failure_form_exits_2_naming_plain_floats(capsys, monkeypatch)
     assert out == ""
     assert re.fullmatch(r"error: internal cross-check failed: failure-fidelity forms "
                         r"disagree: 0\.57320508\d+ vs 0\.57320508\d+ at point \[.*\]\n", err)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--D", "4", "--N", "2", "--grid", "5", "--workers", "-3"],
+         "error: workers must be >= 1, got -3\n"),
+        (["verify", "--D", "4", "--coeffs", "0.5,0.3,0.2", "--squared",
+          "--trials", "1000", "--workers", "0"],
+         "error: workers must be >= 1, got 0\n"),
+        (["sweep", "--D", "4", "--N", "2", "--grid", "5", "--seed", "-1"],
+         "error: seed must be a non-negative integer, got -1\n"),
+    ],
+)
+def test_fewer_than_one_worker_and_a_negative_sweep_seed_are_usage_errors(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", message)
+
+
+def test_fewer_than_one_worker_from_config_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = 0\n")
+    code, out, err = run_cli(capsys, "sweep", "--D", "4", "--N", "2", "--grid", "5",
+                             "--config", str(cfg))
+    assert (code, out, err) == (1, "", "error: workers must be >= 1, got 0\n")
+
+
+def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    from mcteleport import cli
+
+    build_parser = cli.build_parser
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("D = 4\ncoeffs = 0.5,0.3,0.2\nsquared = true\nk_max = 2\n")
+    channel = ["--D", "4", "--coeffs", "0.5,0.3,0.2", "--squared"]
+    sequence = [
+        ["report", "--D", "x"],
+        ["verify", "--config", str(cfg), "--trials", "1000"],
+        ["report", *channel],
+        ["plan", *channel],
+        ["sweep", "--D", "3", "--N", "2", "--grid", "5"],
+        ["verify", *channel, "--trials", "1000", "--k-max", "2"],
+    ]
+    try:
+        first = [run_cli(capsys, *argv) for argv in sequence]
+        second = [run_cli(capsys, *argv) for argv in sequence]
+        assert second == first
+        assert [code for code, _, _ in first] == [1, 0, 0, 0, 0, 0]
+        assert first[0][2].startswith("usage: mcteleport report")
+        assert "k_max=2" in first[1][1]
+        assert builds == [1]
+
+        # The handler is looked up when the command runs, not when the
+        # parser was built.
+        monkeypatch.setattr(cli, "cmd_report", lambda args: 7)
+        assert run_cli(capsys, *sequence[2]) == (7, "", "")
+        assert builds == [1]
+    finally:
+        cli._parser.cache_clear()

@@ -162,6 +162,13 @@ def test_run_protocol_rejects_excess_stage_budget():
         run_protocol(EXAMPLE, haar_random_state(4, rng), cfg, rng)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_monte_carlo_rejects_fewer_than_one_worker(workers):
+    cfg = StrategyConfig(kind="mc-smc", k_max=1, fallback="me")
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        monte_carlo(EXAMPLE, cfg, 1000, seed=0, workers=workers)
+
+
 def test_monte_carlo_seed_determinism():
     cfg = StrategyConfig(kind="mc-smc", k_max=2, fallback="me")
     a = monte_carlo(EXAMPLE, cfg, 2000, seed=5)
