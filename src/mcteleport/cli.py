@@ -504,10 +504,12 @@ def _verify_rows(channel, cfg, trials, seed, workers, tie_tol):
     ``samples`` is the number of fidelities behind a fidelity row and None
     on probability rows, whose stderr is the binomial sqrt(p(1 - p)/trials)
     of the analytic p, so a bucket that happens to see no hits keeps a
-    band of its expected width."""
+    band of its expected width.  The sampler and the oracle share one stage
+    plan."""
+    plan = build_stage_plan(channel, tie_tol)
     stats = monte_carlo(channel, cfg, trials, seed, workers=workers,
-                        tie_tolerance=tie_tol)
-    masses = exact_branch_probabilities(channel, cfg, tie_tol)
+                        tie_tolerance=tie_tol, plan=plan)
+    masses = exact_branch_probabilities(channel, cfg, tie_tol, plan=plan)
 
     def binomial_err(p):
         return sqrt(max(p * (1.0 - p), 0.0) / trials)
@@ -516,7 +518,7 @@ def _verify_rows(channel, cfg, trials, seed, workers, tie_tol):
     for k in range(1, cfg.k_max + 1):
         analytic_f = f_mc_conclusive(channel, k, tie_tol)
         oracle_f = exact_average_fidelity(channel, cfg, "conclusive-at-stage",
-                                          stage=k, tie_tolerance=tie_tol)
+                                          stage=k, tie_tolerance=tie_tol, plan=plan)
         rows.append((f"F_mc_s{k}", analytic_f, oracle_f, stats.stage_mean_fidelity(k),
                      stats.stage_stderr_fidelity(k), stats.stage_count(k)))
         p_analytic = float(stage_probabilities(channel, k, tie_tol)[0][-1])
@@ -532,7 +534,7 @@ def _verify_rows(channel, cfg, trials, seed, workers, tie_tol):
     rows.append((
         label,
         overall_fidelity(channel, cfg, tie_tol),
-        exact_average_fidelity(channel, cfg, "overall", tie_tolerance=tie_tol),
+        exact_average_fidelity(channel, cfg, "overall", tie_tolerance=tie_tol, plan=plan),
         stats.overall_mean_fidelity,
         stats.overall_stderr_fidelity,
         delivered,
@@ -551,8 +553,9 @@ def cmd_verify(args) -> int:
     fallback = args.fallback if args.fallback is not None else "me"
     workers = args.workers if args.workers is not None else 1
     cfg = StrategyConfig(kind=KIND_SMC, k_max=k_max, fallback=fallback)
-    # The runner that monte_carlo builds first rejects rank-1 channels and
-    # an excess k_max before any trial is sampled.
+    # The stage plan, built first, rejects rank-1 channels, and the runner
+    # that monte_carlo builds next an excess k_max, before any trial is
+    # sampled.
     rows = _verify_rows(ch, cfg, trials, seed, workers, tie)
     if args.self_test_corrupt:
         name, analytic, *rest = rows[0]

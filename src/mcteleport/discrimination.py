@@ -127,12 +127,14 @@ class McStage:
 
 @dataclass(frozen=True)
 class StagePlan:
-    """The full filtering cascade a channel admits, plus usefulness flags."""
+    """The full filtering cascade a channel admits, plus usefulness flags,
+    with coefficients grouped at ``tie_tolerance``."""
 
     channel: SchmidtChannel
     profile: MultiplicityProfile
     stages: tuple[McStage, ...]
     useful_flags: tuple[bool, ...]
+    tie_tolerance: float
 
     @property
     def M(self) -> int:
@@ -245,4 +247,4 @@ def build_stage_plan(
         for k in range(1, M + 1)
     )
     useful = tuple(bool(u) for u in profile.support[:M] - sum_a**2 > USEFUL_MARGIN)
-    return StagePlan(ch, profile, stages, useful)
+    return StagePlan(ch, profile, stages, useful, tie_tolerance)

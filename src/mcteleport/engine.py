@@ -19,7 +19,15 @@ sums, per branch set, the squared traces Q and the squared norms T of
 those operators; the Haar-averaged fidelity is (Q + T) / ((D + 1) T).  It
 involves no sampling and serves as the oracle the sampled statistics are
 checked against.  It starts from the D filtered Schmidt weights, since
-the register after the controlled shift vanishes unless b = m.
+the register after the controlled shift vanishes unless b = m.  Each
+oracle call gathers every branch set's D^3 entries for its T, which the
+probability-mass check needs, and computes Q (the Fourier rotation and
+trace sum) only for the sets it reads.
+
+``ProtocolRunner``, ``monte_carlo`` and both ``exact_*`` functions take
+an optional ``plan``, the channel's ``build_stage_plan`` at the same tie
+tolerance, so one plan can serve the sampler and the oracle alike;
+without it each builds its own.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from .channels import DEFAULT_TIE_TOL, SchmidtChannel, channel_state, make_chann
 from .discrimination import (
     KIND_DETERMINISTIC,
     KIND_SMC,
+    StagePlan,
     StrategyConfig,
     build_stage_plan,
 )
@@ -104,13 +113,21 @@ def _correction_tables(D: int) -> tuple[np.ndarray, np.ndarray]:
     return phases, shifts
 
 
-def _stage_filters(channel: SchmidtChannel, cfg: StrategyConfig,
-                   tie_tolerance: float) -> list[tuple[np.ndarray, np.ndarray]]:
+def _stage_filters(channel: SchmidtChannel, cfg: StrategyConfig, tie_tolerance: float,
+                   plan: StagePlan | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """(K_s, K_f) diagonals of the first ``cfg.k_max`` filtering stages (none
-    for the deterministic strategy); ValueError if there are fewer."""
+    for the deterministic strategy); ValueError if there are fewer, or if
+    ``plan`` was built for another channel or tie tolerance.  ``plan`` is
+    built here when None."""
+    if plan is not None and plan.channel is not channel:
+        raise ValueError("plan was built for a different channel object")
+    if plan is not None and plan.tie_tolerance != tie_tolerance:
+        raise ValueError(f"plan was built at tie tolerance {plan.tie_tolerance!r}, "
+                         f"not {tie_tolerance!r}")
     if cfg.kind != KIND_SMC:
         return []
-    plan = build_stage_plan(channel, tie_tolerance)
+    if plan is None:
+        plan = build_stage_plan(channel, tie_tolerance)
     if cfg.k_max > plan.M:
         raise ValueError(f"k_max={cfg.k_max} exceeds the {plan.M} stage(s) this channel admits")
     return [(s.K_s, s.K_f) for s in plan.stages[: cfg.k_max]]
@@ -130,6 +147,8 @@ class ProtocolRunner:
     exactly the same order and with the same Born weights as the public
     register operations, so a run is reproducible either way.
     ``run_block`` is the same process for a block of trials at once.
+    ``plan``, if given, must be ``build_stage_plan(channel, tie_tolerance)``;
+    it is built otherwise.
     """
 
     def __init__(
@@ -137,6 +156,8 @@ class ProtocolRunner:
         channel: SchmidtChannel,
         cfg: StrategyConfig,
         tie_tolerance: float = DEFAULT_TIE_TOL,
+        *,
+        plan: StagePlan | None = None,
     ):
         self.D = D = channel.D
         # ``run`` builds this register; the D x D tables below are smaller.
@@ -146,7 +167,7 @@ class ProtocolRunner:
         self._chvec = channel_state(channel).amplitudes
         self._finv = fourier(D).dagger().entries
         self._bits_base = 2 * ceil(log2(D))
-        self._filters = _stage_filters(channel, cfg, tie_tolerance)
+        self._filters = _stage_filters(channel, cfg, tie_tolerance, plan)
         # Uniforms one trial may consume: one per stage, then l and k.
         self.draws_per_trial = len(self._filters) + 2
         # Tables of the block kernel: the Schmidt weights padded to D,
@@ -422,6 +443,8 @@ def monte_carlo(
     seed: int,
     workers: int = 1,
     tie_tolerance: float = DEFAULT_TIE_TOL,
+    *,
+    plan: StagePlan | None = None,
 ) -> AggregateStats:
     """Sample ``trials`` protocol runs on fresh Haar inputs.
 
@@ -432,7 +455,7 @@ def monte_carlo(
     whole blocks, and aggregation folds them in block order.  One more
     trial, from a generator of its own, is replayed through
     ``ProtocolRunner.run_haar`` and ``run_block``; AssertionError if the
-    two disagree.
+    two disagree.  ``plan`` is handed to the ``ProtocolRunner``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -440,7 +463,7 @@ def monte_carlo(
         raise ValueError("seed must be a non-negative integer")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    runner = ProtocolRunner(channel, cfg, tie_tolerance)
+    runner = ProtocolRunner(channel, cfg, tie_tolerance, plan=plan)
     _replay_check(runner, seed)
 
     n_blocks = ceil(trials / block_size(channel.D))
@@ -487,6 +510,16 @@ def monte_carlo(
 # Exact branch enumeration
 
 
+def _gather(w: np.ndarray) -> tuple[np.ndarray, float]:
+    """diag[k, i, s] of one readout (see ``_branch_sums``) and its T."""
+    D = w.size
+    shifts = _correction_tables(D)[1]
+    k, i = np.ogrid[:D, :D]
+    diag = np.zeros((D, D, D), dtype=complex)
+    diag[k, i, shifts] = w[shifts]
+    return diag, float(np.vdot(diag, diag).real)
+
+
 def _branch_sums(w: np.ndarray, rotate: bool) -> tuple[float, float]:
     """(Q, T) of the D^2 branch operators C_lk R_lk of one readout.
 
@@ -500,13 +533,10 @@ def _branch_sums(w: np.ndarray, rotate: bool) -> tuple[float, float]:
     s = (i + k) mod D and 0 elsewhere; T is its squared norm, since C_lk
     and F^+ are unitary.
     """
-    D = w.size
-    phases, shifts = _correction_tables(D)
-    k, i = np.ogrid[:D, :D]
-    diag = np.zeros((D, D, D), dtype=complex)
-    diag[k, i, shifts] = w[shifts]
-    t = float(np.vdot(diag, diag).real)
+    diag, t = _gather(w)
     if rotate:
+        D = w.size
+        phases, shifts = _correction_tables(D)
         diag = np.tensordot(diag, fourier(D).dagger().entries, axes=([2], [1]))
         diag *= phases[shifts]
     traces = diag.sum(axis=1)
@@ -514,9 +544,10 @@ def _branch_sums(w: np.ndarray, rotate: bool) -> tuple[float, float]:
 
 
 def _branch_sets(
-    channel: SchmidtChannel, cfg: StrategyConfig, tie_tolerance: float
-) -> dict[str, tuple[float, float]]:
-    """All measurement branches of a strategy, as (Q, T) per branch set.
+    channel: SchmidtChannel, cfg: StrategyConfig, tie_tolerance: float, read=None,
+    *, plan: StagePlan | None = None,
+) -> dict[str, tuple[float | None, float]]:
+    """Measurement branches of a strategy, as (Q, T) per branch set.
 
     Everything before the measurements is linear in the input state, so
     feeding the D basis states through the pipeline and projecting on each
@@ -527,19 +558,30 @@ def _branch_sets(
     "deterministic", or "stage1".."stage{k_max}" plus the exhausted
     branches finished by the minimum-error readout ("exhausted-me") or
     read out directly ("exhausted-guess").
+
+    Q is computed only for the labels in ``read`` (every label if None).
+    Every other set but "exhausted-guess" is gathered for its T alone and
+    carries Q = None; "exhausted-guess" is left out unless read, as its T
+    is that of "exhausted-me".
     """
     D = channel.D
     check_allocation(f"the (D, D, D) branch enumeration at D={D}", 16 * D**3)
+    filters = _stage_filters(channel, cfg, tie_tolerance, plan)
     w = np.pad(channel.coeffs, (0, D - channel.N))
     if cfg.kind == KIND_DETERMINISTIC:
-        sets = {"deterministic": _branch_sums(w, rotate=True)}
+        inputs = [("deterministic", w, True)]
     else:
-        sets = {}
-        for k, (ks, kf) in enumerate(_stage_filters(channel, cfg, tie_tolerance), start=1):
-            sets[f"stage{k}"] = _branch_sums(w * ks, rotate=True)
+        inputs = []
+        for k, (ks, kf) in enumerate(filters, start=1):
+            inputs.append((f"stage{k}", w * ks, True))
             w = w * kf
-        sets["exhausted-me"] = _branch_sums(w, rotate=True)
-        sets["exhausted-guess"] = _branch_sums(w, rotate=False)
+        inputs += [("exhausted-me", w, True), ("exhausted-guess", w, False)]
+    sets = {}
+    for label, w_set, rotate in inputs:
+        if read is None or label in read:
+            sets[label] = _branch_sums(w_set, rotate)
+        elif label != "exhausted-guess":
+            sets[label] = (None, _gather(w_set)[1])
     total = sum(t for label, (_, t) in sets.items() if label != "exhausted-guess") / D
     if abs(total - 1.0) > 1e-10:
         raise AssertionError(f"branch probabilities sum to {total!r}, not 1")
@@ -552,6 +594,8 @@ def exact_average_fidelity(
     condition: str = "overall",
     stage: int | None = None,
     tie_tolerance: float = DEFAULT_TIE_TOL,
+    *,
+    plan: StagePlan | None = None,
 ) -> float:
     """Haar-averaged teleportation fidelity by exact branch enumeration.
 
@@ -565,11 +609,15 @@ def exact_average_fidelity(
       all ``k_max`` stages and was then finished with the minimum-error
       completion (whatever ``cfg.fallback`` says).
 
+    Every branch set's T is gathered for the probability-mass check, but
+    only the selected sets are rotated and traced.  ``plan``, if given, must be
+    ``build_stage_plan(channel, tie_tolerance)``; it is built otherwise.
+
     Raises ValueError when the condition has no probability mass for the
     channel, e.g. a stage beyond ``k_max`` or an inconclusive branch that
-    cannot occur.
+    cannot occur, or when ``plan`` was built for another channel or tie
+    tolerance.
     """
-    sets = _branch_sets(channel, cfg, tie_tolerance)
     if condition == "overall":
         if cfg.kind == KIND_DETERMINISTIC:
             chosen = ["deterministic"]
@@ -582,13 +630,14 @@ def exact_average_fidelity(
     elif condition == "conclusive-at-stage":
         if stage is None:
             raise ValueError("condition 'conclusive-at-stage' requires a stage")
-        if f"stage{stage}" not in sets:
-            raise ValueError(f"stage {stage} is outside the executed range")
         chosen = [f"stage{stage}"]
+        if chosen[0] not in [f"stage{k}" for k in range(1, cfg.k_max + 1)]:
+            raise ValueError(f"stage {stage} is outside the executed range")
     elif condition == "inconclusive-then-me":
         chosen = ["exhausted-me"]
     else:
         raise ValueError(f"unknown condition {condition!r}")
+    sets = _branch_sets(channel, cfg, tie_tolerance, chosen, plan=plan)
     q = sum(sets[label][0] for label in chosen)
     t = sum(sets[label][1] for label in chosen)
     if t / channel.D < MIN_BRANCH_MASS:
@@ -603,9 +652,15 @@ def exact_branch_probabilities(
     channel: SchmidtChannel,
     cfg: StrategyConfig,
     tie_tolerance: float = DEFAULT_TIE_TOL,
+    *,
+    plan: StagePlan | None = None,
 ) -> dict[str, float]:
-    """Haar-averaged probability of each branch bucket, from enumeration."""
-    sets = _branch_sets(channel, cfg, tie_tolerance)
+    """Haar-averaged probability of each branch bucket, from enumeration.
+
+    A probability is T/D, so no branch set is rotated.  ``plan`` is as in
+    ``exact_average_fidelity``.
+    """
+    sets = _branch_sets(channel, cfg, tie_tolerance, (), plan=plan)
     if cfg.kind == KIND_DETERMINISTIC:
         return {"deterministic": 1.0}
     out = {k: t / channel.D for k, (_, t) in sets.items() if k.startswith("stage")}

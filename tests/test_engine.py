@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import InlinePool, random_channel, tied_channels
 from mcteleport import (
+    DEFAULT_TIE_TOL,
     DenseOperator,
     QuditState,
     StrategyConfig,
@@ -343,6 +345,87 @@ def test_oracle_unreachable_conditions():
         )
     with pytest.raises(ValueError):
         exact_average_fidelity(EXAMPLE, cfg, "no-such-condition")
+
+
+OTHER = make_channel(4, np.sqrt([0.6, 0.3, 0.1]))
+SMC2 = StrategyConfig(kind="mc-smc", k_max=2, fallback="me")
+
+
+@pytest.mark.parametrize("call", [
+    lambda plan: ProtocolRunner(EXAMPLE, SMC2, plan=plan),
+    lambda plan: monte_carlo(EXAMPLE, SMC2, 1000, seed=0, plan=plan),
+    lambda plan: exact_average_fidelity(EXAMPLE, SMC2, plan=plan),
+    lambda plan: exact_branch_probabilities(EXAMPLE, SMC2, plan=plan),
+], ids=["ProtocolRunner", "monte_carlo", "exact_average_fidelity",
+        "exact_branch_probabilities"])
+@pytest.mark.parametrize("plan,message", [
+    (build_stage_plan(OTHER), "plan was built for a different channel object"),
+    (build_stage_plan(make_channel(4, np.sqrt([0.5, 0.3, 0.2]))),
+     "plan was built for a different channel object"),
+    (build_stage_plan(EXAMPLE, 1e-7), "plan was built at tie tolerance 1e-07, not 1e-09"),
+], ids=["other-coefficients", "equal-copy", "other-tie-tolerance"])
+def test_plan_for_another_channel_or_tolerance_is_rejected(call, plan, message):
+    # Sharing a plan must never pair one channel's filters with another's.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(plan)
+
+
+@pytest.mark.parametrize("plan", [None, build_stage_plan(EXAMPLE)], ids=["built", "shared"])
+@pytest.mark.parametrize("stage,message", [
+    (0, "stage 0 is outside the executed range"),
+    (3, "stage 3 is outside the executed range"),
+    (1.5, "stage 1.5 is outside the executed range"),
+    (None, "condition 'conclusive-at-stage' requires a stage"),
+], ids=["zero", "k_max-plus-one", "fractional", "missing"])
+def test_oracle_stage_checks_hold_with_a_shared_plan(plan, stage, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        exact_average_fidelity(EXAMPLE, SMC2, "conclusive-at-stage", stage=stage, plan=plan)
+
+
+def _oracle_from_full_sets(ch, cfg, condition, stage=None):
+    """``exact_average_fidelity`` read from a full ``_branch_sets``, every Q computed."""
+    sets = engine._branch_sets(ch, cfg, DEFAULT_TIE_TOL)
+    if condition == "overall":
+        chosen = (["deterministic"] if cfg.kind == "deterministic-me"
+                  else [f"stage{k}" for k in range(1, cfg.k_max + 1)]
+                  + ([f"exhausted-{cfg.fallback}"] if cfg.fallback != "discard" else []))
+    else:
+        chosen = [f"stage{stage}" if stage else "exhausted-me"]
+    q = sum(sets[label][0] for label in chosen)
+    t = sum(sets[label][1] for label in chosen)
+    if t / ch.D < engine.MIN_BRANCH_MASS:
+        return None
+    return (q + t) / ((ch.D + 1) * t)
+
+
+@settings(max_examples=100)
+@given(tied_channels())
+def test_oracle_reads_equal_the_full_branch_sets_bit_for_bit(ch):
+    M = multiplicity_profile(ch).M if ch.N > 1 else 0
+    plan = build_stage_plan(ch) if M else None
+    cfgs = [DET] + [StrategyConfig(kind="mc-smc", k_max=k, fallback=fb)
+                    for k in range(1, M + 1) for fb in ("me", "guess", "discard")]
+    for cfg in cfgs:
+        conditions = [("overall", None)]
+        if cfg.kind == "mc-smc":
+            conditions += [("conclusive-at-stage", k) for k in range(1, cfg.k_max + 1)]
+            conditions.append(("inconclusive-then-me", None))
+        for condition, stage in conditions:
+            want = _oracle_from_full_sets(ch, cfg, condition, stage)
+            for shared in (None, plan):
+                if want is None:
+                    with pytest.raises(ValueError, match="~zero probability"):
+                        exact_average_fidelity(ch, cfg, condition, stage, plan=shared)
+                else:
+                    assert exact_average_fidelity(ch, cfg, condition, stage,
+                                                  plan=shared) == want
+        sets = engine._branch_sets(ch, cfg, DEFAULT_TIE_TOL)
+        want = ({"deterministic": 1.0} if cfg.kind == "deterministic-me" else
+                {**{label: t / ch.D for label, (_, t) in sets.items()
+                    if label.startswith("stage")},
+                 "exhausted": sets["exhausted-me"][1] / ch.D})
+        for shared in (None, plan):
+            assert exact_branch_probabilities(ch, cfg, plan=shared) == want
 
 
 def test_strategy_config_validation():
