@@ -30,9 +30,10 @@ MAX_TIE_TOL = 1e-6
 NORMALIZATION_SLACK = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtChannel:
-    """Pure two-qudit channel of local dimension D with rank-N coefficients."""
+    """Pure two-qudit channel of local dimension D with rank-N coefficients
+    (read-only); compared and hashed by identity, so it can key a cache."""
 
     D: int
     coeffs: np.ndarray

@@ -504,12 +504,9 @@ def _verify_rows(channel, cfg, trials, seed, workers, tie_tol):
     ``samples`` is the number of fidelities behind a fidelity row and None
     on probability rows, whose stderr is the binomial sqrt(p(1 - p)/trials)
     of the analytic p, so a bucket that happens to see no hits keeps a
-    band of its expected width.  The sampler and the oracle share one stage
-    plan."""
-    plan = build_stage_plan(channel, tie_tol)
-    stats = monte_carlo(channel, cfg, trials, seed, workers=workers,
-                        tie_tolerance=tie_tol, plan=plan)
-    masses = exact_branch_probabilities(channel, cfg, tie_tol, plan=plan)
+    band of its expected width."""
+    stats = monte_carlo(channel, cfg, trials, seed, workers=workers, tie_tolerance=tie_tol)
+    masses = exact_branch_probabilities(channel, cfg, tie_tol)
 
     def binomial_err(p):
         return sqrt(max(p * (1.0 - p), 0.0) / trials)
@@ -518,7 +515,7 @@ def _verify_rows(channel, cfg, trials, seed, workers, tie_tol):
     for k in range(1, cfg.k_max + 1):
         analytic_f = f_mc_conclusive(channel, k, tie_tol)
         oracle_f = exact_average_fidelity(channel, cfg, "conclusive-at-stage",
-                                          stage=k, tie_tolerance=tie_tol, plan=plan)
+                                          stage=k, tie_tolerance=tie_tol)
         rows.append((f"F_mc_s{k}", analytic_f, oracle_f, stats.stage_mean_fidelity(k),
                      stats.stage_stderr_fidelity(k), stats.stage_count(k)))
         p_analytic = float(stage_probabilities(channel, k, tie_tol)[0][-1])
@@ -534,7 +531,7 @@ def _verify_rows(channel, cfg, trials, seed, workers, tie_tol):
     rows.append((
         label,
         overall_fidelity(channel, cfg, tie_tol),
-        exact_average_fidelity(channel, cfg, "overall", tie_tolerance=tie_tol, plan=plan),
+        exact_average_fidelity(channel, cfg, "overall", tie_tolerance=tie_tol),
         stats.overall_mean_fidelity,
         stats.overall_stderr_fidelity,
         delivered,
@@ -553,9 +550,9 @@ def cmd_verify(args) -> int:
     fallback = args.fallback if args.fallback is not None else "me"
     workers = args.workers if args.workers is not None else 1
     cfg = StrategyConfig(kind=KIND_SMC, k_max=k_max, fallback=fallback)
-    # The stage plan, built first, rejects rank-1 channels, and the runner
-    # that monte_carlo builds next an excess k_max, before any trial is
-    # sampled.
+    # monte_carlo's runner takes the stage plan first, so rank-1 channels and
+    # an excess k_max are rejected before any trial is sampled; the oracle
+    # calls after it reuse the cached plan.
     rows = _verify_rows(ch, cfg, trials, seed, workers, tie)
     if args.self_test_corrupt:
         name, analytic, *rest = rows[0]

@@ -14,7 +14,8 @@ Three strategies over the family Z^l sum_k a_k |k> (l = 0..D-1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,7 +74,6 @@ class MeMeasurement:
 
     dim: int
     prerotation: DenseOperator
-    followed_by: str = "computational"
 
     def outcome_distribution(self, state: QuditState) -> np.ndarray:
         if state.dims != (self.dim,):
@@ -112,7 +112,8 @@ class McStage:
     the excess.  Indices outside the current support get 0 in ``K_s`` and
     1 in ``K_f`` so the pair is complete on the whole space.  A
     ``terminal`` stage has all input coefficients equal: it cannot fail
-    and ends the chain.
+    and ends the chain.  Every array is read-only; a stage's
+    ``failure_coeffs`` is the next stage's ``input_coeffs``.
     """
 
     stage_index: int
@@ -127,14 +128,10 @@ class McStage:
 
 @dataclass(frozen=True)
 class StagePlan:
-    """The full filtering cascade a channel admits, plus usefulness flags,
-    with coefficients grouped at ``tie_tolerance``."""
+    """The full filtering cascade a channel admits, plus usefulness flags."""
 
-    channel: SchmidtChannel
-    profile: MultiplicityProfile
     stages: tuple[McStage, ...]
     useful_flags: tuple[bool, ...]
-    tie_tolerance: float
 
     @property
     def M(self) -> int:
@@ -183,11 +180,11 @@ def _filter_stage(k: int, input_coeffs, family: np.ndarray, D: int, terminal: bo
     K_f[:n] = np.sqrt(np.maximum(0.0, 1.0 - ratios**2))
     if np.max(np.abs(K_s**2 + K_f**2 - 1.0)) > KRAUS_ATOL:
         raise ValueError("generated Kraus pair violates completeness")
-    K_s.setflags(write=False)
-    K_f.setflags(write=False)
+    success = np.full(n, 1.0 / np.sqrt(n))
+    for arr in (input_coeffs, K_s, K_f, success, failure):
+        arr.setflags(write=False)
     p_fail = 0.0 if terminal else float(1.0 - n * family[-1] ** 2)
-    return McStage(k, input_coeffs, K_s, K_f, p_fail, np.full(n, 1.0 / np.sqrt(n)),
-                   failure, terminal)
+    return McStage(k, input_coeffs, K_s, K_f, p_fail, success, failure, terminal)
 
 
 def mc_stage(
@@ -219,10 +216,14 @@ def confidence_at_stage(profile: MultiplicityProfile, D: int, k: int) -> float:
     return profile.support_size(k) / D
 
 
+@lru_cache(maxsize=1)
 def build_stage_plan(
     ch: SchmidtChannel, tie_tolerance: float = DEFAULT_TIE_TOL
 ) -> StagePlan:
     """Every filtering stage the channel admits, from one grouping.
+
+    The last plan built is cached (its arrays are read-only), so the sampler
+    and the oracle calls of one ``verify`` share one build; errors are not.
 
     The family entering stage k is sqrt(a_m^2 - v^2), normalized, over the
     ``support_size(k)`` largest snapped coefficients, v being the largest
@@ -247,4 +248,4 @@ def build_stage_plan(
         for k in range(1, M + 1)
     )
     useful = tuple(bool(u) for u in profile.support[:M] - sum_a**2 > USEFUL_MARGIN)
-    return StagePlan(ch, profile, stages, useful, tie_tolerance)
+    return StagePlan(stages, useful)

@@ -24,10 +24,9 @@ oracle call gathers every branch set's D^3 entries for its T, which the
 probability-mass check needs, and computes Q (the Fourier rotation and
 trace sum) only for the sets it reads.
 
-``ProtocolRunner``, ``monte_carlo`` and both ``exact_*`` functions take
-an optional ``plan``, the channel's ``build_stage_plan`` at the same tie
-tolerance, so one plan can serve the sampler and the oracle alike;
-without it each builds its own.
+The sampler and the oracle both take their stage operators from
+``build_stage_plan``, which caches the last plan it built, so one plan
+serves every call on the same channel and tie tolerance.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .channels import DEFAULT_TIE_TOL, SchmidtChannel, channel_state, make_chann
 from .discrimination import (
     KIND_DETERMINISTIC,
     KIND_SMC,
-    StagePlan,
     StrategyConfig,
     build_stage_plan,
 )
@@ -113,21 +111,13 @@ def _correction_tables(D: int) -> tuple[np.ndarray, np.ndarray]:
     return phases, shifts
 
 
-def _stage_filters(channel: SchmidtChannel, cfg: StrategyConfig, tie_tolerance: float,
-                   plan: StagePlan | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+def _stage_filters(channel: SchmidtChannel, cfg: StrategyConfig,
+                   tie_tolerance: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """(K_s, K_f) diagonals of the first ``cfg.k_max`` filtering stages (none
-    for the deterministic strategy); ValueError if there are fewer, or if
-    ``plan`` was built for another channel or tie tolerance.  ``plan`` is
-    built here when None."""
-    if plan is not None and plan.channel is not channel:
-        raise ValueError("plan was built for a different channel object")
-    if plan is not None and plan.tie_tolerance != tie_tolerance:
-        raise ValueError(f"plan was built at tie tolerance {plan.tie_tolerance!r}, "
-                         f"not {tie_tolerance!r}")
+    for the deterministic strategy); ValueError if there are fewer."""
     if cfg.kind != KIND_SMC:
         return []
-    if plan is None:
-        plan = build_stage_plan(channel, tie_tolerance)
+    plan = build_stage_plan(channel, tie_tolerance)
     if cfg.k_max > plan.M:
         raise ValueError(f"k_max={cfg.k_max} exceeds the {plan.M} stage(s) this channel admits")
     return [(s.K_s, s.K_f) for s in plan.stages[: cfg.k_max]]
@@ -147,8 +137,6 @@ class ProtocolRunner:
     exactly the same order and with the same Born weights as the public
     register operations, so a run is reproducible either way.
     ``run_block`` is the same process for a block of trials at once.
-    ``plan``, if given, must be ``build_stage_plan(channel, tie_tolerance)``;
-    it is built otherwise.
     """
 
     def __init__(
@@ -156,18 +144,15 @@ class ProtocolRunner:
         channel: SchmidtChannel,
         cfg: StrategyConfig,
         tie_tolerance: float = DEFAULT_TIE_TOL,
-        *,
-        plan: StagePlan | None = None,
     ):
         self.D = D = channel.D
         # ``run`` builds this register; the D x D tables below are smaller.
         check_allocation(f"the (D, D, D) protocol register at D={D}", 16 * D**3)
-        self.channel = channel
         self.cfg = cfg
         self._chvec = channel_state(channel).amplitudes
         self._finv = fourier(D).dagger().entries
         self._bits_base = 2 * ceil(log2(D))
-        self._filters = _stage_filters(channel, cfg, tie_tolerance, plan)
+        self._filters = _stage_filters(channel, cfg, tie_tolerance)
         # Uniforms one trial may consume: one per stage, then l and k.
         self.draws_per_trial = len(self._filters) + 2
         # Tables of the block kernel: the Schmidt weights padded to D,
@@ -443,8 +428,6 @@ def monte_carlo(
     seed: int,
     workers: int = 1,
     tie_tolerance: float = DEFAULT_TIE_TOL,
-    *,
-    plan: StagePlan | None = None,
 ) -> AggregateStats:
     """Sample ``trials`` protocol runs on fresh Haar inputs.
 
@@ -455,7 +438,7 @@ def monte_carlo(
     whole blocks, and aggregation folds them in block order.  One more
     trial, from a generator of its own, is replayed through
     ``ProtocolRunner.run_haar`` and ``run_block``; AssertionError if the
-    two disagree.  ``plan`` is handed to the ``ProtocolRunner``.
+    two disagree.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -463,7 +446,7 @@ def monte_carlo(
         raise ValueError("seed must be a non-negative integer")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    runner = ProtocolRunner(channel, cfg, tie_tolerance, plan=plan)
+    runner = ProtocolRunner(channel, cfg, tie_tolerance)
     _replay_check(runner, seed)
 
     n_blocks = ceil(trials / block_size(channel.D))
@@ -545,7 +528,6 @@ def _branch_sums(w: np.ndarray, rotate: bool) -> tuple[float, float]:
 
 def _branch_sets(
     channel: SchmidtChannel, cfg: StrategyConfig, tie_tolerance: float, read=None,
-    *, plan: StagePlan | None = None,
 ) -> dict[str, tuple[float | None, float]]:
     """Measurement branches of a strategy, as (Q, T) per branch set.
 
@@ -566,7 +548,7 @@ def _branch_sets(
     """
     D = channel.D
     check_allocation(f"the (D, D, D) branch enumeration at D={D}", 16 * D**3)
-    filters = _stage_filters(channel, cfg, tie_tolerance, plan)
+    filters = _stage_filters(channel, cfg, tie_tolerance)
     w = np.pad(channel.coeffs, (0, D - channel.N))
     if cfg.kind == KIND_DETERMINISTIC:
         inputs = [("deterministic", w, True)]
@@ -594,8 +576,6 @@ def exact_average_fidelity(
     condition: str = "overall",
     stage: int | None = None,
     tie_tolerance: float = DEFAULT_TIE_TOL,
-    *,
-    plan: StagePlan | None = None,
 ) -> float:
     """Haar-averaged teleportation fidelity by exact branch enumeration.
 
@@ -610,13 +590,11 @@ def exact_average_fidelity(
       completion (whatever ``cfg.fallback`` says).
 
     Every branch set's T is gathered for the probability-mass check, but
-    only the selected sets are rotated and traced.  ``plan``, if given, must be
-    ``build_stage_plan(channel, tie_tolerance)``; it is built otherwise.
+    only the selected sets are rotated and traced.
 
     Raises ValueError when the condition has no probability mass for the
     channel, e.g. a stage beyond ``k_max`` or an inconclusive branch that
-    cannot occur, or when ``plan`` was built for another channel or tie
-    tolerance.
+    cannot occur.
     """
     if condition == "overall":
         if cfg.kind == KIND_DETERMINISTIC:
@@ -637,7 +615,7 @@ def exact_average_fidelity(
         chosen = ["exhausted-me"]
     else:
         raise ValueError(f"unknown condition {condition!r}")
-    sets = _branch_sets(channel, cfg, tie_tolerance, chosen, plan=plan)
+    sets = _branch_sets(channel, cfg, tie_tolerance, chosen)
     q = sum(sets[label][0] for label in chosen)
     t = sum(sets[label][1] for label in chosen)
     if t / channel.D < MIN_BRANCH_MASS:
@@ -652,15 +630,12 @@ def exact_branch_probabilities(
     channel: SchmidtChannel,
     cfg: StrategyConfig,
     tie_tolerance: float = DEFAULT_TIE_TOL,
-    *,
-    plan: StagePlan | None = None,
 ) -> dict[str, float]:
     """Haar-averaged probability of each branch bucket, from enumeration.
 
-    A probability is T/D, so no branch set is rotated.  ``plan`` is as in
-    ``exact_average_fidelity``.
+    A probability is T/D, so no branch set is rotated.
     """
-    sets = _branch_sets(channel, cfg, tie_tolerance, (), plan=plan)
+    sets = _branch_sets(channel, cfg, tie_tolerance, ())
     if cfg.kind == KIND_DETERMINISTIC:
         return {"deterministic": 1.0}
     out = {k: t / channel.D for k, (_, t) in sets.items() if k.startswith("stage")}

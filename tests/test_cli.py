@@ -547,31 +547,25 @@ def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path, capsys, monke
 
 
 def test_verify_builds_one_plan_and_rotates_only_the_sets_it_reads(capsys, monkeypatch):
-    # One plan for the sampler and the oracle, under either module's name,
-    # and Q computed only where a row reads it: k_max conclusive-stage
-    # rows, then the k_max + 1 sets of the overall row; the probabilities
-    # read T alone.
-    from mcteleport import cli, engine
+    # One plan build for the sampler and the oracle, and Q computed only
+    # where a row reads it: k_max conclusive-stage rows, then the k_max + 1
+    # sets of the overall row; the probabilities read T alone.
+    from mcteleport import engine
 
-    plans, rotated = [], []
-    build, sums = engine.build_stage_plan, engine._branch_sums
-
-    def counted_build(*args, **kwargs):
-        plans.append(args)
-        return build(*args, **kwargs)
+    rotated = []
+    sums = engine._branch_sums
 
     def counted_sums(w, rotate):
         rotated.append(rotate)
         return sums(w, rotate)
 
-    for module in (cli, engine):
-        monkeypatch.setattr(module, "build_stage_plan", counted_build)
     monkeypatch.setattr(engine, "_branch_sums", counted_sums)
+    builds = engine.build_stage_plan.cache_info().misses
     k_max = 3
     code, out, _ = run_cli(capsys, "verify", "--D", "5", "--coeffs", "0.4,0.3,0.2,0.1",
                            "--squared", "--trials", "1000", "--k-max", str(k_max),
                            "--fallback", "me")
     assert code == 0 and "verdict: PASS" in out
-    assert len(plans) == 1
+    assert engine.build_stage_plan.cache_info().misses - builds == 1
     assert rotated.count(True) == 2 * k_max + 1
     assert rotated.count(False) == 0

@@ -326,3 +326,42 @@ def test_build_stage_plan_groups_the_coefficients_once(monkeypatch):
     plan = build_stage_plan(make_channel(32, np.sqrt(weights / weights.sum())))
     assert plan.M == 31
     assert len(calls) == 1
+
+
+STAGE_ARRAYS = ("input_coeffs", "K_s", "K_f", "success_coeffs", "failure_coeffs")
+
+
+def test_stage_arrays_are_read_only():
+    # A cached plan is shared by every later caller, and stage k's
+    # failure_coeffs is stage k + 1's input_coeffs: no write may reach them.
+    stages = [
+        *build_stage_plan(make_channel(4, np.sqrt([0.5, 0.3, 0.2]))).stages,
+        *build_stage_plan(make_channel(3, np.full(3, 1 / np.sqrt(3)))).stages,
+        mc_stage(np.sqrt([0.5, 0.3, 0.2]), 4),
+    ]
+    for stage in stages:
+        for name in STAGE_ARRAYS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(stage, name)[...] = 9.0
+
+
+def test_cached_plan_is_only_reused_for_its_channel_and_tie_tolerance():
+    a = make_channel(4, np.sqrt([0.5, 0.3, 0.2]))
+    b = make_channel(4, np.sqrt([0.6, 0.3, 0.1]))
+    # Two amplitudes 5e-8 apart: distinct at tie tolerance 1e-9, one group at 1e-7.
+    c = make_channel(4, np.array([0.8, 0.4 + 5e-8, 0.4]) / np.linalg.norm([0.8, 0.4, 0.4]))
+    rank1 = make_channel(4, [1.0])
+    uncached = build_stage_plan.__wrapped__
+    assert (uncached(c, 1e-9).M, uncached(c, 1e-7).M) == (2, 1)
+    assert a == a and a != make_channel(4, a.coeffs)
+    for ch, tie in [(a, 1e-9), (b, 1e-9), (a, 1e-9), (b, 1e-9),
+                    (c, 1e-9), (c, 1e-7), (c, 1e-9), (c, 1e-9)]:
+        got, want = build_stage_plan(ch, tie), uncached(ch, tie)
+        assert (got.M, got.useful_flags) == (want.M, want.useful_flags)
+        for g, w in zip(got.stages, want.stages):
+            assert (g.stage_index, g.p_fail, g.terminal) == (w.stage_index, w.p_fail, w.terminal)
+            for name in STAGE_ARRAYS:
+                np.testing.assert_array_equal(getattr(g, name), getattr(w, name))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="rank-1"):
+                build_stage_plan(rank1, tie)

@@ -347,39 +347,25 @@ def test_oracle_unreachable_conditions():
         exact_average_fidelity(EXAMPLE, cfg, "no-such-condition")
 
 
-OTHER = make_channel(4, np.sqrt([0.6, 0.3, 0.1]))
 SMC2 = StrategyConfig(kind="mc-smc", k_max=2, fallback="me")
 
 
-@pytest.mark.parametrize("call", [
-    lambda plan: ProtocolRunner(EXAMPLE, SMC2, plan=plan),
-    lambda plan: monte_carlo(EXAMPLE, SMC2, 1000, seed=0, plan=plan),
-    lambda plan: exact_average_fidelity(EXAMPLE, SMC2, plan=plan),
-    lambda plan: exact_branch_probabilities(EXAMPLE, SMC2, plan=plan),
-], ids=["ProtocolRunner", "monte_carlo", "exact_average_fidelity",
-        "exact_branch_probabilities"])
-@pytest.mark.parametrize("plan,message", [
-    (build_stage_plan(OTHER), "plan was built for a different channel object"),
-    (build_stage_plan(make_channel(4, np.sqrt([0.5, 0.3, 0.2]))),
-     "plan was built for a different channel object"),
-    (build_stage_plan(EXAMPLE, 1e-7), "plan was built at tie tolerance 1e-07, not 1e-09"),
-], ids=["other-coefficients", "equal-copy", "other-tie-tolerance"])
-def test_plan_for_another_channel_or_tolerance_is_rejected(call, plan, message):
-    # Sharing a plan must never pair one channel's filters with another's.
-    with pytest.raises(ValueError, match=re.escape(message)):
-        call(plan)
-
-
-@pytest.mark.parametrize("plan", [None, build_stage_plan(EXAMPLE)], ids=["built", "shared"])
+@pytest.mark.parametrize("cached", [False, True], ids=["built", "cached"])
 @pytest.mark.parametrize("stage,message", [
     (0, "stage 0 is outside the executed range"),
     (3, "stage 3 is outside the executed range"),
     (1.5, "stage 1.5 is outside the executed range"),
     (None, "condition 'conclusive-at-stage' requires a stage"),
 ], ids=["zero", "k_max-plus-one", "fractional", "missing"])
-def test_oracle_stage_checks_hold_with_a_shared_plan(plan, stage, message):
+def test_oracle_stage_checks_hold_with_a_shared_plan(cached, stage, message):
+    # The stage is checked before any plan is built, with the channel's
+    # plan in the cache or not.
+    build_stage_plan.cache_clear()
+    if cached:
+        build_stage_plan(EXAMPLE, DEFAULT_TIE_TOL)
     with pytest.raises(ValueError, match=re.escape(message)):
-        exact_average_fidelity(EXAMPLE, SMC2, "conclusive-at-stage", stage=stage, plan=plan)
+        exact_average_fidelity(EXAMPLE, SMC2, "conclusive-at-stage", stage=stage)
+    assert build_stage_plan.cache_info().misses == int(cached)
 
 
 def _oracle_from_full_sets(ch, cfg, condition, stage=None):
@@ -402,7 +388,6 @@ def _oracle_from_full_sets(ch, cfg, condition, stage=None):
 @given(tied_channels())
 def test_oracle_reads_equal_the_full_branch_sets_bit_for_bit(ch):
     M = multiplicity_profile(ch).M if ch.N > 1 else 0
-    plan = build_stage_plan(ch) if M else None
     cfgs = [DET] + [StrategyConfig(kind="mc-smc", k_max=k, fallback=fb)
                     for k in range(1, M + 1) for fb in ("me", "guess", "discard")]
     for cfg in cfgs:
@@ -412,20 +397,17 @@ def test_oracle_reads_equal_the_full_branch_sets_bit_for_bit(ch):
             conditions.append(("inconclusive-then-me", None))
         for condition, stage in conditions:
             want = _oracle_from_full_sets(ch, cfg, condition, stage)
-            for shared in (None, plan):
-                if want is None:
-                    with pytest.raises(ValueError, match="~zero probability"):
-                        exact_average_fidelity(ch, cfg, condition, stage, plan=shared)
-                else:
-                    assert exact_average_fidelity(ch, cfg, condition, stage,
-                                                  plan=shared) == want
+            if want is None:
+                with pytest.raises(ValueError, match="~zero probability"):
+                    exact_average_fidelity(ch, cfg, condition, stage)
+            else:
+                assert exact_average_fidelity(ch, cfg, condition, stage) == want
         sets = engine._branch_sets(ch, cfg, DEFAULT_TIE_TOL)
         want = ({"deterministic": 1.0} if cfg.kind == "deterministic-me" else
                 {**{label: t / ch.D for label, (_, t) in sets.items()
                     if label.startswith("stage")},
                  "exhausted": sets["exhausted-me"][1] / ch.D})
-        for shared in (None, plan):
-            assert exact_branch_probabilities(ch, cfg, plan=shared) == want
+        assert exact_branch_probabilities(ch, cfg) == want
 
 
 def test_strategy_config_validation():
