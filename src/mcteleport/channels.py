@@ -29,6 +29,11 @@ MAX_TIE_TOL = 1e-6
 # silently renormalized; larger deviations are rejected as data errors.
 NORMALIZATION_SLACK = 1e-6
 
+# Every probability and weight is built from squared coefficients, and a
+# square below the smallest normal float (a coefficient below ~1.5e-154)
+# loses its digits or rounds to 0, so such coefficients are rejected.
+MIN_SQUARED_COEFF = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True, eq=False)
 class SchmidtChannel:
@@ -91,6 +96,13 @@ def _validated_coeffs(coeffs, D: int) -> np.ndarray:
         raise ValueError(f"coefficients must be finite, got {arr.tolist()}")
     if np.any(arr <= 0):
         raise ValueError(f"coefficients must be strictly positive, got {arr.tolist()}")
+    small = arr[arr**2 < MIN_SQUARED_COEFF]
+    if small.size:
+        c = float(small[0])
+        raise ValueError(
+            f"coefficient {c!r} is too small: its square {c * c!r} is below "
+            f"the smallest normal float {MIN_SQUARED_COEFF!r}"
+        )
     total = float(np.sum(arr**2))
     if abs(total - 1.0) > NORMALIZATION_SLACK:
         raise ValueError(

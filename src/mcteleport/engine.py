@@ -19,10 +19,9 @@ sums, per branch set, the squared traces Q and the squared norms T of
 those operators; the Haar-averaged fidelity is (Q + T) / ((D + 1) T).  It
 involves no sampling and serves as the oracle the sampled statistics are
 checked against.  It starts from the D filtered Schmidt weights, since
-the register after the controlled shift vanishes unless b = m.  Each
-oracle call gathers every branch set's D^3 entries for its T, which the
-probability-mass check needs, and computes Q (the Fourier rotation and
-trace sum) only for the sets it reads.
+the register after the controlled shift vanishes unless b = m.  Its one
+enumeration, ``_branch_sets``, is cached, so every oracle row reads the
+same (Q, T) sets.
 
 The sampler and the oracle both take their stage operators from
 ``build_stage_plan``, which caches the last plan it built, so one plan
@@ -36,6 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import ceil, log2
+from types import MappingProxyType
 
 import numpy as np
 
@@ -493,16 +493,6 @@ def monte_carlo(
 # Exact branch enumeration
 
 
-def _gather(w: np.ndarray) -> tuple[np.ndarray, float]:
-    """diag[k, i, s] of one readout (see ``_branch_sums``) and its T."""
-    D = w.size
-    shifts = _correction_tables(D)[1]
-    k, i = np.ogrid[:D, :D]
-    diag = np.zeros((D, D, D), dtype=complex)
-    diag[k, i, shifts] = w[shifts]
-    return diag, float(np.vdot(diag, diag).real)
-
-
 def _branch_sums(w: np.ndarray, rotate: bool) -> tuple[float, float]:
     """(Q, T) of the D^2 branch operators C_lk R_lk of one readout.
 
@@ -516,19 +506,23 @@ def _branch_sums(w: np.ndarray, rotate: bool) -> tuple[float, float]:
     s = (i + k) mod D and 0 elsewhere; T is its squared norm, since C_lk
     and F^+ are unitary.
     """
-    diag, t = _gather(w)
+    D = w.size
+    phases, shifts = _correction_tables(D)
+    k, i = np.ogrid[:D, :D]
+    diag = np.zeros((D, D, D), dtype=complex)
+    diag[k, i, shifts] = w[shifts]
+    t = float(np.vdot(diag, diag).real)
     if rotate:
-        D = w.size
-        phases, shifts = _correction_tables(D)
         diag = np.tensordot(diag, fourier(D).dagger().entries, axes=([2], [1]))
         diag *= phases[shifts]
     traces = diag.sum(axis=1)
     return float(np.vdot(traces, traces).real), t
 
 
+@lru_cache(maxsize=1)
 def _branch_sets(
-    channel: SchmidtChannel, cfg: StrategyConfig, tie_tolerance: float, read=None,
-) -> dict[str, tuple[float | None, float]]:
+    channel: SchmidtChannel, cfg: StrategyConfig, tie_tolerance: float,
+) -> MappingProxyType[str, tuple[float, float]]:
     """Measurement branches of a strategy, as (Q, T) per branch set.
 
     Everything before the measurements is linear in the input state, so
@@ -541,33 +535,25 @@ def _branch_sets(
     branches finished by the minimum-error readout ("exhausted-me") or
     read out directly ("exhausted-guess").
 
-    Q is computed only for the labels in ``read`` (every label if None).
-    Every other set but "exhausted-guess" is gathered for its T alone and
-    carries Q = None; "exhausted-guess" is left out unless read, as its T
-    is that of "exhausted-me".
+    The last result is cached by (channel identity, strategy, tie
+    tolerance) and returned read-only; errors are not cached.
     """
     D = channel.D
     check_allocation(f"the (D, D, D) branch enumeration at D={D}", 16 * D**3)
-    filters = _stage_filters(channel, cfg, tie_tolerance)
     w = np.pad(channel.coeffs, (0, D - channel.N))
-    if cfg.kind == KIND_DETERMINISTIC:
-        inputs = [("deterministic", w, True)]
-    else:
-        inputs = []
-        for k, (ks, kf) in enumerate(filters, start=1):
-            inputs.append((f"stage{k}", w * ks, True))
-            w = w * kf
-        inputs += [("exhausted-me", w, True), ("exhausted-guess", w, False)]
     sets = {}
-    for label, w_set, rotate in inputs:
-        if read is None or label in read:
-            sets[label] = _branch_sums(w_set, rotate)
-        elif label != "exhausted-guess":
-            sets[label] = (None, _gather(w_set)[1])
+    for k, (ks, kf) in enumerate(_stage_filters(channel, cfg, tie_tolerance), start=1):
+        sets[f"stage{k}"] = _branch_sums(w * ks, True)
+        w = w * kf
+    if cfg.kind == KIND_DETERMINISTIC:
+        sets["deterministic"] = _branch_sums(w, True)
+    else:
+        sets["exhausted-me"] = _branch_sums(w, True)
+        sets["exhausted-guess"] = _branch_sums(w, False)
     total = sum(t for label, (_, t) in sets.items() if label != "exhausted-guess") / D
     if abs(total - 1.0) > 1e-10:
         raise AssertionError(f"branch probabilities sum to {total!r}, not 1")
-    return sets
+    return MappingProxyType(sets)
 
 
 def exact_average_fidelity(
@@ -589,8 +575,7 @@ def exact_average_fidelity(
       all ``k_max`` stages and was then finished with the minimum-error
       completion (whatever ``cfg.fallback`` says).
 
-    Every branch set's T is gathered for the probability-mass check, but
-    only the selected sets are rotated and traced.
+    Every condition reads the one cached ``_branch_sets`` enumeration.
 
     Raises ValueError when the condition has no probability mass for the
     channel, e.g. a stage beyond ``k_max`` or an inconclusive branch that
@@ -615,7 +600,7 @@ def exact_average_fidelity(
         chosen = ["exhausted-me"]
     else:
         raise ValueError(f"unknown condition {condition!r}")
-    sets = _branch_sets(channel, cfg, tie_tolerance, chosen)
+    sets = _branch_sets(channel, cfg, tie_tolerance)
     q = sum(sets[label][0] for label in chosen)
     t = sum(sets[label][1] for label in chosen)
     if t / channel.D < MIN_BRANCH_MASS:
@@ -633,9 +618,9 @@ def exact_branch_probabilities(
 ) -> dict[str, float]:
     """Haar-averaged probability of each branch bucket, from enumeration.
 
-    A probability is T/D, so no branch set is rotated.
+    A probability is T/D of a set of the cached ``_branch_sets``.
     """
-    sets = _branch_sets(channel, cfg, tie_tolerance, ())
+    sets = _branch_sets(channel, cfg, tie_tolerance)
     if cfg.kind == KIND_DETERMINISTIC:
         return {"deterministic": 1.0}
     out = {k: t / channel.D for k, (_, t) in sets.items() if k.startswith("stage")}

@@ -546,10 +546,10 @@ def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path, capsys, monke
         cli._parser.cache_clear()
 
 
-def test_verify_builds_one_plan_and_rotates_only_the_sets_it_reads(capsys, monkeypatch):
-    # One plan build for the sampler and the oracle, and Q computed only
-    # where a row reads it: k_max conclusive-stage rows, then the k_max + 1
-    # sets of the overall row; the probabilities read T alone.
+def test_verify_builds_one_plan_and_one_branch_enumeration(capsys, monkeypatch):
+    # One plan build for the sampler and the oracle, and one branch
+    # enumeration that every oracle row reads: k_max rotated conclusive
+    # stages, the rotated exhausted-me set and the unrotated exhausted-guess.
     from mcteleport import engine
 
     rotated = []
@@ -561,11 +561,32 @@ def test_verify_builds_one_plan_and_rotates_only_the_sets_it_reads(capsys, monke
 
     monkeypatch.setattr(engine, "_branch_sums", counted_sums)
     builds = engine.build_stage_plan.cache_info().misses
+    enumerations = engine._branch_sets.cache_info().misses
     k_max = 3
     code, out, _ = run_cli(capsys, "verify", "--D", "5", "--coeffs", "0.4,0.3,0.2,0.1",
                            "--squared", "--trials", "1000", "--k-max", str(k_max),
                            "--fallback", "me")
     assert code == 0 and "verdict: PASS" in out
     assert engine.build_stage_plan.cache_info().misses - builds == 1
-    assert rotated.count(True) == 2 * k_max + 1
-    assert rotated.count(False) == 0
+    assert engine._branch_sets.cache_info().misses - enumerations == 1
+    assert rotated == [True] * (k_max + 1) + [False]
+
+
+@pytest.mark.parametrize("argv, coefficient", [
+    (["plan", "--D", "4", "--coeffs", "1,1e-200"], "1e-200"),
+    (["verify", "--D", "4", "--coeffs", "1,1e-200", "--trials", "1000"], "1e-200"),
+    (["report", "--D", "4", "--coeffs", "1,1e-163"], "1e-163"),
+    (["report", "--D", "4", "--coeffs", "1,1e-160"], "1e-160"),
+    (["plan", "--D", "4", "--coeffs", "1,1e-320", "--squared"], "9.99994433575849e-161"),
+], ids=["plan", "verify", "report-zero-square", "report-subnormal-square", "squared"])
+def test_coefficient_whose_square_underflows_is_a_usage_error(capsys, argv, coefficient):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: coefficient {coefficient} is too small: its square ")
+    assert "Traceback" not in err
+
+
+def test_coefficient_just_above_the_underflow_bound_still_plans(capsys):
+    code, out, _ = run_cli(capsys, "plan", "--D", "4", "--coeffs", "1,1e-150")
+    assert code == 0
+    assert out.endswith("expected channel copies until a conclusive run: 5e+299\n")

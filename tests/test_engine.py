@@ -623,11 +623,70 @@ def test_branch_sets_memory_stays_cubic_at_dimension_48():
     engine._branch_sets(ch, cfg, 1e-9)  # fill the per-D caches first
     tracemalloc.start()
     try:
-        engine._branch_sets(ch, cfg, 1e-9)
+        # The uncached function: a second cached call would be a hit.
+        engine._branch_sets.__wrapped__(ch, cfg, 1e-9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_cached_branch_sets_are_only_reused_for_their_channel_strategy_and_tolerance(
+        monkeypatch):
+    a = make_channel(4, np.sqrt([0.5, 0.3, 0.2]))
+    b = make_channel(4, np.sqrt([0.6, 0.3, 0.1]))
+    # Two amplitudes 5e-8 apart: M = 2 at tie tolerance 1e-9, M = 1 at 1e-7.
+    c = make_channel(4, np.array([0.8, 0.4 + 5e-8, 0.4]) / np.linalg.norm([0.8, 0.4, 0.4]))
+    one, two = (StrategyConfig(kind="mc-smc", k_max=k, fallback="guess") for k in (1, 2))
+    uncached = engine._branch_sets.__wrapped__
+    assert uncached(c, one, 1e-9) != uncached(c, one, 1e-7)
+    assert uncached(a, one, 1e-9) != uncached(a, two, 1e-9)
+    for ch, cfg, tie in [(a, one, 1e-9), (b, one, 1e-9), (a, one, 1e-9), (a, two, 1e-9),
+                         (a, one, 1e-9), (b, two, 1e-9), (c, one, 1e-9), (c, one, 1e-7),
+                         (c, one, 1e-9), (c, two, 1e-9), (a, DET, 1e-9)]:
+        sets = engine._branch_sets(ch, cfg, tie)
+        assert sets == uncached(ch, cfg, tie)
+        with pytest.raises(TypeError):
+            sets["stage1"] = (0.0, 0.0)
+    with pytest.raises(ValueError, match="k_max=2 exceeds"):
+        engine._branch_sets(c, two, 1e-7)
+
+    # A failed mass check is raised on every call, never cached.
+    sums = engine._branch_sums
+
+    def doubled_mass(w, rotate):
+        q, t = sums(w, rotate)
+        return q, 2 * t
+
+    monkeypatch.setattr(engine, "_branch_sums", doubled_mass)
+    misses = engine._branch_sets.cache_info().misses
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="branch probabilities sum to"):
+            engine._branch_sets(b, one, 1e-9)
+    assert engine._branch_sets.cache_info().misses - misses == 2
+
+
+def _check_trace_identity(w):
+    D, norm = w.size, float(np.sum(w**2))
+    want = {True: (D * float(np.sum(w)) ** 2, D * norm), False: (D * norm, D * norm)}
+    for rotate, (q, t) in want.items():
+        assert engine._branch_sums(w, rotate) == pytest.approx((q, t), rel=1e-12, abs=0)
+
+
+@given(st.integers(min_value=2, max_value=64).flatmap(lambda D: st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.0)),
+    min_size=D, max_size=D)))
+def test_branch_sums_equal_the_trace_identity(weights):
+    # The Fourier phase cancels the correction phase, so branch (l, k) has
+    # a trace that does not depend on k: Q = D (sum w)^2 for the
+    # minimum-error readout and D sum w^2 for ``guess``; T = D sum w^2.
+    _check_trace_identity(np.array(weights))
+
+
+def test_branch_sums_equal_the_trace_identity_at_dimension_128():
+    w = np.linspace(1.0, 0.1, 128)
+    w[::5] = 0.0
+    _check_trace_identity(w)
 
 
 @settings(max_examples=150)
