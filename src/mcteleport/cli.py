@@ -289,9 +289,9 @@ class SweepSpec:
     """A grid over the free squared coefficients of a rank-N channel.
 
     The first N-1 squared coefficients each run over ``resolution``
-    uniformly spaced values in [eps, 1 - eps]; the last is fixed by
-    normalization.  Points whose dependent coefficient falls below eps
-    are infeasible and skipped (but counted).
+    uniformly spaced values in [eps, 1 - eps], eps = SWEEP_EPS; the last is
+    fixed by normalization.  Points whose dependent coefficient falls
+    below eps are infeasible and skipped (but counted).
     """
 
     D: int
@@ -300,7 +300,6 @@ class SweepSpec:
     quantities: tuple[str, ...]
     out: str | None
     seed: int = 0
-    eps: float = SWEEP_EPS
     tie_tol: float = DEFAULT_TIE_TOL
     workers: int = 1
 
@@ -331,13 +330,13 @@ def sweep_points(spec: SweepSpec) -> tuple[np.ndarray, int]:
     count = comb(top + n, n)
     check_allocation(f"a sweep over {count:,} candidate grid points",
                      SWEEP_CELL_BYTES * (spec.N + len(spec.quantities)) * count)
-    axis = np.linspace(spec.eps, 1.0 - spec.eps, spec.resolution)
+    axis = np.linspace(SWEEP_EPS, 1.0 - SWEEP_EPS, spec.resolution)
     free = axis[_bounded_compositions(n, top)]
     total = free[:, 0]
     for j in range(1, n):
         total = total + free[:, j]
     last = 1.0 - total
-    keep = ~(last < spec.eps)
+    keep = ~(last < SWEEP_EPS)
     points = np.column_stack((free[keep], last[keep]))
     return points, spec.resolution**n - len(points)
 
@@ -404,7 +403,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[str], list[str], int]:
         f"mcteleport {__version__}",
         "command: sweep",
         f"seed: {spec.seed}",
-        f"spec: D={spec.D} N={spec.N} grid={spec.resolution} eps={spec.eps:g} "
+        f"spec: D={spec.D} N={spec.N} grid={spec.resolution} eps={SWEEP_EPS:g} "
         f"tie_tol={spec.tie_tol:g}",
         f"quantities: {','.join(spec.quantities)}",
         f"feasible_points: {len(points)}",
@@ -511,6 +510,7 @@ def _verify_rows(channel, cfg, trials, seed, workers, tie_tol):
     def binomial_err(p):
         return sqrt(max(p * (1.0 - p), 0.0) / trials)
 
+    p_stages, p_total = stage_probabilities(channel, cfg.k_max, tie_tol)
     rows = []
     for k in range(1, cfg.k_max + 1):
         analytic_f = f_mc_conclusive(channel, k, tie_tol)
@@ -518,12 +518,11 @@ def _verify_rows(channel, cfg, trials, seed, workers, tie_tol):
                                           stage=k, tie_tolerance=tie_tol)
         rows.append((f"F_mc_s{k}", analytic_f, oracle_f, stats.stage_mean_fidelity(k),
                      stats.stage_stderr_fidelity(k), stats.stage_count(k)))
-        p_analytic = float(stage_probabilities(channel, k, tie_tol)[0][-1])
-        rows.append((f"P_stage{k}", p_analytic, masses[f"stage{k}"],
-                     stats.stage_probability(k), binomial_err(p_analytic), None))
-    p_total_analytic = float(stage_probabilities(channel, cfg.k_max, tie_tol)[1])
-    rows.append(("P_smc_overall", p_total_analytic, 1.0 - masses["exhausted"],
-                 stats.conclusive_probability, binomial_err(p_total_analytic), None))
+        p_k = float(p_stages[k - 1])
+        rows.append((f"P_stage{k}", p_k, masses[f"stage{k}"],
+                     stats.stage_probability(k), binomial_err(p_k), None))
+    rows.append(("P_smc_overall", p_total, 1.0 - masses["exhausted"],
+                 stats.conclusive_probability, binomial_err(p_total), None))
     label = ("overall_conditional" if cfg.fallback == "discard"
              else f"overall_{cfg.fallback}")
     delivered = (trials if cfg.fallback != "discard"

@@ -3,10 +3,11 @@
 The register layout is fixed: subsystem 0 is the receiver's half of the
 entangled pair, subsystem 1 the sender's half, subsystem 2 the unknown
 input state, flattened with subsystem 0 most significant.  Every object
-is kept in one form: the register after the controlled shift comes from
-``_post_shift``, stage operators are the diagonals stored on each
-``McStage``, and the receiver correction X^-k Z^l is a phase multiply
-and a cyclic shift read from two D x D tables (``_correction_tables``).
+is kept in one form: ``_post_shift`` builds the register after the
+controlled shift from the Schmidt weights, stage operators are the
+diagonals stored on each ``McStage``, and every kernel reads its D x D
+tables (F^+, the phases and shifts of the correction X^-k Z^l) from one
+cache, ``_tables``; nothing of size D^3 is cached.
 
 Two evaluation routes are provided for every strategy.  ``monte_carlo``
 samples full protocol runs (Haar-random inputs, Born-rule measurements)
@@ -41,7 +42,7 @@ import numpy as np
 
 # ``make_channel`` is unused here but stays importable from this module:
 # the benchmark's layer trace (perfbench/layers.py) wraps it by this name.
-from .channels import DEFAULT_TIE_TOL, SchmidtChannel, channel_state, make_channel  # noqa: F401
+from .channels import DEFAULT_TIE_TOL, SchmidtChannel, make_channel  # noqa: F401
 from .discrimination import (
     KIND_DETERMINISTIC,
     KIND_SMC,
@@ -50,7 +51,6 @@ from .discrimination import (
 )
 from .qudit import (
     QuditState,
-    _gxor_permutation,
     _phase_table,
     check_allocation,
     fourier,
@@ -89,26 +89,33 @@ class TeleportRecord:
     run_fidelity: float | None
 
 
-def _post_shift(chvec: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Register t[b, m, j] after the controlled shift (sender half m
-    controls the input j), for channel vector ``chvec`` and input ``psi``."""
-    D = psi.size
-    flat = np.multiply.outer(chvec, psi).ravel()
-    return flat[_gxor_permutation((D,) * 3, 1, 2)].reshape((D,) * 3)
-
-
-@lru_cache(maxsize=16)
-def _correction_tables(D: int) -> tuple[np.ndarray, np.ndarray]:
-    """phases[l, n] = exp(2 pi i l n / D) and shifts[k, m] = (m + k) mod D.
+# A verify works at one D and a benchmark process at two at most (D = 24
+# and 32), so four entries of a few D x D arrays each cover the traffic.
+@lru_cache(maxsize=4)
+def _tables(D: int) -> tuple[np.ndarray, ...]:
+    """Read-only (finv, rot, phases, diff, shifts): F^+, |F^+|^2,
+    phases[l, n] = exp(2 pi i l n / D), diff[b, j] = (b - j) mod D and
+    shifts[k, m] = (m + k) mod D.
 
     X^-k Z^l v is ``(phases[l] * v)[shifts[k]]``; ``phases`` is symmetric.
     """
     n = np.arange(D)
-    phases = _phase_table(D)[np.multiply.outer(n, n) % D]
-    shifts = np.add.outer(n, n) % D
-    phases.setflags(write=False)
-    shifts.setflags(write=False)
-    return phases, shifts
+    finv = fourier(D).dagger().entries
+    tables = (finv, np.abs(finv) ** 2, _phase_table(D)[np.multiply.outer(n, n) % D],
+              np.subtract.outer(n, n) % D, np.add.outer(n, n) % D)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _post_shift(w: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Register t[b, m, j] after the controlled shift (sender half m
+    controls the input j): w[b] psi[(b - j) mod D] at b = m, else 0, for
+    the Schmidt weights ``w`` padded to D and the input ``psi``."""
+    D = psi.size
+    t = np.zeros((D, D, D), dtype=complex)
+    t[np.arange(D), np.arange(D)] = w[:, None] * psi[_tables(D)[3]]
+    return t
 
 
 def _stage_filters(channel: SchmidtChannel, cfg: StrategyConfig,
@@ -121,12 +128,6 @@ def _stage_filters(channel: SchmidtChannel, cfg: StrategyConfig,
     if cfg.k_max > plan.M:
         raise ValueError(f"k_max={cfg.k_max} exceeds the {plan.M} stage(s) this channel admits")
     return [(s.K_s, s.K_f) for s in plan.stages[: cfg.k_max]]
-
-
-def _receiver_correction(vec: np.ndarray, l: int, k: int) -> np.ndarray:
-    """X^-k Z^l applied to the receiver's vector."""
-    phases, shifts = _correction_tables(vec.size)
-    return (phases[l] * vec)[shifts[k]]
 
 
 class ProtocolRunner:
@@ -146,21 +147,15 @@ class ProtocolRunner:
         tie_tolerance: float = DEFAULT_TIE_TOL,
     ):
         self.D = D = channel.D
-        # ``run`` builds this register; the D x D tables below are smaller.
+        # ``run`` builds this register; every other array is D x D or less.
         check_allocation(f"the (D, D, D) protocol register at D={D}", 16 * D**3)
         self.cfg = cfg
-        self._chvec = channel_state(channel).amplitudes
-        self._finv = fourier(D).dagger().entries
         self._bits_base = 2 * ceil(log2(D))
         self._filters = _stage_filters(channel, cfg, tie_tolerance)
         # Uniforms one trial may consume: one per stage, then l and k.
         self.draws_per_trial = len(self._filters) + 2
-        # Tables of the block kernel: the Schmidt weights padded to D,
-        # |F^+[l, b]|^2, and the input index (b - j) mod D that meets
-        # receiver index b at j.
+        # The Schmidt weights padded to D: all a kernel reads of the channel.
         self._weights = np.pad(channel.coeffs, (0, D - channel.N))
-        self._rot_weights = np.abs(self._finv) ** 2
-        self._diff = np.subtract.outer(np.arange(D), np.arange(D)) % D
 
     @staticmethod
     def _sample_axis(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -174,7 +169,7 @@ class ProtocolRunner:
                 f"input must be a single qudit of dimension {self.D}, "
                 f"got dims {input_state.dims}"
             )
-        t = _post_shift(self._chvec, input_state.amplitudes)
+        t = _post_shift(self._weights, input_state.amplitudes)
 
         stage_reached = 0
         conclusive = self.cfg.kind != KIND_SMC
@@ -193,16 +188,16 @@ class ProtocolRunner:
             # Minimum-error readout (Fourier basis, correction X^-k Z^l), or
             # for ``guess`` a computational readout corrected by X^-k.
             me = conclusive or self.cfg.fallback == "me"
+            finv, _, phases, _, shifts = _tables(self.D)
             if me:
-                t = np.matmul(self._finv, t)
+                t = np.matmul(finv, t)
             probs_l = (np.abs(t) ** 2).sum(axis=(0, 2))
             l = self._sample_axis(probs_l, rng)
             slice_l = t[:, l, :] / np.sqrt(probs_l[l])
             probs_k = (np.abs(slice_l) ** 2).sum(axis=0)
             k = self._sample_axis(probs_k, rng)
-            bob_vec = _receiver_correction(
-                slice_l[:, k] / np.sqrt(probs_k[k]), l if me else 0, k
-            )
+            v = slice_l[:, k] / np.sqrt(probs_k[k])
+            bob_vec = (phases[l if me else 0] * v)[shifts[k]]
             outcomes = (l, k)
             bob = QuditState((self.D,), bob_vec)
             fid = float(np.abs(np.vdot(input_state.amplitudes, bob_vec)) ** 2)
@@ -247,6 +242,7 @@ class ProtocolRunner:
                 f"expected inputs (B, {self.D}) and uniforms (B, {self.draws_per_trial}), "
                 f"got {inputs.shape} and {uniforms.shape}"
             )
+        finv, rot, phases, diff, shifts = _tables(D)
         w = np.tile(self._weights, (B, 1))
         stages = np.zeros(B, dtype=np.int64)
         conclusive = np.full(B, self.cfg.kind != KIND_SMC)
@@ -274,17 +270,16 @@ class ProtocolRunner:
         first = stages[rows]
         # Sender outcome o: l after the Fourier rotation, else m.  g[b] is
         # the weight receiver index b carries into outcome o.
-        probs1 = np.where(me[:, None], w2 @ self._rot_weights.T, w2)
+        probs1 = np.where(me[:, None], w2 @ rot.T, w2)
         o1 = _sample_rows(probs1, uniforms[rows, first])
-        g = np.where(me[:, None], self._rot_weights[o1], np.arange(D) == o1[:, None])
+        g = np.where(me[:, None], rot[o1], np.arange(D) == o1[:, None])
         p1 = np.take_along_axis(probs1, o1[:, None], axis=1)[:, 0]
-        probs2 = np.matmul((g * w2)[:, None, :], q[:, self._diff])[:, 0] / p1[:, None]
+        probs2 = np.matmul((g * w2)[:, None, :], q[:, diff])[:, 0] / p1[:, None]
         o2 = _sample_rows(probs2, uniforms[rows, first + 1])
         p2 = np.take_along_axis(probs2, o2[:, None], axis=1)[:, 0]
         # After X^-k Z^l the receiver holds coef[s] w_s psi[n] / sqrt(p1 p2)
         # at index n, with s = n + k mod D (l = 0 for ``guess``).
-        phases, shifts = _correction_tables(D)
-        coef = np.where(me[:, None], phases[o1] * self._finv[o1], g)
+        coef = np.where(me[:, None], phases[o1] * finv[o1], g)
         amp = np.take_along_axis(coef * w, shifts[o2], axis=1)
         outcomes[rows] = np.stack((o1, o2), axis=1)
         fids[rows] = np.abs(np.einsum("rn,rn->r", q, amp)) ** 2 / (p1 * p2)
@@ -507,13 +502,13 @@ def _branch_sums(w: np.ndarray, rotate: bool) -> tuple[float, float]:
     and F^+ are unitary.
     """
     D = w.size
-    phases, shifts = _correction_tables(D)
+    finv, _, phases, _, shifts = _tables(D)
     k, i = np.ogrid[:D, :D]
     diag = np.zeros((D, D, D), dtype=complex)
     diag[k, i, shifts] = w[shifts]
     t = float(np.vdot(diag, diag).real)
     if rotate:
-        diag = np.tensordot(diag, fourier(D).dagger().entries, axes=([2], [1]))
+        diag = np.tensordot(diag, finv, axes=([2], [1]))
         diag *= phases[shifts]
     traces = diag.sum(axis=1)
     return float(np.vdot(traces, traces).real), t

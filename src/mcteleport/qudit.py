@@ -15,15 +15,12 @@ them under ``tests/`` would not remove any code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 from typing import Literal
 
 import numpy as np
 
-# Exact algebraic identities (gate unitarity) vs composed numerical
-# pipelines (Kraus completeness, branch probabilities).
-UNITARY_ATOL = 1e-12
+# Tolerance of the completeness check K_s^+ K_s + K_f^+ K_f = I of a Kraus pair.
 KRAUS_ATOL = 1e-10
 
 # Largest array, in bytes, a run may allocate: a complex (D, D, D) array
@@ -153,14 +150,11 @@ def apply_local(state: QuditState, op: DenseOperator, subsystem: int) -> QuditSt
     return QuditState(state.dims, _apply_matrix(state, op.entries, subsystem))
 
 
-@lru_cache(maxsize=64)
 def _gxor_permutation(dims: tuple[int, ...], control: int, target: int) -> np.ndarray:
     """Flat index permutation with new[idx] = old[perm[idx]]."""
     coords = list(np.indices(dims, sparse=True))
     coords[target] = (coords[control] - coords[target]) % dims[target]
-    perm = np.ravel_multi_index(coords, dims).ravel()
-    perm.setflags(write=False)
-    return perm
+    return np.ravel_multi_index(coords, dims).ravel()
 
 
 def apply_gxor(state: QuditState, control: int, target: int) -> QuditState:

@@ -572,6 +572,24 @@ def test_verify_builds_one_plan_and_one_branch_enumeration(capsys, monkeypatch):
     assert rotated == [True] * (k_max + 1) + [False]
 
 
+def test_verify_evaluates_the_stage_probabilities_once(capsys, monkeypatch):
+    # One closed-form cascade gives every P_stage row and P_smc_overall.
+    from mcteleport import cli
+
+    calls = []
+    probabilities = cli.stage_probabilities
+
+    def counted(channel, k, tie_tolerance):
+        calls.append(k)
+        return probabilities(channel, k, tie_tolerance)
+
+    monkeypatch.setattr(cli, "stage_probabilities", counted)
+    code, out, _ = run_cli(capsys, "verify", "--D", "5", "--coeffs", "0.4,0.3,0.2,0.1",
+                           "--squared", "--trials", "1000", "--k-max", "3")
+    assert code == 0 and "verdict: PASS" in out
+    assert calls == [3]
+
+
 @pytest.mark.parametrize("argv, coefficient", [
     (["plan", "--D", "4", "--coeffs", "1,1e-200"], "1e-200"),
     (["verify", "--D", "4", "--coeffs", "1,1e-200", "--trials", "1000"], "1e-200"),

@@ -1,3 +1,4 @@
+import gc
 import re
 import tracemalloc
 
@@ -43,6 +44,14 @@ EXAMPLE = make_channel(4, np.sqrt([0.5, 0.3, 0.2]))
 DET = StrategyConfig(kind="deterministic-me")
 
 
+def _public_post_shift(channel, psi):
+    """The register after the controlled shift, from the public ops: the
+    channel state times the input, then the sender half controls the input."""
+    D = channel.D
+    amps = np.multiply.outer(channel_state(channel).amplitudes, psi)
+    return apply_gxor(QuditState((D, D, D), amps.ravel()), 1, 2)
+
+
 def _reference_run(channel, input_state, cfg, rng):
     """The protocol rebuilt step by step from the public register ops.
 
@@ -50,9 +59,7 @@ def _reference_run(channel, input_state, cfg, rng):
     the same process.
     """
     D = channel.D
-    amps = np.multiply.outer(channel_state(channel).amplitudes, input_state.amplitudes)
-    full = QuditState((D, D, D), amps.ravel())
-    full = apply_gxor(full, 1, 2)
+    full = _public_post_shift(channel, input_state.amplitudes)
 
     conclusive = True
     stage_reached = 0
@@ -440,6 +447,35 @@ def test_runner_construction_memory_stays_small_at_large_dimension():
     assert peak < 24 * 2**20
 
 
+@pytest.mark.parametrize("D", [2, 3, 4, 5, 6, 7, 8, 32])
+def test_post_shift_equals_the_public_register(D):
+    # The runner's register from its padded Schmidt weights, for every rank.
+    rng = np.random.default_rng(70 + D)
+    for N in range(1, D + 1):
+        ch = random_channel(rng, D=D, N=N)
+        psi = haar_random_state(D, rng).amplitudes
+        t = engine._post_shift(ProtocolRunner(ch, DET)._weights, psi)
+        assert np.array_equal(t, _public_post_shift(ch, psi).tensor())
+
+
+def test_single_runs_at_large_dimensions_leave_no_cubic_arrays_held():
+    # Nothing of size D^3 outlives a run: eight such int64 arrays would
+    # hold about 78 MiB here.
+    cfg = StrategyConfig(kind="mc-smc", k_max=1, fallback="me")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for D in range(100, 116, 2):
+            ch = make_channel(D, np.sqrt([0.5, 0.3, 0.2]))
+            rng = np.random.default_rng(D)
+            run_protocol(ch, haar_random_state(D, rng), cfg, rng)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 16 * 2**20
+
+
 class _ReplayedUniforms:
     """Stands in for a generator in ``ProtocolRunner.run``, which draws only
     ``random()``; hands out a fixed row of uniforms in order."""
@@ -571,7 +607,7 @@ def _d4_branch_sums(t, rotate):
     """(Q, T) and the gather diag[k, i, s] = t[(i + k) mod D, s, k, i] of a
     full (D, D, D, D) register, one column per basis input i."""
     D = t.shape[0]
-    phases, shifts = engine._correction_tables(D)
+    _, _, phases, _, shifts = engine._tables(D)
     diag = t[shifts, :, np.arange(D)[:, None], np.arange(D)]
     gather = diag.copy()
     if rotate:
@@ -587,13 +623,12 @@ def test_branch_sets_match_a_full_register_reference(D):
     # gathered entries are the filtered Schmidt weights w[s] at
     # s = (i + k) mod D.
     rng = np.random.default_rng(40 + D)
-    shifts = engine._correction_tables(D)[1]
+    shifts = engine._tables(D)[4]
     rows, cols = np.arange(D)[:, None], np.arange(D)
     for _ in range(4):
         ch = random_channel(rng, D=D)
-        chvec = channel_state(ch).amplitudes
-        register = np.stack([engine._post_shift(chvec, col) for col in np.eye(D, dtype=complex)],
-                            axis=-1)
+        register = np.stack([_public_post_shift(ch, col).tensor()
+                             for col in np.eye(D, dtype=complex)], axis=-1)
         M = multiplicity_profile(ch).M if ch.N > 1 else 0
         for cfg in [DET] + [StrategyConfig(kind="mc-smc", k_max=k) for k in range(1, M + 1)]:
             t, w = register.copy(), np.pad(ch.coeffs, (0, D - ch.N))

@@ -3,9 +3,10 @@
 ``sweep`` enumerates only the feasible grid points and evaluates every
 closed form on whole arrays (``analytics.report_blocks``).  These tests pin
 it to the per-point reference: the full ``itertools.product`` walk for the
-points, and the public scalar functions (``f_me``, ``f_mc_conclusive``,
-``stage_probabilities``, ``overall_fidelity``, ``f_me_after_fail``,
-``confidence_at_stage``, the stage plan's useful flags) for every value.
+points, and the scalar route for every value: the profile-level functions
+that the public ``f_me``, ``f_mc_conclusive``, ``stage_probabilities``,
+``overall_fidelity`` and ``f_me_after_fail`` wrap, ``confidence_at_stage``
+and the stage plan's useful flags.
 ``channel_report`` shares the array evaluator, so it is no independent
 reference; it is checked as the one-row case: batching rows of mixed tie
 patterns must not change any row's value.
@@ -28,13 +29,8 @@ from mcteleport import (
     cli,
     confidence_at_stage,
     f_clas,
-    f_mc_conclusive,
-    f_me,
-    f_me_after_fail,
     make_channel,
     multiplicity_profile,
-    overall_fidelity,
-    stage_probabilities,
 )
 from mcteleport.channels import DEFAULT_TIE_TOL
 from mcteleport.cli import SweepSpec, main, report_quantity, sweep_points
@@ -44,11 +40,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def _walked_points(spec):
     """Reference enumeration: walk every grid tuple, skip infeasible ones."""
-    axis = np.linspace(spec.eps, 1.0 - spec.eps, spec.resolution)
+    axis = np.linspace(cli.SWEEP_EPS, 1.0 - cli.SWEEP_EPS, spec.resolution)
     points, skipped = [], 0
     for free in product(axis, repeat=spec.N - 1):
         last = 1.0 - sum(free)
-        if last < spec.eps:
+        if last < cli.SWEEP_EPS:
             skipped += 1
             continue
         points.append(tuple(free) + (last,))
@@ -67,27 +63,36 @@ def _same_bits(a, b):
 
 def _scalar_quantities(D, point, tie_tol):
     """Every quantity ``report_quantity`` resolves at one sweep point, by
-    name, from the scalar route; names it omits read NaN."""
+    name, from the scalar route; names it omits read NaN.
+
+    The point is grouped once, and the profile-level functions that the
+    public ones wrap read that grouping (the public wrappers are checked
+    against the report in ``test_analytics``)."""
     ch = make_channel(D, np.sqrt(point))
     profile = multiplicity_profile(ch, tie_tol)
     M, d = profile.M, profile.d
-    p_fail = analytics._stage_cascade(profile)[0]
+    cascade = analytics._stage_cascade(profile)
+    p_fail, p_success, cumulative, _ = cascade
+    f_mc = analytics._f_mc_stages(profile, D)
     useful = build_stage_plan(ch, tie_tol).useful_flags
+
+    def overall(k_max, fallback):
+        return analytics._overall_fidelity(
+            profile, D, StrategyConfig("mc-smc", k_max, fallback), cascade)
+
     values = {
-        "D": D, "N": ch.N, "d": d, "M": M, "F_me": f_me(ch, tie_tol),
+        "D": D, "N": ch.N, "d": d, "M": M, "F_me": analytics._f_me(profile, D),
         "f_me": analytics._sum_amplitudes(profile) ** 2 / D, "F_clas": f_clas(D),
-        "overall_me": overall_fidelity(ch, StrategyConfig("mc-smc", 1, "me"), tie_tol),
-        "overall_smc": overall_fidelity(ch, StrategyConfig("mc-smc", M, "guess"), tie_tol),
+        "overall_me": overall(1, "me"), "overall_smc": overall(M, "guess"),
     }
     if d >= 2:
-        values["F_me_after_fail"] = f_me_after_fail(ch, tie_tol)
+        values["F_me_after_fail"] = analytics._f_me_after_fail(profile, D, cascade)
     for k in range(1, M + 1):
-        p, total = stage_probabilities(ch, k, tie_tol)
         values.update({
-            f"F_mc_s{k}": f_mc_conclusive(ch, k, tie_tol),
+            f"F_mc_s{k}": float(f_mc[k - 1]),
             f"f_mc_s{k}": confidence_at_stage(profile, D, k),
-            f"p_fail_s{k}": p_fail[k - 1], f"P_stage{k}": p[-1], f"P_smc_s{k}": total,
-            f"useful_s{k}": float(useful[k - 1]),
+            f"p_fail_s{k}": p_fail[k - 1], f"P_stage{k}": p_success[k - 1],
+            f"P_smc_s{k}": float(cumulative[k - 1]), f"useful_s{k}": float(useful[k - 1]),
         })
     values["P_smc_overall"] = values[f"P_smc_s{M}"]
     if M + 1 == d:  # a lone top coefficient: the surface continues classically
