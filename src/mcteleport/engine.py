@@ -11,18 +11,20 @@ cache, ``_tables``; nothing of size D^3 is cached.
 
 Two evaluation routes are provided for every strategy.  ``monte_carlo``
 samples full protocol runs (Haar-random inputs, Born-rule measurements)
-in blocks of trials with ``ProtocolRunner.run_block``, which keeps each
-trial on the b = m support of the register; ``ProtocolRunner.run`` is the
-single-run reference, and every ``monte_carlo`` call replays one trial
-through both and requires them to agree.  ``exact_average_fidelity``
-enumerates every measurement branch as a linear operator on the input and
-sums, per branch set, the squared traces Q and the squared norms T of
-those operators; the Haar-averaged fidelity is (Q + T) / ((D + 1) T).  It
-involves no sampling and serves as the oracle the sampled statistics are
-checked against.  It starts from the D filtered Schmidt weights, since
-the register after the controlled shift vanishes unless b = m.  Its one
-enumeration, ``_branch_sets``, is cached, so every oracle row reads the
-same (Q, T) sets.
+in blocks of trials with ``ProtocolRunner.run_block``.  Every trial that
+ends at the same stage carries the same filtered Schmidt weights, so the
+runner keeps one row of weights and readout probabilities per end stage,
+(k_max + 1, D) tables, and a block needs no array larger than (B, D).
+``ProtocolRunner.run`` is the single-run reference, and every
+``monte_carlo`` call replays one trial through both and requires them to
+agree.  ``exact_average_fidelity`` enumerates every measurement branch as
+a linear operator on the input and sums, per branch set, the squared
+traces Q and the squared norms T of those operators; the Haar-averaged
+fidelity is (Q + T) / ((D + 1) T).  It involves no sampling and serves
+as the oracle the sampled statistics are checked against.  It starts from
+the D filtered Schmidt weights, since the register after the controlled
+shift vanishes unless b = m.  Its one enumeration, ``_branch_sets``, is
+cached, so every oracle row reads the same (Q, T) sets.
 
 The sampler and the oracle both take their stage operators from
 ``build_stage_plan``, which caches the last plan it built, so one plan
@@ -62,8 +64,9 @@ from .qudit import (
 # unreachable when conditioning.
 MIN_BRANCH_MASS = 1e-12
 
-# Monte Carlo block size: a block's largest array, (B, D, D) reals, holds
-# about this many entries (512 KB), so B = BLOCK_ENTRIES // D^2.
+# Monte Carlo block size, B = BLOCK_ENTRIES // D^2 trials.  No block array
+# is larger than (B, D) any more, but block i draws from generator (seed, i),
+# so B is part of what defines the samples and stays as it was chosen.
 BLOCK_ENTRIES = 2**16
 
 # Largest fidelity difference the replayed trial may show between
@@ -137,7 +140,8 @@ class ProtocolRunner:
     operators applied as diagonals, but draws from the generator in
     exactly the same order and with the same Born weights as the public
     register operations, so a run is reproducible either way.
-    ``run_block`` is the same process for a block of trials at once.
+    ``run_block`` is the same process for a block of trials at once, read
+    from per-end-stage tables built here.
     """
 
     def __init__(
@@ -156,6 +160,38 @@ class ProtocolRunner:
         self.draws_per_trial = len(self._filters) + 2
         # The Schmidt weights padded to D: all a kernel reads of the channel.
         self._weights = np.pad(channel.coeffs, (0, D - channel.N))
+
+        # ``run_block`` reads only the following (k_max + 1, D) tables.  A
+        # trial's end class is the stage s it is conclusive at (class s - 1)
+        # or, once every stage failed, class k_max; the deterministic
+        # strategy has the one class 0.  All trials of a class carry the same
+        # filtered weights ``_class_w``.  ``_p_end[s - 1]`` is the success
+        # probability of stage s given that a trial reaches it; the last
+        # entry, inf, ends every trial left.
+        w, rows, p_end = self._weights, [], []
+        for ks, kf in self._filters:
+            ws = w * ks
+            p_end.append(np.einsum("j,j->", ws, ws))
+            rows.append(ws / np.sqrt(p_end[-1]))
+            wf = w * kf
+            norm = np.sqrt(np.einsum("j,j->", wf, wf))
+            # A stage that cannot fail leaves no trial to exhaust the budget:
+            # the last class keeps zero weights rather than 0/0.
+            w = wf / norm if norm > 0 else wf
+        self._p_end = np.array(p_end + [np.inf])
+        self._class_w = np.array(rows + [w])
+        self._w2 = self._class_w**2
+        # Per class: conclusive; read out by minimum error (Fourier basis,
+        # correction X^-k Z^l) rather than ``guess`` (sender index m,
+        # correction X^-k); delivers a state.
+        k = len(self._filters)
+        fallback = cfg.fallback if cfg.kind == KIND_SMC else "me"
+        self._conclusive = np.array([True] * k + [cfg.kind != KIND_SMC])
+        self._me = np.array([True] * k + [fallback == "me"])
+        self._delivers = np.array([True] * k + [fallback != "discard"])
+        # Each class's sender-outcome distribution and its running sum.
+        self._probs1 = np.where(self._me[:, None], self._w2 @ _tables(D)[1].T, self._w2)
+        self._cum1 = np.cumsum(self._probs1, axis=1)
 
     @staticmethod
     def _sample_axis(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -229,9 +265,14 @@ class ProtocolRunner:
 
         After the controlled shift the register t[b, m, j] vanishes unless
         b = m, where it equals w_b psi[(b - j) mod D] with w the Schmidt
-        weights.  Stage operators act on m and so only rescale w, and every
-        readout probability and the corrected receiver state follow from
-        (w, psi): a trial never needs its (D, D, D) register.
+        weights.  Stage operators act on m and so only rescale w: a trial's
+        weights w_c, and so the distribution of its first outcome o1, are
+        fixed by its end class c (the tables built in ``__init__``).  The
+        second outcome j has probability sum_i |psi_i|^2 w_c^2[(i + j) mod D]
+        after the minimum-error readout, as |F^+|^2 = 1/D: one
+        (rows, D) x (D, D) product per class.  After ``guess`` it has
+        probability |psi[(o1 - j) mod D]|^2.  Every array is (B, D) or
+        smaller: a trial never needs its (D, D, D) register.
 
         Returns (stage_reached, conclusive, outcomes, fidelity) per row;
         outcomes are (-1, -1) and fidelity NaN for discarded trials.
@@ -242,53 +283,48 @@ class ProtocolRunner:
                 f"expected inputs (B, {self.D}) and uniforms (B, {self.draws_per_trial}), "
                 f"got {inputs.shape} and {uniforms.shape}"
             )
-        finv, rot, phases, diff, shifts = _tables(D)
-        w = np.tile(self._weights, (B, 1))
-        stages = np.zeros(B, dtype=np.int64)
-        conclusive = np.full(B, self.cfg.kind != KIND_SMC)
-        live = np.arange(B)
-        for s, (ks, kf) in enumerate(self._filters, start=1):
-            stages[live] = s
-            ws = w[live] * ks
-            p_s = np.einsum("ij,ij->i", ws, ws)
-            hit = uniforms[live, s - 1] < p_s
-            w[live[hit]] = ws[hit] / np.sqrt(p_s[hit])[:, None]
-            conclusive[live[hit]] = True
-            live = live[~hit]
-            wf = w[live] * kf
-            w[live] = wf / np.sqrt(np.einsum("ij,ij->i", wf, wf))[:, None]
+        finv, _, phases, diff, shifts = _tables(D)
+        k = len(self._filters)
+        # The first stage whose uniform falls below its success probability;
+        # the last class's inf catches every trial all stages failed.
+        ends = (uniforms[:, : k + 1] < self._p_end).argmax(axis=1)
+        stages = np.minimum(ends + 1, k)
+        conclusive = self._conclusive[ends]
 
         outcomes = np.full((B, 2), -1, dtype=np.int64)
         fids = np.full(B, np.nan)
-        rows = np.arange(B) if self.cfg.fallback != "discard" else np.flatnonzero(conclusive)
-        # Minimum-error readout for conclusive trials and the ``me``
-        # fallback; ``guess`` reads the sender index m directly.
-        me = conclusive[rows] | (self.cfg.fallback == "me")
-        w = w[rows]
-        w2 = w**2
+        rows = np.flatnonzero(self._delivers[ends])
+        cls = ends[rows]
+        me = self._me[cls]
         q = np.abs(inputs[rows]) ** 2
         first = stages[rows]
-        # Sender outcome o: l after the Fourier rotation, else m.  g[b] is
-        # the weight receiver index b carries into outcome o.
-        probs1 = np.where(me[:, None], w2 @ rot.T, w2)
-        o1 = _sample_rows(probs1, uniforms[rows, first])
-        g = np.where(me[:, None], rot[o1], np.arange(D) == o1[:, None])
-        p1 = np.take_along_axis(probs1, o1[:, None], axis=1)[:, 0]
-        probs2 = np.matmul((g * w2)[:, None, :], q[:, diff])[:, 0] / p1[:, None]
-        o2 = _sample_rows(probs2, uniforms[rows, first + 1])
-        p2 = np.take_along_axis(probs2, o2[:, None], axis=1)[:, 0]
+        # Sender outcome o1: l after the Fourier rotation, else m.
+        o1 = _sample_rows(self._cum1[cls], uniforms[rows, first])
+        p1 = self._probs1[cls, o1]
+        # Receiver outcome o2: one product with the class's circulant
+        # w_c^2[(i + j) mod D] per minimum-error class, a gather for ``guess``.
+        probs2 = np.empty_like(q)
+        for c in np.flatnonzero(np.bincount(cls, minlength=k + 1)):
+            sel = cls == c
+            if self._me[c]:
+                probs2[sel] = q[sel] @ self._w2[c][shifts]
+            else:
+                probs2[sel] = np.take_along_axis(q[sel], diff[o1[sel]], axis=1)
+        o2 = _sample_rows(np.cumsum(probs2, axis=1), uniforms[rows, first + 1])
+        r = np.arange(rows.size)
+        p2 = probs2[r, o2]
         # After X^-k Z^l the receiver holds coef[s] w_s psi[n] / sqrt(p1 p2)
         # at index n, with s = n + k mod D (l = 0 for ``guess``).
-        coef = np.where(me[:, None], phases[o1] * finv[o1], g)
-        amp = np.take_along_axis(coef * w, shifts[o2], axis=1)
+        coef = np.where(me[:, None], phases[o1] * finv[o1], np.arange(D) == o1[:, None])
+        amp = (coef * self._class_w[cls])[r[:, None], shifts[o2]]
         outcomes[rows] = np.stack((o1, o2), axis=1)
         fids[rows] = np.abs(np.einsum("rn,rn->r", q, amp)) ** 2 / (p1 * p2)
         return stages, conclusive, outcomes, fids
 
 
-def _sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise ``ProtocolRunner._sample_axis``: one outcome per row."""
-    cum = np.cumsum(probs, axis=1)
+def _sample_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise ``ProtocolRunner._sample_axis`` on running sums ``cum`` of
+    the outcome probabilities: one outcome per row."""
     # Counting over all but the last column clamps the outcome at D - 1.
     return (cum[:, :-1] <= (u * cum[:, -1])[:, None]).sum(axis=1)
 

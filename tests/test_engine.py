@@ -1,6 +1,7 @@
 import gc
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -527,6 +528,47 @@ def test_block_kernel_rejects_mismatched_shapes():
         runner.run_block(inputs[:, :3], np.zeros((3, runner.draws_per_trial)))
     with pytest.raises(ValueError):
         runner.run_block(inputs, np.zeros((3, runner.draws_per_trial - 1)))
+
+
+@pytest.mark.parametrize("fallback", ["me", "guess", "discard"])
+@pytest.mark.parametrize("D,coeffs", [(2, [0.5, 0.5]), (4, [0.5, 0.5]), (8, [0.4, 0.4, 0.1, 0.1])])
+def test_block_kernel_when_the_last_stage_cannot_fail(D, coeffs, fallback):
+    # The last stage filters equal weights, so no trial exhausts the budget:
+    # the empty exhausted class must be built and skipped without a 0/0.
+    ch = make_channel(D, np.sqrt(coeffs))
+    cfg = StrategyConfig(kind="mc-smc", k_max=multiplicity_profile(ch).M, fallback=fallback)
+    rng = np.random.default_rng(D)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runner = ProtocolRunner(ch, cfg)
+        inputs = haar_random_states(D, 500, rng)
+        stages, conclusive, outcomes, fids = runner.run_block(
+            inputs, rng.random((500, runner.draws_per_trial)))
+    assert conclusive.all() and (outcomes >= 0).all() and np.isfinite(fids).all()
+    assert set(stages.tolist()) <= set(range(1, cfg.k_max + 1))
+
+
+def test_block_kernel_memory_stays_below_one_cubic_block_array():
+    # A (B, D, D) float64 array at D = 32 and B = block_size(32) takes
+    # 512 KiB; the kernel reads (k_max + 1, D) tables and (B, D) arrays only.
+    D = 32
+    ch = _staged_channel(D)
+    cfg = StrategyConfig(kind="mc-smc", k_max=3, fallback="me")
+    runner = ProtocolRunner(ch, cfg)
+    for value in vars(runner).values():
+        if isinstance(value, np.ndarray):
+            assert value.size <= (cfg.k_max + 1) * D
+    B = engine.block_size(D)
+    rng = np.random.default_rng(8)
+    inputs, uniforms = haar_random_states(D, B, rng), rng.random((B, runner.draws_per_trial))
+    runner.run_block(inputs, uniforms)
+    tracemalloc.start()
+    try:
+        runner.run_block(inputs, uniforms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < B * D * D * 8
 
 
 @pytest.mark.parametrize(
