@@ -40,7 +40,7 @@ from .analytics import (
     stage_probabilities,
 )
 from .channels import DEFAULT_TIE_TOL, SchmidtChannel, check_tie_tolerance, make_channel
-from .discrimination import KIND_SMC, StrategyConfig, build_stage_plan
+from .discrimination import FALLBACKS, KIND_SMC, StrategyConfig, build_stage_plan
 from .engine import exact_average_fidelity, exact_branch_probabilities, monte_carlo
 from .qudit import check_allocation
 
@@ -68,6 +68,10 @@ DEFAULT_QUANTITIES = (
 ORACLE_ATOL = 1e-9  # analytic vs branch-enumeration agreement
 EMPIRICAL_SIGMAS = 4.0  # Monte Carlo guard band
 MIN_FIDELITY_SAMPLES = 2  # fewer samples in a bucket: status "sparse n=<count>"
+# A fidelity stderr below this is the rounding noise of samples that agree
+# exactly in theory (~1e-17); it prints as 0.  The band's floor is
+# ORACLE_ATOL, so the verdict does not depend on it.
+ROUNDING_STDERR = 1e-15
 
 
 def _fmt(value) -> str:
@@ -126,55 +130,51 @@ def read_config(path: str) -> dict[str, str]:
     return out
 
 
-_CASTERS = {
-    "D": int,
-    "N": int,
-    "grid": int,
-    "trials": int,
-    "seed": int,
-    "k_max": int,
-    "workers": int,
-    "tie_tol": float,
-    "coeffs": _parse_coeffs,
-    "quantities": _parse_names,
-    "fallback": str,
-    "out": str,
-    "squared": _parse_bool,
+# Every option, once: dest -> (parser of its text, help).  The flag is
+# "--" plus the dest with "_" spelled "-"; the --config key is the dest.
+_OPTIONS = {
+    "D": (int, "qudit dimension"),
+    "N": (int, "Schmidt rank of the swept channels"),
+    "coeffs": (_parse_coeffs, "comma-separated Schmidt coefficients (amplitudes)"),
+    "squared": (_parse_bool, "interpret --coeffs as squared coefficients (probabilities)"),
+    "grid": (int, "points per free axis"),
+    "quantities": (_parse_names, "comma-separated column names"),
+    "trials": (int, "Monte Carlo trials, at least 1000"),
+    "seed": (int, "random seed"),
+    "k_max": (int, "filtering stages before the fallback"),
+    "fallback": (str, "what follows an exhausted cascade"),
+    "tie_tol": (float, "coefficients closer than this form one group"),
+    "workers": (int, "worker processes"),
+    "out": (str, "CSV output path ('-' = stdout)"),
+}
+
+# Subcommand -> (summary, {dest: default}).  A None default is a channel
+# option that must be given (D, coeffs) or no CSV file (out).
+_CHANNEL = {"D": None, "coeffs": None, "squared": False, "tie_tol": DEFAULT_TIE_TOL}
+_COMMANDS = {
+    "report": ("closed-form channel report", {**_CHANNEL, "out": None}),
+    "plan": ("per-stage filtering plan", _CHANNEL),
+    "sweep": ("coefficient-grid sweep to CSV", {
+        "D": 4, "N": 3, "grid": 101, "quantities": DEFAULT_QUANTITIES, "seed": 0,
+        "workers": 1, "tie_tol": DEFAULT_TIE_TOL, "out": None}),
+    "verify": ("cross-check the three routes", {
+        **_CHANNEL, "trials": 10000, "seed": 0, "k_max": 1, "fallback": "me",
+        "workers": 1}),
 }
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill options the command line left unset from --config, in place."""
-    if not getattr(args, "config", None):
-        return
-    table = read_config(args.config)
-    for key, raw in table.items():
-        if key not in _CASTERS:
-            raise ValueError(f"unknown config key {key!r}")
-        if not hasattr(args, key):
-            continue  # key not applicable to this subcommand
-        if getattr(args, key) is None:
-            setattr(args, key, _CASTERS[key](raw))
-
-
-def _add_channel_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--D", type=int, default=None, help="qudit dimension")
-    p.add_argument(
-        "--coeffs",
-        type=_parse_coeffs,
-        default=None,
-        help="comma-separated Schmidt coefficients (amplitudes)",
-    )
-    p.add_argument(
-        "--squared",
-        action="store_const",
-        const=True,
-        default=None,
-        help="interpret --coeffs as squared coefficients (probabilities)",
-    )
-    p.add_argument("--tie-tol", dest="tie_tol", type=float, default=None,
-                   help="coefficients closer than this form one group")
-    p.add_argument("--config", default=None, help="key=value config file")
+def _resolve(command: str, given: dict) -> argparse.Namespace:
+    """The command's options: its defaults, then the --config values of
+    the keys it takes that no flag set, then the flags."""
+    values = dict(_COMMANDS[command][1])
+    if given.get("config"):
+        for key, raw in read_config(given["config"]).items():
+            if key not in _OPTIONS:
+                raise ValueError(f"unknown config key {key!r}")
+            if key in values and key not in given:  # other commands' keys are ignored
+                values[key] = _OPTIONS[key][0](raw)
+    values.update(given)
+    return argparse.Namespace(**values)
 
 
 def _build_channel(args: argparse.Namespace) -> SchmidtChannel:
@@ -190,10 +190,6 @@ def _build_channel(args: argparse.Namespace) -> SchmidtChannel:
     return make_channel(args.D, coeffs)
 
 
-def _tie_tol(args: argparse.Namespace) -> float:
-    return DEFAULT_TIE_TOL if args.tie_tol is None else args.tie_tol
-
-
 # ---------------------------------------------------------------------------
 # Quantity lookup on a ChannelReport or a ReportBlock
 
@@ -202,12 +198,12 @@ _FLAT_QUANTITIES = ("D", "N", "d", "M", "F_me", "f_me", "F_clas", "F_me_after_fa
 # Stage-indexed name prefix -> report field holding the per-stage series.
 _STAGE_FIELDS = {"F_mc_s": "F_mc_s", "f_mc_s": "f_mc_s", "p_fail_s": "p_fail",
                  "P_stage": "p_success", "P_smc_s": "P_smc", "useful_s": "useful"}
-_STAGE_RE = re.compile(rf"^({'|'.join(_STAGE_FIELDS)})(\d+)$")
+_STAGE_RE = re.compile(rf"^({'|'.join(_STAGE_FIELDS)})([1-9]\d*)$")
 
 
 def _check_quantity(name: str) -> None:
-    """Reject a name no report defines.  Any stage index passes; stages a
-    channel lacks read NaN."""
+    """Reject a name no report defines.  Any stage index from 1 passes;
+    stages a channel lacks read NaN."""
     if name not in _FLAT_QUANTITIES and not _STAGE_RE.match(name):
         raise ValueError(f"unknown quantity {name!r}")
 
@@ -217,7 +213,9 @@ def report_quantity(report: ChannelReport | ReportBlock, name: str):
     ``ChannelReport``, a scalar or a (P,) column from a ``ReportBlock``.
     Stage-indexed names yield NaN when the channel has fewer stages."""
     if name == "P_smc_overall":
-        name = f"P_smc_s{report.M}"  # the last stage's; NaN with no stage
+        if report.M == 0:
+            return np.nan
+        name = f"P_smc_s{report.M}"  # the last stage's
     elif name in _FLAT_QUANTITIES:
         value = getattr(report, name)  # only F_me_after_fail can be None
         return np.nan if value is None else value
@@ -418,8 +416,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[str], list[str], int]:
 
 def cmd_report(args) -> int:
     ch = _build_channel(args)
-    tie = _tie_tol(args)
-    rep = channel_report(ch, tie)
+    rep = channel_report(ch, args.tie_tol)
     print(f"channel: D={rep.D} N={rep.N} coeffs={[_fmt(c) for c in ch.coeffs]}")
     print(f"groups: d={rep.d}  stages: M={rep.M}")
     for name in ("F_me", "f_me", "F_clas", "F_me_after_fail", "overall_me",
@@ -445,7 +442,7 @@ def cmd_report(args) -> int:
             f"mcteleport {__version__}",
             "command: report",
             f"spec: D={rep.D} coeffs={','.join(_fmt(c) for c in ch.coeffs)} "
-            f"tie_tol={tie:g}",
+            f"tie_tol={args.tie_tol:g}",
         ]
         row = [_fmt(report_quantity(rep, c)) for c in cols]
         _emit_csv(args.out, metadata, cols, [",".join(row)])
@@ -454,13 +451,12 @@ def cmd_report(args) -> int:
 
 def cmd_plan(args) -> int:
     ch = _build_channel(args)
-    tie = _tie_tol(args)
-    rep = channel_report(ch, tie)
+    rep = channel_report(ch, args.tie_tol)
     if ch.N < 2:
         print("rank-1 channel: no filtering stages; deterministic protocol only")
         print(f"F_me={_fmt(rep.F_me)} (classical bound {_fmt(rep.F_clas)})")
         return 0
-    plan = build_stage_plan(ch, tie)
+    plan = build_stage_plan(ch, args.tie_tol)
     bits_base = 2 * ceil(log2(ch.D))
     print(f"channel: D={ch.D} N={ch.N} M={plan.M} "
           f"F_me={_fmt(rep.F_me)} F_clas={_fmt(rep.F_clas)}")
@@ -482,17 +478,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = SweepSpec(
-        D=args.D if args.D is not None else 4,
-        N=args.N if args.N is not None else 3,
-        resolution=args.grid if args.grid is not None else 101,
-        quantities=args.quantities if args.quantities is not None
-        else DEFAULT_QUANTITIES,
-        out=args.out,
-        seed=args.seed if args.seed is not None else 0,
-        tie_tol=_tie_tol(args),
-        workers=args.workers if args.workers is not None else 1,
-    )
+    spec = SweepSpec(D=args.D, N=args.N, resolution=args.grid, quantities=args.quantities,
+                     out=args.out, seed=args.seed, tie_tol=args.tie_tol, workers=args.workers)
     metadata, header, rows, _ = run_sweep(spec)
     _emit_csv(spec.out, metadata, header, rows)
     return 0
@@ -540,25 +527,19 @@ def _verify_rows(channel, cfg, trials, seed, workers, tie_tol):
 
 def cmd_verify(args) -> int:
     ch = _build_channel(args)
-    tie = _tie_tol(args)
-    trials = args.trials if args.trials is not None else 10000
-    if trials < 1000:
+    if args.trials < 1000:
         raise ValueError("verify needs at least 1000 trials")
-    seed = args.seed if args.seed is not None else 0
-    k_max = args.k_max if args.k_max is not None else 1
-    fallback = args.fallback if args.fallback is not None else "me"
-    workers = args.workers if args.workers is not None else 1
-    cfg = StrategyConfig(kind=KIND_SMC, k_max=k_max, fallback=fallback)
+    cfg = StrategyConfig(kind=KIND_SMC, k_max=args.k_max, fallback=args.fallback)
     # monte_carlo's runner takes the stage plan first, so rank-1 channels and
     # an excess k_max are rejected before any trial is sampled; the oracle
     # calls after it reuse the cached plan.
-    rows = _verify_rows(ch, cfg, trials, seed, workers, tie)
+    rows = _verify_rows(ch, cfg, args.trials, args.seed, args.workers, args.tie_tol)
     if args.self_test_corrupt:
         name, analytic, *rest = rows[0]
         rows[0] = (name, analytic + 0.01, *rest)
 
-    print(f"verify: D={ch.D} N={ch.N} k_max={k_max} fallback={fallback} "
-          f"trials={trials} seed={seed}")
+    print(f"verify: D={ch.D} N={ch.N} k_max={cfg.k_max} fallback={cfg.fallback} "
+          f"trials={args.trials} seed={args.seed}")
     all_ok = True
     for name, analytic, oracle, empirical, err, samples in rows:
         notes = []
@@ -576,10 +557,11 @@ def cmd_verify(args) -> int:
             status = "FAIL " + ",".join(notes)
         else:
             status = f"sparse n={samples}" if sparse else "pass"
+        shown = 0.0 if samples is not None and err < ROUNDING_STDERR else err
         print(
             f"{name:<18} analytic={format(analytic, '.12g'):<18} "
             f"oracle={format(oracle, '.12g'):<18} "
-            f"empirical={format(empirical, '.12g')}+-{format(err, '.3g'):<12} "
+            f"empirical={format(empirical, '.12g')}+-{format(shown, '.3g'):<12} "
             f"{status}"
         )
     print(f"verdict: {'PASS' if all_ok else 'FAIL'}")
@@ -594,38 +576,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mcteleport", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_report = sub.add_parser("report", help="closed-form channel report")
-    _add_channel_options(p_report)
-    p_report.add_argument("--out", default=None, help="CSV output path")
-
-    p_plan = sub.add_parser("plan", help="per-stage filtering plan")
-    _add_channel_options(p_plan)
-
-    p_sweep = sub.add_parser("sweep", help="coefficient-grid sweep to CSV")
-    p_sweep.add_argument("--D", type=int, default=None)
-    p_sweep.add_argument("--N", type=int, default=None)
-    p_sweep.add_argument("--grid", type=int, default=None,
-                         help="points per free axis")
-    p_sweep.add_argument("--quantities", type=_parse_names, default=None,
-                         help="comma-separated column names")
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--workers", type=int, default=None)
-    p_sweep.add_argument("--tie-tol", dest="tie_tol", type=float, default=None)
-    p_sweep.add_argument("--out", default=None, help="CSV path ('-' = stdout)")
-    p_sweep.add_argument("--config", default=None)
-
-    p_verify = sub.add_parser("verify", help="cross-check the three routes")
-    _add_channel_options(p_verify)
-    p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--k-max", dest="k_max", type=int, default=None)
-    p_verify.add_argument("--fallback", choices=("discard", "me", "guess"),
-                          default=None)
-    p_verify.add_argument("--workers", type=int, default=None)
-    p_verify.add_argument("--self-test-corrupt", action="store_true",
-                          help="perturb one analytic value; the run must fail "
-                               "(harness self-test)")
+    for command, (summary, defaults) in _COMMANDS.items():
+        # Unset options stay off the namespace, so _resolve tells a flag
+        # from a default.
+        p = sub.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
+        for dest, default in defaults.items():
+            parse, text = _OPTIONS[dest]
+            if default is not None:
+                shown = ",".join(default) if isinstance(default, tuple) else default
+                text = f"{text} (default: {shown})"
+            flag = "--" + dest.replace("_", "-")
+            if dest == "squared":
+                p.add_argument(flag, action="store_true", help=text)
+            else:
+                p.add_argument(flag, type=parse, help=text,
+                               choices=FALLBACKS if dest == "fallback" else None)
+        p.add_argument("--config", help="key=value config file")
+    sub.choices["verify"].add_argument(
+        "--self-test-corrupt", action="store_true", default=False,
+        help="perturb one analytic value; the run must fail (harness self-test)")
     return parser
 
 
@@ -633,8 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     # Built on the first command and shared by every later one in the
     # process: parse_args returns a fresh Namespace per call, no action
-    # holds a mutable default, and _merge_config writes only to that
-    # Namespace.
+    # holds a mutable default, and _resolve builds a new Namespace from it.
     return build_parser()
 
 
@@ -645,8 +613,8 @@ def main(argv=None) -> int:
             if not isinstance(arg, str):
                 raise TypeError(f"command-line arguments must be strings, "
                                 f"got {arg!r} ({type(arg).__name__})")
-        args = parser.parse_args(argv)
-        _merge_config(args)
+        given = vars(parser.parse_args(argv))
+        args = _resolve(given["command"], given)
         # Looked up per call, so a cmd_* replaced after the parser was
         # built is the one that runs.
         return globals()[f"cmd_{args.command}"](args)

@@ -477,6 +477,9 @@ def monte_carlo(
         raise ValueError("seed must be a non-negative integer")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    # The largest result array: 8 B per trial for the stages and for the
+    # fidelities (about 34 B per trial at peak in all).
+    check_allocation(f"the per-trial results of {trials:,} trials", 8 * trials)
     runner = ProtocolRunner(channel, cfg, tie_tolerance)
     _replay_check(runner, seed)
 

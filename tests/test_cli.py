@@ -6,7 +6,7 @@ import pytest
 
 from conftest import InlinePool
 from mcteleport import channel_report, make_channel
-from mcteleport.cli import main, parse_csv, report_quantity
+from mcteleport.cli import _COMMANDS, main, parse_csv, report_quantity
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +40,12 @@ def test_report_rank_one_degenerates_to_classical(capsys):
     assert code == 0
     assert "F_clas           0.4" in out
     assert "F_mc_s1          0.4" in out
+
+    # No stage: the overall success probability reads NaN.
+    code, out, _ = run_cli(capsys, "report", "--D", "3", "--coeffs", "1", "--out", "-")
+    assert code == 0
+    _, header, rows = parse_csv(out[out.index("# mcteleport"):])
+    assert dict(zip(header, rows[0]))["P_smc_overall"] == "nan"
 
 
 def test_report_csv_round_trip(tmp_path, capsys):
@@ -218,12 +224,14 @@ def test_sweep_quantity_selection_and_unknown_name(tmp_path, capsys):
     _, header, _ = parse_csv(out_path.read_text())
     assert header == ["a0_sq", "a1_sq", "a2_sq", "F_me", "useful_s2"]
 
-    code, _, err = run_cli(
-        capsys, "sweep", "--D", "4", "--N", "3", "--grid", "5",
-        "--quantities", "F_me,bogus", "--out", str(out_path),
-    )
-    assert code == 1
-    assert err == "error: unknown quantity 'bogus'\n"
+    # Stage indices start at 1 and are not zero-padded.
+    for name in ("bogus", "F_mc_s0", "F_mc_s01"):
+        code, _, err = run_cli(
+            capsys, "sweep", "--D", "4", "--N", "3", "--grid", "5",
+            "--quantities", f"F_me,{name}", "--out", str(out_path),
+        )
+        assert code == 1
+        assert err == f"error: unknown quantity {name!r}\n"
 
     # Stage names beyond the channel's M are accepted and read NaN.
     code, _, _ = run_cli(
@@ -367,6 +375,57 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+def test_config_file_reads_only_what_no_flag_sets(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    # A key that a flag sets is never parsed.
+    cfg.write_text("D = x\ncoeffs = 0.5,0.3,0.2\nsquared = true\n")
+    assert run_cli(capsys, "report", "--config", str(cfg), "--D", "4")[0] == 0
+    code, _, err = run_cli(capsys, "report", "--config", str(cfg))
+    assert code == 1 and "invalid literal for int()" in err
+
+    # Keys of the other subcommands are ignored, unparsed.
+    cfg.write_text("D = 4\ncoeffs = 0.5,0.3,0.2\nsquared = true\n"
+                   "trials = x\ngrid = x\nfallback = x\n")
+    plain = run_cli(capsys, "plan", "--D", "4", "--coeffs", "0.5,0.3,0.2", "--squared")
+    assert run_cli(capsys, "plan", "--config", str(cfg)) == plain
+    assert plain[0] == 0
+
+    # --self-test-corrupt and --config are flags only.
+    for key in ("self_test_corrupt", "config"):
+        cfg.write_text(f"D = 4\ncoeffs = 0.5,0.3,0.2\nsquared = true\n{key} = true\n")
+        assert run_cli(capsys, "verify", "--config", str(cfg), "--trials", "1000") == \
+            (1, "", f"error: unknown config key {key!r}\n")
+
+    # squared = false is read as false; the bare flag still wins.
+    cfg.write_text("D = 2\ncoeffs = 0.36,0.64\nsquared = false\n")
+    code, _, err = run_cli(capsys, "report", "--config", str(cfg))
+    assert (code, err) == (1, "error: squared coefficients sum to 0.5392, "
+                              "more than 1e-06 away from 1\n")
+    code, out, _ = run_cli(capsys, "report", "--config", str(cfg), "--squared")
+    assert code == 0 and out.startswith("channel: D=2 N=2 coeffs=['0.8', '0.6']")
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_help_lists_every_option_with_its_default(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    entries = {}  # flag -> its help entry, wrapped lines joined
+    for line in out.split("options:\n")[1].splitlines():
+        if line.startswith("  -"):
+            flag = line.split()[0].rstrip(",")
+            entries[flag] = ""
+        entries[flag] += "".join(line.split())
+    for dest, default in _COMMANDS[command][1].items():
+        entry = entries.pop("--" + dest.replace("_", "-"))
+        if default is None:
+            assert "(default:" not in entry
+        else:
+            shown = ",".join(default) if isinstance(default, tuple) else str(default)
+            assert entry.endswith(f"(default:{shown})")
+    extra = {"verify": {"--self-test-corrupt"}}.get(command, set())
+    assert set(entries) == {"-h", "--config"} | extra
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 1
 
@@ -385,6 +444,8 @@ def test_verify_band_covers_rounding_of_an_exact_bucket(capsys):
     code, out, _ = run_cli(capsys, *ROUNDED_STAGE1)
     assert code == 0, out
     assert "verdict: PASS" in out
+    # That stderr is rounding noise and prints as 0.
+    assert "empirical=1+-0 " in out.splitlines()[1]
     code, out, _ = run_cli(capsys, *ROUNDED_STAGE1, "--self-test-corrupt")
     assert code == 2
 
@@ -411,7 +472,9 @@ def test_verify_band_never_falls_below_the_oracle_tolerance(capsys, monkeypatch)
      "the (D, D, D) protocol register at D=3000 would need 411,987 MiB"),
     (("plan", "--D", "100000000", "--coeffs", "0.6,0.8"),
      "the Kraus diagonals of 1 stage(s) at D=100000000 would need 1,526 MiB"),
-], ids=["verify", "plan"])
+    (("verify", "--D", "4", "--coeffs", "0.6,0.8", "--trials", str(2**24 + 1)),
+     "the per-trial results of 16,777,217 trials would need 128 MiB"),
+], ids=["verify", "plan", "verify-trials"])
 def test_oversized_dimension_is_a_usage_error_before_allocating(capsys, argv, what):
     tracemalloc.start()
     try:

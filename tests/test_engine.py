@@ -179,6 +179,28 @@ def test_monte_carlo_rejects_fewer_than_one_worker(workers):
         monte_carlo(EXAMPLE, cfg, 1000, seed=0, workers=workers)
 
 
+def test_monte_carlo_result_arrays_are_guarded_before_sampling(monkeypatch):
+    # 8 B per trial for the stage and the fidelity arrays: 2**24 trials
+    # fill the 128 MiB limit exactly.
+    class Sampled(Exception):
+        pass
+
+    def sentinel(*args):
+        raise Sampled
+
+    built = []
+    runner = engine.ProtocolRunner
+    monkeypatch.setattr(engine, "ProtocolRunner", lambda *args: built.append(1) or runner(*args))
+    monkeypatch.setattr(engine, "_run_blocks", sentinel)
+    cfg = StrategyConfig(kind="mc-smc", k_max=1, fallback="me")
+    with pytest.raises(ValueError, match=r"16,777,217 trials would need 128 MiB, more than"):
+        monte_carlo(EXAMPLE, cfg, 2**24 + 1, seed=0)
+    assert built == []
+    with pytest.raises(Sampled):
+        monte_carlo(EXAMPLE, cfg, 2**24, seed=0)
+    assert built == [1]
+
+
 def test_monte_carlo_seed_determinism():
     cfg = StrategyConfig(kind="mc-smc", k_max=2, fallback="me")
     a = monte_carlo(EXAMPLE, cfg, 2000, seed=5)

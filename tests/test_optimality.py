@@ -1,0 +1,128 @@
+"""Every filtering stage reaches the maximum-confidence optimum.
+
+Croke, Andersson, Barnett, Gilson & Jeffers, PRL 96, 070401 (2006): for D
+equally likely states psi_l with rho = (1/D) sum_l |psi_l><psi_l|, no
+measurement names psi_0 with a confidence above
+(1/D) lambda_max(rho^{-1/2} |psi_0><psi_0| rho^{-1/2}).  The elements
+Pi_l = c rho^{-1} |psi_l><psi_l| rho^{-1} reach it, and the largest
+admissible c = 1/lambda_max(sum_l rho^{-1} |psi_l><psi_l| rho^{-1}) gives
+the largest conclusive probability Tr(rho sum_l Pi_l).
+
+The test builds each stage's family from the raw coefficients by its own
+recursion and rho from the states alone, with no grouping and no plan.  It
+then holds the closed-form confidence, the plan's failure probability and
+the plan's own filter to that optimum, and the ``plan`` command's
+"useful" column to the paper's criterion (N_k + 1)/(D + 1) > F_me.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from conftest import random_multiplicity_pattern
+from mcteleport import build_stage_plan, channel_report, make_channel
+from mcteleport.cli import main
+
+ATOL = 1e-12
+
+
+def stage_families(amps) -> list[np.ndarray]:
+    """The family entering each stage, normalised and non-increasing.
+
+    Stage 1 sees the coefficients e = a; stage k + 1 sees the survivors
+    sqrt(e_m^2 - e_min^2) of stage k.  A uniform family is the last; a
+    single survivor admits no stage and is dropped."""
+    e = np.sort(np.asarray(amps, dtype=float))[::-1]
+    e = e / np.linalg.norm(e)
+    families = [e]
+    while e.min() < e.max():
+        e = np.sqrt(e[e > e.min()] ** 2 - e.min() ** 2)
+        e = e / np.linalg.norm(e)
+        families.append(e)
+    return [f for f in families if f.size >= 2]
+
+
+def family_states(e: np.ndarray, D: int) -> np.ndarray:
+    """Row l is psi_l = Z^l sum_m e_m |m>, l = 0..D-1."""
+    psi = np.zeros((D, D), dtype=complex)
+    psi[:, :e.size] = np.exp(2j * np.pi * np.outer(np.arange(D), np.arange(e.size)) / D) * e
+    return psi
+
+
+def croke_optimum(e: np.ndarray, D: int) -> tuple[float, float]:
+    """(best confidence, largest conclusive probability at that confidence)
+    for the family ``family_states(e, D)``."""
+    psi = family_states(e, D)
+    rho = psi.T @ psi.conj() / D
+    w, v = np.linalg.eigh(rho)
+    keep = w > ATOL * w.max()
+    v, w = v[:, keep], w[keep]
+    rho_inv = (v / w) @ v.conj().T
+    rho_inv_half = (v / np.sqrt(w)) @ v.conj().T
+    a = rho_inv_half @ psi[0]
+    confidence = np.linalg.eigvalsh(np.outer(a, a.conj())).max() / D
+    b = psi @ rho_inv.T  # row l is rho^{-1} psi_l
+    total = b.T @ b.conj()  # sum_l rho^{-1} |psi_l><psi_l| rho^{-1}
+    c = 1.0 / np.linalg.eigvalsh(total).max()
+    return float(confidence), float(np.trace(rho @ (c * total)).real)
+
+
+def check_stage(stage, confidence: float, e: np.ndarray, D: int) -> None:
+    """The stage's closed-form confidence, its failure probability and its
+    Kraus filter followed by the minimum-error readout all reach the
+    optimum for the family ``e``."""
+    best, p_conclusive = croke_optimum(e, D)
+    assert confidence == pytest.approx(best, abs=ATOL)
+    assert 1.0 - stage.p_fail == pytest.approx(p_conclusive, abs=ATOL)
+
+    filtered = family_states(e, D) * stage.K_s
+    assert np.sum(np.abs(filtered) ** 2, axis=1) == pytest.approx(p_conclusive, abs=ATOL)
+    filtered /= np.linalg.norm(filtered, axis=1, keepdims=True)
+    f0 = np.full(D, D**-0.5)  # readout outcome 0 of the inverse Fourier transform
+    p_outcome0 = np.abs(filtered @ f0) ** 2  # given each psi_l
+    assert p_outcome0[0] / p_outcome0.sum() == pytest.approx(best, abs=ATOL)
+
+
+def random_tied_amplitudes(rng):
+    """D in 2..12 and N <= D normalised amplitudes in at least two groups
+    of exactly equal values."""
+    D = int(rng.integers(2, 13))
+    mults = (1,)
+    while len(mults) < 2:
+        mults = random_multiplicity_pattern(rng, max_n=D)
+    values = rng.permutation(np.arange(1, len(mults) + 1) + rng.uniform(0, 0.5, len(mults)))
+    amps = np.repeat(values, mults)
+    return D, amps / np.linalg.norm(amps)
+
+
+def test_every_stage_reaches_the_maximum_confidence_optimum(capsys):
+    rng = np.random.default_rng(2006)
+    for _ in range(300):
+        D, amps = random_tied_amplitudes(rng)
+        families = stage_families(amps)
+        ch = make_channel(D, amps)
+        plan = build_stage_plan(ch)
+        report = channel_report(ch)
+        assert plan.M == len(families)
+        for k, (stage, e) in enumerate(zip(plan.stages, families)):
+            check_stage(stage, report.f_mc_s[k], e, D)
+
+        # Stage k is useful exactly where (N_k + 1)/(D + 1) beats F_me.
+        f_me = (1.0 + np.sum(amps) ** 2) / (D + 1)
+        expected = ["yes" if (e.size + 1) / (D + 1) > f_me else "no" for e in families]
+        assert main(["plan", "--D", str(D), "--coeffs", ",".join(map(repr, amps.tolist()))]) == 0
+        rows = [ln.split() for ln in capsys.readouterr().out.splitlines()
+                if ln.split()[0].isdigit()]
+        assert [row[4] for row in rows] == expected
+
+
+def test_a_weakened_filter_misses_the_optimum():
+    amps = np.sqrt([0.5, 0.3, 0.2])
+    ch = make_channel(4, amps)
+    stage = build_stage_plan(ch).stages[0]
+    e = stage_families(amps)[0]
+    f_mc = channel_report(ch).f_mc_s[0]
+    check_stage(stage, f_mc, e, 4)
+    with pytest.raises(AssertionError):
+        check_stage(dataclasses.replace(stage, K_s=0.99 * stage.K_s), f_mc, e, 4)
