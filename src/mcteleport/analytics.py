@@ -334,11 +334,15 @@ def report_blocks(
     if np.any(np.abs(total - 1.0) > NORMALIZATION_SLACK):
         raise ValueError(f"squared coefficients must sum to 1 within {NORMALIZATION_SLACK:g}")
     amps = np.sort(amps / np.sqrt(total)[:, None], axis=1)
-    patterns, which = np.unique(np.diff(amps, axis=1) > tie_tolerance, axis=0,
-                                return_inverse=True)
-    which = which.ravel()
-    return [_pattern_block(D, amps, gaps, squared, np.flatnonzero(which == g))
-            for g, gaps in enumerate(patterns)]
+    gaps = np.diff(amps, axis=1) > tie_tolerance
+    # One void code per row, its gap mask packed 8 gaps to a byte: the codes
+    # sort as the bool rows do, so the patterns come in np.unique(axis=0)'s
+    # order, without its per-field sort.
+    packed = np.packbits(gaps, axis=1)
+    codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, which = np.unique(codes, return_index=True, return_inverse=True)
+    return [_pattern_block(D, amps, gaps[i], squared, np.flatnonzero(which == g))
+            for g, i in enumerate(first.tolist())]
 
 
 def _pattern_block(D, amps, gaps, points, rows) -> ReportBlock:
@@ -357,9 +361,13 @@ def _pattern_block(D, amps, gaps, points, rows) -> ReportBlock:
     M = d - 1 if mults[-1] == 1 else d
     support = np.cumsum(mults[::-1])[::-1][:M]
     # group_coefficients: root mean square of each group's members; a lone
-    # member's mean is its own square.
+    # member's mean is its own square.  np.take keeps the rows contiguous
+    # (a[:, idx] is column-major), so every sum along a row below adds in
+    # the scalar route's pairwise order whatever P is; over a column-major
+    # block of P > 1 rows it adds left to right, which differs in the last
+    # bits once a row has 8 or more terms.
     sq = amps**2
-    values = np.sqrt(sq[:, edges[:-1]])
+    values = np.sqrt(np.take(sq, edges[:-1], axis=1))
     for j in np.flatnonzero(mults > 1).tolist():
         a, b = edges[j], edges[j + 1]
         values[:, j] = np.sqrt(np.add.reduce(sq[:, a:b], axis=1) / (b - a))

@@ -89,10 +89,11 @@ def make_state(dims, amplitudes) -> QuditState:
 
 
 def check_allocation(what: str, nbytes: int) -> None:
-    """ValueError naming the size if ``what`` needs over MAX_ARRAY_BYTES."""
+    """ValueError naming the size, in MiB rounded up, if ``what`` needs over
+    MAX_ARRAY_BYTES (so a size just over the limit never reads as equal to it)."""
     if nbytes > MAX_ARRAY_BYTES:
         raise ValueError(
-            f"{what} would need {nbytes / 2**20:,.0f} MiB, more than the "
+            f"{what} would need {-(-nbytes // 2**20):,} MiB, more than the "
             f"{MAX_ARRAY_BYTES // 2**20} MiB limit (qudit.MAX_ARRAY_BYTES)"
         )
 

@@ -469,11 +469,11 @@ def test_verify_band_never_falls_below_the_oracle_tolerance(capsys, monkeypatch)
 
 @pytest.mark.parametrize("argv,what", [
     (("verify", "--D", "3000", "--coeffs", "0.6,0.8", "--trials", "1000"),
-     "the (D, D, D) protocol register at D=3000 would need 411,987 MiB"),
+     "the (D, D, D) protocol register at D=3000 would need 411,988 MiB"),
     (("plan", "--D", "100000000", "--coeffs", "0.6,0.8"),
      "the Kraus diagonals of 1 stage(s) at D=100000000 would need 1,526 MiB"),
     (("verify", "--D", "4", "--coeffs", "0.6,0.8", "--trials", str(2**24 + 1)),
-     "the per-trial results of 16,777,217 trials would need 128 MiB"),
+     "the per-trial results of 16,777,217 trials would need 129 MiB"),
 ], ids=["verify", "plan", "verify-trials"])
 def test_oversized_dimension_is_a_usage_error_before_allocating(capsys, argv, what):
     tracemalloc.start()

@@ -193,7 +193,7 @@ def test_monte_carlo_result_arrays_are_guarded_before_sampling(monkeypatch):
     monkeypatch.setattr(engine, "ProtocolRunner", lambda *args: built.append(1) or runner(*args))
     monkeypatch.setattr(engine, "_run_blocks", sentinel)
     cfg = StrategyConfig(kind="mc-smc", k_max=1, fallback="me")
-    with pytest.raises(ValueError, match=r"16,777,217 trials would need 128 MiB, more than"):
+    with pytest.raises(ValueError, match=r"16,777,217 trials would need 129 MiB, more than"):
         monte_carlo(EXAMPLE, cfg, 2**24 + 1, seed=0)
     assert built == []
     with pytest.raises(Sampled):

@@ -181,12 +181,12 @@ def test_failed_identity_in_the_array_path_exits_2(monkeypatch, capsys, patch, m
 
 @pytest.mark.parametrize("argv,what", [
     (("--D", "8", "--N", "6", "--grid", "1000"),
-     "a sweep over 8,416,958,750,200 candidate grid points would need 12,329,529,419 MiB"),
+     "a sweep over 8,416,958,750,200 candidate grid points would need 12,329,529,420 MiB"),
     (("--D", "4", "--N", "2", "--grid", "100000000"),
-     "a sweep over 100,000,000 candidate grid points would need 109,863 MiB"),
+     "a sweep over 100,000,000 candidate grid points would need 109,864 MiB"),
     # The smallest N=2 grid whose 12 CSV cells per row pass the limit.
     (("--D", "4", "--N", "2", "--grid", "116509"),
-     "a sweep over 116,509 candidate grid points would need 128 MiB"),
+     "a sweep over 116,509 candidate grid points would need 129 MiB"),
 ], ids=["N6", "grid1e8", "grid-at-limit"])
 def test_oversized_sweep_is_a_usage_error_before_allocating(capsys, argv, what):
     tracemalloc.start()
@@ -229,6 +229,183 @@ def test_options_are_checked_before_enumerating(monkeypatch, capsys, argv, err):
     monkeypatch.setattr(cli, "sweep_points", forbidden)
     assert main(["sweep", "--D", "4", "--N", "3", "--grid", "5", *argv]) == 1
     assert capsys.readouterr().err == err
+
+
+# ---------------------------------------------------------------------------
+# CSV text: one formatted string per distinct value, one text per block
+
+
+def _per_row_lines(table):
+    """Reference formatter: every cell of every row through "%.15g"."""
+    line = ",".join(["%.15g"] * table.shape[1])
+    return "".join(line % tuple(values) + "\n" for values in table.tolist())
+
+
+# NaNs of both signs and with payloads, the two zeros, both infinities,
+# subnormals, the largest finite float and integer-valued floats.
+_SPECIAL_FLOATS = (
+    *np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+               0xFFF4000000000123], dtype=np.uint64).view(np.float64).tolist(),
+    0.0, -0.0, float("inf"), float("-inf"), 5e-324, -5e-324, 2.2250738585072009e-308,
+    1.7976931348623157e308, 1.0, -3.0, 4.0, 1e15, 1e16, 123456789012345678.0,
+)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_block_text_equals_per_row_formatting(data):
+    rows = data.draw(st.integers(min_value=1, max_value=40))
+    cols = data.draw(st.integers(min_value=1, max_value=6))
+    value = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(),
+                      st.integers(min_value=-10**6, max_value=10**6).map(float))
+    table = np.empty((rows, cols))
+    for j in range(cols):
+        # A small pool per column, so values repeat as in a sweep.
+        pool = data.draw(st.lists(value, min_size=1, max_size=5))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows, max_size=rows))
+        table[:, j] = [pool[i] for i in picks]
+    assert cli._csv_lines(table) == _per_row_lines(table)
+
+
+def test_block_text_keeps_each_bit_pattern_of_a_value():
+    # Equal as values, apart as bits: the zeros print apart, the NaNs alike.
+    nan, neg_nan, payload_nan = _SPECIAL_FLOATS[:3]
+    table = np.array([[0.0, nan], [-0.0, neg_nan], [0.0, payload_nan], [-0.0, 1.0]])
+    assert cli._csv_lines(table) == _per_row_lines(table) == "0,nan\n-0,nan\n0,nan\n-0,1\n"
+
+
+def test_sweep_text_equals_per_row_formatting_across_blocks(monkeypatch, capsys):
+    quantities = ("F_me", "F_mc_s2", "F_me_after_fail", "useful_s1", "P_smc_overall", "M")
+    argv = ["sweep", "--D", "5", "--N", "3", "--grid", "40", "--quantities", ",".join(quantities)]
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    points, _ = sweep_points(SweepSpec(D=5, N=3, resolution=40, quantities=quantities, out=None))
+    table = cli._sweep_table(5, DEFAULT_TIE_TOL, quantities, points)
+    assert whole.split("\n", 8)[-1] == _per_row_lines(table)
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_ROWS", 7)
+    blocks = cli._sweep_chunk((5, DEFAULT_TIE_TOL, quantities, points))
+    assert len(blocks) == -(-len(points) // 7)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == whole
+
+
+def test_failed_identity_prints_nothing_even_after_earlier_blocks(monkeypatch, capsys):
+    # The first blocks evaluate; a later one fails its cross-check.
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_ROWS", 10)
+    evaluate = cli._sweep_table
+    calls = []
+
+    def fail_third(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise AssertionError("forced")
+        return evaluate(*args)
+
+    monkeypatch.setattr(cli, "_sweep_table", fail_third)
+    assert main(["sweep", "--D", "4", "--N", "3", "--grid", "11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal cross-check failed: forced\n"
+
+
+# ---------------------------------------------------------------------------
+# Tie-pattern grouping with codes of several bytes (N - 1 > 8 gaps)
+
+
+def _tied_rows(rng, N, patterns, rows_each):
+    """Squared coefficients, shuffled within each row: ``patterns`` random
+    multiplicity patterns of N, each given ``rows_each`` rows of random
+    well-separated group levels, so each row's tie pattern is exact."""
+    out = []
+    for _ in range(patterns):
+        cuts = np.flatnonzero(rng.random(N - 1) < rng.uniform(0.1, 0.9)) + 1
+        mults = np.diff(np.concatenate(([0], cuts, [N])))
+        for _ in range(rows_each):
+            levels = np.cumsum(rng.uniform(0.5, 1.5, size=mults.size))
+            row = np.repeat(levels, mults)
+            out.append(rng.permutation(row / row.sum()))
+    return np.array(out)
+
+
+def _unique_rows_groups(squared, tie_tol=DEFAULT_TIE_TOL):
+    """Reference grouping: np.unique over the bool gap rows, as in
+    report_blocks before its rows were packed into one code each."""
+    amps = np.sqrt(squared)
+    amps = np.sort(amps / np.sqrt(np.sum(amps**2, axis=1))[:, None], axis=1)
+    patterns, which = np.unique(np.diff(amps, axis=1) > tie_tol, axis=0, return_inverse=True)
+    which = which.ravel()
+    return patterns, [np.flatnonzero(which == g).tolist() for g in range(len(patterns))]
+
+
+@pytest.mark.parametrize("gaps", [8, 9, 16, 17, 40])
+def test_packed_pattern_codes_group_as_unique_rows(gaps):
+    N = gaps + 1
+    rng = np.random.default_rng(N)
+    squared = _tied_rows(rng, N, patterns=25, rows_each=3)
+    squared = squared[rng.permutation(len(squared))]
+    patterns, groups = _unique_rows_groups(squared)
+    blocks = analytics.report_blocks(N, squared)
+    assert [b.rows.tolist() for b in blocks] == groups
+    assert [b.d for b in blocks] == [int(p.sum()) + 1 for p in patterns]
+
+
+@pytest.mark.parametrize("N", range(10, 18))
+def test_report_blocks_equal_channel_reports_with_multibyte_codes(N):
+    # Up to N groups per row: row sums of 8 or more terms, which add in
+    # another order over a column-major block than over one row.
+    D = N + 1
+    rng = np.random.default_rng(100 + N)
+    grid, _ = sweep_points(SweepSpec(D=D, N=N, resolution=3, quantities=(), out=None))
+    squared = np.concatenate((_tied_rows(rng, N, patterns=6, rows_each=2), grid[::7]))
+    names = _names(N)
+    table = cli._sweep_table(D, DEFAULT_TIE_TOL, names, squared)
+    reports = [channel_report(make_channel(D, np.sqrt(p))) for p in squared]
+    one_row = np.array([[float(report_quantity(rep, q)) for q in names] for rep in reports])
+    scalar = np.array([[float(ref.get(q, np.nan)) for q in names] for ref in
+                       (_scalar_quantities(D, p, DEFAULT_TIE_TOL) for p in squared)])
+    assert _same_bits(table[:, N:], one_row).all()
+    assert _same_bits(table[:, N:], scalar).all()
+
+
+@pytest.mark.parametrize("patch,message", [
+    (("_f_me_after_fail_double_sums", lambda values, mults, D: (values[:, 0] + 1.0,
+                                                                 0.0 * values[:, 0])),
+     "failure-fidelity forms disagree: "),
+    (("IDENTITY_ATOL", -1.0), "stage-fidelity forms disagree: "),
+], ids=["failure-fidelity", "stage-fidelity"])
+def test_failed_identity_names_the_first_point_of_the_first_pattern(monkeypatch, capsys,
+                                                                    patch, message):
+    # Both checks fail on every row they test: the first is the first row of
+    # the first pattern (in np.unique order) the check applies to.
+    points, _ = sweep_points(SweepSpec(D=12, N=10, resolution=3, quantities=(), out=None))
+    patterns, groups = _unique_rows_groups(points)
+    tied = [g for p, g in zip(patterns, groups) if p.any() or patch[0] == "IDENTITY_ATOL"]
+    monkeypatch.setattr(analytics, *patch)
+    assert main(["sweep", "--D", "12", "--N", "10", "--grid", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: internal cross-check failed: {message}")
+    assert err.endswith(f" at point {points[tied[0][0]].tolist()}\n")
+
+
+@pytest.mark.parametrize("quantities,joined_bytes", [("", 86.8), ("F_me", 75.6)],
+                         ids=["no-quantity", "F_me"])
+def test_sweep_to_a_file_holds_one_block_of_scratch(tmp_path, quantities, joined_bytes):
+    # Seven blocks of SWEEP_BLOCK_ROWS points.  Joining every row into one
+    # text before writing, the sweep peaked at ``joined_bytes`` per
+    # candidate cell here (tracemalloc); writing the block texts in turn
+    # takes about 52 and 40 B.  The bound is a fifth below the joined peak.
+    grid = 100_000
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--D", "4", "--N", "2", "--grid", str(grid),
+                     "--quantities", quantities, "--out", str(tmp_path / "sweep.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert grid > 6 * cli.SWEEP_BLOCK_ROWS
+    cells = grid * (2 + len(cli._parse_names(quantities)))
+    assert peak / cells < min(0.8 * joined_bytes, cli.SWEEP_CELL_BYTES)
 
 
 def test_evaluator_splits_rows_by_tie_pattern():
