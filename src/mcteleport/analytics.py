@@ -361,11 +361,10 @@ def _pattern_block(D, amps, gaps, points, rows) -> ReportBlock:
     M = d - 1 if mults[-1] == 1 else d
     support = np.cumsum(mults[::-1])[::-1][:M]
     # group_coefficients: root mean square of each group's members; a lone
-    # member's mean is its own square.  np.take keeps the rows contiguous
-    # (a[:, idx] is column-major), so every sum along a row below adds in
-    # the scalar route's pairwise order whatever P is; over a column-major
-    # block of P > 1 rows it adds left to right, which differs in the last
-    # bits once a row has 8 or more terms.
+    # member's mean is its own square.  np.take keeps rows contiguous
+    # (a[:, idx] is column-major), so each row sum below adds pairwise, as
+    # the scalar route does, for any P; a column-major block of P > 1 rows
+    # adds left to right, off in the last bit from 8 terms on.
     sq = amps**2
     values = np.sqrt(np.take(sq, edges[:-1], axis=1))
     for j in np.flatnonzero(mults > 1).tolist():
