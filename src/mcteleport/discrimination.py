@@ -228,9 +228,11 @@ def build_stage_plan(
     The family entering stage k is sqrt(a_m^2 - v^2), normalized, over the
     ``support_size(k)`` largest snapped coefficients, v being the largest
     group value consumed before stage k (0 at stage 1); it is also the
-    failure family of stage k - 1.  Stage k is useful when a conclusive
-    outcome there beats the deterministic protocol, i.e. when the surviving
-    coefficient count exceeds (sum_m a_m)^2 strictly.
+    failure family of stage k - 1.  Every family is a row of one (d, N)
+    array and the Kraus diagonals are rows of (M, D) arrays, so each stage
+    holds row views.  Stage k is useful when a conclusive outcome there
+    beats the deterministic protocol, i.e. when the surviving coefficient
+    count exceeds (sum_m a_m)^2 strictly.
     """
     if ch.N < 2:
         raise ValueError("rank-1 channels admit no discrimination stages")
@@ -239,13 +241,32 @@ def build_stage_plan(
     check_allocation(f"the Kraus diagonals of {M} stage(s) at D={ch.D}", 16 * M * ch.D)
     sum_a = float(np.sum(profile.values * profile.multiplicities))
 
+    # Row k - 1 of each array is stage k's; family rows are zero past
+    # their support, and K_s is 0 (so K_f is 1) off it.  One norm per
+    # family: a 2-D norm would sum in another order and change bits.
     squares = np.repeat(profile.values, profile.multiplicities)[::-1] ** 2
     consumed = np.concatenate(([0.0], profile.values[:-1] ** 2))
-    families = [np.sqrt(squares[:n] - v_sq) for n, v_sq in zip(profile.support, consumed)]
-    families = [f / np.linalg.norm(f) for f in families] + [np.empty(0)]
+    support = profile.support
+    alive = np.arange(ch.N) < support[:, None]
+    families = np.sqrt(np.where(alive, squares - consumed[:, None], 0.0))
+    for family, n in zip(families, support):
+        family[:n] /= np.linalg.norm(family[:n])
+    smallest = families[np.arange(M), support[:M] - 1]
+    K_s = np.zeros((M, ch.D))
+    np.divide(smallest[:, None], families[:M], out=K_s[:, : ch.N], where=alive[:M])
+    K_f = np.sqrt(np.maximum(0.0, 1.0 - K_s**2))
+    if np.max(np.abs(K_s**2 + K_f**2 - 1.0)) > KRAUS_ATOL:
+        raise ValueError("generated Kraus pair violates completeness")
+    success = np.where(alive[:M], 1.0 / np.sqrt(support[:M])[:, None], 0.0)
+    p_fail = 1.0 - support[:M] * smallest**2
+    for arr in (families, K_s, K_f, success):
+        arr.setflags(write=False)
+    rows = [family[:n] for family, n in zip(families, support)] + [families[0, :0]]
     stages = tuple(
-        _filter_stage(k, families[k - 1], families[k - 1], ch.D, k == d, families[k])
+        McStage(k, rows[k - 1], K_s[k - 1], K_f[k - 1],
+                0.0 if k == d else float(p_fail[k - 1]), success[k - 1, : support[k - 1]],
+                rows[k], k == d)
         for k in range(1, M + 1)
     )
-    useful = tuple(bool(u) for u in profile.support[:M] - sum_a**2 > USEFUL_MARGIN)
+    useful = tuple(bool(u) for u in support[:M] - sum_a**2 > USEFUL_MARGIN)
     return StagePlan(stages, useful)

@@ -11,20 +11,25 @@ cache, ``_tables``; nothing of size D^3 is cached.
 
 Two evaluation routes are provided for every strategy.  ``monte_carlo``
 samples full protocol runs (Haar-random inputs, Born-rule measurements)
-in blocks of trials with ``ProtocolRunner.run_block``.  Every trial that
+in blocks of trials, each drawn from its own generator, and runs a group
+of whole blocks per ``ProtocolRunner.run_block`` call.  Every trial that
 ends at the same stage carries the same filtered Schmidt weights, so the
 runner keeps one row of weights and readout probabilities per end stage,
-(k_max + 1, D) tables, and a block needs no array larger than (B, D).
-``ProtocolRunner.run`` is the single-run reference, and every
-``monte_carlo`` call replays one trial through both and requires them to
-agree.  ``exact_average_fidelity`` enumerates every measurement branch as
-a linear operator on the input and sums, per branch set, the squared
+(k_max + 1, D) tables, and a group needs no array larger than
+(rows, D), at most ``BLOCK_ENTRIES`` entries.  ``ProtocolRunner.run`` is
+the single-run reference, and every ``monte_carlo`` call replays one
+trial through both and requires them to agree.
+``exact_average_fidelity`` enumerates every measurement branch as a
+linear operator on the input and sums, per branch set, the squared
 traces Q and the squared norms T of those operators; the Haar-averaged
 fidelity is (Q + T) / ((D + 1) T).  It involves no sampling and serves
 as the oracle the sampled statistics are checked against.  It starts from
 the D filtered Schmidt weights, since the register after the controlled
-shift vanishes unless b = m.  Its one enumeration, ``_branch_sets``, is
-cached, so every oracle row reads the same (Q, T) sets.
+shift vanishes unless b = m, and gathers the D^3 entries of the rotated
+branch operators from one D x D table.  For the same reason ``run``
+applies F^+ to the register as a D^3 broadcast.  The one enumeration,
+``_branch_sets``, is cached, so every oracle row reads the same (Q, T)
+sets.
 
 The sampler and the oracle both take their stage operators from
 ``build_stage_plan``, which caches the last plan it built, so one plan
@@ -64,9 +69,11 @@ from .qudit import (
 # unreachable when conditioning.
 MIN_BRANCH_MASS = 1e-12
 
-# Monte Carlo block size, B = BLOCK_ENTRIES // D^2 trials.  No block array
-# is larger than (B, D) any more, but block i draws from generator (seed, i),
-# so B is part of what defines the samples and stays as it was chosen.
+# Monte Carlo block size, B = BLOCK_ENTRIES // D^2 trials.  Block i draws
+# from generator (seed, i), so B is part of what defines the samples and
+# stays as it was chosen.  The kernel runs a group of
+# BLOCK_ENTRIES // (D B) whole blocks per call, so no (rows, D) array holds
+# more than BLOCK_ENTRIES entries.
 BLOCK_ENTRIES = 2**16
 
 # Largest fidelity difference the replayed trial may show between
@@ -226,7 +233,9 @@ class ProtocolRunner:
             me = conclusive or self.cfg.fallback == "me"
             finv, _, phases, _, shifts = _tables(self.D)
             if me:
-                t = np.matmul(finv, t)
+                # (F^+ t)[b, l, j] = F^+[l, b] t[b, b, j]: t vanishes off b = m.
+                b = np.arange(self.D)
+                t = finv.T[:, :, None] * t[b, b][:, None, :]
             probs_l = (np.abs(t) ** 2).sum(axis=(0, 2))
             l = self._sample_axis(probs_l, rng)
             slice_l = t[:, l, :] / np.sqrt(probs_l[l])
@@ -395,6 +404,11 @@ def block_size(D: int) -> int:
     return max(1, BLOCK_ENTRIES // (D * D))
 
 
+def group_blocks(D: int) -> int:
+    """Blocks per kernel call at dimension D (at least 1)."""
+    return max(1, BLOCK_ENTRIES // (D * block_size(D)))
+
+
 # Generator streams under one seed: the blocks, and the replayed trial.
 _BLOCK_STREAM, _REPLAY_STREAM = 0, 1
 
@@ -408,16 +422,24 @@ def _draw(runner: ProtocolRunner, rng: np.random.Generator, n: int):
     return haar_random_states(runner.D, n, rng), rng.random((n, runner.draws_per_trial))
 
 
+def _group_draws(runner: ProtocolRunner, seed: int, trials: int, group: int):
+    """Inputs and uniforms of group ``group``: its blocks, each drawn from
+    its own generator keyed by (seed, i), concatenated in block order."""
+    size, per_group = block_size(runner.D), group_blocks(runner.D)
+    stop = min((group + 1) * per_group, ceil(trials / size))
+    draws = [_draw(runner, _generator(seed, _BLOCK_STREAM, block),
+                   min(size, trials - block * size))
+             for block in range(group * per_group, stop)]
+    return tuple(np.concatenate(d) for d in zip(*draws))
+
+
 def _run_blocks(runner: ProtocolRunner, seed: int, trials: int, first: int, stop: int):
-    """(stage_reached, conclusive, fidelity) of blocks [first, stop), in
-    block order.  Block i draws from its own generator, keyed by
-    (seed, i), so the result does not depend on how blocks are shared."""
-    size = block_size(runner.D)
+    """(stage_reached, conclusive, fidelity) of groups [first, stop), in
+    block order, one ``run_block`` call per group.  Groups sit at fixed
+    block positions, so the result does not depend on how they are shared."""
     parts = []
-    for block in range(first, stop):
-        n = min(size, trials - block * size)
-        rng = _generator(seed, _BLOCK_STREAM, block)
-        stages, conclusive, _, fids = runner.run_block(*_draw(runner, rng, n))
+    for group in range(first, stop):
+        stages, conclusive, _, fids = runner.run_block(*_group_draws(runner, seed, trials, group))
         parts.append((stages, conclusive, fids))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
@@ -463,10 +485,12 @@ def monte_carlo(
     """Sample ``trials`` protocol runs on fresh Haar inputs.
 
     Trials run in blocks of ``block_size(D)``; block i draws its inputs
-    and uniforms from one generator keyed by (seed, i).  The result is
-    deterministic given ``seed`` and bit-identical for any ``workers``:
-    each worker (at most ``os.cpu_count()`` and the number of blocks) gets
-    whole blocks, and aggregation folds them in block order.  One more
+    and uniforms from one generator keyed by (seed, i).  The kernel runs
+    ``group_blocks(D)`` whole blocks per call, group g being blocks
+    [g G, (g + 1) G).  The result is deterministic given ``seed`` and
+    bit-identical for any ``workers``: each worker (at most
+    ``os.cpu_count()`` and the number of groups) gets whole groups, and
+    aggregation folds them in block order.  One more
     trial, from a generator of its own, is replayed through
     ``ProtocolRunner.run_haar`` and ``run_block``; AssertionError if the
     two disagree.
@@ -483,12 +507,13 @@ def monte_carlo(
     runner = ProtocolRunner(channel, cfg, tie_tolerance)
     _replay_check(runner, seed)
 
-    n_blocks = ceil(trials / block_size(channel.D))
-    workers = min(workers, os.cpu_count() or 1, n_blocks)
+    D = channel.D
+    n_groups = ceil(trials / (block_size(D) * group_blocks(D)))
+    workers = min(workers, os.cpu_count() or 1, n_groups)
     if workers <= 1:
-        stages, conclusive, fids = _run_blocks(runner, seed, trials, 0, n_blocks)
+        stages, conclusive, fids = _run_blocks(runner, seed, trials, 0, n_groups)
     else:
-        bounds = np.linspace(0, n_blocks, workers + 1).astype(int).tolist()
+        bounds = np.linspace(0, n_groups, workers + 1).astype(int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(partial(_run_blocks, runner, seed, trials),
                                   bounds[:-1], bounds[1:]))
@@ -537,20 +562,17 @@ def _branch_sums(w: np.ndarray, rotate: bool) -> tuple[float, float]:
     and C_lk = X^-k Z^l; without it (``guess``) R_lk = t[:, l, k] and
     C_lk = X^-k.  As tr(C_lk R_lk) = sum_i phases[l, i + k] R_lk[i + k, i],
     the rotation and trace sum need only diag[k, i, s], which is w[s] at
-    s = (i + k) mod D and 0 elsewhere; T is its squared norm, since C_lk
-    and F^+ are unitary.
+    s = (i + k) mod D and 0 elsewhere; T is the squared norm of those D^2
+    entries, since C_lk and F^+ are unitary.  Rotated, entry [k, i, n] is
+    w[s] F^+[n, s] phases[s, n]: row s of one D x D table, gathered
+    through ``shifts`` and summed over i.
     """
     D = w.size
     finv, _, phases, _, shifts = _tables(D)
-    k, i = np.ogrid[:D, :D]
-    diag = np.zeros((D, D, D), dtype=complex)
-    diag[k, i, shifts] = w[shifts]
-    t = float(np.vdot(diag, diag).real)
-    if rotate:
-        diag = np.tensordot(diag, finv, axes=([2], [1]))
-        diag *= phases[shifts]
-    traces = diag.sum(axis=1)
-    return float(np.vdot(traces, traces).real), t
+    gathered = w[shifts]
+    table = w[:, None] * finv.T * phases if rotate else np.diag(w)
+    traces = table[shifts].sum(axis=1)
+    return float(np.vdot(traces, traces).real), float(np.vdot(gathered, gathered))
 
 
 @lru_cache(maxsize=1)

@@ -45,10 +45,10 @@ def random_multiplicity_pattern(rng, max_n=10):
 
 
 @st.composite
-def tied_channels(draw):
-    """Channels with D <= 8 and random groups of exactly or nearly (within
-    the default tie tolerance) equal coefficients."""
-    D = draw(st.integers(min_value=2, max_value=8))
+def tied_channels(draw, max_D=8):
+    """Channels with D <= ``max_D`` and random groups of exactly or nearly
+    (within the default tie tolerance) equal coefficients."""
+    D = draw(st.integers(min_value=2, max_value=max_D))
     N = draw(st.integers(min_value=1, max_value=D))
     cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=N - 1))) if N > 1 else ())
     mults = np.diff([0, *cuts, N])

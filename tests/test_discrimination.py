@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
 
-from conftest import random_channel
+from conftest import random_channel, tied_channels
 from mcteleport import (
     build_stage_plan,
     confidence_at_stage,
@@ -13,6 +14,7 @@ from mcteleport import (
     multiplicity_profile,
     symmetric_family,
 )
+from mcteleport.discrimination import _filter_stage
 
 
 def test_me_orthogonal_family_identified_perfectly():
@@ -365,3 +367,36 @@ def test_cached_plan_is_only_reused_for_its_channel_and_tie_tolerance():
         for _ in range(2):
             with pytest.raises(ValueError, match="rank-1"):
                 build_stage_plan(rank1, tie)
+
+
+def _per_stage_plan(ch, tie_tolerance=1e-9):
+    """``build_stage_plan``'s stages built one ``_filter_stage`` call at a
+    time, each from its own family array: the reference for the array
+    build."""
+    profile = multiplicity_profile(ch, tie_tolerance)
+    squares = np.repeat(profile.values, profile.multiplicities)[::-1] ** 2
+    consumed = np.concatenate(([0.0], profile.values[:-1] ** 2))
+    families = [np.sqrt(squares[:n] - v_sq) for n, v_sq in zip(profile.support, consumed)]
+    families = [f / np.linalg.norm(f) for f in families] + [np.empty(0)]
+    return [_filter_stage(k, families[k - 1], families[k - 1], ch.D, k == profile.d, families[k])
+            for k in range(1, profile.M + 1)]
+
+
+@given(tied_channels(max_D=40).filter(lambda ch: ch.N > 1))
+@example(make_channel(6, np.sqrt([0.5, 0.2, 0.2, 0.1])))  # lone top
+@example(make_channel(5, np.full(4, 0.5)))  # one group: a terminal stage
+@example(make_channel(40, np.sqrt(np.linspace(2.0, 1.0, 40) / 60.0)))  # 39 stages
+def test_array_plan_equals_the_per_stage_build_bit_for_bit(ch):
+    stages = build_stage_plan.__wrapped__(ch, 1e-9).stages
+    want = _per_stage_plan(ch)
+    assert len(stages) == len(want) == multiplicity_profile(ch).M
+    for got, ref in zip(stages, want):
+        assert (got.stage_index, got.terminal) == (ref.stage_index, ref.terminal)
+        assert np.float64(got.p_fail).tobytes() == np.float64(ref.p_fail).tobytes()
+        for name in STAGE_ARRAYS:
+            array = getattr(got, name)
+            assert not array.flags.writeable
+            assert array.dtype == getattr(ref, name).dtype
+            assert array.tobytes() == getattr(ref, name).tobytes(), name
+    for stage, nxt in zip(stages, stages[1:]):
+        np.testing.assert_array_equal(stage.failure_coeffs, nxt.input_coeffs)

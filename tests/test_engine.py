@@ -627,7 +627,8 @@ def test_batched_and_single_run_samples_agree_statistically(cfg):
 def test_monte_carlo_worker_invariance_across_blocks(monkeypatch):
     ch = _staged_channel(8)
     cfg = StrategyConfig(kind="mc-smc", k_max=2, fallback="guess")
-    size = engine.block_size(8)
+    # Workers share whole groups of blocks: four groups, the last one short.
+    size = engine.block_size(8) * engine.group_blocks(8)
     trials = 3 * size + 100
     serial = monte_carlo(ch, cfg, trials, seed=41)
     pooled = [monte_carlo(ch, cfg, trials, seed=41, workers=2)]
@@ -652,7 +653,79 @@ def test_monte_carlo_caps_workers_at_cpus_and_blocks(monkeypatch):
     monte_carlo(EXAMPLE, cfg, 5 * size, seed=1, workers=64)
     monte_carlo(EXAMPLE, cfg, 2 * size, seed=1, workers=64)
     monte_carlo(EXAMPLE, cfg, size, seed=1, workers=64)  # one block: no pool
-    assert InlinePool.sizes == [3, 2]
+    # Workers share whole groups of group_blocks(4) = 4 blocks: five blocks
+    # make two groups, and two blocks one.
+    assert InlinePool.sizes == [2]
+
+
+def test_monte_carlo_worker_invariance_across_groups(monkeypatch):
+    # At D = 32 a group is 32 blocks of 64 trials: 5000 trials make three.
+    # One tiny weight makes stage 1 rare: at this seed each group holds one
+    # such trial, so a kernel call spanning a worker's whole share would
+    # take the one-row product path for some worker counts only.
+    weights = np.concatenate((np.linspace(2.0, 1.0, 31), [7e-4]))
+    ch = make_channel(32, np.sqrt(weights / weights.sum()))
+    cfg = StrategyConfig(kind="mc-smc", k_max=2, fallback="me")
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
+    InlinePool.sizes = []
+    runs = [monte_carlo(ch, cfg, 5000, seed=44, workers=w) for w in (1, 2, 3, 4)]
+    assert runs[0].stage_count(1) == 3
+    assert InlinePool.sizes == [2, 3, 3]
+    for stats in runs[1:]:
+        np.testing.assert_array_equal(stats.counts, runs[0].counts)
+        np.testing.assert_array_equal(stats.mean_fidelity, runs[0].mean_fidelity)
+        np.testing.assert_array_equal(stats.stderr_fidelity, runs[0].stderr_fidelity)
+
+
+def _per_block_kernel(runner, seed, trials):
+    """``run_block`` once per block, each block drawn from its own
+    generator: the sampler before blocks were grouped."""
+    size = engine.block_size(runner.D)
+    parts = []
+    for block in range(-(-trials // size)):
+        rng = engine._generator(seed, engine._BLOCK_STREAM, block)
+        parts.append(runner.run_block(*engine._draw(runner, rng, min(size, trials - block * size))))
+    return [np.concatenate(p) for p in zip(*parts)]
+
+
+@pytest.mark.parametrize("D", [2, 4, 8, 32, 100])
+@pytest.mark.parametrize("fallback", ["me", "guess"])
+def test_grouped_blocks_equal_one_kernel_call_per_block(D, fallback):
+    # Grouping changes only the shape of each class product, so at most the
+    # last bits of a fidelity; two groups and a short third, whose last
+    # block is short too.
+    runner = ProtocolRunner(_staged_channel(D), StrategyConfig(k_max=min(3, D - 1),
+                                                               fallback=fallback))
+    size, per_group = engine.block_size(D), engine.group_blocks(D)
+    trials = (2 * per_group + per_group // 2) * size + 3
+    n_groups = -(-trials // (size * per_group))
+    stages, conclusive, outcomes, fids = _per_block_kernel(runner, 19, trials)
+    grouped = [runner.run_block(*engine._group_draws(runner, 19, trials, g))
+               for g in range(n_groups)]
+    np.testing.assert_array_equal(np.concatenate([g[2] for g in grouped]), outcomes)
+    got = engine._run_blocks(runner, 19, trials, 0, n_groups)
+    np.testing.assert_array_equal(got[0], stages)
+    np.testing.assert_array_equal(got[1], conclusive)
+    np.testing.assert_allclose(got[2], fids, rtol=0, atol=1e-15)
+    assert 0 < conclusive.sum() < trials
+
+
+@pytest.mark.parametrize("D", [2, 4, 32, 128])
+def test_one_group_of_blocks_stays_below_16_mib(D):
+    # A group holds at most BLOCK_ENTRIES = 2**16 entries per (rows, D)
+    # array, 1 MiB complex.
+    runner = ProtocolRunner(_staged_channel(D), StrategyConfig(k_max=min(3, D - 1)))
+    trials = engine.block_size(D) * engine.group_blocks(D)
+    assert trials * D <= engine.BLOCK_ENTRIES
+    engine._run_blocks(runner, 5, trials, 0, 1)
+    tracemalloc.start()
+    try:
+        engine._run_blocks(runner, 5, trials, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_monte_carlo_replay_check_catches_a_disagreeing_kernel(monkeypatch):
@@ -786,6 +859,87 @@ def test_branch_sums_equal_the_trace_identity_at_dimension_128():
     w = np.linspace(1.0, 0.1, 128)
     w[::5] = 0.0
     _check_trace_identity(w)
+
+
+def _tensordot_branch_sums(w, rotate):
+    """``engine._branch_sums`` as a D^4 reference: the (D, D, D) array
+    diag[k, i, s], w[s] at s = (i + k) mod D, rotated by a ``tensordot``
+    with F^+ over every s, zeros included."""
+    D = w.size
+    finv, _, phases, _, shifts = engine._tables(D)
+    k, i = np.ogrid[:D, :D]
+    diag = np.zeros((D, D, D), dtype=complex)
+    diag[k, i, shifts] = w[shifts]
+    t = float(np.vdot(diag, diag).real)
+    if rotate:
+        diag = np.tensordot(diag, finv, axes=([2], [1]))
+        diag *= phases[shifts]
+    traces = diag.sum(axis=1)
+    return float(np.vdot(traces, traces).real), t
+
+
+@given(st.integers(min_value=2, max_value=64).flatmap(lambda D: st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.0)),
+    min_size=D, max_size=D)))
+def test_branch_sums_equal_the_tensordot_reference(weights):
+    w = np.array(weights)
+    for rotate in (True, False):
+        want = _tensordot_branch_sums(w, rotate)
+        assert engine._branch_sums(w, rotate) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _matmul_run(runner, psi, rng):
+    """``ProtocolRunner.run`` as a D^4 reference: the minimum-error readout
+    applies F^+ to the whole (D, D, D) register with ``np.matmul``.
+    Returns (stage, conclusive, outcomes, receiver amplitudes, fidelity)."""
+    t = engine._post_shift(runner._weights, psi)
+    stage, conclusive = 0, runner.cfg.kind != "mc-smc"
+    for stage, (ks, kf) in enumerate(runner._filters, start=1):
+        passed = t * ks[:, None]
+        p_s = np.vdot(passed, passed).real
+        if rng.random() < p_s:
+            t, conclusive = passed / np.sqrt(p_s), True
+            break
+        failed = t * kf[:, None]
+        t = failed / np.sqrt(np.vdot(failed, failed).real)
+    if not conclusive and runner.cfg.fallback == "discard":
+        return stage, conclusive, None, None, None
+    me = conclusive or runner.cfg.fallback == "me"
+    finv, _, phases, _, shifts = engine._tables(runner.D)
+    if me:
+        t = np.matmul(finv, t)
+    probs_l = (np.abs(t) ** 2).sum(axis=(0, 2))
+    l = ProtocolRunner._sample_axis(probs_l, rng)
+    slice_l = t[:, l, :] / np.sqrt(probs_l[l])
+    probs_k = (np.abs(slice_l) ** 2).sum(axis=0)
+    k = ProtocolRunner._sample_axis(probs_k, rng)
+    bob = (phases[l if me else 0] * slice_l[:, k] / np.sqrt(probs_k[k]))[shifts[k]]
+    return stage, conclusive, (l, k), bob, float(np.abs(np.vdot(psi, bob)) ** 2)
+
+
+@pytest.mark.parametrize("D", [2, 3, 5, 8, 17, 32, 64])
+def test_single_run_equals_the_matmul_reference(D):
+    rng = np.random.default_rng(90 + D)
+    for N in sorted({2, max(2, D // 2), D}):  # N < D pads zero weights
+        ch = random_channel(rng, D=D, N=N)
+        M = multiplicity_profile(ch).M
+        for cfg in [DET] + [StrategyConfig(k_max=min(2, M), fallback=fb)
+                            for fb in ("me", "guess", "discard")]:
+            runner = ProtocolRunner(ch, cfg)
+            for _ in range(3):
+                psi = haar_random_state(D, rng).amplitudes
+                uniforms = rng.random(runner.draws_per_trial)
+                rec = runner.run(QuditState((D,), psi), _ReplayedUniforms(uniforms))
+                stage, conclusive, outcomes, bob, fid = _matmul_run(
+                    runner, psi, _ReplayedUniforms(uniforms))
+                assert (rec.stage_reached, rec.conclusive, rec.alice_outcomes) == (
+                    stage, conclusive, outcomes)
+                if bob is None:
+                    assert rec.bob_state is None
+                    continue
+                got = rec.bob_state.amplitudes
+                assert np.linalg.norm(got - bob) <= 1e-12 * np.linalg.norm(bob)
+                assert rec.run_fidelity == pytest.approx(fid, rel=1e-12, abs=0)
 
 
 @settings(max_examples=150)
