@@ -507,8 +507,8 @@ def _verify_rows(channel, cfg, trials, seed, workers, tie_tol):
     on probability rows, whose stderr is the binomial sqrt(p(1 - p)/trials)
     of the analytic p, so a bucket that happens to see no hits keeps a
     band of its expected width."""
-    stats = monte_carlo(channel, cfg, trials, seed, workers=workers, tie_tolerance=tie_tol)
     masses = exact_branch_probabilities(channel, cfg, tie_tol)
+    stats = monte_carlo(channel, cfg, trials, seed, workers=workers, tie_tolerance=tie_tol)
 
     def binomial_err(p):
         return sqrt(max(p * (1.0 - p), 0.0) / trials)
@@ -546,9 +546,10 @@ def cmd_verify(args) -> int:
     if args.trials < 1000:
         raise ValueError("verify needs at least 1000 trials")
     cfg = StrategyConfig(kind=KIND_SMC, k_max=args.k_max, fallback=args.fallback)
-    # monte_carlo's runner takes the stage plan first, so rank-1 channels and
-    # an excess k_max are rejected before any trial is sampled; the oracle
-    # calls after it reuse the cached plan.
+    # _verify_rows enumerates the oracle's branches before it samples, so its
+    # D^3 guard (the largest allocation of a verify) and the stage plan reject
+    # an oversized D, rank-1 channels and an excess k_max before any trial is
+    # drawn; every later call reuses the cached plan and enumeration.
     rows = _verify_rows(ch, cfg, args.trials, args.seed, args.workers, args.tie_tol)
     if args.self_test_corrupt:
         name, analytic, *rest = rows[0]

@@ -4,10 +4,11 @@ The register layout is fixed: subsystem 0 is the receiver's half of the
 entangled pair, subsystem 1 the sender's half, subsystem 2 the unknown
 input state, flattened with subsystem 0 most significant.  Every object
 is kept in one form: ``_post_shift`` builds the register after the
-controlled shift from the Schmidt weights, stage operators are the
-diagonals stored on each ``McStage``, and every kernel reads its D x D
-tables (F^+, the phases and shifts of the correction X^-k Z^l) from one
-cache, ``_tables``; nothing of size D^3 is cached.
+controlled shift from the Schmidt weights, as its b = m diagonal (it
+vanishes elsewhere), stage operators are the diagonals stored on each
+``McStage``, and every kernel reads its D x D tables (F^+, the phases and
+shifts of the correction X^-k Z^l) from one cache, ``_tables``; nothing of
+size D^3 is cached.
 
 Two evaluation routes are provided for every strategy.  ``monte_carlo``
 samples full protocol runs (Haar-random inputs, Born-rule measurements)
@@ -17,8 +18,9 @@ ends at the same stage carries the same filtered Schmidt weights, so the
 runner keeps one row of weights and readout probabilities per end stage,
 (k_max + 1, D) tables, and a group needs no array larger than
 (rows, D), at most ``BLOCK_ENTRIES`` entries.  ``ProtocolRunner.run`` is
-the single-run reference, and every ``monte_carlo`` call replays one
-trial through both and requires them to agree.
+the single-run reference, on the (D, D) diagonal of the register, and
+every ``monte_carlo`` call replays one trial through both and requires
+them to agree.
 ``exact_average_fidelity`` enumerates every measurement branch as a
 linear operator on the input and sums, per branch set, the squared
 traces Q and the squared norms T of those operators; the Haar-averaged
@@ -26,8 +28,7 @@ fidelity is (Q + T) / ((D + 1) T).  It involves no sampling and serves
 as the oracle the sampled statistics are checked against.  It starts from
 the D filtered Schmidt weights, since the register after the controlled
 shift vanishes unless b = m, and gathers the D^3 entries of the rotated
-branch operators from one D x D table.  For the same reason ``run``
-applies F^+ to the register as a D^3 broadcast.  The one enumeration,
+branch operators from one D x D table.  The one enumeration,
 ``_branch_sets``, is cached, so every oracle row reads the same (Q, T)
 sets.
 
@@ -119,13 +120,11 @@ def _tables(D: int) -> tuple[np.ndarray, ...]:
 
 
 def _post_shift(w: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Register t[b, m, j] after the controlled shift (sender half m
-    controls the input j): w[b] psi[(b - j) mod D] at b = m, else 0, for
-    the Schmidt weights ``w`` padded to D and the input ``psi``."""
-    D = psi.size
-    t = np.zeros((D, D, D), dtype=complex)
-    t[np.arange(D), np.arange(D)] = w[:, None] * psi[_tables(D)[3]]
-    return t
+    """Diagonal t[b, j] = t[b, b, j] = w[b] psi[(b - j) mod D] of the
+    register t[b, m, j] after the controlled shift (sender half m controls
+    the input j), for the Schmidt weights ``w`` padded to D and the input
+    ``psi``; the register vanishes off b = m."""
+    return w[:, None] * psi[_tables(psi.size)[3]]
 
 
 def _stage_filters(channel: SchmidtChannel, cfg: StrategyConfig,
@@ -143,8 +142,9 @@ def _stage_filters(channel: SchmidtChannel, cfg: StrategyConfig,
 class ProtocolRunner:
     """Prepared protocol for one channel and strategy; reusable across runs.
 
-    ``run`` works on raw (D, D, D) amplitude arrays with the stage
-    operators applied as diagonals, but draws from the generator in
+    ``run`` works on the raw (D, D) diagonal t[b, j] = t[b, b, j] of the
+    register, the only entries the controlled shift leaves nonzero, with
+    the stage operators rescaling its rows; it draws from the generator in
     exactly the same order and with the same Born weights as the public
     register operations, so a run is reproducible either way.
     ``run_block`` is the same process for a block of trials at once, read
@@ -158,8 +158,9 @@ class ProtocolRunner:
         tie_tolerance: float = DEFAULT_TIE_TOL,
     ):
         self.D = D = channel.D
-        # ``run`` builds this register; every other array is D x D or less.
-        check_allocation(f"the (D, D, D) protocol register at D={D}", 16 * D**3)
+        # No array here or in a run is larger than D x D: a run, the tables
+        # included, peaks at about 7 complex (D, D) arrays.
+        check_allocation(f"the (D, D) arrays of a single run at D={D}", 8 * 16 * D**2)
         self.cfg = cfg
         self._bits_base = 2 * ceil(log2(D))
         self._filters = _stage_filters(channel, cfg, tie_tolerance)
@@ -231,14 +232,15 @@ class ProtocolRunner:
             # Minimum-error readout (Fourier basis, correction X^-k Z^l), or
             # for ``guess`` a computational readout corrected by X^-k.
             me = conclusive or self.cfg.fallback == "me"
-            finv, _, phases, _, shifts = _tables(self.D)
-            if me:
-                # (F^+ t)[b, l, j] = F^+[l, b] t[b, b, j]: t vanishes off b = m.
-                b = np.arange(self.D)
-                t = finv.T[:, :, None] * t[b, b][:, None, :]
-            probs_l = (np.abs(t) ** 2).sum(axis=(0, 2))
+            finv, rot, phases, _, shifts = _tables(self.D)
+            # (F^+ t)[b, l, j] = F^+[l, b] t[b, j], so outcome l has
+            # probability |F^+|^2 @ (row sums of |t|^2); ``guess`` reads
+            # m = b directly and keeps row l alone.
+            rows = (np.abs(t) ** 2).sum(axis=1)
+            probs_l = rot @ rows if me else rows
             l = self._sample_axis(probs_l, rng)
-            slice_l = t[:, l, :] / np.sqrt(probs_l[l])
+            readout = finv[l] if me else np.arange(self.D) == l
+            slice_l = readout[:, None] * t / np.sqrt(probs_l[l])
             probs_k = (np.abs(slice_l) ** 2).sum(axis=0)
             k = self._sample_axis(probs_k, rng)
             v = slice_l[:, k] / np.sqrt(probs_k[k])
@@ -280,8 +282,10 @@ class ProtocolRunner:
         second outcome j has probability sum_i |psi_i|^2 w_c^2[(i + j) mod D]
         after the minimum-error readout, as |F^+|^2 = 1/D: one
         (rows, D) x (D, D) product per class.  After ``guess`` it has
-        probability |psi[(o1 - j) mod D]|^2.  Every array is (B, D) or
-        smaller: a trial never needs its (D, D, D) register.
+        probability |psi[(o1 - j) mod D]|^2.  The receiver's overlap with
+        the input is real, as phases[l, s] F^+[l, s] = 1/sqrt(D): one dot
+        of |psi|^2 with the shifted w_c per row, or one entry for ``guess``.
+        Every array is (B, D) or smaller: a trial never needs its register.
 
         Returns (stage_reached, conclusive, outcomes, fidelity) per row;
         outcomes are (-1, -1) and fidelity NaN for discarded trials.
@@ -292,7 +296,7 @@ class ProtocolRunner:
                 f"expected inputs (B, {self.D}) and uniforms (B, {self.draws_per_trial}), "
                 f"got {inputs.shape} and {uniforms.shape}"
             )
-        finv, _, phases, diff, shifts = _tables(D)
+        diff, shifts = _tables(D)[3:]
         k = len(self._filters)
         # The first stage whose uniform falls below its success probability;
         # the last class's inf catches every trial all stages failed.
@@ -304,30 +308,38 @@ class ProtocolRunner:
         fids = np.full(B, np.nan)
         rows = np.flatnonzero(self._delivers[ends])
         cls = ends[rows]
-        me = self._me[cls]
         q = np.abs(inputs[rows]) ** 2
         first = stages[rows]
         # Sender outcome o1: l after the Fourier rotation, else m.
         o1 = _sample_rows(self._cum1[cls], uniforms[rows, first])
         p1 = self._probs1[cls, o1]
+        present = np.flatnonzero(np.bincount(cls, minlength=k + 1))
         # Receiver outcome o2: one product with the class's circulant
         # w_c^2[(i + j) mod D] per minimum-error class, a gather for ``guess``.
         probs2 = np.empty_like(q)
-        for c in np.flatnonzero(np.bincount(cls, minlength=k + 1)):
+        for c in present:
             sel = cls == c
             if self._me[c]:
                 probs2[sel] = q[sel] @ self._w2[c][shifts]
             else:
                 probs2[sel] = np.take_along_axis(q[sel], diff[o1[sel]], axis=1)
         o2 = _sample_rows(np.cumsum(probs2, axis=1), uniforms[rows, first + 1])
-        r = np.arange(rows.size)
-        p2 = probs2[r, o2]
-        # After X^-k Z^l the receiver holds coef[s] w_s psi[n] / sqrt(p1 p2)
-        # at index n, with s = n + k mod D (l = 0 for ``guess``).
-        coef = np.where(me[:, None], phases[o1] * finv[o1], np.arange(D) == o1[:, None])
-        amp = (coef * self._class_w[cls])[r[:, None], shifts[o2]]
+        p2 = probs2[np.arange(rows.size), o2]
+        # After X^-k Z^l the receiver holds phases[l, s] F^+[l, s] w_s psi[n]
+        # / sqrt(p1 p2) at index n, with s = n + k mod D, and that phase
+        # product is 1/sqrt(D) for every s: the overlap with the input is
+        # the real sum_n q[n] w[(n + k) mod D] / sqrt(D).  ``guess`` leaves
+        # w_m psi[n] at n = (m - k) mod D alone.
+        overlap = np.empty(rows.size)
+        for c in present:
+            sel = cls == c
+            if self._me[c]:
+                wc = self._class_w[c][shifts[o2[sel]]]
+                overlap[sel] = np.einsum("rn,rn->r", q[sel], wc) / np.sqrt(D)
+            else:
+                overlap[sel] = q[sel, diff[o1[sel], o2[sel]]] * self._class_w[c, o1[sel]]
         outcomes[rows] = np.stack((o1, o2), axis=1)
-        fids[rows] = np.abs(np.einsum("rn,rn->r", q, amp)) ** 2 / (p1 * p2)
+        fids[rows] = overlap**2 / (p1 * p2)
         return stages, conclusive, outcomes, fids
 
 

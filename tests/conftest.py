@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from mcteleport import SchmidtChannel, make_channel
+from mcteleport import SchmidtChannel, engine, make_channel
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -78,3 +78,16 @@ class InlinePool:
 
     def map(self, fn, *iterables):
         return map(fn, *iterables)
+
+
+def conjugated_tables(table):
+    """``engine._tables`` with entry ``table`` (0: F^+, 2: the correction
+    phases) conjugated: a fault in a table the kernels share."""
+    tables = engine._tables
+
+    def conjugated(D):
+        out = list(tables(D))
+        out[table] = out[table].conj()
+        return tuple(out)
+
+    return conjugated

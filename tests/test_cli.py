@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import InlinePool
+from conftest import InlinePool, conjugated_tables
 from mcteleport import channel_report, make_channel
 from mcteleport.cli import _COMMANDS, main, parse_csv, report_quantity
 
@@ -264,6 +264,30 @@ def test_verify_corrupt_mode_fails(capsys):
     assert "verdict: FAIL" in out
 
 
+@pytest.mark.parametrize("fallback", ["me", "guess", "discard"])
+@pytest.mark.parametrize("table", [0, 2], ids=["finv", "phases"])
+def test_verify_fails_on_a_conjugated_fourier_or_phase_table(capsys, monkeypatch, table,
+                                                              fallback):
+    # F^+ and the correction phases feed the oracle and the single run but
+    # not the block kernel, whose fidelity reads neither.  The replayed trial
+    # catches the fault first; without that check the oracle rows fail while
+    # the sampled means stay in band around the analytic values.
+    from mcteleport import engine
+
+    monkeypatch.setattr(engine, "_tables", conjugated_tables(table))
+    argv = ("verify", "--D", "4", "--coeffs", "0.5,0.3,0.2", "--squared",
+            "--trials", "1000", "--k-max", "2", "--fallback", fallback)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "replayed trial disagrees" in err
+    monkeypatch.setattr(engine, "_replay_check", lambda *args: None)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    fidelity_rows = [line for line in out.splitlines() if line.startswith(("F_", "overall"))]
+    assert len(fidelity_rows) == 3
+    assert all(line.endswith("FAIL oracle!=analytic") for line in fidelity_rows)
+    assert "empirical out of band" not in out
+
+
 SPARSE_STAGE1 = (
     "verify", "--D", "4", "--coeffs", "0.4999,0.4999,0.0001,0.0001", "--squared",
     "--trials", "1000", "--k-max", "2",
@@ -469,7 +493,7 @@ def test_verify_band_never_falls_below_the_oracle_tolerance(capsys, monkeypatch)
 
 @pytest.mark.parametrize("argv,what", [
     (("verify", "--D", "3000", "--coeffs", "0.6,0.8", "--trials", "1000"),
-     "the (D, D, D) protocol register at D=3000 would need 411,988 MiB"),
+     "the (D, D, D) branch enumeration at D=3000 would need 411,988 MiB"),
     (("plan", "--D", "100000000", "--coeffs", "0.6,0.8"),
      "the Kraus diagonals of 1 stage(s) at D=100000000 would need 1,526 MiB"),
     (("verify", "--D", "4", "--coeffs", "0.6,0.8", "--trials", str(2**24 + 1)),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import InlinePool, random_channel, tied_channels
+from conftest import InlinePool, conjugated_tables, random_channel, tied_channels
 from mcteleport import (
     DEFAULT_TIE_TOL,
     DenseOperator,
@@ -472,13 +472,45 @@ def test_runner_construction_memory_stays_small_at_large_dimension():
 
 @pytest.mark.parametrize("D", [2, 3, 4, 5, 6, 7, 8, 32])
 def test_post_shift_equals_the_public_register(D):
-    # The runner's register from its padded Schmidt weights, for every rank.
+    # The runner's diagonal from its padded Schmidt weights, for every rank:
+    # the public register's b = m entries, and nothing anywhere else.
     rng = np.random.default_rng(70 + D)
+    b = np.arange(D)
     for N in range(1, D + 1):
         ch = random_channel(rng, D=D, N=N)
         psi = haar_random_state(D, rng).amplitudes
         t = engine._post_shift(ProtocolRunner(ch, DET)._weights, psi)
-        assert np.array_equal(t, _public_post_shift(ch, psi).tensor())
+        register = _public_post_shift(ch, psi).tensor()
+        assert np.array_equal(t, register[b, b])
+        register[b, b] = 0
+        assert not register.any()
+
+
+def test_single_run_at_dimension_512_peaks_below_eight_square_arrays():
+    # The runner's guard charges 8 complex (D, D) arrays; a run, with the
+    # D x D tables built cold, peaks at about 7.  A (D, D, D) register
+    # would take 2 GiB here.
+    D = 512
+    ch = make_channel(D, np.sqrt([0.5, 0.3, 0.2]))
+    for cfg in [DET] + [StrategyConfig(k_max=1, fallback=fb) for fb in ("me", "guess", "discard")]:
+        rng = np.random.default_rng(12)
+        psi = haar_random_state(D, rng)
+        engine._tables.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_protocol(ch, psi, cfg, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 16 * D**2
+
+
+def test_single_run_guard_names_the_square_arrays():
+    D = 1025
+    ch = make_channel(D, np.sqrt([0.5, 0.5]))
+    with pytest.raises(ValueError, match=r"the \(D, D\) arrays of a single run at D=1025"):
+        ProtocolRunner(ch, DET)
 
 
 def test_single_runs_at_large_dimensions_leave_no_cubic_arrays_held():
@@ -888,11 +920,24 @@ def test_branch_sums_equal_the_tensordot_reference(weights):
         assert engine._branch_sums(w, rotate) == pytest.approx(want, rel=1e-12, abs=0)
 
 
-def _matmul_run(runner, psi, rng):
-    """``ProtocolRunner.run`` as a D^4 reference: the minimum-error readout
-    applies F^+ to the whole (D, D, D) register with ``np.matmul``.
-    Returns (stage, conclusive, outcomes, receiver amplitudes, fidelity)."""
-    t = engine._post_shift(runner._weights, psi)
+def _matmul_rotation(finv, t):
+    """F^+ applied to the sender half of the whole register by ``matmul``."""
+    return np.matmul(finv, t)
+
+
+def _broadcast_rotation(finv, t):
+    """F^+[l, b] t[b, b, j]: the D^3 broadcast that uses t = 0 off b = m."""
+    b = np.arange(len(finv))
+    return finv.T[:, :, None] * t[b, b][:, None, :]
+
+
+def _cubic_run(runner, psi, rng, rotate):
+    """``ProtocolRunner.run`` on the whole (D, D, D) register, the
+    minimum-error readout applying F^+ by ``rotate``.  Returns (stage,
+    conclusive, outcomes, receiver amplitudes, fidelity)."""
+    D = runner.D
+    t = np.zeros((D, D, D), dtype=complex)
+    t[np.arange(D), np.arange(D)] = engine._post_shift(runner._weights, psi)
     stage, conclusive = 0, runner.cfg.kind != "mc-smc"
     for stage, (ks, kf) in enumerate(runner._filters, start=1):
         passed = t * ks[:, None]
@@ -907,7 +952,7 @@ def _matmul_run(runner, psi, rng):
     me = conclusive or runner.cfg.fallback == "me"
     finv, _, phases, _, shifts = engine._tables(runner.D)
     if me:
-        t = np.matmul(finv, t)
+        t = rotate(finv, t)
     probs_l = (np.abs(t) ** 2).sum(axis=(0, 2))
     l = ProtocolRunner._sample_axis(probs_l, rng)
     slice_l = t[:, l, :] / np.sqrt(probs_l[l])
@@ -917,8 +962,10 @@ def _matmul_run(runner, psi, rng):
     return stage, conclusive, (l, k), bob, float(np.abs(np.vdot(psi, bob)) ** 2)
 
 
-@pytest.mark.parametrize("D", [2, 3, 5, 8, 17, 32, 64])
-def test_single_run_equals_the_matmul_reference(D):
+def _check_single_run_against(D, rotate):
+    """The run on the (D, D) diagonal against ``_cubic_run`` on channels of
+    rank 2, D // 2 and D, every strategy: stage, conclusiveness and outcomes
+    equal, receiver state and fidelity to 1e-12."""
     rng = np.random.default_rng(90 + D)
     for N in sorted({2, max(2, D // 2), D}):  # N < D pads zero weights
         ch = random_channel(rng, D=D, N=N)
@@ -930,8 +977,8 @@ def test_single_run_equals_the_matmul_reference(D):
                 psi = haar_random_state(D, rng).amplitudes
                 uniforms = rng.random(runner.draws_per_trial)
                 rec = runner.run(QuditState((D,), psi), _ReplayedUniforms(uniforms))
-                stage, conclusive, outcomes, bob, fid = _matmul_run(
-                    runner, psi, _ReplayedUniforms(uniforms))
+                stage, conclusive, outcomes, bob, fid = _cubic_run(
+                    runner, psi, _ReplayedUniforms(uniforms), rotate)
                 assert (rec.stage_reached, rec.conclusive, rec.alice_outcomes) == (
                     stage, conclusive, outcomes)
                 if bob is None:
@@ -940,6 +987,93 @@ def test_single_run_equals_the_matmul_reference(D):
                 got = rec.bob_state.amplitudes
                 assert np.linalg.norm(got - bob) <= 1e-12 * np.linalg.norm(bob)
                 assert rec.run_fidelity == pytest.approx(fid, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("D", [2, 3, 5, 8, 17, 32, 64])
+def test_single_run_equals_the_matmul_reference(D):
+    _check_single_run_against(D, _matmul_rotation)
+
+
+@pytest.mark.parametrize("D", [2, 3, 5, 8, 17, 32, 64])
+def test_single_run_equals_the_broadcast_reference(D):
+    _check_single_run_against(D, _broadcast_rotation)
+
+
+def _complex_run_block(runner, inputs, uniforms):
+    """``ProtocolRunner.run_block`` with the complex readout: the receiver's
+    amplitudes coef[s] w_s, coef = phases[o1] F^+[o1] (a one-hot row for
+    ``guess``), gathered at s = n + o2 and contracted with |psi|^2."""
+    B, D = inputs.shape
+    finv, _, phases, diff, shifts = engine._tables(D)
+    k = len(runner._filters)
+    ends = (uniforms[:, : k + 1] < runner._p_end).argmax(axis=1)
+    stages = np.minimum(ends + 1, k)
+    outcomes = np.full((B, 2), -1, dtype=np.int64)
+    fids = np.full(B, np.nan)
+    rows = np.flatnonzero(runner._delivers[ends])
+    cls = ends[rows]
+    me = runner._me[cls]
+    q = np.abs(inputs[rows]) ** 2
+    first = stages[rows]
+    o1 = engine._sample_rows(runner._cum1[cls], uniforms[rows, first])
+    p1 = runner._probs1[cls, o1]
+    probs2 = np.empty_like(q)
+    for c in np.flatnonzero(np.bincount(cls, minlength=k + 1)):
+        sel = cls == c
+        if runner._me[c]:
+            probs2[sel] = q[sel] @ runner._w2[c][shifts]
+        else:
+            probs2[sel] = np.take_along_axis(q[sel], diff[o1[sel]], axis=1)
+    o2 = engine._sample_rows(np.cumsum(probs2, axis=1), uniforms[rows, first + 1])
+    r = np.arange(rows.size)
+    p2 = probs2[r, o2]
+    coef = np.where(me[:, None], phases[o1] * finv[o1], np.arange(D) == o1[:, None])
+    amp = (coef * runner._class_w[cls])[r[:, None], shifts[o2]]
+    outcomes[rows] = np.stack((o1, o2), axis=1)
+    fids[rows] = np.abs(np.einsum("rn,rn->r", q, amp)) ** 2 / (p1 * p2)
+    return stages, runner._conclusive[ends], outcomes, fids
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 8, 32, 100])
+def test_real_block_readout_equals_the_complex_readout(D):
+    rng = np.random.default_rng(np.random.SeedSequence((23, D)))
+    for ch in (_staged_channel(D), random_channel(rng, D=D, N=max(2, D // 2))):
+        M = multiplicity_profile(ch).M
+        for cfg in [DET] + [StrategyConfig(k_max=min(3, M), fallback=fb)
+                            for fb in ("me", "guess", "discard")]:
+            runner = ProtocolRunner(ch, cfg)
+            inputs = haar_random_states(D, 300, rng)
+            uniforms = rng.random((300, runner.draws_per_trial))
+            got = runner.run_block(inputs, uniforms)
+            want = _complex_run_block(runner, inputs, uniforms)
+            for a, b in zip(got[:3], want[:3]):
+                np.testing.assert_array_equal(a, b)
+            # Each complex coefficient carries its own rounding, so the two
+            # sums part by about sqrt(D) ulps (2.3e-15 at D = 100).
+            np.testing.assert_allclose(got[3], want[3], rtol=0,
+                                       atol=4 * np.sqrt(D) * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("table", [0, 2], ids=["finv", "phases"])
+def test_block_kernel_reads_neither_the_fourier_nor_the_phase_table(monkeypatch, table):
+    # A fault in either table cannot move the sampled statistics with the
+    # oracle: every sample is bit-identical with the table conjugated.
+    trials = 3000  # one group of blocks at D = 8
+    for cfg in [DET] + [StrategyConfig(k_max=3, fallback=fb) for fb in ("me", "guess", "discard")]:
+        runner = ProtocolRunner(_staged_channel(8), cfg)
+        want = engine._run_blocks(runner, 6, trials, 0, 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_tables", conjugated_tables(table))
+            got = engine._run_blocks(runner, 6, trials, 0, 1)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_correction_phases_times_the_inverse_fourier_matrix_are_constant():
+    # The real block readout rests on phases[l, s] F^+[l, s] = 1/sqrt(D).
+    for D in range(2, 257):
+        finv, _, phases = engine._tables(D)[:3]
+        np.testing.assert_allclose(phases * finv, 1 / np.sqrt(D), rtol=0, atol=1e-15)
 
 
 @settings(max_examples=150)
