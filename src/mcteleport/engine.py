@@ -13,7 +13,10 @@ size D^3 is cached.
 Two evaluation routes are provided for every strategy.  ``monte_carlo``
 samples full protocol runs (Haar-random inputs, Born-rule measurements)
 in blocks of trials, each drawn from its own generator, and runs a group
-of whole blocks per ``ProtocolRunner.run_block`` call.  Every trial that
+of whole blocks per ``ProtocolRunner.run_block`` call.  The kernel reads
+only the squared moduli |psi_n|^2 of an input, which for a Haar state are
+uniform on the simplex, so a block draws them directly: D standard
+exponentials per trial divided by their sum.  Every trial that
 ends at the same stage carries the same filtered Schmidt weights, so the
 runner keeps one row of weights and readout probabilities per end stage,
 (k_max + 1, D) tables, and a group needs no array larger than
@@ -262,17 +265,18 @@ class ProtocolRunner:
         return self.run(haar_random_state(self.D, rng), rng)
 
     def run_block(
-        self, inputs: np.ndarray, uniforms: np.ndarray
+        self, probs: np.ndarray, uniforms: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Run a block of trials at once: ``run`` vectorised over rows.
 
-        ``inputs`` holds one unit input vector per row, shape (B, D).
+        ``probs`` holds the squared moduli |psi_n|^2 of one unit input
+        vector per row, shape (B, D): all the kernel reads of an input.
         ``uniforms`` holds each trial's uniform numbers, shape
         (B, draws_per_trial), taken in the order ``run`` draws them: one
         per stage decision the trial makes, then one for each readout
-        outcome.  Given the same input and numbers, a row here and ``run``
-        agree on stage, conclusiveness and outcomes, and on the fidelity up
-        to rounding.
+        outcome.  Given the |psi|^2 of the same input and the same numbers,
+        a row here and ``run`` agree on stage, conclusiveness and outcomes,
+        and on the fidelity up to rounding.
 
         After the controlled shift the register t[b, m, j] vanishes unless
         b = m, where it equals w_b psi[(b - j) mod D] with w the Schmidt
@@ -290,11 +294,11 @@ class ProtocolRunner:
         Returns (stage_reached, conclusive, outcomes, fidelity) per row;
         outcomes are (-1, -1) and fidelity NaN for discarded trials.
         """
-        B, D = inputs.shape
+        B, D = probs.shape
         if D != self.D or uniforms.shape != (B, self.draws_per_trial):
             raise ValueError(
-                f"expected inputs (B, {self.D}) and uniforms (B, {self.draws_per_trial}), "
-                f"got {inputs.shape} and {uniforms.shape}"
+                f"expected probs (B, {self.D}) and uniforms (B, {self.draws_per_trial}), "
+                f"got {probs.shape} and {uniforms.shape}"
             )
         diff, shifts = _tables(D)[3:]
         k = len(self._filters)
@@ -308,7 +312,7 @@ class ProtocolRunner:
         fids = np.full(B, np.nan)
         rows = np.flatnonzero(self._delivers[ends])
         cls = ends[rows]
-        q = np.abs(inputs[rows]) ** 2
+        q = probs[rows]
         first = stages[rows]
         # Sender outcome o1: l after the Fourier rotation, else m.
         o1 = _sample_rows(self._cum1[cls], uniforms[rows, first])
@@ -429,20 +433,45 @@ def _generator(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def _fill_block(rng: np.random.Generator, probs: np.ndarray, uniforms: np.ndarray) -> None:
+    """Draw one block into ``probs``, standard exponentials not yet
+    normalised, and then into ``uniforms``.  A row of zeros, the only row
+    whose sum is 0 (probability about 2^-53D), is redrawn before the
+    uniforms, so every row can be normalised."""
+    rng.standard_exponential(out=probs)
+    bad = np.flatnonzero(~probs.any(axis=1))
+    while bad.size:
+        probs[bad] = rng.standard_exponential((bad.size, probs.shape[1]))
+        bad = bad[~probs[bad].any(axis=1)]
+    rng.random(out=uniforms)
+
+
 def _draw(runner: ProtocolRunner, rng: np.random.Generator, n: int):
-    """Inputs, then uniforms, of ``n`` trials for ``run_block``."""
-    return haar_random_states(runner.D, n, rng), rng.random((n, runner.draws_per_trial))
+    """|psi|^2 rows, then uniforms, of ``n`` trials for ``run_block``.
+
+    The squared moduli of a Haar state are uniform on the simplex
+    (Dirichlet(1, ..., 1)): D standard exponentials e, as e / sum(e).
+    """
+    probs, uniforms = np.empty((n, runner.D)), np.empty((n, runner.draws_per_trial))
+    _fill_block(rng, probs, uniforms)
+    return probs / probs.sum(axis=1)[:, None], uniforms
 
 
 def _group_draws(runner: ProtocolRunner, seed: int, trials: int, group: int):
-    """Inputs and uniforms of group ``group``: its blocks, each drawn from
-    its own generator keyed by (seed, i), concatenated in block order."""
+    """``_draw`` of each block of group ``group``, each block from its own
+    generator keyed by (seed, i), in block order: the blocks fill one
+    buffer each for the rows and the uniforms, and the group normalises
+    its rows at once."""
     size, per_group = block_size(runner.D), group_blocks(runner.D)
-    stop = min((group + 1) * per_group, ceil(trials / size))
-    draws = [_draw(runner, _generator(seed, _BLOCK_STREAM, block),
-                   min(size, trials - block * size))
-             for block in range(group * per_group, stop)]
-    return tuple(np.concatenate(d) for d in zip(*draws))
+    first = group * per_group
+    n = min(per_group * size, trials - first * size)
+    probs, uniforms = np.empty((n, runner.D)), np.empty((n, runner.draws_per_trial))
+    for start in range(0, n, size):
+        rows = slice(start, start + size)
+        _fill_block(_generator(seed, _BLOCK_STREAM, first + start // size),
+                    probs[rows], uniforms[rows])
+    probs /= probs.sum(axis=1)[:, None]
+    return probs, uniforms
 
 
 def _run_blocks(runner: ProtocolRunner, seed: int, trials: int, first: int, stop: int):
@@ -457,11 +486,14 @@ def _run_blocks(runner: ProtocolRunner, seed: int, trials: int, first: int, stop
 
 
 def _replay_check(runner: ProtocolRunner, seed: int) -> None:
-    """Run one trial through ``run_haar``, and the same input and uniforms
-    (re-drawn from an equal generator) through ``run_block``; raise
-    AssertionError if stage, conclusiveness, outcomes or fidelity differ."""
+    """Run one Haar trial through ``run_haar``, and the |psi|^2 of the
+    same input with the same uniforms (re-drawn from an equal generator)
+    through ``run_block``; raise AssertionError if stage, conclusiveness,
+    outcomes or fidelity differ."""
     rec = runner.run_haar(_generator(seed, _REPLAY_STREAM))
-    batch = runner.run_block(*_draw(runner, _generator(seed, _REPLAY_STREAM), 1))
+    rng = _generator(seed, _REPLAY_STREAM)
+    probs = np.abs(haar_random_states(runner.D, 1, rng)) ** 2
+    batch = runner.run_block(probs, rng.random((1, runner.draws_per_trial)))
     stage, conclusive, outcomes, fid = (a[0] for a in batch)
     want = (rec.stage_reached, rec.conclusive, rec.alice_outcomes or (-1, -1))
     got = (int(stage), bool(conclusive), tuple(outcomes.tolist()))
@@ -496,8 +528,9 @@ def monte_carlo(
 ) -> AggregateStats:
     """Sample ``trials`` protocol runs on fresh Haar inputs.
 
-    Trials run in blocks of ``block_size(D)``; block i draws its inputs
-    and uniforms from one generator keyed by (seed, i).  The kernel runs
+    Trials run in blocks of ``block_size(D)``; block i draws its inputs,
+    as |psi|^2 rows (``_draw``), and then its uniforms from one generator
+    keyed by (seed, i).  The kernel runs
     ``group_blocks(D)`` whole blocks per call, group g being blocks
     [g G, (g + 1) G).  The result is deterministic given ``seed`` and
     bit-identical for any ``workers``: each worker (at most

@@ -316,8 +316,8 @@ def test_failed_internal_cross_check_exits_2_without_traceback(capsys, monkeypat
 
     kernel = ProtocolRunner.run_block
 
-    def flipped(self, inputs, uniforms):
-        stages, conclusive, outcomes, fids = kernel(self, inputs, uniforms)
+    def flipped(self, probs, uniforms):
+        stages, conclusive, outcomes, fids = kernel(self, probs, uniforms)
         return stages, conclusive, outcomes, 1.0 - fids
 
     monkeypatch.setattr(ProtocolRunner, "run_block", flipped)

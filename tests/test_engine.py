@@ -561,7 +561,7 @@ def test_block_kernel_matches_single_run_trial_by_trial(D, kind, fallback):
     rng = np.random.default_rng(np.random.SeedSequence((21, D)))
     inputs = haar_random_states(D, trials, rng)
     uniforms = rng.random((trials, runner.draws_per_trial))
-    stages, conclusive, outcomes, fids = runner.run_block(inputs, uniforms)
+    stages, conclusive, outcomes, fids = runner.run_block(np.abs(inputs) ** 2, uniforms)
     for i in range(trials):
         rec = runner.run(QuditState((D,), inputs[i]), _ReplayedUniforms(uniforms[i]))
         assert stages[i] == rec.stage_reached
@@ -577,11 +577,11 @@ def test_block_kernel_matches_single_run_trial_by_trial(D, kind, fallback):
 
 def test_block_kernel_rejects_mismatched_shapes():
     runner = ProtocolRunner(EXAMPLE, StrategyConfig(kind="mc-smc", k_max=2, fallback="me"))
-    inputs = np.full((3, 4), 0.5, dtype=complex)
+    probs = np.full((3, 4), 0.25)
     with pytest.raises(ValueError):
-        runner.run_block(inputs[:, :3], np.zeros((3, runner.draws_per_trial)))
+        runner.run_block(probs[:, :3], np.zeros((3, runner.draws_per_trial)))
     with pytest.raises(ValueError):
-        runner.run_block(inputs, np.zeros((3, runner.draws_per_trial - 1)))
+        runner.run_block(probs, np.zeros((3, runner.draws_per_trial - 1)))
 
 
 @pytest.mark.parametrize("fallback", ["me", "guess", "discard"])
@@ -597,7 +597,7 @@ def test_block_kernel_when_the_last_stage_cannot_fail(D, coeffs, fallback):
         runner = ProtocolRunner(ch, cfg)
         inputs = haar_random_states(D, 500, rng)
         stages, conclusive, outcomes, fids = runner.run_block(
-            inputs, rng.random((500, runner.draws_per_trial)))
+            np.abs(inputs) ** 2, rng.random((500, runner.draws_per_trial)))
     assert conclusive.all() and (outcomes >= 0).all() and np.isfinite(fids).all()
     assert set(stages.tolist()) <= set(range(1, cfg.k_max + 1))
 
@@ -615,10 +615,11 @@ def test_block_kernel_memory_stays_below_one_cubic_block_array():
     B = engine.block_size(D)
     rng = np.random.default_rng(8)
     inputs, uniforms = haar_random_states(D, B, rng), rng.random((B, runner.draws_per_trial))
-    runner.run_block(inputs, uniforms)
+    probs = np.abs(inputs) ** 2
+    runner.run_block(probs, uniforms)
     tracemalloc.start()
     try:
-        runner.run_block(inputs, uniforms)
+        runner.run_block(probs, uniforms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -692,17 +693,22 @@ def test_monte_carlo_caps_workers_at_cpus_and_blocks(monkeypatch):
 
 def test_monte_carlo_worker_invariance_across_groups(monkeypatch):
     # At D = 32 a group is 32 blocks of 64 trials: 5000 trials make three.
-    # One tiny weight makes stage 1 rare: at this seed each group holds one
-    # such trial, so a kernel call spanning a worker's whole share would
-    # take the one-row product path for some worker counts only.
+    # One tiny weight makes stage 1 rare.  The seed is the smallest one at
+    # which each group holds exactly one stage-1 trial, so a kernel call
+    # spanning a worker's whole share would take the one-row product path
+    # for some worker counts only.
     weights = np.concatenate((np.linspace(2.0, 1.0, 31), [7e-4]))
     ch = make_channel(32, np.sqrt(weights / weights.sum()))
     cfg = StrategyConfig(kind="mc-smc", k_max=2, fallback="me")
+    seed = 6
+    runner = ProtocolRunner(ch, cfg)
+    for group in range(3):
+        stages, conclusive, _ = engine._run_blocks(runner, seed, 5000, group, group + 1)
+        assert (conclusive & (stages == 1)).sum() == 1
     monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
     InlinePool.sizes = []
-    runs = [monte_carlo(ch, cfg, 5000, seed=44, workers=w) for w in (1, 2, 3, 4)]
-    assert runs[0].stage_count(1) == 3
+    runs = [monte_carlo(ch, cfg, 5000, seed=seed, workers=w) for w in (1, 2, 3, 4)]
     assert InlinePool.sizes == [2, 3, 3]
     for stats in runs[1:]:
         np.testing.assert_array_equal(stats.counts, runs[0].counts)
@@ -743,6 +749,135 @@ def test_grouped_blocks_equal_one_kernel_call_per_block(D, fallback):
     assert 0 < conclusive.sum() < trials
 
 
+def _blocks_drawn_one_by_one(runner, seed, trials, group):
+    """``_draw`` of each block of group ``group`` from its own generator,
+    concatenated: the definition of the group's draw."""
+    size, per_group = engine.block_size(runner.D), engine.group_blocks(runner.D)
+    blocks = range(group * per_group, min((group + 1) * per_group, -(-trials // size)))
+    parts = [engine._draw(runner, engine._generator(seed, engine._BLOCK_STREAM, block),
+                          min(size, trials - block * size)) for block in blocks]
+    return [np.concatenate(p) for p in zip(*parts)]
+
+
+@pytest.mark.parametrize("D", [2, 3, 32, 100])
+def test_group_draws_equal_the_blocks_drawn_one_by_one(D):
+    # Groups 0 and 2; group 2 is the last, a whole block and a short one.
+    runner = ProtocolRunner(_staged_channel(D), StrategyConfig(k_max=min(2, D - 1)))
+    size, per_group = engine.block_size(D), engine.group_blocks(D)
+    trials = (2 * per_group + 1) * size + 3
+    for group in (0, 2):
+        got = engine._group_draws(runner, 9, trials, group)
+        want = _blocks_drawn_one_by_one(runner, 9, trials, group)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+    assert got[0].shape == (size + 3, D)
+
+
+class _ZerosFirst:
+    """A generator whose first exponential draw holds rows of zeros at 1
+    and 3, and whose second (the redraw of those rows) at its row 0."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def standard_exponential(self, size=None, out=None):
+        self.calls += 1
+        e = self.rng.standard_exponential(size, out=out)
+        e[{1: [1, 3], 2: [0]}.get(self.calls, [])] = 0.0
+        return e
+
+    def random(self, size=None, out=None):
+        return self.rng.random(size, out=out)
+
+
+def test_group_draws_redraw_a_row_of_zeros_before_the_uniforms(monkeypatch):
+    D = 4
+    runner = ProtocolRunner(EXAMPLE, StrategyConfig(k_max=2))
+    size = engine.block_size(D)
+    trials = 2 * size + 5  # one group: two whole blocks and one of 5 trials
+    real = engine._generator
+    fakes = []
+
+    def zeros_first(seed, *key):
+        fakes.append(_ZerosFirst(real(seed, *key)))
+        return fakes[-1]
+
+    monkeypatch.setattr(engine, "_generator", zeros_first)
+    probs, uniforms = engine._group_draws(runner, 9, trials, 0)
+    # Rows 1 and 3 are redrawn, then row 1 once more, in every block.
+    assert [fake.calls for fake in fakes] == [3, 3, 3]
+    for a, b in zip((probs, uniforms), _blocks_drawn_one_by_one(runner, 9, trials, 0)):
+        np.testing.assert_array_equal(a, b)
+    assert np.isfinite(probs).all() and probs[[1, 3]].all()
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=D * np.finfo(float).eps)
+    # The uniforms follow the three exponential draws of the block.
+    rng = real(9, engine._BLOCK_STREAM, 2)
+    for rows in (5, 2, 1):
+        rng.standard_exponential((rows, D))
+    np.testing.assert_array_equal(uniforms[2 * size:], rng.random((5, runner.draws_per_trial)))
+
+
+def _simplex_failures(q):
+    """The checks rows ``q`` fail as |psi|^2 of Haar states, which are
+    uniform on the simplex: a KS test of q_0 against its Beta(1, D - 1) law
+    (CDF 1 - (1 - x)^(D - 1)), the second moments E[q_i q_j] = (1 + [i = j])
+    / (D (D + 1)) within 5 sigma, and unit row sums within D eps."""
+    n, D = q.shape
+    failures = []
+    x = np.sort(q[:, 0])
+    cdf = 1 - (1 - x) ** (D - 1)
+    ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    # Dvoretzky-Kiefer-Wolfowitz: P(ks > eps) <= 2 exp(-2 n eps^2) = 1e-6.
+    if ks > np.sqrt(np.log(2 / 1e-6) / (2 * n)):
+        failures.append(f"KS distance {ks:.3g}")
+    second = q.T @ q / n
+    sigma = np.sqrt(((q**2).T @ q**2 / n - second**2) / n)
+    pulls = np.abs(second - (1 + np.eye(D)) / (D * (D + 1))) / sigma
+    if pulls.max() > 5:
+        failures.append(f"second moment {pulls.max():.3g} sigma off")
+    if np.abs(q.sum(axis=1) - 1).max() > D * np.finfo(float).eps:
+        failures.append("row sums differ from 1")
+    return failures
+
+
+def _group_rows(D, trials, seed):
+    runner = ProtocolRunner(_staged_channel(D), DET)
+    n_groups = -(-trials // (engine.block_size(D) * engine.group_blocks(D)))
+    return np.concatenate([engine._group_draws(runner, seed, trials, g)[0]
+                           for g in range(n_groups)])
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 32])
+def test_block_draws_are_uniform_on_the_simplex(D):
+    # The replayed trial checks one Haar input; this checks the law of the
+    # rows every block draws.
+    assert _simplex_failures(_group_rows(D, 10**5, 12)) == []
+
+
+class _UniformsForExponentials:
+    """A generator that hands out uniforms where exponentials are asked."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_exponential(self, size=None, out=None):
+        return self.rng.random(size, out=out)
+
+    def random(self, size=None, out=None):
+        return self.rng.random(size, out=out)
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 32])
+def test_the_simplex_checks_fail_uniforms_and_unnormalised_rows(D, monkeypatch):
+    rng = np.random.default_rng(D)
+    assert _simplex_failures(rng.standard_exponential((10**5, D)))
+    # Uniforms in place of the exponentials, through the group draw.
+    real = engine._generator
+    monkeypatch.setattr(engine, "_generator",
+                        lambda seed, *key: _UniformsForExponentials(real(seed, *key)))
+    assert _simplex_failures(_group_rows(D, 10**5, 12))
+
+
 @pytest.mark.parametrize("D", [2, 4, 32, 128])
 def test_one_group_of_blocks_stays_below_16_mib(D):
     # A group holds at most BLOCK_ENTRIES = 2**16 entries per (rows, D)
@@ -763,8 +898,8 @@ def test_one_group_of_blocks_stays_below_16_mib(D):
 def test_monte_carlo_replay_check_catches_a_disagreeing_kernel(monkeypatch):
     kernel = ProtocolRunner.run_block
 
-    def flipped(self, inputs, uniforms):
-        stages, conclusive, outcomes, fids = kernel(self, inputs, uniforms)
+    def flipped(self, probs, uniforms):
+        stages, conclusive, outcomes, fids = kernel(self, probs, uniforms)
         return stages, conclusive, outcomes, 1.0 - fids
 
     monkeypatch.setattr(ProtocolRunner, "run_block", flipped)
@@ -999,11 +1134,11 @@ def test_single_run_equals_the_broadcast_reference(D):
     _check_single_run_against(D, _broadcast_rotation)
 
 
-def _complex_run_block(runner, inputs, uniforms):
+def _complex_run_block(runner, probs, uniforms):
     """``ProtocolRunner.run_block`` with the complex readout: the receiver's
     amplitudes coef[s] w_s, coef = phases[o1] F^+[o1] (a one-hot row for
     ``guess``), gathered at s = n + o2 and contracted with |psi|^2."""
-    B, D = inputs.shape
+    B, D = probs.shape
     finv, _, phases, diff, shifts = engine._tables(D)
     k = len(runner._filters)
     ends = (uniforms[:, : k + 1] < runner._p_end).argmax(axis=1)
@@ -1013,7 +1148,7 @@ def _complex_run_block(runner, inputs, uniforms):
     rows = np.flatnonzero(runner._delivers[ends])
     cls = ends[rows]
     me = runner._me[cls]
-    q = np.abs(inputs[rows]) ** 2
+    q = probs[rows]
     first = stages[rows]
     o1 = engine._sample_rows(runner._cum1[cls], uniforms[rows, first])
     p1 = runner._probs1[cls, o1]
@@ -1042,10 +1177,10 @@ def test_real_block_readout_equals_the_complex_readout(D):
         for cfg in [DET] + [StrategyConfig(k_max=min(3, M), fallback=fb)
                             for fb in ("me", "guess", "discard")]:
             runner = ProtocolRunner(ch, cfg)
-            inputs = haar_random_states(D, 300, rng)
+            probs = np.abs(haar_random_states(D, 300, rng)) ** 2
             uniforms = rng.random((300, runner.draws_per_trial))
-            got = runner.run_block(inputs, uniforms)
-            want = _complex_run_block(runner, inputs, uniforms)
+            got = runner.run_block(probs, uniforms)
+            want = _complex_run_block(runner, probs, uniforms)
             for a, b in zip(got[:3], want[:3]):
                 np.testing.assert_array_equal(a, b)
             # Each complex coefficient carries its own rounding, so the two
@@ -1102,7 +1237,7 @@ def test_block_kernel_matches_single_run_on_random_channels(ch, k_max, seed):
     for cfg in cfgs:
         runner = ProtocolRunner(ch, cfg)
         uniforms = rng.random((len(inputs), runner.draws_per_trial))
-        stages, conclusive, outcomes, fids = runner.run_block(inputs, uniforms)
+        stages, conclusive, outcomes, fids = runner.run_block(np.abs(inputs) ** 2, uniforms)
         for i in range(len(inputs)):
             rec = runner.run(QuditState((ch.D,), inputs[i]), _ReplayedUniforms(uniforms[i]))
             assert stages[i] == rec.stage_reached
