@@ -10,7 +10,7 @@ explicit, tolerance-controlled step shared by analytics and simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import isfinite
 
 import numpy as np
@@ -175,10 +175,18 @@ def snap_to_groups(coeffs, tie_tolerance: float = DEFAULT_TIE_TOL) -> np.ndarray
     return snapped
 
 
+# Keyed by channel identity and tie tolerance as passed, so every caller
+# passes both positionally: one verify, report or plan then groups its
+# channel once.
+@lru_cache(maxsize=1)
 def multiplicity_profile(
     ch: SchmidtChannel, tie_tolerance: float = DEFAULT_TIE_TOL
 ) -> MultiplicityProfile:
-    """Group the channel coefficients into equal-value multiplicity sets."""
+    """Group the channel coefficients into equal-value multiplicity sets.
+
+    The last profile built is cached (its arrays are read-only); errors
+    are not.
+    """
     values, mults = group_coefficients(ch.coeffs, tie_tolerance)
     values.setflags(write=False)
     mults.setflags(write=False)

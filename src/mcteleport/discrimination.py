@@ -15,7 +15,8 @@ Three strategies over the family Z^l sum_k a_k |k> (l = 0..D-1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import sqrt
 
 import numpy as np
 
@@ -126,16 +127,42 @@ class McStage:
     terminal: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StagePlan:
-    """The full filtering cascade a channel admits, plus usefulness flags."""
+    """The full filtering cascade a channel admits, plus usefulness flags.
 
-    stages: tuple[McStage, ...]
+    Row k - 1 of the read-only (M, D) arrays ``K_s`` and ``K_f`` holds
+    stage k's Kraus diagonals and ``p_fail[k - 1]`` its failure
+    probability; row k - 1 of ``families``, (d, N), holds the family
+    entering stage k over its first ``support[k - 1]`` entries.  The
+    sampler and the oracle read these arrays; ``stages`` views the same
+    rows as ``McStage`` objects, built on first use.
+    """
+
+    K_s: np.ndarray
+    K_f: np.ndarray
+    p_fail: np.ndarray
+    families: np.ndarray
+    support: np.ndarray
     useful_flags: tuple[bool, ...]
 
     @property
     def M(self) -> int:
-        return len(self.stages)
+        return len(self.K_s)
+
+    @cached_property
+    def stages(self) -> tuple[McStage, ...]:
+        M, d = self.M, len(self.families)
+        support = self.support
+        alive = np.arange(self.families.shape[1]) < support[:M, None]
+        success = np.where(alive, 1.0 / np.sqrt(support[:M])[:, None], 0.0)
+        success.setflags(write=False)
+        rows = [family[:n] for family, n in zip(self.families, support)] + [self.families[0, :0]]
+        return tuple(
+            McStage(k, rows[k - 1], self.K_s[k - 1], self.K_f[k - 1], float(self.p_fail[k - 1]),
+                    success[k - 1, : support[k - 1]], rows[k], k == d)
+            for k in range(1, M + 1)
+        )
 
 
 def _check_sorted_positive(arr: np.ndarray, n_min: int) -> None:
@@ -229,8 +256,9 @@ def build_stage_plan(
     ``support_size(k)`` largest snapped coefficients, v being the largest
     group value consumed before stage k (0 at stage 1); it is also the
     failure family of stage k - 1.  Every family is a row of one (d, N)
-    array and the Kraus diagonals are rows of (M, D) arrays, so each stage
-    holds row views.  Stage k is useful when a conclusive outcome there
+    array and the Kraus diagonals are rows of (M, D) arrays, which the plan
+    keeps; its ``McStage`` objects are row views built only when read.
+    Stage k is useful when a conclusive outcome there
     beats the deterministic protocol, i.e. when the surviving coefficient
     count exceeds (sum_m a_m)^2 strictly.
     """
@@ -243,30 +271,25 @@ def build_stage_plan(
 
     # Row k - 1 of each array is stage k's; family rows are zero past
     # their support, and K_s is 0 (so K_f is 1) off it.  One norm per
-    # family: a 2-D norm would sum in another order and change bits.
+    # family, sqrt(f . f) as np.linalg.norm takes it: a 2-D norm would sum
+    # in another order and change bits.
     squares = np.repeat(profile.values, profile.multiplicities)[::-1] ** 2
     consumed = np.concatenate(([0.0], profile.values[:-1] ** 2))
     support = profile.support
     alive = np.arange(ch.N) < support[:, None]
     families = np.sqrt(np.where(alive, squares - consumed[:, None], 0.0))
     for family, n in zip(families, support):
-        family[:n] /= np.linalg.norm(family[:n])
+        family[:n] /= sqrt(family[:n].dot(family[:n]))
     smallest = families[np.arange(M), support[:M] - 1]
     K_s = np.zeros((M, ch.D))
     np.divide(smallest[:, None], families[:M], out=K_s[:, : ch.N], where=alive[:M])
     K_f = np.sqrt(np.maximum(0.0, 1.0 - K_s**2))
     if np.max(np.abs(K_s**2 + K_f**2 - 1.0)) > KRAUS_ATOL:
         raise ValueError("generated Kraus pair violates completeness")
-    success = np.where(alive[:M], 1.0 / np.sqrt(support[:M])[:, None], 0.0)
     p_fail = 1.0 - support[:M] * smallest**2
-    for arr in (families, K_s, K_f, success):
+    if M == d:
+        p_fail[-1] = 0.0  # a terminal stage cannot fail
+    for arr in (families, K_s, K_f, p_fail):
         arr.setflags(write=False)
-    rows = [family[:n] for family, n in zip(families, support)] + [families[0, :0]]
-    stages = tuple(
-        McStage(k, rows[k - 1], K_s[k - 1], K_f[k - 1],
-                0.0 if k == d else float(p_fail[k - 1]), success[k - 1, : support[k - 1]],
-                rows[k], k == d)
-        for k in range(1, M + 1)
-    )
     useful = tuple(bool(u) for u in support[:M] - sum_a**2 > USEFUL_MARGIN)
-    return StagePlan(stages, useful)
+    return StagePlan(K_s, K_f, p_fail, families, support, useful)

@@ -5,10 +5,10 @@ entangled pair, subsystem 1 the sender's half, subsystem 2 the unknown
 input state, flattened with subsystem 0 most significant.  Every object
 is kept in one form: ``_post_shift`` builds the register after the
 controlled shift from the Schmidt weights, as its b = m diagonal (it
-vanishes elsewhere), stage operators are the diagonals stored on each
-``McStage``, and every kernel reads its D x D tables (F^+, the phases and
-shifts of the correction X^-k Z^l) from one cache, ``_tables``; nothing of
-size D^3 is cached.
+vanishes elsewhere), stage operators are rows of the plan's (M, D)
+Kraus diagonal arrays, and every kernel reads its D x D tables (F^+, the
+phases and shifts of the correction X^-k Z^l) from one cache,
+``_tables``; nothing of size D^3 is cached.
 
 Two evaluation routes are provided for every strategy.  ``monte_carlo``
 samples full protocol runs (Haar-random inputs, Born-rule measurements)
@@ -139,7 +139,7 @@ def _stage_filters(channel: SchmidtChannel, cfg: StrategyConfig,
     plan = build_stage_plan(channel, tie_tolerance)
     if cfg.k_max > plan.M:
         raise ValueError(f"k_max={cfg.k_max} exceeds the {plan.M} stage(s) this channel admits")
-    return [(s.K_s, s.K_f) for s in plan.stages[: cfg.k_max]]
+    return list(zip(plan.K_s[: cfg.k_max], plan.K_f[: cfg.k_max]))
 
 
 class ProtocolRunner:
@@ -310,40 +310,39 @@ class ProtocolRunner:
 
         outcomes = np.full((B, 2), -1, dtype=np.int64)
         fids = np.full(B, np.nan)
-        rows = np.flatnonzero(self._delivers[ends])
-        cls = ends[rows]
-        q = probs[rows]
-        first = stages[rows]
-        # Sender outcome o1: l after the Fourier rotation, else m.
-        o1 = _sample_rows(self._cum1[cls], uniforms[rows, first])
-        p1 = self._probs1[cls, o1]
-        present = np.flatnonzero(np.bincount(cls, minlength=k + 1))
-        # Receiver outcome o2: one product with the class's circulant
-        # w_c^2[(i + j) mod D] per minimum-error class, a gather for ``guess``.
-        probs2 = np.empty_like(q)
-        for c in present:
-            sel = cls == c
+        # Rows sorted by end class, in trial order within a class: each class
+        # is one slice, whose trials all read their readout uniforms from
+        # the columns after their last stage, ``first`` and ``first + 1``.
+        order = np.argsort(ends, kind="stable")
+        edges = np.cumsum(np.bincount(ends, minlength=k + 1)).tolist()
+        for c, (lo, hi) in enumerate(zip([0] + edges[:-1], edges)):
+            if lo == hi or not self._delivers[c]:
+                continue
+            rows = order[lo:hi]
+            q = probs[rows]
+            first = min(c + 1, k)
+            # Sender outcome o1: l after the Fourier rotation, else m.
+            o1 = _sample_shared(self._cum1[c], uniforms[rows, first])
+            p1 = self._probs1[c, o1]
+            # Receiver outcome o2: one product with the class's circulant
+            # w_c^2[(i + j) mod D] for minimum error, a gather for ``guess``.
             if self._me[c]:
-                probs2[sel] = q[sel] @ self._w2[c][shifts]
+                probs2 = q @ self._w2[c][shifts]
             else:
-                probs2[sel] = np.take_along_axis(q[sel], diff[o1[sel]], axis=1)
-        o2 = _sample_rows(np.cumsum(probs2, axis=1), uniforms[rows, first + 1])
-        p2 = probs2[np.arange(rows.size), o2]
-        # After X^-k Z^l the receiver holds phases[l, s] F^+[l, s] w_s psi[n]
-        # / sqrt(p1 p2) at index n, with s = n + k mod D, and that phase
-        # product is 1/sqrt(D) for every s: the overlap with the input is
-        # the real sum_n q[n] w[(n + k) mod D] / sqrt(D).  ``guess`` leaves
-        # w_m psi[n] at n = (m - k) mod D alone.
-        overlap = np.empty(rows.size)
-        for c in present:
-            sel = cls == c
+                probs2 = np.take_along_axis(q, diff[o1], axis=1)
+            o2 = _sample_rows(np.cumsum(probs2, axis=1), uniforms[rows, first + 1])
+            p2 = probs2[np.arange(rows.size), o2]
+            # After X^-k Z^l the receiver holds phases[l, s] F^+[l, s] w_s psi[n]
+            # / sqrt(p1 p2) at index n, with s = n + k mod D, and that phase
+            # product is 1/sqrt(D) for every s: the overlap with the input is
+            # the real sum_n q[n] w[(n + k) mod D] / sqrt(D).  ``guess`` leaves
+            # w_m psi[n] at n = (m - k) mod D alone.
             if self._me[c]:
-                wc = self._class_w[c][shifts[o2[sel]]]
-                overlap[sel] = np.einsum("rn,rn->r", q[sel], wc) / np.sqrt(D)
+                overlap = np.einsum("rn,rn->r", q, self._class_w[c][shifts[o2]]) / np.sqrt(D)
             else:
-                overlap[sel] = q[sel, diff[o1[sel], o2[sel]]] * self._class_w[c, o1[sel]]
-        outcomes[rows] = np.stack((o1, o2), axis=1)
-        fids[rows] = overlap**2 / (p1 * p2)
+                overlap = q[np.arange(rows.size), diff[o1, o2]] * self._class_w[c, o1]
+            outcomes[rows, 0], outcomes[rows, 1] = o1, o2
+            fids[rows] = overlap**2 / (p1 * p2)
         return stages, conclusive, outcomes, fids
 
 
@@ -352,6 +351,12 @@ def _sample_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     the outcome probabilities: one outcome per row."""
     # Counting over all but the last column clamps the outcome at D - 1.
     return (cum[:, :-1] <= (u * cum[:, -1])[:, None]).sum(axis=1)
+
+
+def _sample_shared(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``_sample_rows`` for rows that all share the running sums ``cum``:
+    one binary search per row, clamped at D - 1."""
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.size - 1)
 
 
 def run_protocol(
@@ -487,11 +492,13 @@ def _run_blocks(runner: ProtocolRunner, seed: int, trials: int, first: int, stop
 
 def _replay_check(runner: ProtocolRunner, seed: int) -> None:
     """Run one Haar trial through ``run_haar``, and the |psi|^2 of the
-    same input with the same uniforms (re-drawn from an equal generator)
-    through ``run_block``; raise AssertionError if stage, conclusiveness,
-    outcomes or fidelity differ."""
-    rec = runner.run_haar(_generator(seed, _REPLAY_STREAM))
+    same input with the same uniforms (re-drawn from the same generator,
+    its state restored) through ``run_block``; raise AssertionError if
+    stage, conclusiveness, outcomes or fidelity differ."""
     rng = _generator(seed, _REPLAY_STREAM)
+    start = rng.bit_generator.state
+    rec = runner.run_haar(rng)
+    rng.bit_generator.state = start
     probs = np.abs(haar_random_states(runner.D, 1, rng)) ** 2
     batch = runner.run_block(probs, rng.random((1, runner.draws_per_trial)))
     stage, conclusive, outcomes, fid = (a[0] for a in batch)

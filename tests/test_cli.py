@@ -659,6 +659,38 @@ def test_verify_builds_one_plan_and_one_branch_enumeration(capsys, monkeypatch):
     assert rotated == [True] * (k_max + 1) + [False]
 
 
+def test_verify_builds_no_stage_objects_and_groups_the_channel_once(capsys, monkeypatch):
+    # The sampler and the oracle read the plan's (M, D) Kraus arrays, and
+    # the plan and the closed forms share one cached grouping; ``plan``
+    # still prints every stage, from the ``McStage`` views.
+    from mcteleport import channels, discrimination
+
+    weights = np.linspace(2.0, 1.0, 32)
+    coeffs = ",".join(map(str, (weights / weights.sum()).tolist()))
+    groupings = []
+    group = channels.group_coefficients
+
+    def counted(*args):
+        groupings.append(1)
+        return group(*args)
+
+    def no_stage(*args):
+        raise AssertionError("a McStage was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(channels, "group_coefficients", counted)
+        patch.setattr(discrimination, "group_coefficients", counted)
+        patch.setattr(discrimination, "McStage", no_stage)
+        code, out, _ = run_cli(capsys, "verify", "--D", "32", "--coeffs", coeffs, "--squared",
+                               "--trials", "1000", "--k-max", "3")
+    assert code == 0 and "verdict: PASS" in out
+    assert len(groupings) == 1
+    code, out, _ = run_cli(capsys, "plan", "--D", "32", "--coeffs", coeffs, "--squared")
+    assert code == 0 and "M=31" in out
+    stages = [line.split()[0] for line in out.splitlines()[2:]]
+    assert stages[:-1] == [str(k) for k in range(1, 32)] and stages[-1] == "expected"
+
+
 def test_verify_evaluates_the_stage_probabilities_once(capsys, monkeypatch):
     # One closed-form cascade gives every P_stage row and P_smc_overall.
     from mcteleport import cli

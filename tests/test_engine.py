@@ -584,6 +584,56 @@ def test_block_kernel_rejects_mismatched_shapes():
         runner.run_block(probs, np.zeros((3, runner.draws_per_trial - 1)))
 
 
+def test_shared_running_sum_search_equals_the_row_count():
+    # Running sums with zero-probability outcomes (repeated sums) first,
+    # inside and last, dyadic so that u * total can land exactly on a sum.
+    sums = [np.cumsum(p) for p in ([0.0, 0.25, 0.0, 0.5, 0.25], [0.0, 0.0, 1.0, 0.0],
+                                   [0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0], [0.75, 0.5, 0.0, 0.75])]
+    sums.append(np.cumsum(np.random.default_rng(5).random(7) * [1, 0, 1, 1, 0, 0, 1]))
+    below_one = np.nextafter(1.0, 0.0)
+    for cum in sums:
+        on_sums = cum / cum[-1]
+        u = np.concatenate(([0.0, below_one, 0.5], on_sums[on_sums < 1],
+                            np.nextafter(on_sums, 0.0), np.random.default_rng(6).random(50)))
+        u = u[u < 1]
+        assert (u * cum[-1] == cum[:-1, None]).any()
+        got = engine._sample_shared(cum, u)
+        np.testing.assert_array_equal(got, engine._sample_rows(np.tile(cum, (u.size, 1)), u))
+        # The single run's draw on the same probabilities picks the same outcome.
+        probs = np.diff(cum, prepend=0.0)
+        if np.array_equal(np.cumsum(probs), cum):
+            assert got.tolist() == [ProtocolRunner._sample_axis(probs, _ReplayedUniforms(u[i:i + 1]))
+                                    for i in range(u.size)]
+
+
+@pytest.mark.parametrize("fallback", ["me", "guess", "discard"])
+def test_block_kernel_matches_single_run_with_classes_shuffled(fallback):
+    # Every end class several times, in shuffled order: the kernel sorts the
+    # rows by class and must write each result back to its own row.
+    D, k = 8, 3
+    runner = ProtocolRunner(_staged_channel(D), StrategyConfig(k_max=k, fallback=fallback))
+    rng = np.random.default_rng(23)
+    classes = rng.permutation(np.arange(40) % (k + 1))
+    inputs = haar_random_states(D, classes.size, rng)
+    uniforms = rng.random((classes.size, runner.draws_per_trial))
+    # A trial of class c fails stages 1..c and, if c < k, passes stage c + 1.
+    stage = np.arange(k)
+    uniforms[:, :k] = np.where(stage < classes[:, None], 1 - 1e-9,
+                               np.where(stage == classes[:, None], 0.0, uniforms[:, :k]))
+    stages, conclusive, outcomes, fids = runner.run_block(np.abs(inputs) ** 2, uniforms)
+    np.testing.assert_array_equal(stages, np.minimum(classes + 1, k))
+    np.testing.assert_array_equal(conclusive, classes < k)
+    for i in range(classes.size):
+        rec = runner.run(QuditState((D,), inputs[i]), _ReplayedUniforms(uniforms[i]))
+        assert stages[i] == rec.stage_reached
+        assert conclusive[i] == rec.conclusive
+        assert tuple(outcomes[i]) == (rec.alice_outcomes or (-1, -1))
+        if rec.run_fidelity is None:
+            assert np.isnan(fids[i])
+        else:
+            assert abs(fids[i] - rec.run_fidelity) <= 1e-12
+
+
 @pytest.mark.parametrize("fallback", ["me", "guess", "discard"])
 @pytest.mark.parametrize("D,coeffs", [(2, [0.5, 0.5]), (4, [0.5, 0.5]), (8, [0.4, 0.4, 0.1, 0.1])])
 def test_block_kernel_when_the_last_stage_cannot_fail(D, coeffs, fallback):
