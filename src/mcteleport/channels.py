@@ -175,17 +175,16 @@ def snap_to_groups(coeffs, tie_tolerance: float = DEFAULT_TIE_TOL) -> np.ndarray
     return snapped
 
 
-# Keyed by channel identity and tie tolerance as passed, so every caller
-# passes both positionally: one verify, report or plan then groups its
-# channel once.
 @lru_cache(maxsize=1)
 def multiplicity_profile(
     ch: SchmidtChannel, tie_tolerance: float = DEFAULT_TIE_TOL
 ) -> MultiplicityProfile:
     """Group the channel coefficients into equal-value multiplicity sets.
 
-    The last profile built is cached (its arrays are read-only); errors
-    are not.
+    The last profile built is cached (its arrays are read-only), keyed by
+    the channel's identity and the tie tolerance as passed, so callers
+    pass both positionally and one verify, report or plan groups its
+    channel once; errors are not cached.
     """
     values, mults = group_coefficients(ch.coeffs, tie_tolerance)
     values.setflags(write=False)

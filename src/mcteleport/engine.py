@@ -12,14 +12,15 @@ phases and shifts of the correction X^-k Z^l) from one cache,
 
 Two evaluation routes are provided for every strategy.  ``monte_carlo``
 samples full protocol runs (Haar-random inputs, Born-rule measurements)
-in blocks of trials, each drawn from its own generator, and runs a group
-of whole blocks per ``ProtocolRunner.run_block`` call.  The kernel reads
-only the squared moduli |psi_n|^2 of an input, which for a Haar state are
-uniform on the simplex, so a block draws them directly: D standard
-exponentials per trial divided by their sum.  Every trial that
-ends at the same stage carries the same filtered Schmidt weights, so the
-runner keeps one row of weights and readout probabilities per end stage,
-(k_max + 1, D) tables, and a group needs no array larger than
+in groups of ``group_rows(D)`` trials, each group drawn from one
+generator of its own and run by one ``ProtocolRunner.run_block`` call.
+The kernel reads only the squared moduli |psi_n|^2 of an input, which
+for a Haar state are uniform on the simplex, so a group draws them
+directly: D standard exponentials per trial divided by their sum.  Every
+trial that ends at the same stage carries the same filtered Schmidt
+weights, so the runner keeps one row of weights and readout
+probabilities per end stage, (k_max + 1, D) tables, sorts a call's
+trials by end stage once, and a group needs no array larger than
 (rows, D), at most ``BLOCK_ENTRIES`` entries.  ``ProtocolRunner.run`` is
 the single-run reference, on the (D, D) diagonal of the register, and
 every ``monte_carlo`` call replays one trial through both and requires
@@ -73,11 +74,10 @@ from .qudit import (
 # unreachable when conditioning.
 MIN_BRANCH_MASS = 1e-12
 
-# Monte Carlo block size, B = BLOCK_ENTRIES // D^2 trials.  Block i draws
-# from generator (seed, i), so B is part of what defines the samples and
-# stays as it was chosen.  The kernel runs a group of
-# BLOCK_ENTRIES // (D B) whole blocks per call, so no (rows, D) array holds
-# more than BLOCK_ENTRIES entries.
+# Monte Carlo group size, BLOCK_ENTRIES // D trials (``group_rows``), so no
+# (rows, D) array of a kernel call holds more than BLOCK_ENTRIES entries.
+# Group g draws from generator (seed, 0, g), so the size is part of what
+# defines the samples.
 BLOCK_ENTRIES = 2**16
 
 # Largest fidelity difference the replayed trial may show between
@@ -420,17 +420,12 @@ def _bucket_labels(cfg: StrategyConfig) -> tuple[str, ...]:
     return tuple(f"stage{k}" for k in range(1, cfg.k_max + 1)) + (terminal[cfg.fallback],)
 
 
-def block_size(D: int) -> int:
-    """Trials per Monte Carlo block at dimension D (at least 1)."""
-    return max(1, BLOCK_ENTRIES // (D * D))
+def group_rows(D: int) -> int:
+    """Trials per kernel call, and per generator, at dimension D (at least 1)."""
+    return max(1, BLOCK_ENTRIES // D)
 
 
-def group_blocks(D: int) -> int:
-    """Blocks per kernel call at dimension D (at least 1)."""
-    return max(1, BLOCK_ENTRIES // (D * block_size(D)))
-
-
-# Generator streams under one seed: the blocks, and the replayed trial.
+# Generator streams under one seed: the groups, and the replayed trial.
 _BLOCK_STREAM, _REPLAY_STREAM = 0, 1
 
 
@@ -438,51 +433,37 @@ def _generator(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _fill_block(rng: np.random.Generator, probs: np.ndarray, uniforms: np.ndarray) -> None:
-    """Draw one block into ``probs``, standard exponentials not yet
-    normalised, and then into ``uniforms``.  A row of zeros, the only row
-    whose sum is 0 (probability about 2^-53D), is redrawn before the
-    uniforms, so every row can be normalised."""
-    rng.standard_exponential(out=probs)
-    bad = np.flatnonzero(~probs.any(axis=1))
-    while bad.size:
-        probs[bad] = rng.standard_exponential((bad.size, probs.shape[1]))
-        bad = bad[~probs[bad].any(axis=1)]
-    rng.random(out=uniforms)
-
-
 def _draw(runner: ProtocolRunner, rng: np.random.Generator, n: int):
     """|psi|^2 rows, then uniforms, of ``n`` trials for ``run_block``.
 
     The squared moduli of a Haar state are uniform on the simplex
-    (Dirichlet(1, ..., 1)): D standard exponentials e, as e / sum(e).
+    (Dirichlet(1, ..., 1)): D standard exponentials e, as e / sum(e).  A
+    row of zeros, the only row whose sum is 0 (probability about 2^-53D),
+    is redrawn before the uniforms, so every row can be normalised.
     """
     probs, uniforms = np.empty((n, runner.D)), np.empty((n, runner.draws_per_trial))
-    _fill_block(rng, probs, uniforms)
-    return probs / probs.sum(axis=1)[:, None], uniforms
-
-
-def _group_draws(runner: ProtocolRunner, seed: int, trials: int, group: int):
-    """``_draw`` of each block of group ``group``, each block from its own
-    generator keyed by (seed, i), in block order: the blocks fill one
-    buffer each for the rows and the uniforms, and the group normalises
-    its rows at once."""
-    size, per_group = block_size(runner.D), group_blocks(runner.D)
-    first = group * per_group
-    n = min(per_group * size, trials - first * size)
-    probs, uniforms = np.empty((n, runner.D)), np.empty((n, runner.draws_per_trial))
-    for start in range(0, n, size):
-        rows = slice(start, start + size)
-        _fill_block(_generator(seed, _BLOCK_STREAM, first + start // size),
-                    probs[rows], uniforms[rows])
+    rng.standard_exponential(out=probs)
+    bad = np.flatnonzero(~probs.any(axis=1))
+    while bad.size:
+        probs[bad] = rng.standard_exponential((bad.size, runner.D))
+        bad = bad[~probs[bad].any(axis=1)]
+    rng.random(out=uniforms)
     probs /= probs.sum(axis=1)[:, None]
     return probs, uniforms
 
 
+def _group_draws(runner: ProtocolRunner, seed: int, trials: int, group: int):
+    """``_draw`` of group ``group``: its ``group_rows(D)`` trials (fewer
+    in the last group) from one generator keyed by (seed, 0, group)."""
+    size = group_rows(runner.D)
+    n = min(size, trials - group * size)
+    return _draw(runner, _generator(seed, _BLOCK_STREAM, group), n)
+
+
 def _run_blocks(runner: ProtocolRunner, seed: int, trials: int, first: int, stop: int):
     """(stage_reached, conclusive, fidelity) of groups [first, stop), in
-    block order, one ``run_block`` call per group.  Groups sit at fixed
-    block positions, so the result does not depend on how they are shared."""
+    trial order, one ``run_block`` call per group.  Groups sit at fixed
+    trial positions, so the result does not depend on how they are shared."""
     parts = []
     for group in range(first, stop):
         stages, conclusive, _, fids = runner.run_block(*_group_draws(runner, seed, trials, group))
@@ -535,14 +516,12 @@ def monte_carlo(
 ) -> AggregateStats:
     """Sample ``trials`` protocol runs on fresh Haar inputs.
 
-    Trials run in blocks of ``block_size(D)``; block i draws its inputs,
-    as |psi|^2 rows (``_draw``), and then its uniforms from one generator
-    keyed by (seed, i).  The kernel runs
-    ``group_blocks(D)`` whole blocks per call, group g being blocks
-    [g G, (g + 1) G).  The result is deterministic given ``seed`` and
-    bit-identical for any ``workers``: each worker (at most
-    ``os.cpu_count()`` and the number of groups) gets whole groups, and
-    aggregation folds them in block order.  One more
+    Trials run in groups of ``group_rows(D)``, one ``run_block`` call
+    each; group g draws its inputs, as |psi|^2 rows, and then its uniforms
+    (``_draw``) from one generator keyed by (seed, 0, g).  The result is
+    deterministic given ``seed`` and bit-identical for any ``workers``:
+    each worker (at most ``os.cpu_count()`` and the number of groups) gets
+    whole groups, and aggregation folds them in trial order.  One more
     trial, from a generator of its own, is replayed through
     ``ProtocolRunner.run_haar`` and ``run_block``; AssertionError if the
     two disagree.
@@ -560,7 +539,7 @@ def monte_carlo(
     _replay_check(runner, seed)
 
     D = channel.D
-    n_groups = ceil(trials / (block_size(D) * group_blocks(D)))
+    n_groups = ceil(trials / group_rows(D))
     workers = min(workers, os.cpu_count() or 1, n_groups)
     if workers <= 1:
         stages, conclusive, fids = _run_blocks(runner, seed, trials, 0, n_groups)

@@ -547,6 +547,22 @@ def _staged_channel(D):
     return make_channel(D, np.sqrt(weights / weights.sum()))
 
 
+def _kernel_matching_single_runs(runner, inputs, uniforms):
+    """``run_block`` on the |psi|^2 of ``inputs``, after checking each row
+    against ``run`` on the same input and uniforms."""
+    stages, conclusive, outcomes, fids = runner.run_block(np.abs(inputs) ** 2, uniforms)
+    for i in range(len(inputs)):
+        rec = runner.run(QuditState((runner.D,), inputs[i]), _ReplayedUniforms(uniforms[i]))
+        assert stages[i] == rec.stage_reached
+        assert conclusive[i] == rec.conclusive
+        assert tuple(outcomes[i]) == (rec.alice_outcomes or (-1, -1))
+        if rec.run_fidelity is None:
+            assert np.isnan(fids[i])
+        else:
+            assert abs(fids[i] - rec.run_fidelity) <= 1e-12
+    return stages, conclusive, outcomes, fids
+
+
 @pytest.mark.parametrize("D", [2, 3, 4, 8, 32])
 @pytest.mark.parametrize(
     "kind,fallback",
@@ -561,16 +577,7 @@ def test_block_kernel_matches_single_run_trial_by_trial(D, kind, fallback):
     rng = np.random.default_rng(np.random.SeedSequence((21, D)))
     inputs = haar_random_states(D, trials, rng)
     uniforms = rng.random((trials, runner.draws_per_trial))
-    stages, conclusive, outcomes, fids = runner.run_block(np.abs(inputs) ** 2, uniforms)
-    for i in range(trials):
-        rec = runner.run(QuditState((D,), inputs[i]), _ReplayedUniforms(uniforms[i]))
-        assert stages[i] == rec.stage_reached
-        assert conclusive[i] == rec.conclusive
-        assert tuple(outcomes[i]) == (rec.alice_outcomes or (-1, -1))
-        if rec.run_fidelity is None:
-            assert np.isnan(fids[i])
-        else:
-            assert abs(fids[i] - rec.run_fidelity) <= 1e-12
+    stages, conclusive = _kernel_matching_single_runs(runner, inputs, uniforms)[:2]
     if kind == "mc-smc":
         assert 0 < stages.min() and conclusive.any() and not conclusive.all()
 
@@ -620,18 +627,9 @@ def test_block_kernel_matches_single_run_with_classes_shuffled(fallback):
     stage = np.arange(k)
     uniforms[:, :k] = np.where(stage < classes[:, None], 1 - 1e-9,
                                np.where(stage == classes[:, None], 0.0, uniforms[:, :k]))
-    stages, conclusive, outcomes, fids = runner.run_block(np.abs(inputs) ** 2, uniforms)
+    stages, conclusive = _kernel_matching_single_runs(runner, inputs, uniforms)[:2]
     np.testing.assert_array_equal(stages, np.minimum(classes + 1, k))
     np.testing.assert_array_equal(conclusive, classes < k)
-    for i in range(classes.size):
-        rec = runner.run(QuditState((D,), inputs[i]), _ReplayedUniforms(uniforms[i]))
-        assert stages[i] == rec.stage_reached
-        assert conclusive[i] == rec.conclusive
-        assert tuple(outcomes[i]) == (rec.alice_outcomes or (-1, -1))
-        if rec.run_fidelity is None:
-            assert np.isnan(fids[i])
-        else:
-            assert abs(fids[i] - rec.run_fidelity) <= 1e-12
 
 
 @pytest.mark.parametrize("fallback", ["me", "guess", "discard"])
@@ -653,8 +651,8 @@ def test_block_kernel_when_the_last_stage_cannot_fail(D, coeffs, fallback):
 
 
 def test_block_kernel_memory_stays_below_one_cubic_block_array():
-    # A (B, D, D) float64 array at D = 32 and B = block_size(32) takes
-    # 512 KiB; the kernel reads (k_max + 1, D) tables and (B, D) arrays only.
+    # A (B, D, D) float64 array at D = 32 and B = 64 rows takes 512 KiB;
+    # the kernel reads (k_max + 1, D) tables and (B, D) arrays only.
     D = 32
     ch = _staged_channel(D)
     cfg = StrategyConfig(kind="mc-smc", k_max=3, fallback="me")
@@ -662,7 +660,7 @@ def test_block_kernel_memory_stays_below_one_cubic_block_array():
     for value in vars(runner).values():
         if isinstance(value, np.ndarray):
             assert value.size <= (cfg.k_max + 1) * D
-    B = engine.block_size(D)
+    B = 64
     rng = np.random.default_rng(8)
     inputs, uniforms = haar_random_states(D, B, rng), rng.random((B, runner.draws_per_trial))
     probs = np.abs(inputs) ** 2
@@ -710,8 +708,8 @@ def test_batched_and_single_run_samples_agree_statistically(cfg):
 def test_monte_carlo_worker_invariance_across_blocks(monkeypatch):
     ch = _staged_channel(8)
     cfg = StrategyConfig(kind="mc-smc", k_max=2, fallback="guess")
-    # Workers share whole groups of blocks: four groups, the last one short.
-    size = engine.block_size(8) * engine.group_blocks(8)
+    # Workers share whole groups: four groups, the last one short.
+    size = engine.group_rows(8)
     trials = 3 * size + 100
     serial = monte_carlo(ch, cfg, trials, seed=41)
     pooled = [monte_carlo(ch, cfg, trials, seed=41, workers=2)]
@@ -731,26 +729,26 @@ def test_monte_carlo_caps_workers_at_cpus_and_blocks(monkeypatch):
     monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
     cfg = StrategyConfig(kind="mc-smc", k_max=1, fallback="me")
-    size = engine.block_size(4)
+    size = engine.group_rows(4)
     InlinePool.sizes = []
-    monte_carlo(EXAMPLE, cfg, 5 * size, seed=1, workers=64)
-    monte_carlo(EXAMPLE, cfg, 2 * size, seed=1, workers=64)
-    monte_carlo(EXAMPLE, cfg, size, seed=1, workers=64)  # one block: no pool
-    # Workers share whole groups of group_blocks(4) = 4 blocks: five blocks
-    # make two groups, and two blocks one.
-    assert InlinePool.sizes == [2]
+    monte_carlo(EXAMPLE, cfg, 3 * size + 1, seed=1, workers=64)
+    monte_carlo(EXAMPLE, cfg, size + 1, seed=1, workers=64)
+    monte_carlo(EXAMPLE, cfg, size, seed=1, workers=64)  # one group: no pool
+    # Workers share whole groups: four groups are capped at three CPUs, two
+    # groups get two workers, and one group none.
+    assert InlinePool.sizes == [3, 2]
 
 
 def test_monte_carlo_worker_invariance_across_groups(monkeypatch):
-    # At D = 32 a group is 32 blocks of 64 trials: 5000 trials make three.
-    # One tiny weight makes stage 1 rare.  The seed is the smallest one at
-    # which each group holds exactly one stage-1 trial, so a kernel call
-    # spanning a worker's whole share would take the one-row product path
-    # for some worker counts only.
+    # At D = 32 a group is 2048 trials: 5000 trials make three.  One tiny
+    # weight makes stage 1 rare.  The seed is the smallest one at which
+    # each group holds exactly one stage-1 trial, so a kernel call spanning
+    # a worker's whole share would take the one-row product path for some
+    # worker counts only.
     weights = np.concatenate((np.linspace(2.0, 1.0, 31), [7e-4]))
     ch = make_channel(32, np.sqrt(weights / weights.sum()))
     cfg = StrategyConfig(kind="mc-smc", k_max=2, fallback="me")
-    seed = 6
+    seed = 10
     runner = ProtocolRunner(ch, cfg)
     for group in range(3):
         stages, conclusive, _ = engine._run_blocks(runner, seed, 5000, group, group + 1)
@@ -766,61 +764,39 @@ def test_monte_carlo_worker_invariance_across_groups(monkeypatch):
         np.testing.assert_array_equal(stats.stderr_fidelity, runs[0].stderr_fidelity)
 
 
-def _per_block_kernel(runner, seed, trials):
-    """``run_block`` once per block, each block drawn from its own
-    generator: the sampler before blocks were grouped."""
-    size = engine.block_size(runner.D)
-    parts = []
-    for block in range(-(-trials // size)):
-        rng = engine._generator(seed, engine._BLOCK_STREAM, block)
-        parts.append(runner.run_block(*engine._draw(runner, rng, min(size, trials - block * size))))
-    return [np.concatenate(p) for p in zip(*parts)]
-
-
 @pytest.mark.parametrize("D", [2, 4, 8, 32, 100])
 @pytest.mark.parametrize("fallback", ["me", "guess"])
 def test_grouped_blocks_equal_one_kernel_call_per_block(D, fallback):
-    # Grouping changes only the shape of each class product, so at most the
-    # last bits of a fidelity; two groups and a short third, whose last
-    # block is short too.
+    # One kernel call on a whole group against one call per block of 100
+    # rows of it, the last block short: only the shape of each class
+    # product changes, so at most the last bits of a fidelity.
     runner = ProtocolRunner(_staged_channel(D), StrategyConfig(k_max=min(3, D - 1),
                                                                fallback=fallback))
-    size, per_group = engine.block_size(D), engine.group_blocks(D)
-    trials = (2 * per_group + per_group // 2) * size + 3
-    n_groups = -(-trials // (size * per_group))
-    stages, conclusive, outcomes, fids = _per_block_kernel(runner, 19, trials)
-    grouped = [runner.run_block(*engine._group_draws(runner, 19, trials, g))
-               for g in range(n_groups)]
-    np.testing.assert_array_equal(np.concatenate([g[2] for g in grouped]), outcomes)
-    got = engine._run_blocks(runner, 19, trials, 0, n_groups)
-    np.testing.assert_array_equal(got[0], stages)
-    np.testing.assert_array_equal(got[1], conclusive)
-    np.testing.assert_allclose(got[2], fids, rtol=0, atol=1e-15)
-    assert 0 < conclusive.sum() < trials
-
-
-def _blocks_drawn_one_by_one(runner, seed, trials, group):
-    """``_draw`` of each block of group ``group`` from its own generator,
-    concatenated: the definition of the group's draw."""
-    size, per_group = engine.block_size(runner.D), engine.group_blocks(runner.D)
-    blocks = range(group * per_group, min((group + 1) * per_group, -(-trials // size)))
-    parts = [engine._draw(runner, engine._generator(seed, engine._BLOCK_STREAM, block),
-                          min(size, trials - block * size)) for block in blocks]
-    return [np.concatenate(p) for p in zip(*parts)]
+    trials = engine.group_rows(D) + 3
+    probs, uniforms = engine._group_draws(runner, 19, trials, 0)
+    blocks = [runner.run_block(probs[i:i + 100], uniforms[i:i + 100])
+              for i in range(0, len(probs), 100)]
+    stages, conclusive, outcomes, fids = (np.concatenate(p) for p in zip(*blocks))
+    grouped = runner.run_block(probs, uniforms)
+    np.testing.assert_array_equal(grouped[0], stages)
+    np.testing.assert_array_equal(grouped[1], conclusive)
+    np.testing.assert_array_equal(grouped[2], outcomes)
+    np.testing.assert_allclose(grouped[3], fids, rtol=0, atol=1e-15)
+    assert 0 < conclusive.sum() < len(probs)
 
 
 @pytest.mark.parametrize("D", [2, 3, 32, 100])
-def test_group_draws_equal_the_blocks_drawn_one_by_one(D):
-    # Groups 0 and 2; group 2 is the last, a whole block and a short one.
+def test_group_draws_equal_one_draw_from_the_group_generator(D):
+    # Groups 0 and 2; group 2 is the last and short.
     runner = ProtocolRunner(_staged_channel(D), StrategyConfig(k_max=min(2, D - 1)))
-    size, per_group = engine.block_size(D), engine.group_blocks(D)
-    trials = (2 * per_group + 1) * size + 3
+    size = engine.group_rows(D)
+    trials = 2 * size + 3
     for group in (0, 2):
         got = engine._group_draws(runner, 9, trials, group)
-        want = _blocks_drawn_one_by_one(runner, 9, trials, group)
+        want = engine._draw(runner, engine._generator(9, 0, group), min(size, trials - group * size))
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
-    assert got[0].shape == (size + 3, D)
+    assert got[0].shape == (3, D)
 
 
 class _ZerosFirst:
@@ -843,8 +819,8 @@ class _ZerosFirst:
 def test_group_draws_redraw_a_row_of_zeros_before_the_uniforms(monkeypatch):
     D = 4
     runner = ProtocolRunner(EXAMPLE, StrategyConfig(k_max=2))
-    size = engine.block_size(D)
-    trials = 2 * size + 5  # one group: two whole blocks and one of 5 trials
+    size = engine.group_rows(D)
+    trials = size + 5  # two groups, the second of 5 trials
     real = engine._generator
     fakes = []
 
@@ -853,18 +829,21 @@ def test_group_draws_redraw_a_row_of_zeros_before_the_uniforms(monkeypatch):
         return fakes[-1]
 
     monkeypatch.setattr(engine, "_generator", zeros_first)
-    probs, uniforms = engine._group_draws(runner, 9, trials, 0)
-    # Rows 1 and 3 are redrawn, then row 1 once more, in every block.
-    assert [fake.calls for fake in fakes] == [3, 3, 3]
-    for a, b in zip((probs, uniforms), _blocks_drawn_one_by_one(runner, 9, trials, 0)):
-        np.testing.assert_array_equal(a, b)
-    assert np.isfinite(probs).all() and probs[[1, 3]].all()
-    np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=D * np.finfo(float).eps)
-    # The uniforms follow the three exponential draws of the block.
-    rng = real(9, engine._BLOCK_STREAM, 2)
-    for rows in (5, 2, 1):
-        rng.standard_exponential((rows, D))
-    np.testing.assert_array_equal(uniforms[2 * size:], rng.random((5, runner.draws_per_trial)))
+    for group, rows in ((0, size), (1, 5)):
+        probs, uniforms = engine._group_draws(runner, 9, trials, group)
+        # Rows 1 and 3 are redrawn, then row 1 once more, from the group's
+        # one generator.
+        assert fakes[-1].calls == 3
+        want = engine._draw(runner, engine._generator(9, engine._BLOCK_STREAM, group), rows)
+        for a, b in zip((probs, uniforms), want):
+            np.testing.assert_array_equal(a, b)
+        assert np.isfinite(probs).all() and probs[[1, 3]].all()
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=D * np.finfo(float).eps)
+        # The uniforms follow the three exponential draws of the group.
+        rng = real(9, engine._BLOCK_STREAM, group)
+        for n in (rows, 2, 1):
+            rng.standard_exponential((n, D))
+        np.testing.assert_array_equal(uniforms, rng.random((rows, runner.draws_per_trial)))
 
 
 def _simplex_failures(q):
@@ -892,7 +871,7 @@ def _simplex_failures(q):
 
 def _group_rows(D, trials, seed):
     runner = ProtocolRunner(_staged_channel(D), DET)
-    n_groups = -(-trials // (engine.block_size(D) * engine.group_blocks(D)))
+    n_groups = -(-trials // engine.group_rows(D))
     return np.concatenate([engine._group_draws(runner, seed, trials, g)[0]
                            for g in range(n_groups)])
 
@@ -900,7 +879,7 @@ def _group_rows(D, trials, seed):
 @pytest.mark.parametrize("D", [2, 3, 4, 32])
 def test_block_draws_are_uniform_on_the_simplex(D):
     # The replayed trial checks one Haar input; this checks the law of the
-    # rows every block draws.
+    # rows every group draws.
     assert _simplex_failures(_group_rows(D, 10**5, 12)) == []
 
 
@@ -933,7 +912,7 @@ def test_one_group_of_blocks_stays_below_16_mib(D):
     # A group holds at most BLOCK_ENTRIES = 2**16 entries per (rows, D)
     # array, 1 MiB complex.
     runner = ProtocolRunner(_staged_channel(D), StrategyConfig(k_max=min(3, D - 1)))
-    trials = engine.block_size(D) * engine.group_blocks(D)
+    trials = engine.group_rows(D)
     assert trials * D <= engine.BLOCK_ENTRIES
     engine._run_blocks(runner, 5, trials, 0, 1)
     tracemalloc.start()
@@ -1243,7 +1222,7 @@ def test_real_block_readout_equals_the_complex_readout(D):
 def test_block_kernel_reads_neither_the_fourier_nor_the_phase_table(monkeypatch, table):
     # A fault in either table cannot move the sampled statistics with the
     # oracle: every sample is bit-identical with the table conjugated.
-    trials = 3000  # one group of blocks at D = 8
+    trials = 3000  # one group at D = 8
     for cfg in [DET] + [StrategyConfig(k_max=3, fallback=fb) for fb in ("me", "guess", "discard")]:
         runner = ProtocolRunner(_staged_channel(8), cfg)
         want = engine._run_blocks(runner, 6, trials, 0, 1)

@@ -2,12 +2,10 @@
 
 ``sampler_pins.json`` holds, for a fixed list of ``monte_carlo`` calls,
 each bucket's count and each bucket's and the overall mean fidelity to 12
-significant digits.  They were recorded from the block kernel that
-renormalised every row's weights per stage and gathered a (B, D, D) copy
-of |psi|^2; the kernel built on per-end-stage tables must reproduce them
-exactly.  The calls cover D in {2, 4, 8, 24, 32}, the deterministic
-strategy and every fallback at k_max 1-3, tied channels whose last stage
-cannot fail, and two seeds.
+significant digits; any kernel that draws the same samples must
+reproduce them exactly.  The calls cover D in {2, 4, 8, 24, 32}, the
+deterministic strategy and every fallback at k_max 1-3, tied channels
+whose last stage cannot fail, and two seeds.
 
 Regenerate the file (only when the samples are meant to change) with
 ``PYTHONPATH=src python tests/test_sampler_pins.py > tests/sampler_pins.json``.
