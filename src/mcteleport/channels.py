@@ -15,7 +15,7 @@ from math import isfinite
 
 import numpy as np
 
-from .qudit import QuditState, pauli_z_power
+from .qudit import QuditState, check_index, pauli_z_power
 
 # Coefficients closer than this (as amplitudes) form one multiplicity group.
 DEFAULT_TIE_TOL = 1e-9
@@ -114,12 +114,13 @@ def _validated_coeffs(coeffs, D: int) -> np.ndarray:
 
 def make_channel(D: int, coeffs) -> SchmidtChannel:
     """Validate, sort (non-increasing) and normalize Schmidt coefficients."""
-    if int(D) < 2:
+    D = check_index("D", D)
+    if D < 2:
         raise ValueError(f"dimension must be >= 2, got {D}")
-    arr = _validated_coeffs(coeffs, int(D))
+    arr = _validated_coeffs(coeffs, D)
     arr = np.sort(arr)[::-1].copy()
     arr.setflags(write=False)
-    return SchmidtChannel(int(D), arr)
+    return SchmidtChannel(D, arr)
 
 
 def channel_state(ch: SchmidtChannel) -> QuditState:

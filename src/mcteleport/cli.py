@@ -476,9 +476,9 @@ def cmd_plan(args) -> int:
           f"F_me={_fmt(rep.F_me)} F_clas={_fmt(rep.F_clas)}")
     print(f"{'stage':>5} {'p_fail':>10} {'F_conclusive':>13} {'confidence':>11} "
           f"{'useful':>6} {'P_cumulative':>13} {'bits':>5} {'ancillas':>8}")
-    for k, stage in enumerate(plan.stages, start=1):
+    for k in range(1, plan.M + 1):
         print(
-            f"{k:>5} {stage.p_fail:>10.6g} {rep.F_mc_s[k - 1]:>13.6g} "
+            f"{k:>5} {plan.p_fail[k - 1]:>10.6g} {rep.F_mc_s[k - 1]:>13.6g} "
             f"{rep.f_mc_s[k - 1]:>11.6g} "
             f"{'yes' if plan.useful_flags[k - 1] else 'no':>6} "
             f"{rep.P_smc[k - 1]:>13.6g} {bits_base + k:>5} {k:>8}"
@@ -517,23 +517,21 @@ def _verify_rows(channel, cfg, trials, seed, workers, tie_tol):
     rows = []
     for k in range(1, cfg.k_max + 1):
         analytic_f = f_mc_conclusive(channel, k, tie_tol)
-        oracle_f = exact_average_fidelity(channel, cfg, "conclusive-at-stage",
-                                          stage=k, tie_tolerance=tie_tol)
+        oracle_f = exact_average_fidelity(channel, cfg, f"stage{k}", tie_tol)
         rows.append((f"F_mc_s{k}", analytic_f, oracle_f, stats.stage_mean_fidelity(k),
                      stats.stage_stderr_fidelity(k), stats.stage_count(k)))
         p_k = float(p_stages[k - 1])
         rows.append((f"P_stage{k}", p_k, masses[f"stage{k}"],
                      stats.stage_probability(k), binomial_err(p_k), None))
-    rows.append(("P_smc_overall", p_total, 1.0 - masses["exhausted"],
+    rows.append(("P_smc_overall", p_total, 1.0 - masses["exhausted-me"],
                  stats.conclusive_probability, binomial_err(p_total), None))
     label = ("overall_conditional" if cfg.fallback == "discard"
              else f"overall_{cfg.fallback}")
-    delivered = (trials if cfg.fallback != "discard"
-                 else sum(stats.stage_count(k) for k in range(1, cfg.k_max + 1)))
+    delivered = trials if cfg.fallback != "discard" else int(stats.counts[:-1].sum())
     rows.append((
         label,
         overall_fidelity(channel, cfg, tie_tol),
-        exact_average_fidelity(channel, cfg, "overall", tie_tolerance=tie_tol),
+        exact_average_fidelity(channel, cfg, tie_tolerance=tie_tol),
         stats.overall_mean_fidelity,
         stats.overall_stderr_fidelity,
         delivered,

@@ -15,7 +15,7 @@ Three strategies over the family Z^l sum_k a_k |k> (l = 0..D-1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -28,7 +28,7 @@ from .channels import (
     multiplicity_profile,
     snap_to_groups,
 )
-from .qudit import KRAUS_ATOL, DenseOperator, QuditState, check_allocation, fourier
+from .qudit import KRAUS_ATOL, DenseOperator, QuditState, check_allocation, check_index, fourier
 
 KIND_DETERMINISTIC = "deterministic-me"
 KIND_SMC = "mc-smc"
@@ -60,6 +60,7 @@ class StrategyConfig:
     fallback: str = "me"
 
     def __post_init__(self):
+        check_index("k_max", self.k_max)
         if self.kind not in (KIND_DETERMINISTIC, KIND_SMC):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.fallback not in FALLBACKS:
@@ -105,7 +106,7 @@ def me_correct_probability(coeffs, D: int) -> float:
 
 @dataclass(frozen=True)
 class McStage:
-    """One two-outcome filtering stage over a coefficient list.
+    """One two-outcome filtering stage, as the ``mc_stage`` reference builds it.
 
     ``K_s``/``K_f`` hold the diagonals (real, length D, read-only) of the
     two diagonal Kraus operators; ``np.diag(K_s)`` is the matrix.  Success
@@ -135,8 +136,7 @@ class StagePlan:
     stage k's Kraus diagonals and ``p_fail[k - 1]`` its failure
     probability; row k - 1 of ``families``, (d, N), holds the family
     entering stage k over its first ``support[k - 1]`` entries.  The
-    sampler and the oracle read these arrays; ``stages`` views the same
-    rows as ``McStage`` objects, built on first use.
+    sampler, the oracle and ``plan`` read these arrays.
     """
 
     K_s: np.ndarray
@@ -149,20 +149,6 @@ class StagePlan:
     @property
     def M(self) -> int:
         return len(self.K_s)
-
-    @cached_property
-    def stages(self) -> tuple[McStage, ...]:
-        M, d = self.M, len(self.families)
-        support = self.support
-        alive = np.arange(self.families.shape[1]) < support[:M, None]
-        success = np.where(alive, 1.0 / np.sqrt(support[:M])[:, None], 0.0)
-        success.setflags(write=False)
-        rows = [family[:n] for family, n in zip(self.families, support)] + [self.families[0, :0]]
-        return tuple(
-            McStage(k, rows[k - 1], self.K_s[k - 1], self.K_f[k - 1], float(self.p_fail[k - 1]),
-                    success[k - 1, : support[k - 1]], rows[k], k == d)
-            for k in range(1, M + 1)
-        )
 
 
 def _check_sorted_positive(arr: np.ndarray, n_min: int) -> None:
@@ -257,8 +243,7 @@ def build_stage_plan(
     group value consumed before stage k (0 at stage 1); it is also the
     failure family of stage k - 1.  Every family is a row of one (d, N)
     array and the Kraus diagonals are rows of (M, D) arrays, which the plan
-    keeps; its ``McStage`` objects are row views built only when read.
-    Stage k is useful when a conclusive outcome there
+    keeps.  Stage k is useful when a conclusive outcome there
     beats the deterministic protocol, i.e. when the surviving coefficient
     count exceeds (sum_m a_m)^2 strictly.
     """

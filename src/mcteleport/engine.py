@@ -16,25 +16,26 @@ in groups of ``group_rows(D)`` trials, each group drawn from one
 generator of its own and run by one ``ProtocolRunner.run_block`` call.
 The kernel reads only the squared moduli |psi_n|^2 of an input, which
 for a Haar state are uniform on the simplex, so a group draws them
-directly: D standard exponentials per trial divided by their sum.  Every
-trial that ends at the same stage carries the same filtered Schmidt
-weights, so the runner keeps one row of weights and readout
-probabilities per end stage, (k_max + 1, D) tables, sorts a call's
-trials by end stage once, and a group needs no array larger than
-(rows, D), at most ``BLOCK_ENTRIES`` entries.  ``ProtocolRunner.run`` is
-the single-run reference, on the (D, D) diagonal of the register, and
-every ``monte_carlo`` call replays one trial through both and requires
-them to agree.
+directly: D standard exponentials per trial divided by their sum.  A
+trial's end class (the stage it is conclusive at, or exhausted) is its
+bucket in every route, named only by ``_bucket_labels``.  All trials of a
+class carry the same filtered Schmidt weights, so the runner keeps one
+row of weights and readout probabilities per class, (k_max + 1, D)
+tables, sorts a call's trials by class once, and a group needs no array
+larger than (rows, D), at most ``BLOCK_ENTRIES`` entries.
+``ProtocolRunner.run`` is the single-run reference, on the (D, D)
+diagonal of the register, and every ``monte_carlo`` call replays one
+trial through both and requires them to agree.
 ``exact_average_fidelity`` enumerates every measurement branch as a
 linear operator on the input and sums, per branch set, the squared
 traces Q and the squared norms T of those operators; the Haar-averaged
 fidelity is (Q + T) / ((D + 1) T).  It involves no sampling and serves
-as the oracle the sampled statistics are checked against.  It starts from
-the D filtered Schmidt weights, since the register after the controlled
-shift vanishes unless b = m, and gathers the D^3 entries of the rotated
-branch operators from one D x D table.  The one enumeration,
-``_branch_sets``, is cached, so every oracle row reads the same (Q, T)
-sets.
+as the oracle the sampled statistics are checked against, read by the
+same labels.  It starts from the D filtered Schmidt weights, since the
+register after the controlled shift vanishes unless b = m, and gathers
+the D^3 entries of the rotated branch operators from one D x D table.
+The one enumeration, ``_branch_sets``, is cached, so every oracle row
+reads the same (Q, T) sets.
 
 The sampler and the oracle both take their stage operators from
 ``build_stage_plan``, which caches the last plan it built, so one plan
@@ -65,7 +66,7 @@ from .qudit import (
     QuditState,
     _phase_table,
     check_allocation,
-    fourier,
+    check_index,
     haar_random_state,
     haar_random_states,
 )
@@ -94,7 +95,6 @@ class TeleportRecord:
     ``run_fidelity`` are absent for discarded attempts.
     """
 
-    input_state: QuditState
     stage_reached: int
     conclusive: bool
     alice_outcomes: tuple[int, int] | None
@@ -112,11 +112,12 @@ def _tables(D: int) -> tuple[np.ndarray, ...]:
     shifts[k, m] = (m + k) mod D.
 
     X^-k Z^l v is ``(phases[l] * v)[shifts[k]]``; ``phases`` is symmetric.
+    F^+ = (phases / sqrt(D))^+ has the bits and layout of ``fourier(D).dagger()``.
     """
     n = np.arange(D)
-    finv = fourier(D).dagger().entries
-    tables = (finv, np.abs(finv) ** 2, _phase_table(D)[np.multiply.outer(n, n) % D],
-              np.subtract.outer(n, n) % D, np.add.outer(n, n) % D)
+    phases = _phase_table(D)[np.multiply.outer(n, n) % D]
+    finv = (phases / np.sqrt(D)).conj().T
+    tables = (finv, np.abs(finv) ** 2, phases, np.subtract.outer(n, n) % D, np.add.outer(n, n) % D)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -151,7 +152,7 @@ class ProtocolRunner:
     exactly the same order and with the same Born weights as the public
     register operations, so a run is reproducible either way.
     ``run_block`` is the same process for a block of trials at once, read
-    from per-end-stage tables built here.
+    from per-end-class tables built here.
     """
 
     def __init__(
@@ -252,7 +253,6 @@ class ProtocolRunner:
             bob = QuditState((self.D,), bob_vec)
             fid = float(np.abs(np.vdot(input_state.amplitudes, bob_vec)) ** 2)
         return TeleportRecord(
-            input_state=input_state,
             stage_reached=stage_reached,
             conclusive=conclusive,
             alice_outcomes=outcomes,
@@ -266,7 +266,7 @@ class ProtocolRunner:
 
     def run_block(
         self, probs: np.ndarray, uniforms: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Run a block of trials at once: ``run`` vectorised over rows.
 
         ``probs`` holds the squared moduli |psi_n|^2 of one unit input
@@ -275,8 +275,8 @@ class ProtocolRunner:
         (B, draws_per_trial), taken in the order ``run`` draws them: one
         per stage decision the trial makes, then one for each readout
         outcome.  Given the |psi|^2 of the same input and the same numbers,
-        a row here and ``run`` agree on stage, conclusiveness and outcomes,
-        and on the fidelity up to rounding.
+        a row here and ``run`` agree on end class and outcomes, and on the
+        fidelity up to rounding.
 
         After the controlled shift the register t[b, m, j] vanishes unless
         b = m, where it equals w_b psi[(b - j) mod D] with w the Schmidt
@@ -291,8 +291,8 @@ class ProtocolRunner:
         of |psi|^2 with the shifted w_c per row, or one entry for ``guess``.
         Every array is (B, D) or smaller: a trial never needs its register.
 
-        Returns (stage_reached, conclusive, outcomes, fidelity) per row;
-        outcomes are (-1, -1) and fidelity NaN for discarded trials.
+        Returns (end class, outcomes, fidelity) per row; outcomes are
+        (-1, -1) and fidelity NaN for discarded trials.
         """
         B, D = probs.shape
         if D != self.D or uniforms.shape != (B, self.draws_per_trial):
@@ -305,8 +305,6 @@ class ProtocolRunner:
         # The first stage whose uniform falls below its success probability;
         # the last class's inf catches every trial all stages failed.
         ends = (uniforms[:, : k + 1] < self._p_end).argmax(axis=1)
-        stages = np.minimum(ends + 1, k)
-        conclusive = self._conclusive[ends]
 
         outcomes = np.full((B, 2), -1, dtype=np.int64)
         fids = np.full(B, np.nan)
@@ -343,7 +341,7 @@ class ProtocolRunner:
                 overlap = q[np.arange(rows.size), diff[o1, o2]] * self._class_w[c, o1]
             outcomes[rows, 0], outcomes[rows, 1] = o1, o2
             fids[rows] = overlap**2 / (p1 * p2)
-        return stages, conclusive, outcomes, fids
+        return ends, outcomes, fids
 
 
 def _sample_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -378,9 +376,9 @@ def run_protocol(
 class AggregateStats:
     """Per-bucket and overall summaries of a batch of protocol runs.
 
-    Buckets are the conclusive stages in order, then the terminal bucket
-    (exhausted or discarded attempts); for the deterministic strategy there
-    is a single bucket.  Counts over all buckets sum to ``trials``.
+    Bucket c is end class c: the conclusive stages in order, then the
+    terminal bucket (exhausted or discarded attempts), or the deterministic
+    strategy's single bucket.  Counts over all buckets sum to ``trials``.
     Fidelity columns hold NaN where a bucket is empty or carries no output
     state (discarded attempts).
     """
@@ -392,7 +390,6 @@ class AggregateStats:
     mean_fidelity: np.ndarray
     stderr_fidelity: np.ndarray
     min_fidelity: np.ndarray
-    max_fidelity: np.ndarray
     conclusive_probability: float
     overall_mean_fidelity: float
     overall_stderr_fidelity: float
@@ -414,6 +411,7 @@ class AggregateStats:
 
 
 def _bucket_labels(cfg: StrategyConfig) -> tuple[str, ...]:
+    """The name of each end class, in class order."""
     if cfg.kind == KIND_DETERMINISTIC:
         return ("deterministic",)
     terminal = {"me": "exhausted-me", "guess": "exhausted-guess", "discard": "discarded"}
@@ -461,13 +459,13 @@ def _group_draws(runner: ProtocolRunner, seed: int, trials: int, group: int):
 
 
 def _run_blocks(runner: ProtocolRunner, seed: int, trials: int, first: int, stop: int):
-    """(stage_reached, conclusive, fidelity) of groups [first, stop), in
-    trial order, one ``run_block`` call per group.  Groups sit at fixed
-    trial positions, so the result does not depend on how they are shared."""
+    """(end class, fidelity) of groups [first, stop), in trial order, one
+    ``run_block`` call per group.  Groups sit at fixed trial positions, so
+    the result does not depend on how they are shared."""
     parts = []
     for group in range(first, stop):
-        stages, conclusive, _, fids = runner.run_block(*_group_draws(runner, seed, trials, group))
-        parts.append((stages, conclusive, fids))
+        ends, _, fids = runner.run_block(*_group_draws(runner, seed, trials, group))
+        parts.append((ends, fids))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -475,35 +473,39 @@ def _replay_check(runner: ProtocolRunner, seed: int) -> None:
     """Run one Haar trial through ``run_haar``, and the |psi|^2 of the
     same input with the same uniforms (re-drawn from the same generator,
     its state restored) through ``run_block``; raise AssertionError if
-    stage, conclusiveness, outcomes or fidelity differ."""
+    end class, outcomes or fidelity differ."""
     rng = _generator(seed, _REPLAY_STREAM)
     start = rng.bit_generator.state
     rec = runner.run_haar(rng)
     rng.bit_generator.state = start
     probs = np.abs(haar_random_states(runner.D, 1, rng)) ** 2
     batch = runner.run_block(probs, rng.random((1, runner.draws_per_trial)))
-    stage, conclusive, outcomes, fid = (a[0] for a in batch)
-    want = (rec.stage_reached, rec.conclusive, rec.alice_outcomes or (-1, -1))
-    got = (int(stage), bool(conclusive), tuple(outcomes.tolist()))
+    end, outcomes, fid = (a[0] for a in batch)
+    # The record's end class: s - 1 if conclusive at stage s, else the last.
+    end_class = len(runner._filters)
+    if rec.conclusive and rec.stage_reached:
+        end_class = rec.stage_reached - 1
+    want = (end_class, rec.alice_outcomes or (-1, -1))
+    got = (int(end), tuple(outcomes.tolist()))
     if rec.run_fidelity is None:
         same_fid = bool(np.isnan(fid))
     else:
         same_fid = abs(fid - rec.run_fidelity) <= REPLAY_ATOL
     if got != want or not same_fid:
         raise AssertionError(
-            f"replayed trial disagrees: (stage, conclusive, outcomes) is {want} "
+            f"replayed trial disagrees: (end class, outcomes) is {want} "
             f"with F={rec.run_fidelity!r} from run, {got} with F={fid!r} from run_block"
         )
 
 
-def _summarize(values: np.ndarray) -> tuple[float, float, float, float]:
-    """Mean, standard error, min, max of a fidelity sample (NaN if empty)."""
+def _summarize(values: np.ndarray) -> tuple[float, float, float]:
+    """Mean, standard error, min of a fidelity sample (NaN if empty)."""
     values = values[~np.isnan(values)]
     if values.size == 0:
-        return np.nan, np.nan, np.nan, np.nan
+        return np.nan, np.nan, np.nan
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else np.nan
-    return mean, stderr, float(values.min()), float(values.max())
+    return mean, stderr, float(values.min())
 
 
 def monte_carlo(
@@ -526,14 +528,17 @@ def monte_carlo(
     ``ProtocolRunner.run_haar`` and ``run_block``; AssertionError if the
     two disagree.
     """
+    trials = check_index("trials", trials)
+    seed = check_index("seed", seed)
+    workers = check_index("workers", workers)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    # The largest result array: 8 B per trial for the stages and for the
-    # fidelities (about 34 B per trial at peak in all).
+    # The largest result array: 8 B per trial for the end classes and for
+    # the fidelities (about 34 B per trial at peak in all).
     check_allocation(f"the per-trial results of {trials:,} trials", 8 * trials)
     runner = ProtocolRunner(channel, cfg, tie_tolerance)
     _replay_check(runner, seed)
@@ -542,28 +547,18 @@ def monte_carlo(
     n_groups = ceil(trials / group_rows(D))
     workers = min(workers, os.cpu_count() or 1, n_groups)
     if workers <= 1:
-        stages, conclusive, fids = _run_blocks(runner, seed, trials, 0, n_groups)
+        ends, fids = _run_blocks(runner, seed, trials, 0, n_groups)
     else:
         bounds = np.linspace(0, n_groups, workers + 1).astype(int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(partial(_run_blocks, runner, seed, trials),
                                   bounds[:-1], bounds[1:]))
-        stages, conclusive, fids = (np.concatenate(p) for p in zip(*parts))
+        ends, fids = (np.concatenate(p) for p in zip(*parts))
 
     labels = _bucket_labels(cfg)
-    counts = np.zeros(len(labels), dtype=int)
-    stats = np.full((len(labels), 4), np.nan)
-    for i, label in enumerate(labels):
-        if label == "deterministic":
-            mask = np.ones(trials, dtype=bool)
-        elif label.startswith("stage"):
-            mask = conclusive & (stages == int(label[5:]))
-        else:
-            mask = ~conclusive
-        counts[i] = int(mask.sum())
-        stats[i] = _summarize(fids[mask])
-
-    overall_mean, overall_stderr, _, _ = _summarize(fids)
+    counts = np.bincount(ends, minlength=len(labels))
+    stats = np.array([_summarize(fids[ends == c]) for c in range(len(labels))])
+    overall_mean, overall_stderr, _ = _summarize(fids)
     return AggregateStats(
         trials=trials,
         labels=labels,
@@ -572,8 +567,7 @@ def monte_carlo(
         mean_fidelity=stats[:, 0],
         stderr_fidelity=stats[:, 1],
         min_fidelity=stats[:, 2],
-        max_fidelity=stats[:, 3],
-        conclusive_probability=float(np.mean(conclusive)),
+        conclusive_probability=float(np.mean(runner._conclusive[ends])),
         overall_mean_fidelity=overall_mean,
         overall_stderr_fidelity=overall_stderr,
     )
@@ -606,6 +600,14 @@ def _branch_sums(w: np.ndarray, rotate: bool) -> tuple[float, float]:
     return float(np.vdot(traces, traces).real), float(np.vdot(gathered, gathered))
 
 
+def _set_labels(cfg: StrategyConfig) -> tuple[str, ...]:
+    """The sets of ``_branch_sets``: the stage buckets and, whatever the
+    fallback, both exhausted readouts; or "deterministic"."""
+    labels = _bucket_labels(cfg)
+    staged = cfg.kind == KIND_SMC
+    return (*labels[:-1], "exhausted-me", "exhausted-guess") if staged else labels
+
+
 @lru_cache(maxsize=1)
 def _branch_sets(
     channel: SchmidtChannel, cfg: StrategyConfig, tie_tolerance: float,
@@ -618,9 +620,7 @@ def _branch_sets(
     correction included).  A set of branches is kept as its pair
     Q = sum |tr M_i|^2, T = sum tr(M_i^+ M_i): its Haar-averaged fidelity
     is (Q + T) / ((D + 1) T) and its total probability T/D.  The sets are
-    "deterministic", or "stage1".."stage{k_max}" plus the exhausted
-    branches finished by the minimum-error readout ("exhausted-me") or
-    read out directly ("exhausted-guess").
+    named by ``_set_labels``.
 
     The last result is cached by (channel identity, strategy, tie
     tolerance) and returned read-only; errors are not cached.
@@ -628,15 +628,14 @@ def _branch_sets(
     D = channel.D
     check_allocation(f"the (D, D, D) branch enumeration at D={D}", 16 * D**3)
     w = np.pad(channel.coeffs, (0, D - channel.N))
-    sets = {}
-    for k, (ks, kf) in enumerate(_stage_filters(channel, cfg, tie_tolerance), start=1):
-        sets[f"stage{k}"] = _branch_sums(w * ks, True)
+    sums = []
+    for ks, kf in _stage_filters(channel, cfg, tie_tolerance):
+        sums.append(_branch_sums(w * ks, True))
         w = w * kf
-    if cfg.kind == KIND_DETERMINISTIC:
-        sets["deterministic"] = _branch_sums(w, True)
-    else:
-        sets["exhausted-me"] = _branch_sums(w, True)
-        sets["exhausted-guess"] = _branch_sums(w, False)
+    sums.append(_branch_sums(w, True))
+    if cfg.kind == KIND_SMC:
+        sums.append(_branch_sums(w, False))
+    sets = dict(zip(_set_labels(cfg), sums))
     total = sum(t for label, (_, t) in sets.items() if label != "exhausted-guess") / D
     if abs(total - 1.0) > 1e-10:
         raise AssertionError(f"branch probabilities sum to {total!r}, not 1")
@@ -646,55 +645,33 @@ def _branch_sets(
 def exact_average_fidelity(
     channel: SchmidtChannel,
     cfg: StrategyConfig,
-    condition: str = "overall",
-    stage: int | None = None,
+    bucket: str | None = None,
     tie_tolerance: float = DEFAULT_TIE_TOL,
 ) -> float:
     """Haar-averaged teleportation fidelity by exact branch enumeration.
 
-    ``condition`` selects which branches count:
+    ``bucket`` names one set of the cached ``_branch_sets`` enumeration:
+    "stage{k}" (conclusive at stage k), "exhausted-me" or "exhausted-guess"
+    (every stage failed, then the minimum-error or the direct readout,
+    whatever ``cfg.fallback`` says), or "deterministic".  ``None`` sums
+    every bucket that delivers a state, in label order (so with the
+    ``discard`` fallback it is conditioned on a conclusive outcome).
 
-    * ``overall``: every branch the strategy produces.  With the
-      ``discard`` fallback this is conditioned on a conclusive outcome,
-      since discarded attempts deliver no state.
-    * ``conclusive-at-stage``: branches conclusive at stage ``stage``.
-    * ``inconclusive-then-me``: the attempt filtered inconclusive through
-      all ``k_max`` stages and was then finished with the minimum-error
-      completion (whatever ``cfg.fallback`` says).
-
-    Every condition reads the one cached ``_branch_sets`` enumeration.
-
-    Raises ValueError when the condition has no probability mass for the
-    channel, e.g. a stage beyond ``k_max`` or an inconclusive branch that
-    cannot occur.
+    Raises ValueError for a bucket this strategy has no set of, before any
+    enumeration, or for one with ~zero probability on the channel.
     """
-    if condition == "overall":
-        if cfg.kind == KIND_DETERMINISTIC:
-            chosen = ["deterministic"]
-        else:
-            chosen = [f"stage{k}" for k in range(1, cfg.k_max + 1)]
-            if cfg.fallback != "discard":
-                chosen.append(f"exhausted-{cfg.fallback}")
-    elif cfg.kind == KIND_DETERMINISTIC:
-        raise ValueError(f"condition {condition!r} needs the staged strategy")
-    elif condition == "conclusive-at-stage":
-        if stage is None:
-            raise ValueError("condition 'conclusive-at-stage' requires a stage")
-        chosen = [f"stage{stage}"]
-        if chosen[0] not in [f"stage{k}" for k in range(1, cfg.k_max + 1)]:
-            raise ValueError(f"stage {stage} is outside the executed range")
-    elif condition == "inconclusive-then-me":
-        chosen = ["exhausted-me"]
-    else:
-        raise ValueError(f"unknown condition {condition!r}")
+    if bucket is not None and bucket not in _set_labels(cfg):
+        raise ValueError(f"unknown bucket {bucket!r}; this strategy's sets are "
+                         f"{', '.join(_set_labels(cfg))}")
     sets = _branch_sets(channel, cfg, tie_tolerance)
+    # A discarded attempt has no set: it delivers no state.
+    chosen = ([bucket] if bucket is not None
+              else [label for label in _bucket_labels(cfg) if label in sets])
     q = sum(sets[label][0] for label in chosen)
     t = sum(sets[label][1] for label in chosen)
     if t / channel.D < MIN_BRANCH_MASS:
-        raise ValueError(
-            f"condition {condition!r} has ~zero probability on this channel; "
-            f"fidelity undefined"
-        )
+        raise ValueError(f"bucket {bucket or 'overall'!r} has ~zero probability on this "
+                         "channel; fidelity undefined")
     return (q + t) / ((channel.D + 1) * t)
 
 
@@ -703,13 +680,7 @@ def exact_branch_probabilities(
     cfg: StrategyConfig,
     tie_tolerance: float = DEFAULT_TIE_TOL,
 ) -> dict[str, float]:
-    """Haar-averaged probability of each branch bucket, from enumeration.
-
-    A probability is T/D of a set of the cached ``_branch_sets``.
-    """
+    """Haar-averaged probability T/D of each set of the cached
+    ``_branch_sets``, under its label."""
     sets = _branch_sets(channel, cfg, tie_tolerance)
-    if cfg.kind == KIND_DETERMINISTIC:
-        return {"deterministic": 1.0}
-    out = {k: t / channel.D for k, (_, t) in sets.items() if k.startswith("stage")}
-    out["exhausted"] = sets["exhausted-me"][1] / channel.D
-    return out
+    return {label: t / channel.D for label, (_, t) in sets.items()}

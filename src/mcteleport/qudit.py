@@ -14,6 +14,7 @@ them under ``tests/`` would not remove any code.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import prod
 from typing import Literal
@@ -40,10 +41,6 @@ class QuditState:
 
     dims: tuple[int, ...]
     amplitudes: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(prod(self.dims))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -96,6 +93,14 @@ def check_allocation(what: str, nbytes: int) -> None:
             f"{what} would need {-(-nbytes // 2**20):,} MiB, more than the "
             f"{MAX_ARRAY_BYTES // 2**20} MiB limit (qudit.MAX_ARRAY_BYTES)"
         )
+
+
+def check_index(name: str, value) -> int:
+    """``value`` as an int (NumPy integers too); ValueError naming ``name`` if not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _phase_table(D: int) -> np.ndarray:

@@ -50,7 +50,7 @@ def test_criterion_1_stage1_fidelity_constancy():
     worst_pull = 0.0
     for _ in range(20):
         ch = random_channel(rng, D=4, N=3, min_sq=0.03)
-        oracle = exact_average_fidelity(ch, cfg, "conclusive-at-stage", stage=1)
+        oracle = exact_average_fidelity(ch, cfg, "stage1")
         worst_oracle = max(worst_oracle, abs(oracle - 0.8))
         stats = monte_carlo(ch, cfg, 100_000, seed=int(rng.integers(1 << 30)),
                             workers=4)
@@ -115,10 +115,10 @@ def test_criterion_5_sequential_filter_recursion():
             continue
         checked += 1
         family = symmetric_family(ch.coeffs, ch.D)
-        for stage, nxt in zip(plan.stages[:-1], plan.stages[1:]):
-            next_family = symmetric_family(nxt.input_coeffs, ch.D)
+        for k in range(1, plan.M):
+            next_family = symmetric_family(plan.families[k, :plan.support[k]], ch.D)
             for l, nu in enumerate(family):
-                vec = np.diag(stage.K_f) @ nu.amplitudes
+                vec = np.diag(plan.K_f[k - 1]) @ nu.amplitudes
                 vec /= np.linalg.norm(vec)
                 worst = min(worst, abs(np.vdot(next_family[l].amplitudes, vec)))
             family = next_family
@@ -204,11 +204,9 @@ def test_criterion_10_kraus_completeness():
     worst = 0.0
     for _ in range(1000):
         ch = random_channel(rng)
-        for stage in build_stage_plan(ch).stages:
-            gram = (
-                np.diag(stage.K_s).conj().T @ np.diag(stage.K_s)
-                + np.diag(stage.K_f).conj().T @ np.diag(stage.K_f)
-            )
+        plan = build_stage_plan(ch)
+        for K_s, K_f in zip(plan.K_s, plan.K_f):
+            gram = np.diag(K_s).conj().T @ np.diag(K_s) + np.diag(K_f).conj().T @ np.diag(K_f)
             worst = max(worst, float(np.max(np.abs(gram - np.eye(ch.D)))))
     _verdict(10, worst <= 1e-10,
              f"Kraus completeness over 10^3 random channels (dev {worst:.2e})")

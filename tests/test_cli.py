@@ -317,8 +317,8 @@ def test_failed_internal_cross_check_exits_2_without_traceback(capsys, monkeypat
     kernel = ProtocolRunner.run_block
 
     def flipped(self, probs, uniforms):
-        stages, conclusive, outcomes, fids = kernel(self, probs, uniforms)
-        return stages, conclusive, outcomes, 1.0 - fids
+        ends, outcomes, fids = kernel(self, probs, uniforms)
+        return ends, outcomes, 1.0 - fids
 
     monkeypatch.setattr(ProtocolRunner, "run_block", flipped)
     code, out, err = run_cli(
@@ -662,7 +662,7 @@ def test_verify_builds_one_plan_and_one_branch_enumeration(capsys, monkeypatch):
 def test_verify_builds_no_stage_objects_and_groups_the_channel_once(capsys, monkeypatch):
     # The sampler and the oracle read the plan's (M, D) Kraus arrays, and
     # the plan and the closed forms share one cached grouping; ``plan``
-    # still prints every stage, from the ``McStage`` views.
+    # prints every stage from the same arrays.
     from mcteleport import channels, discrimination
 
     weights = np.linspace(2.0, 1.0, 32)

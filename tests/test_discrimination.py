@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 
-from conftest import random_channel, tied_channels
+from conftest import plan_stages, random_channel, tied_channels
 from mcteleport import (
     build_stage_plan,
     confidence_at_stage,
@@ -176,8 +176,9 @@ def test_me_equals_stage1_confidence_only_for_equal_coeffs():
 def test_build_stage_plan_equal_coefficients():
     plan = build_stage_plan(make_channel(4, np.full(3, 1 / np.sqrt(3))))
     assert plan.M == 1
-    assert plan.stages[0].terminal
-    assert plan.stages[0].p_fail == 0.0
+    stage, = plan_stages(plan)
+    assert stage.terminal
+    assert stage.p_fail == 0.0
     assert plan.useful_flags == (False,)
 
 
@@ -188,9 +189,8 @@ def test_build_stage_plan_example_channel():
     # second stage beats the deterministic protocol iff 2 > (sum a)^2,
     # which is false for this channel
     assert plan.useful_flags == (True, False)
-    np.testing.assert_allclose(
-        plan.stages[1].input_coeffs, plan.stages[0].failure_coeffs
-    )
+    first, second = plan_stages(plan)
+    np.testing.assert_allclose(second.input_coeffs, first.failure_coeffs)
 
 
 def test_build_stage_plan_rejects_rank_one():
@@ -229,7 +229,8 @@ def test_stage_chain_matches_sequential_filtering():
             continue
         checked += 1
         family = symmetric_family(ch.coeffs, ch.D)
-        for stage, nxt in zip(plan.stages[:-1], plan.stages[1:]):
+        stages = plan_stages(plan)
+        for stage, nxt in zip(stages[:-1], stages[1:]):
             next_family = symmetric_family(nxt.input_coeffs, ch.D)
             new_family = []
             for l, nu in enumerate(family):
@@ -249,16 +250,17 @@ def test_chained_failure_probability_second_stage():
         if plan.M < 2:
             continue
         prof = multiplicity_profile(ch)
-        b = plan.stages[0].failure_coeffs
+        stages = plan_stages(plan)
+        b = stages[0].failure_coeffs
         expected = 1 - (ch.N - prof.multiplicities[0]) * b[-1] ** 2
-        assert plan.stages[1].p_fail == pytest.approx(expected, abs=1e-12)
+        assert stages[1].p_fail == pytest.approx(expected, abs=1e-12)
 
 
 def test_generated_stages_satisfy_completeness():
     rng = np.random.default_rng(12)
     for _ in range(200):
         ch = random_channel(rng)
-        for stage in build_stage_plan(ch).stages:
+        for stage in plan_stages(build_stage_plan(ch)):
             gram = (
                 np.diag(stage.K_s).conj().T @ np.diag(stage.K_s)
                 + np.diag(stage.K_f).conj().T @ np.diag(stage.K_f)
@@ -299,7 +301,7 @@ def test_stage_plan_equals_single_stage_chain():
         plan = build_stage_plan(ch)
         chain = _single_stage_chain(ch)
         assert plan.M == len(chain)
-        for got, want in zip(plan.stages, chain):
+        for got, want in zip(plan_stages(plan), chain):
             assert got.stage_index == want.stage_index
             assert got.terminal == want.terminal
             np.testing.assert_allclose(got.K_s, want.K_s, rtol=0, atol=1e-12)
@@ -334,17 +336,17 @@ STAGE_ARRAYS = ("input_coeffs", "K_s", "K_f", "success_coeffs", "failure_coeffs"
 
 
 def test_stage_arrays_are_read_only():
-    # A cached plan is shared by every later caller, and stage k's
-    # failure_coeffs is stage k + 1's input_coeffs: no write may reach them.
-    stages = [
-        *build_stage_plan(make_channel(4, np.sqrt([0.5, 0.3, 0.2]))).stages,
-        *build_stage_plan(make_channel(3, np.full(3, 1 / np.sqrt(3)))).stages,
-        mc_stage(np.sqrt([0.5, 0.3, 0.2]), 4),
-    ]
-    for stage in stages:
-        for name in STAGE_ARRAYS:
+    # A cached plan is shared by every later caller, and the family row of
+    # stage k + 1 is stage k's failure family: no write may reach them.
+    for plan in (build_stage_plan(make_channel(4, np.sqrt([0.5, 0.3, 0.2]))),
+                 build_stage_plan(make_channel(3, np.full(3, 1 / np.sqrt(3))))):
+        for name in ("K_s", "K_f", "p_fail", "families"):
             with pytest.raises(ValueError, match="read-only"):
-                getattr(stage, name)[...] = 9.0
+                getattr(plan, name)[...] = 9.0
+    stage = mc_stage(np.sqrt([0.5, 0.3, 0.2]), 4)
+    for name in STAGE_ARRAYS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(stage, name)[...] = 9.0
 
 
 def test_cached_plan_is_only_reused_for_its_channel_and_tie_tolerance():
@@ -360,7 +362,7 @@ def test_cached_plan_is_only_reused_for_its_channel_and_tie_tolerance():
                     (c, 1e-9), (c, 1e-7), (c, 1e-9), (c, 1e-9)]:
         got, want = build_stage_plan(ch, tie), uncached(ch, tie)
         assert (got.M, got.useful_flags) == (want.M, want.useful_flags)
-        for g, w in zip(got.stages, want.stages):
+        for g, w in zip(plan_stages(got), plan_stages(want)):
             assert (g.stage_index, g.p_fail, g.terminal) == (w.stage_index, w.p_fail, w.terminal)
             for name in STAGE_ARRAYS:
                 np.testing.assert_array_equal(getattr(g, name), getattr(w, name))
@@ -387,7 +389,7 @@ def _per_stage_plan(ch, tie_tolerance=1e-9):
 @example(make_channel(5, np.full(4, 0.5)))  # one group: a terminal stage
 @example(make_channel(40, np.sqrt(np.linspace(2.0, 1.0, 40) / 60.0)))  # 39 stages
 def test_array_plan_equals_the_per_stage_build_bit_for_bit(ch):
-    stages = build_stage_plan.__wrapped__(ch, 1e-9).stages
+    stages = plan_stages(build_stage_plan.__wrapped__(ch, 1e-9))
     want = _per_stage_plan(ch)
     assert len(stages) == len(want) == multiplicity_profile(ch).M
     for got, ref in zip(stages, want):

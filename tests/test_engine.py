@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import InlinePool, conjugated_tables, random_channel, tied_channels
+from conftest import InlinePool, conjugated_tables, end_class, random_channel, tied_channels
 from mcteleport import (
     DEFAULT_TIE_TOL,
     DenseOperator,
@@ -67,9 +67,9 @@ def _reference_run(channel, input_state, cfg, rng):
     if cfg.kind == "mc-smc":
         conclusive = False
         plan = build_stage_plan(channel)
-        for k, stage in enumerate(plan.stages[: cfg.k_max], start=1):
-            K_s = DenseOperator(D, np.diag(stage.K_s))
-            K_f = DenseOperator(D, np.diag(stage.K_f))
+        for k in range(1, cfg.k_max + 1):
+            K_s = DenseOperator(D, np.diag(plan.K_s[k - 1]))
+            K_f = DenseOperator(D, np.diag(plan.K_f[k - 1]))
             branch, full, _ = apply_two_outcome_kraus(full, 1, K_s, K_f, rng)
             stage_reached = k
             if branch == "success":
@@ -233,16 +233,14 @@ def test_monte_carlo_matches_oracle_within_four_sigma():
     cfg = StrategyConfig(kind="mc-smc", k_max=2, fallback="me")
     stats = monte_carlo(EXAMPLE, cfg, 20_000, seed=9)
     for k in (1, 2):
-        oracle = exact_average_fidelity(
-            EXAMPLE, cfg, "conclusive-at-stage", stage=k
-        )
+        oracle = exact_average_fidelity(EXAMPLE, cfg, f"stage{k}")
         err = stats.stage_stderr_fidelity(k)
         assert abs(stats.stage_mean_fidelity(k) - oracle) < 4 * err
         p_oracle = exact_branch_probabilities(EXAMPLE, cfg)[f"stage{k}"]
         p_hat = stats.stage_probability(k)
         p_err = np.sqrt(p_oracle * (1 - p_oracle) / stats.trials)
         assert abs(p_hat - p_oracle) < 4 * p_err
-    overall_oracle = exact_average_fidelity(EXAMPLE, cfg, "overall")
+    overall_oracle = exact_average_fidelity(EXAMPLE, cfg)
     assert abs(stats.overall_mean_fidelity - overall_oracle) < (
         4 * stats.overall_stderr_fidelity
     )
@@ -271,7 +269,7 @@ def test_oracle_conclusive_stage1_depends_only_on_rank():
     cfg = StrategyConfig(kind="mc-smc", k_max=1, fallback="me")
     for _ in range(20):
         ch = random_channel(rng, D=4, N=3)
-        value = exact_average_fidelity(ch, cfg, "conclusive-at-stage", stage=1)
+        value = exact_average_fidelity(ch, cfg, "stage1")
         assert value == pytest.approx(0.8, abs=1e-9)
 
 
@@ -295,9 +293,8 @@ def test_oracle_rank_one_hits_classical_bound():
 
 def test_oracle_inconclusive_then_me_matches_closed_form():
     cfg = StrategyConfig(kind="mc-smc", k_max=1, fallback="me")
-    assert exact_average_fidelity(
-        EXAMPLE, cfg, "inconclusive-then-me"
-    ) == pytest.approx(f_me_after_fail(EXAMPLE), abs=1e-10)
+    assert exact_average_fidelity(EXAMPLE, cfg, "exhausted-me") == pytest.approx(
+        f_me_after_fail(EXAMPLE), abs=1e-10)
 
 
 def test_oracle_agrees_with_every_closed_form_on_channel_grid():
@@ -310,21 +307,19 @@ def test_oracle_agrees_with_every_closed_form_on_channel_grid():
         assert exact_average_fidelity(ch, DET) == pytest.approx(rep.F_me, abs=1e-9)
         for k in range(1, rep.M + 1):
             cfg_k = StrategyConfig(kind="mc-smc", k_max=k, fallback="me")
-            assert exact_average_fidelity(
-                ch, cfg_k, "conclusive-at-stage", stage=k
-            ) == pytest.approx(rep.F_mc_s[k - 1], abs=1e-9)
+            assert exact_average_fidelity(ch, cfg_k, f"stage{k}") == pytest.approx(
+                rep.F_mc_s[k - 1], abs=1e-9)
             for fallback in ("me", "guess", "discard"):
                 cfg_f = StrategyConfig(kind="mc-smc", k_max=k, fallback=fallback)
-                assert exact_average_fidelity(ch, cfg_f, "overall") == pytest.approx(
+                assert exact_average_fidelity(ch, cfg_f) == pytest.approx(
                     overall_fidelity(ch, cfg_f), abs=1e-9
                 )
         if rep.F_me_after_fail is not None:
             cfg_1 = StrategyConfig(kind="mc-smc", k_max=1, fallback="me")
-            assert exact_average_fidelity(
-                ch, cfg_1, "inconclusive-then-me"
-            ) == pytest.approx(rep.F_me_after_fail, abs=1e-9)
+            assert exact_average_fidelity(ch, cfg_1, "exhausted-me") == pytest.approx(
+                rep.F_me_after_fail, abs=1e-9)
         cfg_M = StrategyConfig(kind="mc-smc", k_max=rep.M, fallback="me")
-        assert exact_average_fidelity(ch, cfg_M, "overall") == pytest.approx(
+        assert exact_average_fidelity(ch, cfg_M) == pytest.approx(
             rep.overall_smc, abs=1e-9
         )
 
@@ -339,8 +334,9 @@ def test_oracle_branch_probabilities_match_analytics():
         p, total = stage_probabilities(ch, M)
         for k in range(1, M + 1):
             assert masses[f"stage{k}"] == pytest.approx(p[k - 1], abs=1e-10)
-        assert masses["exhausted"] == pytest.approx(1 - total, abs=1e-10)
-        assert sum(masses.values()) == pytest.approx(1.0, abs=1e-10)
+        assert masses["exhausted-me"] == pytest.approx(1 - total, abs=1e-10)
+        buckets = engine._bucket_labels(cfg)
+        assert sum(masses[label] for label in buckets) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_oracle_overall_ordering_chain():
@@ -349,64 +345,58 @@ def test_oracle_overall_ordering_chain():
         ch = random_channel(rng)
         M = multiplicity_profile(ch).M
         f_det = exact_average_fidelity(ch, DET)
-        f_one = exact_average_fidelity(
-            ch, StrategyConfig(kind="mc-smc", k_max=1, fallback="me"), "overall"
-        )
-        f_full = exact_average_fidelity(
-            ch, StrategyConfig(kind="mc-smc", k_max=M, fallback="me"), "overall"
-        )
+        f_one = exact_average_fidelity(ch, StrategyConfig(kind="mc-smc", k_max=1, fallback="me"))
+        f_full = exact_average_fidelity(ch, StrategyConfig(kind="mc-smc", k_max=M, fallback="me"))
         assert f_det - f_one >= -1e-12
         assert f_one - f_full >= -1e-12
 
 
 def test_oracle_unreachable_conditions():
     with pytest.raises(ValueError):
-        exact_average_fidelity(EXAMPLE, DET, "conclusive-at-stage", stage=1)
+        exact_average_fidelity(EXAMPLE, DET, "stage1")
     cfg = StrategyConfig(kind="mc-smc", k_max=1, fallback="me")
     with pytest.raises(ValueError):
-        exact_average_fidelity(EXAMPLE, cfg, "conclusive-at-stage", stage=2)
+        exact_average_fidelity(EXAMPLE, cfg, "stage2")
     with pytest.raises(ValueError):
-        exact_average_fidelity(EXAMPLE, cfg, "conclusive-at-stage")
+        exact_average_fidelity(EXAMPLE, cfg, "stage")
     equal = make_channel(4, np.full(3, 1 / np.sqrt(3)))
     with pytest.raises(ValueError):
         exact_average_fidelity(
-            equal, StrategyConfig(kind="mc-smc", k_max=1, fallback="me"),
-            "inconclusive-then-me",
+            equal, StrategyConfig(kind="mc-smc", k_max=1, fallback="me"), "exhausted-me",
         )
     with pytest.raises(ValueError):
-        exact_average_fidelity(EXAMPLE, cfg, "no-such-condition")
+        exact_average_fidelity(EXAMPLE, cfg, "no-such-bucket")
 
 
 SMC2 = StrategyConfig(kind="mc-smc", k_max=2, fallback="me")
 
 
 @pytest.mark.parametrize("cached", [False, True], ids=["built", "cached"])
-@pytest.mark.parametrize("stage,message", [
-    (0, "stage 0 is outside the executed range"),
-    (3, "stage 3 is outside the executed range"),
-    (1.5, "stage 1.5 is outside the executed range"),
-    (None, "condition 'conclusive-at-stage' requires a stage"),
-], ids=["zero", "k_max-plus-one", "fractional", "missing"])
-def test_oracle_stage_checks_hold_with_a_shared_plan(cached, stage, message):
-    # The stage is checked before any plan is built, with the channel's
-    # plan in the cache or not.
+@pytest.mark.parametrize(
+    "bucket", ["stage0", "stage3", "stage1.5", "stage", "discarded", "exhausted"],
+    ids=["zero", "k_max-plus-one", "fractional", "missing", "discarded", "exhausted"])
+def test_oracle_stage_checks_hold_with_a_shared_plan(cached, bucket):
+    # The bucket is checked before any plan is built, with the channel's
+    # plan in the cache or not, and the error names the strategy's sets.
     build_stage_plan.cache_clear()
     if cached:
         build_stage_plan(EXAMPLE, DEFAULT_TIE_TOL)
+    message = (f"unknown bucket {bucket!r}; this strategy's sets are "
+               "stage1, stage2, exhausted-me, exhausted-guess")
     with pytest.raises(ValueError, match=re.escape(message)):
-        exact_average_fidelity(EXAMPLE, SMC2, "conclusive-at-stage", stage=stage)
+        exact_average_fidelity(EXAMPLE, SMC2, bucket)
     assert build_stage_plan.cache_info().misses == int(cached)
 
 
-def _oracle_from_full_sets(ch, cfg, condition, stage=None):
+def _oracle_from_full_sets(ch, cfg, bucket=None):
     """``exact_average_fidelity`` read from a full ``_branch_sets``, every Q computed."""
     sets = engine._branch_sets(ch, cfg, DEFAULT_TIE_TOL)
-    if condition == "overall":
+    if bucket is None:
         chosen = (["deterministic"] if cfg.kind == "deterministic-me"
                   else [f"stage{k}" for k in range(1, cfg.k_max + 1)]
                   + ([f"exhausted-{cfg.fallback}"] if cfg.fallback != "discard" else []))
     else:
-        chosen = [f"stage{stage}" if stage else "exhausted-me"]
+        chosen = [bucket]
     q = sum(sets[label][0] for label in chosen)
     t = sum(sets[label][1] for label in chosen)
     if t / ch.D < engine.MIN_BRANCH_MASS:
@@ -421,22 +411,21 @@ def test_oracle_reads_equal_the_full_branch_sets_bit_for_bit(ch):
     cfgs = [DET] + [StrategyConfig(kind="mc-smc", k_max=k, fallback=fb)
                     for k in range(1, M + 1) for fb in ("me", "guess", "discard")]
     for cfg in cfgs:
-        conditions = [("overall", None)]
+        buckets = [None]
         if cfg.kind == "mc-smc":
-            conditions += [("conclusive-at-stage", k) for k in range(1, cfg.k_max + 1)]
-            conditions.append(("inconclusive-then-me", None))
-        for condition, stage in conditions:
-            want = _oracle_from_full_sets(ch, cfg, condition, stage)
+            buckets += [f"stage{k}" for k in range(1, cfg.k_max + 1)]
+            buckets += ["exhausted-me", "exhausted-guess"]
+        else:
+            buckets.append("deterministic")
+        for bucket in buckets:
+            want = _oracle_from_full_sets(ch, cfg, bucket)
             if want is None:
                 with pytest.raises(ValueError, match="~zero probability"):
-                    exact_average_fidelity(ch, cfg, condition, stage)
+                    exact_average_fidelity(ch, cfg, bucket)
             else:
-                assert exact_average_fidelity(ch, cfg, condition, stage) == want
+                assert exact_average_fidelity(ch, cfg, bucket) == want
         sets = engine._branch_sets(ch, cfg, DEFAULT_TIE_TOL)
-        want = ({"deterministic": 1.0} if cfg.kind == "deterministic-me" else
-                {**{label: t / ch.D for label, (_, t) in sets.items()
-                    if label.startswith("stage")},
-                 "exhausted": sets["exhausted-me"][1] / ch.D})
+        want = {label: t / ch.D for label, (_, t) in sets.items()}
         assert exact_branch_probabilities(ch, cfg) == want
 
 
@@ -447,6 +436,52 @@ def test_strategy_config_validation():
         StrategyConfig(kind="mc-smc", fallback="bogus")
     with pytest.raises(ValueError):
         StrategyConfig(kind="mc-smc", k_max=0)
+
+
+SMC1 = StrategyConfig(kind="mc-smc", k_max=1, fallback="me")
+
+
+@pytest.mark.parametrize("name,call", [
+    ("D", lambda value: make_channel(value, [0.8, 0.6])),
+    ("k_max", lambda value: StrategyConfig(k_max=value)),
+    ("trials", lambda value: monte_carlo(EXAMPLE, SMC1, value, seed=0)),
+    ("seed", lambda value: monte_carlo(EXAMPLE, SMC1, 1000, seed=value)),
+    ("workers", lambda value: monte_carlo(EXAMPLE, SMC1, 1000, seed=0, workers=value)),
+])
+def test_integer_arguments_reject_non_integers_and_accept_numpy_integers(name, call):
+    # A float D once built a truncated channel, and a float k_max or trial
+    # count failed later with a bare TypeError.
+    for value in (2.9, 4.5, 2.0, "2"):
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(value)
+    call(np.int64(2))
+
+
+@pytest.mark.parametrize("cfg", [DET] + [StrategyConfig(k_max=k, fallback=fb)
+                                         for k in (1, 2, 3) for fb in ("me", "guess", "discard")])
+def test_every_delivering_bucket_is_an_oracle_set(cfg):
+    # One vocabulary: every bucket that delivers a state names a set of
+    # the enumeration, and the oracle reads that set under its name.
+    ch = _staged_channel(5)
+    labels = engine._bucket_labels(cfg)
+    sets = engine._branch_sets(ch, cfg, DEFAULT_TIE_TOL)
+    delivering = [label for label in labels if label != "discarded"]
+    assert set(delivering) <= set(sets)
+    for label in delivering:
+        q, t = sets[label]
+        assert exact_average_fidelity(ch, cfg, label) == (q + t) / ((ch.D + 1) * t)
+
+
+def test_monte_carlo_counts_are_the_kernel_classes_of_its_groups():
+    ch, cfg = _staged_channel(8), StrategyConfig(k_max=3, fallback="guess")
+    trials = 2 * engine.group_rows(8) + 100  # three groups, the last one short
+    runner = ProtocolRunner(ch, cfg)
+    ends = np.concatenate([runner.run_block(*engine._group_draws(runner, 5, trials, g))[0]
+                           for g in range(3)])
+    stats = monte_carlo(ch, cfg, trials, seed=5)
+    np.testing.assert_array_equal(stats.counts, np.bincount(ends, minlength=cfg.k_max + 1))
+    assert (stats.counts > 0).all()
 
 
 def test_runner_rejects_rank_one_staged_strategy():
@@ -550,17 +585,16 @@ def _staged_channel(D):
 def _kernel_matching_single_runs(runner, inputs, uniforms):
     """``run_block`` on the |psi|^2 of ``inputs``, after checking each row
     against ``run`` on the same input and uniforms."""
-    stages, conclusive, outcomes, fids = runner.run_block(np.abs(inputs) ** 2, uniforms)
+    ends, outcomes, fids = runner.run_block(np.abs(inputs) ** 2, uniforms)
     for i in range(len(inputs)):
         rec = runner.run(QuditState((runner.D,), inputs[i]), _ReplayedUniforms(uniforms[i]))
-        assert stages[i] == rec.stage_reached
-        assert conclusive[i] == rec.conclusive
+        assert ends[i] == end_class(rec, runner.cfg)
         assert tuple(outcomes[i]) == (rec.alice_outcomes or (-1, -1))
         if rec.run_fidelity is None:
             assert np.isnan(fids[i])
         else:
             assert abs(fids[i] - rec.run_fidelity) <= 1e-12
-    return stages, conclusive, outcomes, fids
+    return ends, outcomes, fids
 
 
 @pytest.mark.parametrize("D", [2, 3, 4, 8, 32])
@@ -577,9 +611,10 @@ def test_block_kernel_matches_single_run_trial_by_trial(D, kind, fallback):
     rng = np.random.default_rng(np.random.SeedSequence((21, D)))
     inputs = haar_random_states(D, trials, rng)
     uniforms = rng.random((trials, runner.draws_per_trial))
-    stages, conclusive = _kernel_matching_single_runs(runner, inputs, uniforms)[:2]
+    ends = _kernel_matching_single_runs(runner, inputs, uniforms)[0]
     if kind == "mc-smc":
-        assert 0 < stages.min() and conclusive.any() and not conclusive.all()
+        # Some trials conclusive at a stage, some exhausted.
+        assert (ends < cfg.k_max).any() and (ends == cfg.k_max).any()
 
 
 def test_block_kernel_rejects_mismatched_shapes():
@@ -627,9 +662,8 @@ def test_block_kernel_matches_single_run_with_classes_shuffled(fallback):
     stage = np.arange(k)
     uniforms[:, :k] = np.where(stage < classes[:, None], 1 - 1e-9,
                                np.where(stage == classes[:, None], 0.0, uniforms[:, :k]))
-    stages, conclusive = _kernel_matching_single_runs(runner, inputs, uniforms)[:2]
-    np.testing.assert_array_equal(stages, np.minimum(classes + 1, k))
-    np.testing.assert_array_equal(conclusive, classes < k)
+    ends = _kernel_matching_single_runs(runner, inputs, uniforms)[0]
+    np.testing.assert_array_equal(ends, classes)
 
 
 @pytest.mark.parametrize("fallback", ["me", "guess", "discard"])
@@ -644,10 +678,10 @@ def test_block_kernel_when_the_last_stage_cannot_fail(D, coeffs, fallback):
         warnings.simplefilter("error")
         runner = ProtocolRunner(ch, cfg)
         inputs = haar_random_states(D, 500, rng)
-        stages, conclusive, outcomes, fids = runner.run_block(
+        ends, outcomes, fids = runner.run_block(
             np.abs(inputs) ** 2, rng.random((500, runner.draws_per_trial)))
-    assert conclusive.all() and (outcomes >= 0).all() and np.isfinite(fids).all()
-    assert set(stages.tolist()) <= set(range(1, cfg.k_max + 1))
+    assert (outcomes >= 0).all() and np.isfinite(fids).all()
+    assert set(ends.tolist()) <= set(range(cfg.k_max))  # every trial conclusive
 
 
 def test_block_kernel_memory_stays_below_one_cubic_block_array():
@@ -687,10 +721,7 @@ def test_batched_and_single_run_samples_agree_statistically(cfg):
     single = {label: [] for label in labels}
     for _ in range(trials):
         rec = runner.run_haar(rng)
-        if cfg.kind == "deterministic-me":
-            label = labels[0]
-        else:
-            label = f"stage{rec.stage_reached}" if rec.conclusive else labels[-1]
+        label = labels[end_class(rec, cfg)]
         single[label].append(np.nan if rec.run_fidelity is None else rec.run_fidelity)
     stats = monte_carlo(EXAMPLE, cfg, trials, seed=32)
     for i, label in enumerate(labels):
@@ -751,8 +782,8 @@ def test_monte_carlo_worker_invariance_across_groups(monkeypatch):
     seed = 10
     runner = ProtocolRunner(ch, cfg)
     for group in range(3):
-        stages, conclusive, _ = engine._run_blocks(runner, seed, 5000, group, group + 1)
-        assert (conclusive & (stages == 1)).sum() == 1
+        ends, _ = engine._run_blocks(runner, seed, 5000, group, group + 1)
+        assert (ends == 0).sum() == 1
     monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
     InlinePool.sizes = []
@@ -770,19 +801,18 @@ def test_grouped_blocks_equal_one_kernel_call_per_block(D, fallback):
     # One kernel call on a whole group against one call per block of 100
     # rows of it, the last block short: only the shape of each class
     # product changes, so at most the last bits of a fidelity.
-    runner = ProtocolRunner(_staged_channel(D), StrategyConfig(k_max=min(3, D - 1),
-                                                               fallback=fallback))
+    k = min(3, D - 1)
+    runner = ProtocolRunner(_staged_channel(D), StrategyConfig(k_max=k, fallback=fallback))
     trials = engine.group_rows(D) + 3
     probs, uniforms = engine._group_draws(runner, 19, trials, 0)
     blocks = [runner.run_block(probs[i:i + 100], uniforms[i:i + 100])
               for i in range(0, len(probs), 100)]
-    stages, conclusive, outcomes, fids = (np.concatenate(p) for p in zip(*blocks))
+    ends, outcomes, fids = (np.concatenate(p) for p in zip(*blocks))
     grouped = runner.run_block(probs, uniforms)
-    np.testing.assert_array_equal(grouped[0], stages)
-    np.testing.assert_array_equal(grouped[1], conclusive)
-    np.testing.assert_array_equal(grouped[2], outcomes)
-    np.testing.assert_allclose(grouped[3], fids, rtol=0, atol=1e-15)
-    assert 0 < conclusive.sum() < len(probs)
+    np.testing.assert_array_equal(grouped[0], ends)
+    np.testing.assert_array_equal(grouped[1], outcomes)
+    np.testing.assert_allclose(grouped[2], fids, rtol=0, atol=1e-15)
+    assert 0 < (ends < k).sum() < len(probs)  # some trials conclusive, some exhausted
 
 
 @pytest.mark.parametrize("D", [2, 3, 32, 100])
@@ -928,8 +958,8 @@ def test_monte_carlo_replay_check_catches_a_disagreeing_kernel(monkeypatch):
     kernel = ProtocolRunner.run_block
 
     def flipped(self, probs, uniforms):
-        stages, conclusive, outcomes, fids = kernel(self, probs, uniforms)
-        return stages, conclusive, outcomes, 1.0 - fids
+        ends, outcomes, fids = kernel(self, probs, uniforms)
+        return ends, outcomes, 1.0 - fids
 
     monkeypatch.setattr(ProtocolRunner, "run_block", flipped)
     with pytest.raises(AssertionError, match="replayed trial"):
@@ -1195,7 +1225,7 @@ def _complex_run_block(runner, probs, uniforms):
     amp = (coef * runner._class_w[cls])[r[:, None], shifts[o2]]
     outcomes[rows] = np.stack((o1, o2), axis=1)
     fids[rows] = np.abs(np.einsum("rn,rn->r", q, amp)) ** 2 / (p1 * p2)
-    return stages, runner._conclusive[ends], outcomes, fids
+    return ends, outcomes, fids
 
 
 @pytest.mark.parametrize("D", [2, 3, 4, 8, 32, 100])
@@ -1210,11 +1240,11 @@ def test_real_block_readout_equals_the_complex_readout(D):
             uniforms = rng.random((300, runner.draws_per_trial))
             got = runner.run_block(probs, uniforms)
             want = _complex_run_block(runner, probs, uniforms)
-            for a, b in zip(got[:3], want[:3]):
+            for a, b in zip(got[:2], want[:2]):
                 np.testing.assert_array_equal(a, b)
             # Each complex coefficient carries its own rounding, so the two
             # sums part by about sqrt(D) ulps (2.3e-15 at D = 100).
-            np.testing.assert_allclose(got[3], want[3], rtol=0,
+            np.testing.assert_allclose(got[2], want[2], rtol=0,
                                        atol=4 * np.sqrt(D) * np.finfo(float).eps)
 
 
@@ -1266,11 +1296,10 @@ def test_block_kernel_matches_single_run_on_random_channels(ch, k_max, seed):
     for cfg in cfgs:
         runner = ProtocolRunner(ch, cfg)
         uniforms = rng.random((len(inputs), runner.draws_per_trial))
-        stages, conclusive, outcomes, fids = runner.run_block(np.abs(inputs) ** 2, uniforms)
+        ends, outcomes, fids = runner.run_block(np.abs(inputs) ** 2, uniforms)
         for i in range(len(inputs)):
             rec = runner.run(QuditState((ch.D,), inputs[i]), _ReplayedUniforms(uniforms[i]))
-            assert stages[i] == rec.stage_reached
-            assert conclusive[i] == rec.conclusive
+            assert ends[i] == end_class(rec, cfg)
             assert tuple(outcomes[i]) == (rec.alice_outcomes or (-1, -1))
             if rec.run_fidelity is None:
                 assert np.isnan(fids[i])

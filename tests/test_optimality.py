@@ -15,8 +15,6 @@ the plan's own filter to that optimum, and the ``plan`` command's
 "useful" column to the paper's criterion (N_k + 1)/(D + 1) > F_me.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -68,15 +66,16 @@ def croke_optimum(e: np.ndarray, D: int) -> tuple[float, float]:
     return float(confidence), float(np.trace(rho @ (c * total)).real)
 
 
-def check_stage(stage, confidence: float, e: np.ndarray, D: int) -> None:
-    """The stage's closed-form confidence, its failure probability and its
-    Kraus filter followed by the minimum-error readout all reach the
-    optimum for the family ``e``."""
+def check_stage(p_fail: float, K_s: np.ndarray, confidence: float, e: np.ndarray,
+                D: int) -> None:
+    """A stage's closed-form confidence, its failure probability ``p_fail``
+    and its Kraus filter diagonal ``K_s`` followed by the minimum-error
+    readout all reach the optimum for the family ``e``."""
     best, p_conclusive = croke_optimum(e, D)
     assert confidence == pytest.approx(best, abs=ATOL)
-    assert 1.0 - stage.p_fail == pytest.approx(p_conclusive, abs=ATOL)
+    assert 1.0 - p_fail == pytest.approx(p_conclusive, abs=ATOL)
 
-    filtered = family_states(e, D) * stage.K_s
+    filtered = family_states(e, D) * K_s
     assert np.sum(np.abs(filtered) ** 2, axis=1) == pytest.approx(p_conclusive, abs=ATOL)
     filtered /= np.linalg.norm(filtered, axis=1, keepdims=True)
     f0 = np.full(D, D**-0.5)  # readout outcome 0 of the inverse Fourier transform
@@ -105,8 +104,8 @@ def test_every_stage_reaches_the_maximum_confidence_optimum(capsys):
         plan = build_stage_plan(ch)
         report = channel_report(ch)
         assert plan.M == len(families)
-        for k, (stage, e) in enumerate(zip(plan.stages, families)):
-            check_stage(stage, report.f_mc_s[k], e, D)
+        for k, e in enumerate(families):
+            check_stage(plan.p_fail[k], plan.K_s[k], report.f_mc_s[k], e, D)
 
         # Stage k is useful exactly where (N_k + 1)/(D + 1) beats F_me.
         f_me = (1.0 + np.sum(amps) ** 2) / (D + 1)
@@ -120,9 +119,9 @@ def test_every_stage_reaches_the_maximum_confidence_optimum(capsys):
 def test_a_weakened_filter_misses_the_optimum():
     amps = np.sqrt([0.5, 0.3, 0.2])
     ch = make_channel(4, amps)
-    stage = build_stage_plan(ch).stages[0]
+    plan = build_stage_plan(ch)
     e = stage_families(amps)[0]
     f_mc = channel_report(ch).f_mc_s[0]
-    check_stage(stage, f_mc, e, 4)
+    check_stage(plan.p_fail[0], plan.K_s[0], f_mc, e, 4)
     with pytest.raises(AssertionError):
-        check_stage(dataclasses.replace(stage, K_s=0.99 * stage.K_s), f_mc, e, 4)
+        check_stage(plan.p_fail[0], 0.99 * plan.K_s[0], f_mc, e, 4)
