@@ -12,7 +12,9 @@ which assembles every field for a block of channels sharing a tie pattern
 and asserts the identities between them: ``report_blocks`` feeds it sweep
 points, ``channel_report`` one channel as a one-row block.  It performs
 the scalar functions' floating-point operations, and the tests hold the
-two to bit-for-bit equality.
+two to bit-for-bit equality.  It calls ufuncs and ndarray methods, not
+the NumPy wrappers (``np.sum``, ``np.diff``, ...) that only dispatch to
+them: the operands and their order are the same, and so are the bits.
 """
 
 from __future__ import annotations
@@ -262,7 +264,8 @@ def channel_report(
             F_me_after_fail=None, overall_me=F_me, overall_smc=F_me,
         )
     amps = ch.coeffs[None, ::-1]
-    block = _pattern_block(D, amps, np.diff(amps[0]) > tie_tolerance, amps**2, [0])
+    gaps = amps[0, 1:] - amps[0, :-1] > tie_tolerance  # np.diff
+    block = _pattern_block(D, amps, gaps, amps**2, slice(None))  # its one row, as a view
 
     def row(series):
         return tuple(series[0].tolist())
@@ -341,7 +344,7 @@ def report_blocks(
     packed = np.packbits(gaps, axis=1)
     codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, which = np.unique(codes, return_index=True, return_inverse=True)
-    return [_pattern_block(D, amps, gaps[i], squared, np.flatnonzero(which == g))
+    return [_pattern_block(D, amps, gaps[i], squared, (which == g).nonzero()[0])
             for g, i in enumerate(first.tolist())]
 
 
@@ -355,47 +358,48 @@ def _pattern_block(D, amps, gaps, points, rows) -> ReportBlock:
     the scalar function each step matches bit for bit."""
     amps, points = amps[rows], points[rows]
     P, N = amps.shape
-    edges = np.concatenate(([0], np.flatnonzero(gaps) + 1, [N]))
-    mults = np.diff(edges)
+    edges = np.array([0, *(gaps.nonzero()[0] + 1).tolist(), N])
+    mults = edges[1:] - edges[:-1]
     d = mults.size
     M = d - 1 if mults[-1] == 1 else d
-    support = np.cumsum(mults[::-1])[::-1][:M]
+    support = mults[::-1].cumsum()[::-1][:M]
     # group_coefficients: root mean square of each group's members; a lone
-    # member's mean is its own square.  np.take keeps rows contiguous
+    # member's mean is its own square.  take keeps rows contiguous
     # (a[:, idx] is column-major), so each row sum below adds pairwise, as
     # the scalar route does, for any P; a column-major block of P > 1 rows
     # adds left to right, off in the last bit from 8 terms on.
     sq = amps**2
-    values = np.sqrt(np.take(sq, edges[:-1], axis=1))
-    for j in np.flatnonzero(mults > 1).tolist():
+    values = np.sqrt(sq.take(edges[:-1], axis=1))
+    for j in (mults > 1).nonzero()[0].tolist():
         a, b = edges[j], edges[j + 1]
         values[:, j] = np.sqrt(np.add.reduce(sq[:, a:b], axis=1) / (b - a))
     v_sq = values**2
     # _f_me squares the Python float sum with pow(), which can differ from
     # x*x by an ulp; float_power calls the same pow().
-    sum_a_sq = np.float_power(np.sum(values * mults, axis=1), 2)
+    sum_a_sq = np.float_power(np.add.reduce(values * mults, axis=1), 2)
     F_me = (1.0 + sum_a_sq) / (D + 1)
     f_me = sum_a_sq / D
     F_clas = f_clas(D)
 
-    # _stage_cascade
-    p_success = support * np.diff(v_sq[:, :M], prepend=0.0, axis=1)
-    p_fail = np.empty_like(p_success)
-    survival = np.empty_like(p_success)
-    prod = np.ones(P)
+    # _stage_cascade; chain[k] is the probability that stages 1..k all fail.
+    p_success = v_sq[:, :M].copy()  # np.diff of (0, v_1^2, ..., v_M^2)
+    p_success[:, 1:] -= v_sq[:, : M - 1]
+    p_success *= support
+    p_fail, chain = np.empty((M, P)), np.empty((M + 1, P))  # p_fail[k - 1] is stage k's
+    chain[0] = prod = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(M):
+        for k, p in enumerate(p_success.T):
             # Once a branch is dead (prod == 0) the quotient is inf or nan,
             # and both clamp to the scalar path's 0.
-            p_fail[:, k] = q = np.minimum(np.fmax(1.0 - p_success[:, k] / prod, 0.0), 1.0)
-            survival[:, k] = prod = prod * q
-    cumulative = np.cumsum(p_success, axis=1)
+            p_fail[k] = q = np.minimum(np.fmax(1.0 - p / prod, 0.0), 1.0)
+            chain[k + 1] = prod = prod * q
+    cumulative = p_success.cumsum(axis=1)
 
     # _f_mc_stages
     F_mc = (1.0 + support) / (D + 1)
     recursive = np.subtract.accumulate(np.concatenate(([(1.0 + N) / (D + 1)],
                                                        mults[: M - 1] / (D + 1))))
-    bad = np.flatnonzero(np.abs(F_mc - recursive) > IDENTITY_ATOL)
+    bad = (np.abs(F_mc - recursive) > IDENTITY_ATOL).nonzero()[0]
     if bad.size:
         raise AssertionError(
             f"stage-fidelity forms disagree: {float(F_mc[bad[0]])!r} vs "
@@ -414,10 +418,9 @@ def _pattern_block(D, amps, gaps, points, rows) -> ReportBlock:
     base = np.vecdot(p_success[:, :1], F_mc[:1])
     residual = np.maximum(1.0 - cumulative[:, 0], 0.0)
     if d >= 2:
-        live = survival[:, 0] > 0
-        tail = np.sqrt((v_sq[:, 1:] - v_sq[:, :1])
-                       / np.where(live, survival[:, 0], 1.0)[:, None])
-        s_sq = np.float_power(np.where(live, np.sum(tail * mults[1:], axis=1), np.nan), 2)
+        live = chain[1] > 0
+        tail = np.sqrt((v_sq[:, 1:] - v_sq[:, :1]) / np.where(live, chain[1], 1.0)[:, None])
+        s_sq = np.float_power(np.where(live, np.add.reduce(tail * mults[1:], axis=1), np.nan), 2)
         F_fail = (1.0 + s_sq) / (D + 1)
         check, budget = _f_me_after_fail_double_sums(values, mults, D)
         _require_rows(np.abs(F_fail - check) <= budget,
@@ -429,14 +432,12 @@ def _pattern_block(D, amps, gaps, points, rows) -> ReportBlock:
         overall_me = base
 
     # Cross identities between independent routes to the same numbers.
-    final_form = (mults[-2] * (1 if mults[-1] == 1 else 0) + mults[-1] + 1) / (D + 1) \
-        if d >= 2 else (mults[-1] + 1) / (D + 1)
-    _require_rows(np.array([abs(final_form - F_mc[M - 1]) <= IDENTITY_ATOL]),
+    final_form = ((mults[-2] if d >= 2 and mults[-1] == 1 else 0) + mults[-1] + 1) / (D + 1)
+    _require_rows(np.abs(final_form - F_mc[M - 1:M]) <= IDENTITY_ATOL,
                   points, "final-stage fidelity forms disagree")
-    survived = np.concatenate((np.ones((P, 1)), survival[:, :-1]), axis=1)
-    _require_rows(np.abs(p_success - (1.0 - p_fail) * survived) <= IDENTITY_ATOL,
+    _require_rows(np.abs(p_success - ((1.0 - p_fail) * chain[:-1]).T) <= IDENTITY_ATOL,
                   points, "success probability forms disagree")
-    _require_rows(np.abs(cumulative[:, M - 1] - (1.0 - survival[:, M - 1])) <= IDENTITY_ATOL,
+    _require_rows(np.abs(cumulative[:, M - 1] - (1.0 - chain[M])) <= IDENTITY_ATOL,
                   points, "cumulative success probability forms disagree")
     _require_rows((np.abs((F_mc * (D + 1) - 1.0) / D - f_mc) <= IDENTITY_ATOL)[None],
                   points, "fidelity-confidence identity fails")
@@ -447,13 +448,13 @@ def _pattern_block(D, amps, gaps, points, rows) -> ReportBlock:
     _require_rows(F_mc[0] - F_me >= -IDENTITY_ATOL,
                   points, "stage-1 fidelity fell below the deterministic one")
     if d >= 2:
-        assembled = (1.0 - p_fail[:, 0]) * F_mc[0] + p_fail[:, 0] * F_fail
+        assembled = (1.0 - p_fail[0]) * F_mc[0] + p_fail[0] * F_fail
         _require_rows(np.abs(assembled - overall_me) <= IDENTITY_ATOL,
                       points, "single-stage overall fidelity assembly disagrees")
 
     return ReportBlock(
         rows=rows, D=D, N=N, d=d, M=M, F_me=F_me, f_me=f_me, F_clas=F_clas,
-        F_mc_s=F_mc, f_mc_s=f_mc, p_fail=p_fail, p_success=p_success,
+        F_mc_s=F_mc, f_mc_s=f_mc, p_fail=p_fail.T, p_success=p_success,
         P_smc=cumulative, useful=useful, F_me_after_fail=F_fail,
         overall_me=overall_me, overall_smc=overall_smc,
     )
@@ -468,7 +469,7 @@ def _f_me_after_fail_double_sums(values, mults, D) -> tuple[np.ndarray, np.ndarr
     values, which 1/p_fail magnifies when the smallest group lies just
     below the others.  The budget is that measured term plus IDENTITY_ATOL.
     """
-    a_sq = np.repeat(values, mults, axis=1) ** 2
+    a_sq = values.repeat(mults, axis=1) ** 2
     p_fail = 1.0 - a_sq.shape[1] * a_sq[:, 0]
     # The smallest group's excess must be exactly 0, so a_min^2 is taken
     # from the same array (a scalar x**2 can round one ulp off x*x, and
@@ -476,7 +477,7 @@ def _f_me_after_fail_double_sums(values, mults, D) -> tuple[np.ndarray, np.ndarr
     excess = np.sqrt(np.maximum(a_sq - a_sq[:, :1], 0.0))
     norm = np.vecdot(excess, excess)
     # Sum over ordered pairs m != m'.
-    cross = np.sum(excess, axis=1) ** 2 - norm
+    cross = np.add.reduce(excess, axis=1) ** 2 - norm
     scale = (D + 1) * p_fail
     return f_clas(D) + cross / scale, IDENTITY_ATOL + np.abs(norm - p_fail) / scale
 
@@ -486,9 +487,10 @@ def _require_rows(ok: np.ndarray, points: np.ndarray, message: str, compared=())
     row.  The message names the first failing stage of a (P, M) mask, the
     two ``compared`` (P,) values of the failing row when given, and that
     row of ``points``."""
-    if ok.all():
+    first = ok.argmin()  # the flat index of the first False, 0 if none
+    if ok.flat[first]:
         return
-    i, *k = np.argwhere(~ok)[0]
+    i, *k = np.unravel_index(first, ok.shape)
     stage = f"stage {k[0] + 1} " if k else ""
     values = ": {!r} vs {!r}".format(*(float(c[i]) for c in compared)) if compared else ""
     raise AssertionError(f"{stage}{message}{values} at point {points[i].tolist()}")

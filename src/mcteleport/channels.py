@@ -77,7 +77,7 @@ class MultiplicityProfile:
     def support(self) -> np.ndarray:
         """``support[k - 1]`` counts the coefficients still alive entering
         stage k: the suffix sums of the multiplicities."""
-        counts = np.cumsum(self.multiplicities[::-1])[::-1]
+        counts = self.multiplicities[::-1].cumsum()[::-1]
         counts.setflags(write=False)
         return counts
 
@@ -92,9 +92,9 @@ def _validated_coeffs(coeffs, D: int) -> np.ndarray:
         raise ValueError("coefficient list is empty")
     if arr.size > D:
         raise ValueError(f"{arr.size} coefficients exceed the dimension D={D}")
-    if not np.all(np.isfinite(arr)):
+    if not np.logical_and.reduce(np.isfinite(arr)):
         raise ValueError(f"coefficients must be finite, got {arr.tolist()}")
-    if np.any(arr <= 0):
+    if np.logical_or.reduce(arr <= 0):
         raise ValueError(f"coefficients must be strictly positive, got {arr.tolist()}")
     small = arr[arr**2 < MIN_SQUARED_COEFF]
     if small.size:
@@ -103,7 +103,7 @@ def _validated_coeffs(coeffs, D: int) -> np.ndarray:
             f"coefficient {c!r} is too small: its square {c * c!r} is below "
             f"the smallest normal float {MIN_SQUARED_COEFF!r}"
         )
-    total = float(np.sum(arr**2))
+    total = float(np.add.reduce(arr**2))
     if abs(total - 1.0) > NORMALIZATION_SLACK:
         raise ValueError(
             f"squared coefficients sum to {total:.9g}, more than "
@@ -117,8 +117,9 @@ def make_channel(D: int, coeffs) -> SchmidtChannel:
     D = check_index("D", D)
     if D < 2:
         raise ValueError(f"dimension must be >= 2, got {D}")
-    arr = _validated_coeffs(coeffs, D)
-    arr = np.sort(arr)[::-1].copy()
+    arr = _validated_coeffs(coeffs, D)  # a new array, sorted in place
+    arr.sort()
+    arr = arr[::-1].copy()
     arr.setflags(write=False)
     return SchmidtChannel(D, arr)
 
@@ -150,15 +151,16 @@ def group_coefficients(coeffs, tie_tolerance: float = DEFAULT_TIE_TOL):
     [0, MAX_TIE_TOL].
     """
     check_tie_tolerance(tie_tolerance)
-    arr = np.sort(np.asarray(coeffs, dtype=float).ravel())
-    cuts = (np.flatnonzero(np.diff(arr) > tie_tolerance) + 1).tolist()
-    edges = [0, *cuts, arr.size] if arr.size else [0]
-    mults = np.diff(edges)
+    arr = np.array(coeffs, dtype=float).ravel()  # a copy, sorted in place
+    arr.sort()
+    cuts = ((arr[1:] - arr[:-1] > tie_tolerance).nonzero()[0] + 1).tolist()
+    edges = np.array([0, *cuts, arr.size] if arr.size else [0])
+    mults = edges[1:] - edges[:-1]
     sq = arr**2
-    # A singleton's mean is its one member, so only larger groups need np.mean.
+    # A singleton's mean is its one member; a larger group's is np.mean's sum / count.
     values = np.sqrt(sq[edges[:-1]])
-    for j in np.flatnonzero(mults > 1).tolist():
-        values[j] = np.sqrt(np.mean(sq[edges[j]:edges[j + 1]]))
+    for j in (mults > 1).nonzero()[0].tolist():
+        values[j] = np.sqrt(np.add.reduce(sq[edges[j]:edges[j + 1]]) / mults[j])
     return values, mults
 
 
@@ -199,7 +201,8 @@ def symmetric_family(coeffs, D: int) -> list[QuditState]:
     Member l is Z^l applied to sum_k a_k |k>, with the coefficients placed
     on the first len(coeffs) basis states in the order given.
     """
-    arr = _validated_coeffs(coeffs, int(D))
+    D = check_index("D", D)
+    arr = _validated_coeffs(coeffs, D)
     seed = np.zeros(D, dtype=complex)
     seed[: arr.size] = arr
     z = np.diag(pauli_z_power(D, 1).entries)

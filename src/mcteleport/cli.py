@@ -75,11 +75,11 @@ ROUNDING_STDERR = 1e-15
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
+    if type(value) is float:  # what the printers pass, read with .tolist()
+        return "%.15g" % value
+    if isinstance(value, (int, np.integer)):  # a bool prints as 1 or 0
         return str(int(value))
-    return format(float(value), ".15g")
+    return "%.15g" % float(value)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -431,7 +431,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[str], list[str], int]:
 def cmd_report(args) -> int:
     ch = _build_channel(args)
     rep = channel_report(ch, args.tie_tol)
-    print(f"channel: D={rep.D} N={rep.N} coeffs={[_fmt(c) for c in ch.coeffs]}")
+    print(f"channel: D={rep.D} N={rep.N} coeffs={[_fmt(c) for c in ch.coeffs.tolist()]}")
     print(f"groups: d={rep.d}  stages: M={rep.M}")
     for name in ("F_me", "f_me", "F_clas", "F_me_after_fail", "overall_me",
                  "overall_smc"):
@@ -441,21 +441,16 @@ def cmd_report(args) -> int:
         # rank 1: no filtering stage exists; the conclusive fidelity
         # degenerates to the classical bound
         print(f"F_mc_s1          {_fmt(rep.F_clas)} (degenerate: rank-1 channel)")
-    for k in range(1, rep.M + 1):
-        print(
-            f"stage {k}: F_mc_s={_fmt(rep.F_mc_s[k - 1])} "
-            f"f_mc_s={_fmt(rep.f_mc_s[k - 1])} "
-            f"p_fail={_fmt(rep.p_fail[k - 1])} "
-            f"P_stage={_fmt(rep.p_success[k - 1])} "
-            f"P_smc={_fmt(rep.P_smc[k - 1])} "
-            f"useful={'yes' if rep.useful[k - 1] else 'no'}"
-        )
+    stages = zip(rep.F_mc_s, rep.f_mc_s, rep.p_fail, rep.p_success, rep.P_smc, rep.useful)
+    for k, (F_mc, f_mc, p_fail, p_stage, P_smc, useful) in enumerate(stages, 1):
+        print(f"stage {k}: F_mc_s={_fmt(F_mc)} f_mc_s={_fmt(f_mc)} p_fail={_fmt(p_fail)} "
+              f"P_stage={_fmt(p_stage)} P_smc={_fmt(P_smc)} useful={'yes' if useful else 'no'}")
     if args.out:
         cols = _report_csv_columns(rep)
         metadata = [
             f"mcteleport {__version__}",
             "command: report",
-            f"spec: D={rep.D} coeffs={','.join(_fmt(c) for c in ch.coeffs)} "
+            f"spec: D={rep.D} coeffs={','.join(_fmt(c) for c in ch.coeffs.tolist())} "
             f"tie_tol={args.tie_tol:g}",
         ]
         row = [_fmt(report_quantity(rep, c)) for c in cols]
@@ -476,13 +471,10 @@ def cmd_plan(args) -> int:
           f"F_me={_fmt(rep.F_me)} F_clas={_fmt(rep.F_clas)}")
     print(f"{'stage':>5} {'p_fail':>10} {'F_conclusive':>13} {'confidence':>11} "
           f"{'useful':>6} {'P_cumulative':>13} {'bits':>5} {'ancillas':>8}")
-    for k in range(1, plan.M + 1):
-        print(
-            f"{k:>5} {plan.p_fail[k - 1]:>10.6g} {rep.F_mc_s[k - 1]:>13.6g} "
-            f"{rep.f_mc_s[k - 1]:>11.6g} "
-            f"{'yes' if plan.useful_flags[k - 1] else 'no':>6} "
-            f"{rep.P_smc[k - 1]:>13.6g} {bits_base + k:>5} {k:>8}"
-        )
+    stages = zip(plan.p_fail.tolist(), rep.F_mc_s, rep.f_mc_s, plan.useful_flags, rep.P_smc)
+    for k, (p_fail, F_mc, f_mc, useful, P_smc) in enumerate(stages, 1):
+        print(f"{k:>5} {p_fail:>10.6g} {F_mc:>13.6g} {f_mc:>11.6g} "
+              f"{'yes' if useful else 'no':>6} {P_smc:>13.6g} {bits_base + k:>5} {k:>8}")
     # discard-and-retry resource arithmetic (fresh copies are drawn until
     # some stage concludes; attempts are geometric)
     p_total = rep.P_smc[-1]

@@ -252,29 +252,29 @@ def build_stage_plan(
     profile = multiplicity_profile(ch, tie_tolerance)
     M, d = profile.M, profile.d
     check_allocation(f"the Kraus diagonals of {M} stage(s) at D={ch.D}", 16 * M * ch.D)
-    sum_a = float(np.sum(profile.values * profile.multiplicities))
+    sum_a = float(np.add.reduce(profile.values * profile.multiplicities))
 
     # Row k - 1 of each array is stage k's; family rows are zero past
     # their support, and K_s is 0 (so K_f is 1) off it.  One norm per
-    # family, sqrt(f . f) as np.linalg.norm takes it: a 2-D norm would sum
-    # in another order and change bits.
-    squares = np.repeat(profile.values, profile.multiplicities)[::-1] ** 2
+    # family, sqrt(f . f) over its support as np.linalg.norm takes it (a
+    # 2-D norm, or a dot over the padded row, would sum in another order).
+    squares = profile.values.repeat(profile.multiplicities)[::-1] ** 2
     consumed = np.concatenate(([0.0], profile.values[:-1] ** 2))
     support = profile.support
     alive = np.arange(ch.N) < support[:, None]
     families = np.sqrt(np.where(alive, squares - consumed[:, None], 0.0))
-    for family, n in zip(families, support):
-        family[:n] /= sqrt(family[:n].dot(family[:n]))
+    norms = [sqrt(f[:n].dot(f[:n])) for f, n in zip(families, support.tolist())]
+    np.divide(families, np.array(norms)[:, None], out=families, where=alive)
     smallest = families[np.arange(M), support[:M] - 1]
     K_s = np.zeros((M, ch.D))
     np.divide(smallest[:, None], families[:M], out=K_s[:, : ch.N], where=alive[:M])
     K_f = np.sqrt(np.maximum(0.0, 1.0 - K_s**2))
-    if np.max(np.abs(K_s**2 + K_f**2 - 1.0)) > KRAUS_ATOL:
+    if np.maximum.reduce(np.abs(K_s**2 + K_f**2 - 1.0), axis=None) > KRAUS_ATOL:
         raise ValueError("generated Kraus pair violates completeness")
     p_fail = 1.0 - support[:M] * smallest**2
     if M == d:
         p_fail[-1] = 0.0  # a terminal stage cannot fail
     for arr in (families, K_s, K_f, p_fail):
         arr.setflags(write=False)
-    useful = tuple(bool(u) for u in support[:M] - sum_a**2 > USEFUL_MARGIN)
+    useful = tuple((support[:M] - sum_a**2 > USEFUL_MARGIN).tolist())
     return StagePlan(K_s, K_f, p_fail, families, support, useful)

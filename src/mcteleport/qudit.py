@@ -69,10 +69,10 @@ class DenseOperator:
 def make_state(dims, amplitudes) -> QuditState:
     """Build a normalized register state from raw amplitudes.
 
-    Raises ValueError if the amplitude count does not match the register
-    size or the vector is (numerically) zero.
+    Raises ValueError if a dimension is not an integer, the amplitude count
+    does not match the register size or the vector is (numerically) zero.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(check_index("subsystem dimension", d) for d in dims)
     if not dims or any(d < 2 for d in dims):
         raise ValueError(f"subsystem dimensions must all be >= 2, got {dims}")
     amps = np.asarray(amplitudes, dtype=complex).ravel()
@@ -248,6 +248,7 @@ def haar_random_states(D: int, n: int, rng: np.random.Generator) -> np.ndarray:
     The real parts of all rows are drawn first, then the imaginary parts,
     so ``n = 1`` consumes the generator exactly like one scalar draw.
     """
+    D, n = check_index("D", D), check_index("n", n)
     if D < 1:
         raise ValueError(f"dimension must be >= 1, got {D}")
     z = rng.standard_normal((n, D)) + 1j * rng.standard_normal((n, D))
@@ -262,6 +263,7 @@ def haar_random_states(D: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_random_state(D: int, rng: np.random.Generator) -> QuditState:
     """Single-qudit pure state drawn uniformly (Haar) in dimension D."""
+    D = check_index("D", D)
     return QuditState((D,), haar_random_states(D, 1, rng)[0])
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import InlinePool, conjugated_tables
-from mcteleport import channel_report, make_channel
+from mcteleport import build_stage_plan, channel_report, make_channel
 from mcteleport.cli import _COMMANDS, main, parse_csv, report_quantity
 
 
@@ -727,3 +727,62 @@ def test_coefficient_just_above_the_underflow_bound_still_plans(capsys):
     code, out, _ = run_cli(capsys, "plan", "--D", "4", "--coeffs", "1,1e-150")
     assert code == 0
     assert out.endswith("expected channel copies until a conclusive run: 5e+299\n")
+
+
+# The NumPy wrappers that report and plan no longer call: each one only
+# dispatches to a ufunc or ndarray method, which they call directly.
+REMOVED_WRAPPERS = ("diff", "flatnonzero", "sum", "cumsum", "mean", "repeat", "take",
+                    "all", "any", "max", "sort", "ones", "argwhere")
+# The channel options of four channels, which the CI also runs.  The
+# near-tied one has its top two groups one ulp apart, so at tie tolerance 0
+# its stage 2 cannot fail and stage 3 divides by a zero survival.
+DISPATCH_CHANNELS = {
+    "tied": ["--D", "8", "--coeffs", "0.2,0.2,0.15,0.15,0.15,0.1,0.05", "--squared"],
+    "near-tied": ["--D", "8", "--coeffs", "0.15973927121342632,0.4935796200290799,"
+                  "0.4935796200290799,0.49357962002907996,0.49357962002907996", "--tie-tol", "0"],
+    "rank-1": ["--D", "5", "--coeffs", "1"],
+    "full-rank": ["--D", "32", "--coeffs", ",".join(str(k / 528) for k in range(1, 33)),
+                  "--squared"],  # M = 31
+}
+
+
+class WrapperCalled(Exception):
+    """Not one of the exceptions ``main`` maps to an exit code."""
+
+
+@pytest.mark.parametrize("name", DISPATCH_CHANNELS)
+def test_report_and_plan_call_no_removed_numpy_wrapper(name, capsys, monkeypatch, tmp_path):
+    from mcteleport import cli
+
+    args = DISPATCH_CHANNELS[name]
+    options = cli._resolve("report", vars(cli._parser().parse_args(["report", *args])))
+    csv = tmp_path / "report.csv"
+    commands = [["report", *args], ["report", *args, "--out", str(csv)], ["plan", *args]]
+
+    def run_all():
+        ch = cli._build_channel(options)  # a new channel misses the one-entry caches
+        plan = build_stage_plan(ch, options.tie_tol) if ch.N > 1 else None
+        runs = [run_cli(capsys, *argv) for argv in commands]
+        return channel_report(ch, options.tie_tol), plan, runs, csv.read_text()
+
+    expected = run_all()
+    csv.unlink()
+
+    def wrapper(name):
+        def called(*args, **kwargs):
+            raise WrapperCalled(f"np.{name}")
+        return called
+
+    for attr in REMOVED_WRAPPERS:
+        monkeypatch.setattr(np, attr, wrapper(attr))
+    got = run_all()
+    monkeypatch.undo()
+    assert got[0] == expected[0]
+    assert got[2:] == expected[2:]
+    assert [code for code, _, _ in got[2]] == [0, 0, 0]
+    if name == "full-rank":
+        assert got[0].M == 31
+    if expected[1] is not None:
+        for field in ("K_s", "K_f", "p_fail", "families", "support"):
+            assert np.array_equal(getattr(got[1], field), getattr(expected[1], field))
+        assert got[1].useful_flags == expected[1].useful_flags

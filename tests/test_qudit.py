@@ -1,4 +1,5 @@
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,33 @@ def test_make_state_rejects_bad_input():
         make_state([2, 2], [0, 0, 0, 0])
     with pytest.raises(ValueError):
         make_state([1], [1])
+
+
+@pytest.mark.parametrize("name, call", [
+    ("subsystem dimension", lambda v: make_state([v, 2], np.ones(4))),
+    ("D", lambda v: haar_random_state(v, np.random.default_rng(0))),
+    ("D", lambda v: haar_random_states(v, 2, np.random.default_rng(0))),
+    ("n", lambda v: haar_random_states(2, v, np.random.default_rng(0))),
+    ("D", lambda v: symmetric_family([0.6, 0.8], v)),
+], ids=["make_state", "haar_random_state", "haar_random_states-D", "haar_random_states-n",
+        "symmetric_family"])
+def test_integer_arguments_reject_non_integers_and_accept_numpy_integers(name, call):
+    # make_state([2.9, 2], ...) once built dims (2, 2), and a float D of
+    # the Haar draws failed with a bare TypeError.
+    for value in (2.9, 3.5, 2.0, "2"):
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(value)
+    assert_equal = np.testing.assert_array_equal
+    for value in (np.int64(2), np.int32(2), np.uint8(2)):
+        got, want = call(value), call(2)
+        if isinstance(got, list):  # symmetric_family
+            got, want = got[1], want[1]
+        if isinstance(got, np.ndarray):
+            assert_equal(got, want)
+        else:
+            assert got.dims == want.dims and all(type(d) is int for d in got.dims)
+            assert_equal(got.amplitudes, want.amplitudes)
 
 
 def test_pauli_z_qubit():
