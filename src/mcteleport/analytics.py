@@ -9,12 +9,13 @@ corresponding singlet fractions are recovered as (F*(D+1) - 1)/D.
 The public per-quantity functions (``f_me``, ``stage_probabilities``, ...)
 are scalar.  Reports come from one array evaluator, ``_pattern_block``,
 which assembles every field for a block of channels sharing a tie pattern
-and asserts the identities between them: ``report_blocks`` feeds it sweep
-points, ``channel_report`` one channel as a one-row block.  It performs
-the scalar functions' floating-point operations, and the tests hold the
-two to bit-for-bit equality.  It calls ufuncs and ndarray methods, not
-the NumPy wrappers (``np.sum``, ``np.diff``, ...) that only dispatch to
-them: the operands and their order are the same, and so are the bits.
+and asserts the identities between them: ``report_blocks`` feeds it the
+distinct channels among sweep points, ``channel_report`` one channel as a
+one-row block.  It performs the scalar functions' floating-point
+operations, and the tests hold the two to bit-for-bit equality.  It
+calls ufuncs and ndarray methods, not the NumPy wrappers (``np.sum``,
+``np.diff``, ...) that only dispatch to them: the operands and their
+order are the same, and so are the bits.
 """
 
 from __future__ import annotations
@@ -316,14 +317,18 @@ class ReportBlock:
 
 def report_blocks(
     D: int, squared, tie_tolerance: float = DEFAULT_TIE_TOL
-) -> list[ReportBlock]:
-    """:func:`channel_report` of every row of ``squared``, a (P, N) block of
-    squared Schmidt coefficients with 2 <= N <= D, on whole arrays.
+) -> tuple[list[ReportBlock], np.ndarray]:
+    """:func:`channel_report` of every distinct channel among the rows of
+    ``squared``, a (P, N) block of squared Schmidt coefficients with
+    2 <= N <= D, on whole arrays, and the (P,) index of each row's channel.
 
-    Each row is normalised and sorted as ``make_channel`` does, then the
-    rows are split by their tie pattern (the gap mask of
-    ``group_coefficients``) and each pattern is evaluated by
-    ``_pattern_block``, the evaluator ``channel_report`` also uses.
+    Each row is normalised and sorted as ``make_channel`` does.  Rows whose
+    sorted amplitudes are the same bits are one channel, evaluated once (a
+    report reads only these amplitudes); the channels are numbered by first
+    occurrence, and a block's ``rows`` index them.  The channels are split
+    by their tie pattern (the gap mask of ``group_coefficients``) and each
+    pattern is evaluated by ``_pattern_block``, the evaluator
+    ``channel_report`` also uses.
     """
     check_tie_tolerance(tie_tolerance)
     squared = np.asarray(squared, dtype=float)
@@ -337,15 +342,25 @@ def report_blocks(
     if np.any(np.abs(total - 1.0) > NORMALIZATION_SLACK):
         raise ValueError(f"squared coefficients must sum to 1 within {NORMALIZATION_SLACK:g}")
     amps = np.sort(amps / np.sqrt(total)[:, None], axis=1)
+    # Rows of equal amplitude bits have equal codes: one channel, kept at its
+    # first row.
+    _, first, channel = np.unique(_row_codes(amps), return_index=True, return_inverse=True)
+    order = first.argsort()  # the channels by first occurrence
+    keep = first[order]
+    amps, squared, channel = amps[keep], squared[keep], order.argsort()[channel]
     gaps = np.diff(amps, axis=1) > tie_tolerance
-    # One void code per row, its gap mask packed 8 gaps to a byte: the codes
-    # sort as the bool rows do, so the patterns come in np.unique(axis=0)'s
-    # order, without its per-field sort.
-    packed = np.packbits(gaps, axis=1)
-    codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, which = np.unique(codes, return_index=True, return_inverse=True)
+    # A gap mask packed 8 gaps to a byte has a code that sorts as the bool row
+    # does, so the patterns come in np.unique(axis=0)'s order, without its
+    # per-field sort.
+    _, first, which = np.unique(_row_codes(np.packbits(gaps, axis=1)),
+                                return_index=True, return_inverse=True)
     return [_pattern_block(D, amps, gaps[i], squared, (which == g).nonzero()[0])
-            for g, i in enumerate(first.tolist())]
+            for g, i in enumerate(first.tolist())], channel
+
+
+def _row_codes(rows: np.ndarray) -> np.ndarray:
+    """Each row of a C-contiguous (P, K) array as one void scalar of its bytes."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def _pattern_block(D, amps, gaps, points, rows) -> ReportBlock:

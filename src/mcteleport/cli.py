@@ -47,9 +47,9 @@ from .qudit import check_allocation
 SWEEP_EPS = 1e-3  # free squared coefficients live in [eps, 1 - eps]
 SWEEP_BLOCK_ROWS = 1 << 14  # sweep points evaluated per array pass
 # Memory a sweep holds per CSV cell of a candidate row: the index, free and
-# point arrays, one block's evaluated table and cell list, and the text of
-# every block.  Measured (tracemalloc, N=2, 100,000 rows to a file): 24 B
-# with the 10 default quantities, 40 B with one, 52 B with none.
+# point arrays, one block's channel table, channel texts and cell list, and
+# the text of every block.  Measured (tracemalloc, N=2, 100,000 rows to a
+# file): 23 B with the 10 default quantities, 41 B with one, 54 B with none.
 SWEEP_CELL_BYTES = 96
 
 DEFAULT_QUANTITIES = (
@@ -340,54 +340,67 @@ def sweep_points(spec: SweepSpec) -> tuple[np.ndarray, int]:
 def _bounded_compositions(n: int, top: int) -> np.ndarray:
     """Every length-n tuple of non-negative integers summing to at most
     ``top``, in lexicographic (``itertools.product``) order, shape (rows, n)."""
-    idx = np.arange(top + 1)[:, None]
+    lead = np.arange(top + 1)
+    idx = lead[:, None]
     for _ in range(n - 1):
-        # Prefix each leading index i to the shorter tuples that still fit.
-        sums = idx.sum(axis=1)
-        parts = []
-        for i in range(top + 1):
-            tail = idx[sums <= top - i]
-            parts.append(np.column_stack((np.full(len(tail), i), tail)))
-        idx = np.concatenate(parts)
+        # Prefix each leading index i to the shorter tuples that still fit;
+        # the row-major nonzero of the (i, tuple) mask keeps the order.  The
+        # mask holds at most n bytes per candidate point the guard charges.
+        lead_of, tail = (idx.sum(axis=1)[None, :] <= top - lead[:, None]).nonzero()
+        idx = np.column_stack((lead_of, idx[tail]))
     return idx
 
 
 def _sweep_table(D: int, tie_tol: float, quantities: tuple[str, ...],
-                 points: np.ndarray) -> np.ndarray:
-    """The sweep's values at ``points``: (P, N + Q), the N squared
-    coefficients and then one column per quantity."""
-    N = points.shape[1]
-    table = np.empty((len(points), N + len(quantities)))
-    table[:, :N] = points
-    for block in report_blocks(D, points, tie_tol):
+                 points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep's quantities at ``points``: a (C, Q) table with one row per
+    distinct channel among the points, and the (P,) index of each point's
+    row."""
+    blocks, channel = report_blocks(D, points, tie_tol)
+    table = np.empty((sum(block.rows.size for block in blocks), len(quantities)))
+    for block in blocks:
         for j, name in enumerate(quantities):
-            table[block.rows, N + j] = report_quantity(block, name)
-    return table
+            table[block.rows, j] = report_quantity(block, name)
+    return table, channel
 
 
 def _sweep_chunk(packed) -> list[str]:
     """The CSV text of ``points``, one string per block of
     SWEEP_BLOCK_ROWS points."""
     D, tie_tol, quantities, points = packed
-    return [_csv_lines(_sweep_table(D, tie_tol, quantities, points[at:at + SWEEP_BLOCK_ROWS]))
-            for at in range(0, len(points), SWEEP_BLOCK_ROWS)]
+    blocks = (points[at:at + SWEEP_BLOCK_ROWS] for at in range(0, len(points), SWEEP_BLOCK_ROWS))
+    return [_csv_text(block, *_sweep_table(D, tie_tol, quantities, block)) for block in blocks]
 
 
-def _csv_lines(table: np.ndarray) -> str:
-    """The rows of ``table`` as comma-separated lines, each ending in a
-    newline, every cell "%.15g".  A column holds few distinct values (they
-    depend on the sorted coefficients only, and many are constant within a
-    tie pattern), so each distinct bit pattern is formatted once; bits, not
-    values, keep -0.0 apart from 0.0 and need no NaN equality."""
-    rows, cols = table.shape
-    width = 2 * cols  # a cell text, then its "," or the row's "\n"
-    cells = [","] * (rows * width)
-    cells[width - 1::width] = ["\n"] * rows
-    for j in range(cols):
+def _csv_text(points: np.ndarray, table: np.ndarray, channel: np.ndarray) -> str:
+    """The CSV lines whose cells are ``points[i]`` then ``table[channel[i]]``,
+    each line ending in a newline, every cell "%.15g".  Each row of
+    ``table`` is made once into one text ",q1,...,qQ\\n", which ends the
+    line of every point that indexes it."""
+    width = 2 * table.shape[1] + 1  # ",", a cell, ..., then "\n"
+    cells = [","] * (len(table) * width)
+    cells[width - 1::width] = ["\n"] * len(table)
+    _format_columns(cells, table, width, 1)
+    # "%.15g" writes no line break, so the text splits back into its rows.
+    texts = np.array("".join(cells).splitlines(True), dtype=object)
+    width = 2 * points.shape[1]  # a cell, ",", ..., a cell, then a row's text
+    cells = [","] * (len(points) * width)
+    cells[width - 1::width] = texts[channel].tolist()
+    _format_columns(cells, points, width, 0)
+    return "".join(cells)
+
+
+def _format_columns(cells: list, table: np.ndarray, width: int, start: int) -> None:
+    """Write cell j of each row of ``table``, "%.15g", to slot start + 2j of
+    its row of ``cells``, ``width`` slots a row.  A column holds few
+    distinct values (a free axis takes the grid's, and many quantities are
+    constant within a tie pattern), so each distinct bit pattern is
+    formatted once; bits, not values, keep -0.0 apart from 0.0 and need no
+    NaN equality."""
+    for j in range(table.shape[1]):
         bits, which = np.unique(table[:, j].view(np.int64), return_inverse=True)
         texts = np.array(["%.15g" % x for x in bits.view(np.float64).tolist()], dtype=object)
-        cells[2 * j::width] = texts[which].tolist()
-    return "".join(cells)
+        cells[start + 2 * j::width] = texts[which].tolist()
 
 
 def run_sweep(spec: SweepSpec) -> tuple[list[str], list[str], list[str], int]:

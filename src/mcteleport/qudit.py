@@ -110,6 +110,7 @@ def _phase_table(D: int) -> np.ndarray:
 
 def pauli_z_power(D: int, p: int) -> DenseOperator:
     """Phase gate Z^p: |m> -> exp(2*pi*i*m*p/D)|m>.  p is reduced mod D."""
+    D, p = check_index("D", D), check_index("p", p)
     if D < 2:
         raise ValueError(f"dimension must be >= 2, got {D}")
     roots = _phase_table(D)
@@ -119,6 +120,7 @@ def pauli_z_power(D: int, p: int) -> DenseOperator:
 
 def pauli_x_power(D: int, p: int) -> DenseOperator:
     """Cyclic shift X^p: |m> -> |m + p mod D>.  p is reduced mod D."""
+    D, p = check_index("D", D), check_index("p", p)
     if D < 2:
         raise ValueError(f"dimension must be >= 2, got {D}")
     entries = np.zeros((D, D), dtype=complex)
@@ -129,6 +131,7 @@ def pauli_x_power(D: int, p: int) -> DenseOperator:
 
 def fourier(D: int) -> DenseOperator:
     """Discrete Fourier transform, entries exp(2*pi*i*m*n/D)/sqrt(D)."""
+    D = check_index("D", D)
     if D < 2:
         raise ValueError(f"dimension must be >= 2, got {D}")
     roots = _phase_table(D)

@@ -55,11 +55,18 @@ def test_make_state_rejects_bad_input():
     ("D", lambda v: haar_random_states(v, 2, np.random.default_rng(0))),
     ("n", lambda v: haar_random_states(2, v, np.random.default_rng(0))),
     ("D", lambda v: symmetric_family([0.6, 0.8], v)),
+    ("D", lambda v: fourier(v)),
+    ("D", lambda v: pauli_z_power(v, 1)),
+    ("p", lambda v: pauli_z_power(3, v)),
+    ("D", lambda v: pauli_x_power(v, 1)),
+    ("p", lambda v: pauli_x_power(3, v)),
 ], ids=["make_state", "haar_random_state", "haar_random_states-D", "haar_random_states-n",
-        "symmetric_family"])
+        "symmetric_family", "fourier", "pauli_z_power-D", "pauli_z_power-p",
+        "pauli_x_power-D", "pauli_x_power-p"])
 def test_integer_arguments_reject_non_integers_and_accept_numpy_integers(name, call):
-    # make_state([2.9, 2], ...) once built dims (2, 2), and a float D of
-    # the Haar draws failed with a bare TypeError.
+    # make_state([2.9, 2], ...) once built dims (2, 2), a float D of the
+    # Haar draws and of pauli_x_power failed with a bare TypeError, and one
+    # of fourier and pauli_z_power with a bare IndexError.
     for value in (2.9, 3.5, 2.0, "2"):
         message = f"{name} must be an integer, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -71,6 +78,9 @@ def test_integer_arguments_reject_non_integers_and_accept_numpy_integers(name, c
             got, want = got[1], want[1]
         if isinstance(got, np.ndarray):
             assert_equal(got, want)
+        elif isinstance(got, DenseOperator):
+            assert got.dim == want.dim and type(got.dim) is int
+            assert_equal(got.entries, want.entries)
         else:
             assert got.dims == want.dims and all(type(d) is int for d in got.dims)
             assert_equal(got.amplitudes, want.amplitudes)

@@ -1,19 +1,20 @@
 """The array-form sweep: grid enumeration and batched closed forms.
 
 ``sweep`` enumerates only the feasible grid points and evaluates every
-closed form on whole arrays (``analytics.report_blocks``).  These tests pin
-it to the per-point reference: the full ``itertools.product`` walk for the
-points, and the scalar route for every value: the profile-level functions
-that the public ``f_me``, ``f_mc_conclusive``, ``stage_probabilities``,
-``overall_fidelity`` and ``f_me_after_fail`` wrap, ``confidence_at_stage``
-and the stage plan's useful flags.
+closed form on whole arrays (``analytics.report_blocks``), once per
+distinct channel.  These tests pin it to the per-point reference: the
+full ``itertools.product`` walk for the points, and the scalar route for
+every value: the profile-level functions that the public ``f_me``,
+``f_mc_conclusive``, ``stage_probabilities``, ``overall_fidelity`` and
+``f_me_after_fail`` wrap, ``confidence_at_stage`` and the stage plan's
+useful flags.
 ``channel_report`` shares the array evaluator, so it is no independent
 reference; it is checked as the one-row case: batching rows of mixed tie
 patterns must not change any row's value.
 """
 
 import tracemalloc
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -106,18 +107,22 @@ def _assert_matches_references(D, N, grid, tie_tol):
     points, _ = sweep_points(SweepSpec(D=D, N=N, resolution=grid, quantities=(),
                                        out=None, tie_tol=tie_tol))
     names = _names(N)
-    table = cli._sweep_table(D, tie_tol, names, points)
-    assert table[:, :N].tobytes() == points.tobytes()
+    channels, channel = cli._sweep_table(D, tie_tol, names, points)
+    # One row per channel, the channels numbered by first occurrence.
+    ids, first = np.unique(channel, return_index=True)
+    assert ids.tolist() == list(range(len(channels)))
+    assert (first[1:] > first[:-1]).all()
+    table = channels[channel]
     scalar = np.array([[float(ref.get(q, np.nan)) for q in names]
                        for ref in (_scalar_quantities(D, p, tie_tol) for p in points)])
     reports = [channel_report(make_channel(D, np.sqrt(p)), tie_tol) for p in points]
     one_row = np.array([[float(report_quantity(rep, q)) for q in names] for rep in reports])
     for route, expected in (("scalar route", scalar), ("channel_report", one_row)):
-        same = _same_bits(table[:, N:], expected)
+        same = _same_bits(table, expected)
         if not same.all():
             i, j = np.argwhere(~same)[0]
             pytest.fail(f"{names[j]} at {points[i].tolist()} ({route}): "
-                        f"{table[i, N + j]!r} != {expected[i, j]!r}")
+                        f"{table[i, j]!r} != {expected[i, j]!r}")
 
 
 @pytest.mark.parametrize("N,grid", [
@@ -160,6 +165,44 @@ def test_sweep_calls_no_per_point_report(monkeypatch, capsys):
     monkeypatch.setattr(cli, "make_channel", forbidden)
     assert main(["sweep", "--D", "4", "--N", "3", "--grid", "11"]) == 0
     assert capsys.readouterr().out.count("\n") == 8 + 55
+
+
+def test_each_distinct_channel_is_evaluated_once(monkeypatch, capsys):
+    # Points that swap free axes normalise to the same sorted amplitudes:
+    # the 5,050 points of the paper's D=4, N=3 sweep are 2,550 channels.
+    evaluate, evaluated = analytics._pattern_block, []
+
+    def counted(D, amps, gaps, points, rows):
+        evaluated.append(rows.size)
+        return evaluate(D, amps, gaps, points, rows)
+
+    monkeypatch.setattr(analytics, "_pattern_block", counted)
+    assert main(["sweep", "--D", "4", "--N", "3", "--grid", "101"]) == 0
+    assert capsys.readouterr().out.count("\n") == 8 + 5050
+    assert sum(evaluated) == 2550
+
+
+def test_duplicate_points_print_their_own_channel_report():
+    # Exact and permuted duplicates of two points.  The squared amplitudes
+    # of ``base`` sum to 1.0 in some orders and to 1 - 2**-53 in others, so
+    # its permutations normalise to two channels one ulp apart.
+    base, other = (0.144, 0.362, 0.494), (0.5, 0.3, 0.2)
+    points = np.array([base, other, base, *permutations(base), other[::-1], base])
+    channels_of = [make_channel(4, np.sqrt(p)) for p in points]
+    coeffs = [ch.coeffs.tobytes() for ch in channels_of]
+    assert len(set(coeffs[3:9])) == 2
+    first_seen = list(dict.fromkeys(coeffs))
+    names = _names(3)
+    channels, channel = cli._sweep_table(4, DEFAULT_TIE_TOL, names, points)
+    assert channel.tolist() == [first_seen.index(c) for c in coeffs]
+    reports = [channel_report(ch) for ch in channels_of]
+    expected = np.array([[float(report_quantity(rep, q)) for q in names] for rep in reports])
+    assert _same_bits(channels[channel], expected).all()
+    assert cli._csv_text(points, channels, channel) == _per_row_lines(np.hstack((points, expected)))
+    # The two channels one ulp apart differ in some quantity's bits, so
+    # reading both from one evaluation would fail above.
+    a, b = sorted(set(channel[3:9].tolist()))
+    assert not _same_bits(channels[a], channels[b]).all()
 
 
 @pytest.mark.parametrize("patch,message", [
@@ -251,27 +294,44 @@ _SPECIAL_FLOATS = (
 )
 
 
+def _pooled(data, rows, cols):
+    """A (rows, cols) table drawn from a small pool per column, so values
+    repeat as in a sweep."""
+    value = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(),
+                      st.integers(min_value=-10**6, max_value=10**6).map(float))
+    table = np.empty((rows, cols))
+    for j in range(cols):
+        pool = data.draw(st.lists(value, min_size=1, max_size=5))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows, max_size=rows))
+        table[:, j] = [pool[i] for i in picks]
+    return table
+
+
 @settings(max_examples=300)
 @given(st.data())
 def test_block_text_equals_per_row_formatting(data):
     rows = data.draw(st.integers(min_value=1, max_value=40))
     cols = data.draw(st.integers(min_value=1, max_value=6))
-    value = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(),
-                      st.integers(min_value=-10**6, max_value=10**6).map(float))
-    table = np.empty((rows, cols))
-    for j in range(cols):
-        # A small pool per column, so values repeat as in a sweep.
-        pool = data.draw(st.lists(value, min_size=1, max_size=5))
-        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows, max_size=rows))
-        table[:, j] = [pool[i] for i in picks]
-    assert cli._csv_lines(table) == _per_row_lines(table)
+    # The first n columns are the point's, the others its channel's row.
+    n = data.draw(st.integers(min_value=1, max_value=cols))
+    count = data.draw(st.integers(min_value=1, max_value=rows))
+    points, channels = _pooled(data, rows, n), _pooled(data, count, cols - n)
+    channel = np.array(data.draw(st.lists(st.integers(0, count - 1), min_size=rows,
+                                          max_size=rows)), dtype=np.intp)
+    table = np.hstack((points, channels[channel]))
+    assert cli._csv_text(points, channels, channel) == _per_row_lines(table)
 
 
 def test_block_text_keeps_each_bit_pattern_of_a_value():
-    # Equal as values, apart as bits: the zeros print apart, the NaNs alike.
+    # Equal as values, apart as bits: the zeros print apart, the NaNs alike,
+    # among the points and in the channel rows the points index.
     nan, neg_nan, payload_nan = _SPECIAL_FLOATS[:3]
     table = np.array([[0.0, nan], [-0.0, neg_nan], [0.0, payload_nan], [-0.0, 1.0]])
-    assert cli._csv_lines(table) == _per_row_lines(table) == "0,nan\n-0,nan\n0,nan\n-0,1\n"
+    expected = "0,nan\n-0,nan\n0,nan\n-0,1\n"
+    assert _per_row_lines(table) == expected
+    assert cli._csv_text(table, np.empty((1, 0)), np.zeros(4, dtype=np.intp)) == expected
+    channels, channel = table[[3, 1, 0, 2], 1:], np.array([2, 1, 3, 0])
+    assert cli._csv_text(table[:, :1], channels, channel) == expected
 
 
 def test_sweep_text_equals_per_row_formatting_across_blocks(monkeypatch, capsys):
@@ -280,8 +340,8 @@ def test_sweep_text_equals_per_row_formatting_across_blocks(monkeypatch, capsys)
     assert main(argv) == 0
     whole = capsys.readouterr().out
     points, _ = sweep_points(SweepSpec(D=5, N=3, resolution=40, quantities=quantities, out=None))
-    table = cli._sweep_table(5, DEFAULT_TIE_TOL, quantities, points)
-    assert whole.split("\n", 8)[-1] == _per_row_lines(table)
+    channels, channel = cli._sweep_table(5, DEFAULT_TIE_TOL, quantities, points)
+    assert whole.split("\n", 8)[-1] == _per_row_lines(np.hstack((points, channels[channel])))
     monkeypatch.setattr(cli, "SWEEP_BLOCK_ROWS", 7)
     blocks = cli._sweep_chunk((5, DEFAULT_TIE_TOL, quantities, points))
     assert len(blocks) == -(-len(points) // 7)
@@ -344,8 +404,9 @@ def test_packed_pattern_codes_group_as_unique_rows(gaps):
     squared = _tied_rows(rng, N, patterns=25, rows_each=3)
     squared = squared[rng.permutation(len(squared))]
     patterns, groups = _unique_rows_groups(squared)
-    blocks = analytics.report_blocks(N, squared)
-    assert [b.rows.tolist() for b in blocks] == groups
+    blocks, channel = analytics.report_blocks(N, squared)
+    # A block's rows index channels; the rows of squared are those of its channels.
+    assert [np.isin(channel, b.rows).nonzero()[0].tolist() for b in blocks] == groups
     assert [b.d for b in blocks] == [int(p.sum()) + 1 for p in patterns]
 
 
@@ -358,13 +419,14 @@ def test_report_blocks_equal_channel_reports_with_multibyte_codes(N):
     grid, _ = sweep_points(SweepSpec(D=D, N=N, resolution=3, quantities=(), out=None))
     squared = np.concatenate((_tied_rows(rng, N, patterns=6, rows_each=2), grid[::7]))
     names = _names(N)
-    table = cli._sweep_table(D, DEFAULT_TIE_TOL, names, squared)
+    channels, channel = cli._sweep_table(D, DEFAULT_TIE_TOL, names, squared)
+    table = channels[channel]
     reports = [channel_report(make_channel(D, np.sqrt(p))) for p in squared]
     one_row = np.array([[float(report_quantity(rep, q)) for q in names] for rep in reports])
     scalar = np.array([[float(ref.get(q, np.nan)) for q in names] for ref in
                        (_scalar_quantities(D, p, DEFAULT_TIE_TOL) for p in squared)])
-    assert _same_bits(table[:, N:], one_row).all()
-    assert _same_bits(table[:, N:], scalar).all()
+    assert _same_bits(table, one_row).all()
+    assert _same_bits(table, scalar).all()
 
 
 @pytest.mark.parametrize("patch,message", [
@@ -409,9 +471,12 @@ def test_sweep_to_a_file_holds_one_block_of_scratch(tmp_path, quantities, joined
 
 
 def test_evaluator_splits_rows_by_tie_pattern():
+    # Rows 0 and 2 are one channel: their sorted amplitudes are the same bits.
     points = np.array([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5], [0.25, 0.5, 0.25], [0.6, 0.2, 0.2]])
-    blocks = analytics.report_blocks(4, points)
-    assert sorted(b.rows.tolist() for b in blocks) == [[0, 2, 3], [1]]
-    tied = next(b for b in blocks if b.rows.size == 3)
+    blocks, channel = analytics.report_blocks(4, points)
+    assert channel.tolist() == [0, 1, 0, 2]
+    assert sorted(np.isin(channel, b.rows).nonzero()[0].tolist() for b in blocks) == [[0, 2, 3], [1]]
+    tied = next(b for b in blocks if b.rows.size == 2)
+    assert tied.rows.tolist() == [0, 2]
     assert (tied.d, tied.M) == (2, 1)
-    assert tied.p_success.shape == (3, 1) and tied.F_mc_s.shape == (1,)
+    assert tied.p_success.shape == (2, 1) and tied.F_mc_s.shape == (1,)
