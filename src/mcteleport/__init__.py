@@ -20,14 +20,12 @@ from .channels import (
     DEFAULT_TIE_TOL,
     MultiplicityProfile,
     SchmidtChannel,
-    channel_state,
     make_channel,
     multiplicity_profile,
     symmetric_family,
 )
 from .discrimination import (
     McStage,
-    MeMeasurement,
     StagePlan,
     StrategyConfig,
     build_stage_plan,
@@ -35,7 +33,6 @@ from .discrimination import (
     failure_coefficients,
     mc_stage,
     me_correct_probability,
-    me_measurement,
 )
 from .engine import (
     AggregateStats,
@@ -47,18 +44,9 @@ from .engine import (
     run_protocol,
 )
 from .qudit import (
-    DenseOperator,
     QuditState,
-    apply_gxor,
-    apply_local,
-    apply_two_outcome_kraus,
-    fidelity,
-    fourier,
     haar_random_state,
     make_state,
-    measure_computational,
-    pauli_x_power,
-    pauli_z_power,
 )
 
 __all__ = [
@@ -66,9 +54,7 @@ __all__ = [
     "AggregateStats",
     "ChannelReport",
     "DEFAULT_TIE_TOL",
-    "DenseOperator",
     "McStage",
-    "MeMeasurement",
     "MultiplicityProfile",
     "ProtocolRunner",
     "QuditState",
@@ -76,12 +62,8 @@ __all__ = [
     "StagePlan",
     "StrategyConfig",
     "TeleportRecord",
-    "apply_gxor",
-    "apply_local",
-    "apply_two_outcome_kraus",
     "build_stage_plan",
     "channel_report",
-    "channel_state",
     "confidence_at_stage",
     "exact_average_fidelity",
     "exact_branch_probabilities",
@@ -91,20 +73,14 @@ __all__ = [
     "f_me_after_fail",
     "f_me_after_fail_double_sum",
     "failure_coefficients",
-    "fidelity",
-    "fourier",
     "haar_random_state",
     "make_channel",
     "make_state",
     "mc_stage",
     "me_correct_probability",
-    "me_measurement",
-    "measure_computational",
     "monte_carlo",
     "multiplicity_profile",
     "overall_fidelity",
-    "pauli_x_power",
-    "pauli_z_power",
     "run_protocol",
     "stage_probabilities",
     "symmetric_family",

@@ -15,7 +15,7 @@ from math import isfinite
 
 import numpy as np
 
-from .qudit import QuditState, check_index, pauli_z_power
+from .qudit import QuditState, _phase_table, check_index
 
 # Coefficients closer than this (as amplitudes) form one multiplicity group.
 DEFAULT_TIE_TOL = 1e-9
@@ -124,14 +124,6 @@ def make_channel(D: int, coeffs) -> SchmidtChannel:
     return SchmidtChannel(D, arr)
 
 
-def channel_state(ch: SchmidtChannel) -> QuditState:
-    """The shared two-qudit state, sum_m a_m |m>|m>, as a register state."""
-    amps = np.zeros(ch.D * ch.D, dtype=complex)
-    idx = np.arange(ch.N)
-    amps[idx * ch.D + idx] = ch.coeffs
-    return QuditState((ch.D, ch.D), amps)
-
-
 def check_tie_tolerance(tie_tolerance: float) -> None:
     """ValueError unless ``tie_tolerance`` is finite and in [0, MAX_TIE_TOL]."""
     if not (isfinite(tie_tolerance) and 0 <= tie_tolerance <= MAX_TIE_TOL):
@@ -199,16 +191,12 @@ def symmetric_family(coeffs, D: int) -> list[QuditState]:
     """The D phase-shifted single-qudit states generated by a coefficient list.
 
     Member l is Z^l applied to sum_k a_k |k>, with the coefficients placed
-    on the first len(coeffs) basis states in the order given.
+    on the first len(coeffs) basis states in the order given; its phases
+    are read from the roots of unity at (l k) mod D, so no member drifts.
     """
     D = check_index("D", D)
     arr = _validated_coeffs(coeffs, D)
     seed = np.zeros(D, dtype=complex)
     seed[: arr.size] = arr
-    z = np.diag(pauli_z_power(D, 1).entries)
-    family = []
-    phases = np.ones(D, dtype=complex)
-    for _ in range(D):
-        family.append(QuditState((D,), seed * phases))
-        phases = phases * z
-    return family
+    roots, n = _phase_table(D), np.arange(D)
+    return [QuditState((D,), seed * roots[(l * n) % D]) for l in range(D)]

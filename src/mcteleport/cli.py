@@ -403,11 +403,12 @@ def _format_columns(cells: list, table: np.ndarray, width: int, start: int) -> N
         cells[start + 2 * j::width] = texts[which].tolist()
 
 
-def run_sweep(spec: SweepSpec) -> tuple[list[str], list[str], list[str], int]:
-    """Compute a sweep: (metadata, header, CSV blocks, skipped); each block
-    is the text of consecutive rows.  Rows are ordered by grid index, and
-    the text is the same, regardless of worker count; at most
-    ``os.cpu_count()`` and one worker per point are started."""
+def run_sweep(spec: SweepSpec) -> tuple[list[str], list[str], list[str]]:
+    """Compute a sweep: (metadata, header, CSV blocks); each block is the
+    text of consecutive rows, and the metadata counts the skipped points.
+    Rows are ordered by grid index, and the text is the same, regardless of
+    worker count; at most ``os.cpu_count()`` and one worker per point are
+    started."""
     check_tie_tolerance(spec.tie_tol)
     for name in spec.quantities:
         _check_quantity(name)
@@ -434,7 +435,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[str], list[str], int]:
         f"feasible_points: {len(points)}",
         f"skipped_infeasible: {skipped}",
     ]
-    return metadata, header, blocks, skipped
+    return metadata, header, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +502,7 @@ def cmd_sweep(args) -> int:
                      out=args.out, seed=args.seed, tie_tol=args.tie_tol, workers=args.workers)
     # Every block is evaluated before anything is written, so a failed
     # cross-check prints nothing.
-    metadata, header, blocks, _ = run_sweep(spec)
+    metadata, header, blocks = run_sweep(spec)
     _emit_csv(spec.out, metadata, header, blocks)
     return 0
 

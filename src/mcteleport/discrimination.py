@@ -28,7 +28,7 @@ from .channels import (
     multiplicity_profile,
     snap_to_groups,
 )
-from .qudit import KRAUS_ATOL, DenseOperator, QuditState, check_allocation, check_index, fourier
+from .qudit import check_allocation, check_index
 
 KIND_DETERMINISTIC = "deterministic-me"
 KIND_SMC = "mc-smc"
@@ -37,6 +37,9 @@ FALLBACKS = ("discard", "me", "guess")
 # Strict margin for "stage k beats the deterministic protocol" comparisons;
 # keeps exactly-equal coefficient sets on the not-useful side of the fence.
 USEFUL_MARGIN = 1e-12
+
+# Tolerance of the completeness check K_s^2 + K_f^2 = 1 of a Kraus pair.
+KRAUS_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -67,29 +70,6 @@ class StrategyConfig:
             raise ValueError(f"unknown fallback {self.fallback!r}")
         if self.kind == KIND_SMC and self.k_max < 1:
             raise ValueError("k_max must be >= 1 for the staged strategy")
-
-
-@dataclass(frozen=True)
-class MeMeasurement:
-    """Minimum-error readout: a basis rotation followed by a projective
-    computational-basis measurement."""
-
-    dim: int
-    prerotation: DenseOperator
-
-    def outcome_distribution(self, state: QuditState) -> np.ndarray:
-        if state.dims != (self.dim,):
-            raise ValueError(f"expected a single qudit of dimension {self.dim}")
-        rotated = self.prerotation.entries @ state.amplitudes
-        return np.abs(rotated) ** 2
-
-
-def me_measurement(D: int) -> MeMeasurement:
-    """Optimal minimum-error measurement for the equally likely family.
-
-    Valid whether the family is linearly independent or not.
-    """
-    return MeMeasurement(D, fourier(D).dagger())
 
 
 def me_correct_probability(coeffs, D: int) -> float:

@@ -81,6 +81,9 @@ MIN_BRANCH_MASS = 1e-12
 # defines the samples.
 BLOCK_ENTRIES = 2**16
 
+# Largest deviation of an input's squared norm from 1 that ``run`` accepts.
+INPUT_NORM_ATOL = 1e-12
+
 # Largest fidelity difference the replayed trial may show between
 # ``ProtocolRunner.run`` and ``ProtocolRunner.run_block``.
 REPLAY_ATOL = 1e-12
@@ -111,8 +114,9 @@ def _tables(D: int) -> tuple[np.ndarray, ...]:
     phases[l, n] = exp(2 pi i l n / D), diff[b, j] = (b - j) mod D and
     shifts[k, m] = (m + k) mod D.
 
-    X^-k Z^l v is ``(phases[l] * v)[shifts[k]]``; ``phases`` is symmetric.
-    F^+ = (phases / sqrt(D))^+ has the bits and layout of ``fourier(D).dagger()``.
+    X^-k Z^l v is ``(phases[l] * v)[shifts[k]]``, row l of the symmetric
+    ``phases`` being the diagonal of Z^l, and F^+ = (phases / sqrt(D))^+
+    is the inverse of the Fourier matrix F[m, n] = exp(2 pi i m n / D) / sqrt(D).
     """
     n = np.arange(D)
     phases = _phase_table(D)[np.multiply.outer(n, n) % D]
@@ -149,8 +153,10 @@ class ProtocolRunner:
     ``run`` works on the raw (D, D) diagonal t[b, j] = t[b, b, j] of the
     register, the only entries the controlled shift leaves nonzero, with
     the stage operators rescaling its rows; it draws from the generator in
-    exactly the same order and with the same Born weights as the public
-    register operations, so a run is reproducible either way.
+    exactly the same order and with the same Born weights as the paper's
+    circuit on the full (D, D, D) register (``tests/reference_circuit.py``),
+    so a run is reproducible either way.  The input must be a finite unit
+    vector of length D; ``make_state`` normalizes raw amplitudes.
     ``run_block`` is the same process for a block of trials at once, read
     from per-end-class tables built here.
     """
@@ -212,12 +218,21 @@ class ProtocolRunner:
         return min(outcome, probs.size - 1)
 
     def run(self, input_state: QuditState, rng: np.random.Generator) -> TeleportRecord:
-        if input_state.dims != (self.D,):
+        amps = input_state.amplitudes
+        if input_state.dims != (self.D,) or np.shape(amps) != (self.D,):
             raise ValueError(
-                f"input must be a single qudit of dimension {self.D}, "
-                f"got dims {input_state.dims}"
+                f"input must be a single qudit of dimension {self.D}, got dims "
+                f"{input_state.dims} and amplitudes of shape {np.shape(amps)}"
             )
-        t = _post_shift(self._weights, input_state.amplitudes)
+        if not np.isfinite(amps).all():
+            raise ValueError("input amplitudes must be finite")
+        norm2 = float(np.vdot(amps, amps).real)
+        if abs(norm2 - 1.0) > INPUT_NORM_ATOL:
+            raise ValueError(
+                f"input state is not normalized: its squared norm is {norm2!r}; "
+                "make_state builds a normalized state from raw amplitudes"
+            )
+        t = _post_shift(self._weights, amps)
 
         stage_reached = 0
         conclusive = self.cfg.kind != KIND_SMC
@@ -251,7 +266,7 @@ class ProtocolRunner:
             bob_vec = (phases[l if me else 0] * v)[shifts[k]]
             outcomes = (l, k)
             bob = QuditState((self.D,), bob_vec)
-            fid = float(np.abs(np.vdot(input_state.amplitudes, bob_vec)) ** 2)
+            fid = float(np.abs(np.vdot(amps, bob_vec)) ** 2)
         return TeleportRecord(
             stage_reached=stage_reached,
             conclusive=conclusive,

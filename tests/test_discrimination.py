@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 
+import reference_circuit as ref
 from conftest import plan_stages, random_channel, tied_channels
 from mcteleport import (
     build_stage_plan,
@@ -10,27 +11,29 @@ from mcteleport import (
     make_channel,
     mc_stage,
     me_correct_probability,
-    me_measurement,
     multiplicity_profile,
     symmetric_family,
 )
 from mcteleport.discrimination import _filter_stage
 
 
+def _me_outcomes(nu):
+    """Minimum-error readout of a family member: |F^+ nu|^2."""
+    return np.abs(ref.dft(nu.dims[0]).conj().T @ nu.amplitudes) ** 2
+
+
 def test_me_orthogonal_family_identified_perfectly():
     D = 4
-    meas = me_measurement(D)
     family = symmetric_family(np.full(D, 0.5), D)
     for l, nu in enumerate(family):
-        probs = meas.outcome_distribution(nu)
+        probs = _me_outcomes(nu)
         assert probs[l] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_me_seed_outcome_probability():
     coeffs = np.sqrt([0.5, 0.3, 0.2])
     D = 4
-    meas = me_measurement(D)
-    probs = meas.outcome_distribution(symmetric_family(coeffs, D)[0])
+    probs = _me_outcomes(symmetric_family(coeffs, D)[0])
     assert probs[0] == pytest.approx(np.sum(coeffs) ** 2 / D, abs=1e-12)
 
 
@@ -38,9 +41,8 @@ def test_me_distribution_sums_to_one():
     rng = np.random.default_rng(5)
     for _ in range(5):
         ch = random_channel(rng, D=5)
-        meas = me_measurement(ch.D)
         for nu in symmetric_family(ch.coeffs, ch.D):
-            assert meas.outcome_distribution(nu).sum() == pytest.approx(
+            assert _me_outcomes(nu).sum() == pytest.approx(
                 1.0, abs=1e-12
             )
 
@@ -59,10 +61,9 @@ def test_me_confidence_matches_outcome_distribution():
     rng = np.random.default_rng(6)
     for _ in range(5):
         ch = random_channel(rng)
-        meas = me_measurement(ch.D)
         family = symmetric_family(ch.coeffs, ch.D)
         for l in (0, ch.D - 1):
-            probs = meas.outcome_distribution(family[l])
+            probs = _me_outcomes(family[l])
             assert probs[l] == pytest.approx(
                 me_correct_probability(ch.coeffs, ch.D), abs=1e-12
             )

@@ -1,39 +1,31 @@
+import ast
 import gc
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_circuit as ref
 from conftest import InlinePool, conjugated_tables, end_class, random_channel, tied_channels
 from mcteleport import (
     DEFAULT_TIE_TOL,
-    DenseOperator,
     QuditState,
     StrategyConfig,
-    apply_gxor,
-    apply_local,
-    apply_two_outcome_kraus,
     build_stage_plan,
     channel_report,
-    channel_state,
     exact_average_fidelity,
     exact_branch_probabilities,
     f_me_after_fail,
-    fidelity,
-    fourier,
     haar_random_state,
     make_channel,
-    make_state,
-    measure_computational,
     monte_carlo,
     multiplicity_profile,
     overall_fidelity,
-    pauli_x_power,
-    pauli_z_power,
     run_protocol,
     stage_probabilities,
 )
@@ -43,53 +35,6 @@ from mcteleport.qudit import haar_random_states
 
 EXAMPLE = make_channel(4, np.sqrt([0.5, 0.3, 0.2]))
 DET = StrategyConfig(kind="deterministic-me")
-
-
-def _public_post_shift(channel, psi):
-    """The register after the controlled shift, from the public ops: the
-    channel state times the input, then the sender half controls the input."""
-    D = channel.D
-    amps = np.multiply.outer(channel_state(channel).amplitudes, psi)
-    return apply_gxor(QuditState((D, D, D), amps.ravel()), 1, 2)
-
-
-def _reference_run(channel, input_state, cfg, rng):
-    """The protocol rebuilt step by step from the public register ops.
-
-    Serves as an independent check that the tuned runner samples exactly
-    the same process.
-    """
-    D = channel.D
-    full = _public_post_shift(channel, input_state.amplitudes)
-
-    conclusive = True
-    stage_reached = 0
-    if cfg.kind == "mc-smc":
-        conclusive = False
-        plan = build_stage_plan(channel)
-        for k in range(1, cfg.k_max + 1):
-            K_s = DenseOperator(D, np.diag(plan.K_s[k - 1]))
-            K_f = DenseOperator(D, np.diag(plan.K_f[k - 1]))
-            branch, full, _ = apply_two_outcome_kraus(full, 1, K_s, K_f, rng)
-            stage_reached = k
-            if branch == "success":
-                conclusive = True
-                break
-
-    if conclusive or cfg.fallback == "me":
-        full = apply_local(full, fourier(D).dagger(), 1)
-        l, full, _ = measure_computational(full, 1, rng)
-        k, full, _ = measure_computational(full, 2, rng)
-        bob = QuditState((D,), full.tensor()[:, l, k])
-        bob = apply_local(bob, pauli_x_power(D, -k) @ pauli_z_power(D, l), 0)
-        return stage_reached, conclusive, (l, k), bob
-    if cfg.fallback == "guess":
-        m, full, _ = measure_computational(full, 1, rng)
-        k, full, _ = measure_computational(full, 2, rng)
-        bob = QuditState((D,), full.tensor()[:, m, k])
-        bob = apply_local(bob, pauli_x_power(D, -k), 0)
-        return stage_reached, conclusive, (m, k), bob
-    return stage_reached, conclusive, None, None
 
 
 @pytest.mark.parametrize(
@@ -109,7 +54,7 @@ def test_runner_matches_reference_implementation(cfg):
         psi = haar_random_state(4, rng_a)
         psi_b = haar_random_state(4, rng_b)
         rec = run_protocol(EXAMPLE, psi, cfg, rng_a)
-        stage, conclusive, outcomes, bob = _reference_run(EXAMPLE, psi_b, cfg, rng_b)
+        stage, conclusive, outcomes, bob = ref.run(EXAMPLE, psi_b.amplitudes, cfg, rng_b)
         assert rec.stage_reached == stage
         assert rec.conclusive == conclusive
         assert rec.alice_outcomes == outcomes
@@ -117,9 +62,9 @@ def test_runner_matches_reference_implementation(cfg):
             assert rec.bob_state is None
             assert rec.run_fidelity is None
         else:
-            assert fidelity(rec.bob_state, bob) == pytest.approx(1.0, abs=1e-12)
+            assert ref.fidelity(rec.bob_state.amplitudes, bob) == pytest.approx(1.0, abs=1e-12)
             assert rec.run_fidelity == pytest.approx(
-                fidelity(psi, bob), abs=1e-12
+                ref.fidelity(psi.amplitudes, bob), abs=1e-12
             )
 
 
@@ -163,6 +108,22 @@ def test_run_protocol_dimension_mismatch():
     rng = np.random.default_rng(3)
     with pytest.raises(ValueError):
         run_protocol(EXAMPLE, haar_random_state(3, rng), DET, rng)
+
+
+@pytest.mark.parametrize("amplitudes, message", [
+    (np.ones(4), "input state is not normalized: its squared norm is 4.0"),
+    (np.zeros(4), "input state is not normalized: its squared norm is 0.0"),
+    (np.array([0.5, np.nan, 0.5, 0.5]), "input amplitudes must be finite"),
+    (np.full(3, 1 / np.sqrt(3)), "amplitudes of shape (3,)"),
+], ids=["unnormalized", "zero", "nan", "short"])
+def test_run_protocol_rejects_a_bad_input_state(amplitudes, message):
+    # Each once returned a wrong fidelity (3.0), a NaN with leaked
+    # RuntimeWarnings, or a bare broadcasting error.
+    state = QuditState((4,), amplitudes.astype(complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_protocol(EXAMPLE, state, StrategyConfig(k_max=1), np.random.default_rng(0))
 
 
 def test_run_protocol_rejects_excess_stage_budget():
@@ -508,14 +469,14 @@ def test_runner_construction_memory_stays_small_at_large_dimension():
 @pytest.mark.parametrize("D", [2, 3, 4, 5, 6, 7, 8, 32])
 def test_post_shift_equals_the_public_register(D):
     # The runner's diagonal from its padded Schmidt weights, for every rank:
-    # the public register's b = m entries, and nothing anywhere else.
+    # the reference register's b = m entries, and nothing anywhere else.
     rng = np.random.default_rng(70 + D)
     b = np.arange(D)
     for N in range(1, D + 1):
         ch = random_channel(rng, D=D, N=N)
         psi = haar_random_state(D, rng).amplitudes
         t = engine._post_shift(ProtocolRunner(ch, DET)._weights, psi)
-        register = _public_post_shift(ch, psi).tensor()
+        register = ref.post_shift(ch.coeffs, psi)
         assert np.array_equal(t, register[b, b])
         register[b, b] = 0
         assert not register.any()
@@ -974,7 +935,7 @@ def _d4_branch_sums(t, rotate):
     diag = t[shifts, :, np.arange(D)[:, None], np.arange(D)]
     gather = diag.copy()
     if rotate:
-        diag = np.tensordot(diag, fourier(D).dagger().entries, axes=([2], [1])) * phases[shifts]
+        diag = np.tensordot(diag, ref.dft(D).conj().T, axes=([2], [1])) * phases[shifts]
     traces = diag.sum(axis=1)
     return (float(np.vdot(traces, traces).real), float(np.vdot(t, t).real)), gather
 
@@ -990,7 +951,7 @@ def test_branch_sets_match_a_full_register_reference(D):
     rows, cols = np.arange(D)[:, None], np.arange(D)
     for _ in range(4):
         ch = random_channel(rng, D=D)
-        register = np.stack([_public_post_shift(ch, col).tensor()
+        register = np.stack([ref.post_shift(ch.coeffs, col)
                              for col in np.eye(D, dtype=complex)], axis=-1)
         M = multiplicity_profile(ch).M if ch.N > 1 else 0
         for cfg in [DET] + [StrategyConfig(kind="mc-smc", k_max=k) for k in range(1, M + 1)]:
@@ -1114,52 +1075,17 @@ def test_branch_sums_equal_the_tensordot_reference(weights):
         assert engine._branch_sums(w, rotate) == pytest.approx(want, rel=1e-12, abs=0)
 
 
-def _matmul_rotation(finv, t):
-    """F^+ applied to the sender half of the whole register by ``matmul``."""
-    return np.matmul(finv, t)
-
-
-def _broadcast_rotation(finv, t):
-    """F^+[l, b] t[b, b, j]: the D^3 broadcast that uses t = 0 off b = m."""
+def _broadcast_rotation(finv, reg):
+    """F^+[l, b] reg[b, b, j]: the D^3 broadcast that uses reg = 0 off b = m."""
     b = np.arange(len(finv))
-    return finv.T[:, :, None] * t[b, b][:, None, :]
-
-
-def _cubic_run(runner, psi, rng, rotate):
-    """``ProtocolRunner.run`` on the whole (D, D, D) register, the
-    minimum-error readout applying F^+ by ``rotate``.  Returns (stage,
-    conclusive, outcomes, receiver amplitudes, fidelity)."""
-    D = runner.D
-    t = np.zeros((D, D, D), dtype=complex)
-    t[np.arange(D), np.arange(D)] = engine._post_shift(runner._weights, psi)
-    stage, conclusive = 0, runner.cfg.kind != "mc-smc"
-    for stage, (ks, kf) in enumerate(runner._filters, start=1):
-        passed = t * ks[:, None]
-        p_s = np.vdot(passed, passed).real
-        if rng.random() < p_s:
-            t, conclusive = passed / np.sqrt(p_s), True
-            break
-        failed = t * kf[:, None]
-        t = failed / np.sqrt(np.vdot(failed, failed).real)
-    if not conclusive and runner.cfg.fallback == "discard":
-        return stage, conclusive, None, None, None
-    me = conclusive or runner.cfg.fallback == "me"
-    finv, _, phases, _, shifts = engine._tables(runner.D)
-    if me:
-        t = rotate(finv, t)
-    probs_l = (np.abs(t) ** 2).sum(axis=(0, 2))
-    l = ProtocolRunner._sample_axis(probs_l, rng)
-    slice_l = t[:, l, :] / np.sqrt(probs_l[l])
-    probs_k = (np.abs(slice_l) ** 2).sum(axis=0)
-    k = ProtocolRunner._sample_axis(probs_k, rng)
-    bob = (phases[l if me else 0] * slice_l[:, k] / np.sqrt(probs_k[k]))[shifts[k]]
-    return stage, conclusive, (l, k), bob, float(np.abs(np.vdot(psi, bob)) ** 2)
+    return finv.T[:, :, None] * reg[b, b][:, None, :]
 
 
 def _check_single_run_against(D, rotate):
-    """The run on the (D, D) diagonal against ``_cubic_run`` on channels of
-    rank 2, D // 2 and D, every strategy: stage, conclusiveness and outcomes
-    equal, receiver state and fidelity to 1e-12."""
+    """The run on the (D, D) diagonal against the reference circuit, F^+
+    applied to the whole (D, D, D) register by ``rotate``, on channels of
+    rank 2, D // 2 and D, every strategy: stage, conclusiveness and
+    outcomes equal, receiver state and fidelity to 1e-12."""
     rng = np.random.default_rng(90 + D)
     for N in sorted({2, max(2, D // 2), D}):  # N < D pads zero weights
         ch = random_channel(rng, D=D, N=N)
@@ -1171,8 +1097,8 @@ def _check_single_run_against(D, rotate):
                 psi = haar_random_state(D, rng).amplitudes
                 uniforms = rng.random(runner.draws_per_trial)
                 rec = runner.run(QuditState((D,), psi), _ReplayedUniforms(uniforms))
-                stage, conclusive, outcomes, bob, fid = _cubic_run(
-                    runner, psi, _ReplayedUniforms(uniforms), rotate)
+                stage, conclusive, outcomes, bob = ref.run(
+                    ch, psi, cfg, _ReplayedUniforms(uniforms), rotate)
                 assert (rec.stage_reached, rec.conclusive, rec.alice_outcomes) == (
                     stage, conclusive, outcomes)
                 if bob is None:
@@ -1180,12 +1106,12 @@ def _check_single_run_against(D, rotate):
                     continue
                 got = rec.bob_state.amplitudes
                 assert np.linalg.norm(got - bob) <= 1e-12 * np.linalg.norm(bob)
-                assert rec.run_fidelity == pytest.approx(fid, rel=1e-12, abs=0)
+                assert rec.run_fidelity == pytest.approx(ref.fidelity(psi, bob), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("D", [2, 3, 5, 8, 17, 32, 64])
 def test_single_run_equals_the_matmul_reference(D):
-    _check_single_run_against(D, _matmul_rotation)
+    _check_single_run_against(D, np.matmul)
 
 
 @pytest.mark.parametrize("D", [2, 3, 5, 8, 17, 32, 64])
@@ -1261,6 +1187,31 @@ def test_block_kernel_reads_neither_the_fourier_nor_the_phase_table(monkeypatch,
             got = engine._run_blocks(runner, 6, trials, 0, 1)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
+
+
+def test_tables_agree_with_the_reference_circuit():
+    # F^+ is the reference Fourier matrix's conjugate transpose, phases[l]
+    # is the diagonal of Z^l and shifts[k] realises X^-k.  The table's
+    # roots exp(2 pi i k / D) carry the rounding of their argument, up to
+    # 7 ulps at D <= 64 (the FFT's roots are within 3 of exact).
+    for D in range(2, 65):
+        finv, _, phases, _, shifts = engine._tables(D)
+        np.testing.assert_allclose(finv, ref.dft(D).conj().T, rtol=0, atol=1e-15)
+        v = haar_random_state(D, np.random.default_rng(D)).amplitudes
+        for l in range(D):
+            np.testing.assert_allclose(phases[l], ref.correct(np.ones(D), 0, l),
+                                       rtol=0, atol=8 * np.finfo(float).eps)
+        for k in range(D):
+            np.testing.assert_array_equal(v[shifts[k]], ref.correct(v, k))
+
+
+def test_reference_circuit_reads_nothing_of_the_engine():
+    # Every module and name imported, every variable and attribute read.
+    tree = ast.parse(Path(ref.__file__).read_text(encoding="utf-8"))
+    names = {getattr(node, field) or "" for node in ast.walk(tree)
+             for field in ("module", "name", "id", "attr") if hasattr(node, field)}
+    assert not any(n.split(".")[-1] == "engine" for n in names), names
+    assert not names & {"_phase_table", "_tables"}, names
 
 
 def test_correction_phases_times_the_inverse_fourier_matrix_are_constant():
