@@ -12,7 +12,6 @@ from .analytics import (
     f_mc_conclusive,
     f_me,
     f_me_after_fail,
-    f_me_after_fail_double_sum,
     overall_fidelity,
     stage_probabilities,
 )
@@ -22,17 +21,11 @@ from .channels import (
     SchmidtChannel,
     make_channel,
     multiplicity_profile,
-    symmetric_family,
 )
 from .discrimination import (
-    McStage,
     StagePlan,
     StrategyConfig,
     build_stage_plan,
-    confidence_at_stage,
-    failure_coefficients,
-    mc_stage,
-    me_correct_probability,
 )
 from .engine import (
     AggregateStats,
@@ -54,7 +47,6 @@ __all__ = [
     "AggregateStats",
     "ChannelReport",
     "DEFAULT_TIE_TOL",
-    "McStage",
     "MultiplicityProfile",
     "ProtocolRunner",
     "QuditState",
@@ -64,24 +56,18 @@ __all__ = [
     "TeleportRecord",
     "build_stage_plan",
     "channel_report",
-    "confidence_at_stage",
     "exact_average_fidelity",
     "exact_branch_probabilities",
     "f_clas",
     "f_mc_conclusive",
     "f_me",
     "f_me_after_fail",
-    "f_me_after_fail_double_sum",
-    "failure_coefficients",
     "haar_random_state",
     "make_channel",
     "make_state",
-    "mc_stage",
-    "me_correct_probability",
     "monte_carlo",
     "multiplicity_profile",
     "overall_fidelity",
     "run_protocol",
     "stage_probabilities",
-    "symmetric_family",
 ]

@@ -176,18 +176,6 @@ def _f_me_after_fail(profile: MultiplicityProfile, D: int, cascade) -> float:
     return value
 
 
-def f_me_after_fail_double_sum(
-    ch: SchmidtChannel, tie_tolerance: float = DEFAULT_TIE_TOL
-) -> float:
-    """Same quantity as :func:`f_me_after_fail`, written as the classical
-    fidelity plus the pairwise cross terms of the excess weights
-    sqrt((a_m^2 - a_min^2)(a_m'^2 - a_min^2)) / ((D + 1) p_fail)."""
-    profile = multiplicity_profile(ch, tie_tolerance)
-    _require_failure_branch(profile)
-    (check,), _ = _f_me_after_fail_double_sums(profile.values[None], profile.multiplicities, ch.D)
-    return float(check)
-
-
 def _require_failure_branch(profile: MultiplicityProfile) -> None:
     if profile.d < 2:
         raise ValueError("all coefficients are equal: the filter cannot fail")
@@ -476,7 +464,9 @@ def _pattern_block(D, amps, gaps, points, rows) -> ReportBlock:
 
 
 def _f_me_after_fail_double_sums(values, mults, D) -> tuple[np.ndarray, np.ndarray]:
-    """``f_me_after_fail_double_sum`` of each row of group values, and the
+    """``F_me_after_fail`` of each row of group values as a double sum, the
+    classical fidelity plus the pairwise cross terms of the excess weights
+    sqrt((a_m^2 - a_min^2)(a_m'^2 - a_min^2)) / ((D + 1) p_fail), and the
     amount by which the single-sum form may differ from it.
 
     The two forms differ by exactly (sum_m e_m^2 - p_fail)/((D + 1) p_fail),

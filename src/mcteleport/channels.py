@@ -15,7 +15,7 @@ from math import isfinite
 
 import numpy as np
 
-from .qudit import QuditState, _phase_table, check_index
+from .qudit import check_index
 
 # Coefficients closer than this (as amplitudes) form one multiplicity group.
 DEFAULT_TIE_TOL = 1e-9
@@ -156,20 +156,6 @@ def group_coefficients(coeffs, tie_tolerance: float = DEFAULT_TIE_TOL):
     return values, mults
 
 
-def snap_to_groups(coeffs, tie_tolerance: float = DEFAULT_TIE_TOL) -> np.ndarray:
-    """Replace each coefficient by its group representative, keeping order.
-
-    Exactly tied inputs are returned unchanged; nearly tied ones are made
-    exactly equal so that downstream filtering treats them as one group.
-    """
-    arr = np.asarray(coeffs, dtype=float).ravel()
-    values, mults = group_coefficients(arr, tie_tolerance)
-    order = np.argsort(arr)
-    snapped = np.empty_like(arr)
-    snapped[order] = np.repeat(values, mults)
-    return snapped
-
-
 @lru_cache(maxsize=1)
 def multiplicity_profile(
     ch: SchmidtChannel, tie_tolerance: float = DEFAULT_TIE_TOL
@@ -185,18 +171,3 @@ def multiplicity_profile(
     values.setflags(write=False)
     mults.setflags(write=False)
     return MultiplicityProfile(values, mults)
-
-
-def symmetric_family(coeffs, D: int) -> list[QuditState]:
-    """The D phase-shifted single-qudit states generated by a coefficient list.
-
-    Member l is Z^l applied to sum_k a_k |k>, with the coefficients placed
-    on the first len(coeffs) basis states in the order given; its phases
-    are read from the roots of unity at (l k) mod D, so no member drifts.
-    """
-    D = check_index("D", D)
-    arr = _validated_coeffs(coeffs, D)
-    seed = np.zeros(D, dtype=complex)
-    seed[: arr.size] = arr
-    roots, n = _phase_table(D), np.arange(D)
-    return [QuditState((D,), seed * roots[(l * n) % D]) for l in range(D)]

@@ -24,6 +24,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from math import ceil, comb, log2, sqrt
 
@@ -126,7 +127,10 @@ def read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            out[key] = value.strip()
     return out
 
 
@@ -249,16 +253,19 @@ def _report_csv_columns(report: ChannelReport) -> list[str]:
 # CSV plumbing
 
 
-def _emit_csv(out: str | None, metadata: list[str], header: list[str],
-              blocks: list[str]) -> None:
-    """Write the CSV: the metadata and header lines, then ``blocks``, each
-    a text of whole lines ending in a newline, in order."""
-    head = "".join(f"# {item}\n" for item in metadata) + ",".join(header) + "\n"
+def _csv_file(out: str | None):
+    """The CSV destination as a context manager: stdout for None or '-',
+    else the file ``out``, opened (so an unwritable path fails) at once."""
     if out is None or out == "-":
-        sys.stdout.writelines((head, *blocks))
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines((head, *blocks))
+        return nullcontext(sys.stdout)
+    return open(out, "w", encoding="utf-8", newline="\n")
+
+
+def _emit_csv(fh, metadata: list[str], header: list[str], blocks: list[str]) -> None:
+    """Write the CSV to ``fh``: the metadata and header lines, then
+    ``blocks``, each a text of whole lines ending in a newline, in order."""
+    head = "".join(f"# {item}\n" for item in metadata) + ",".join(header) + "\n"
+    fh.writelines((head, *blocks))
 
 
 def parse_csv(text: str) -> tuple[list[str], list[str], list[list[str]]]:
@@ -445,30 +452,34 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[str], list[str]]:
 def cmd_report(args) -> int:
     ch = _build_channel(args)
     rep = channel_report(ch, args.tie_tol)
-    print(f"channel: D={rep.D} N={rep.N} coeffs={[_fmt(c) for c in ch.coeffs.tolist()]}")
-    print(f"groups: d={rep.d}  stages: M={rep.M}")
-    for name in ("F_me", "f_me", "F_clas", "F_me_after_fail", "overall_me",
-                 "overall_smc"):
-        value = getattr(rep, name)
-        print(f"{name:<16} {'-' if value is None else _fmt(value)}")
-    if rep.N == 1:
-        # rank 1: no filtering stage exists; the conclusive fidelity
-        # degenerates to the classical bound
-        print(f"F_mc_s1          {_fmt(rep.F_clas)} (degenerate: rank-1 channel)")
-    stages = zip(rep.F_mc_s, rep.f_mc_s, rep.p_fail, rep.p_success, rep.P_smc, rep.useful)
-    for k, (F_mc, f_mc, p_fail, p_stage, P_smc, useful) in enumerate(stages, 1):
-        print(f"stage {k}: F_mc_s={_fmt(F_mc)} f_mc_s={_fmt(f_mc)} p_fail={_fmt(p_fail)} "
-              f"P_stage={_fmt(p_stage)} P_smc={_fmt(P_smc)} useful={'yes' if useful else 'no'}")
-    if args.out:
-        cols = _report_csv_columns(rep)
-        metadata = [
-            f"mcteleport {__version__}",
-            "command: report",
-            f"spec: D={rep.D} coeffs={','.join(_fmt(c) for c in ch.coeffs.tolist())} "
-            f"tie_tol={args.tie_tol:g}",
-        ]
-        row = [_fmt(report_quantity(rep, c)) for c in cols]
-        _emit_csv(args.out, metadata, cols, [",".join(row) + "\n"])
+    # The CSV file is opened before the first print: an unwritable --out
+    # prints nothing.
+    with (_csv_file(args.out) if args.out else nullcontext()) as fh:
+        print(f"channel: D={rep.D} N={rep.N} coeffs={[_fmt(c) for c in ch.coeffs.tolist()]}")
+        print(f"groups: d={rep.d}  stages: M={rep.M}")
+        for name in ("F_me", "f_me", "F_clas", "F_me_after_fail", "overall_me",
+                     "overall_smc"):
+            value = getattr(rep, name)
+            print(f"{name:<16} {'-' if value is None else _fmt(value)}")
+        if rep.N == 1:
+            # rank 1: no filtering stage exists; the conclusive fidelity
+            # degenerates to the classical bound
+            print(f"F_mc_s1          {_fmt(rep.F_clas)} (degenerate: rank-1 channel)")
+        stages = zip(rep.F_mc_s, rep.f_mc_s, rep.p_fail, rep.p_success, rep.P_smc, rep.useful)
+        for k, (F_mc, f_mc, p_fail, p_stage, P_smc, useful) in enumerate(stages, 1):
+            print(f"stage {k}: F_mc_s={_fmt(F_mc)} f_mc_s={_fmt(f_mc)} p_fail={_fmt(p_fail)} "
+                  f"P_stage={_fmt(p_stage)} P_smc={_fmt(P_smc)} "
+                  f"useful={'yes' if useful else 'no'}")
+        if fh is not None:
+            cols = _report_csv_columns(rep)
+            metadata = [
+                f"mcteleport {__version__}",
+                "command: report",
+                f"spec: D={rep.D} coeffs={','.join(_fmt(c) for c in ch.coeffs.tolist())} "
+                f"tie_tol={args.tie_tol:g}",
+            ]
+            row = [_fmt(report_quantity(rep, c)) for c in cols]
+            _emit_csv(fh, metadata, cols, [",".join(row) + "\n"])
     return 0
 
 
@@ -503,7 +514,8 @@ def cmd_sweep(args) -> int:
     # Every block is evaluated before anything is written, so a failed
     # cross-check prints nothing.
     metadata, header, blocks = run_sweep(spec)
-    _emit_csv(spec.out, metadata, header, blocks)
+    with _csv_file(spec.out) as fh:
+        _emit_csv(fh, metadata, header, blocks)
     return 0
 
 

@@ -20,14 +20,7 @@ from math import sqrt
 
 import numpy as np
 
-from .channels import (
-    DEFAULT_TIE_TOL,
-    SchmidtChannel,
-    MultiplicityProfile,
-    group_coefficients,
-    multiplicity_profile,
-    snap_to_groups,
-)
+from .channels import DEFAULT_TIE_TOL, SchmidtChannel, multiplicity_profile
 from .qudit import check_allocation, check_index
 
 KIND_DETERMINISTIC = "deterministic-me"
@@ -72,42 +65,6 @@ class StrategyConfig:
             raise ValueError("k_max must be >= 1 for the staged strategy")
 
 
-def me_correct_probability(coeffs, D: int) -> float:
-    """Probability of naming the family member right, (sum_m a_m)^2 / D.
-
-    Equals both the minimum-error confidence and the singlet fraction of
-    the deterministic protocol.
-    """
-    arr = np.asarray(coeffs, dtype=float).ravel()
-    if np.any(arr <= 0):
-        raise ValueError("coefficients must be strictly positive")
-    return float(np.sum(arr) ** 2 / D)
-
-
-@dataclass(frozen=True)
-class McStage:
-    """One two-outcome filtering stage, as the ``mc_stage`` reference builds it.
-
-    ``K_s``/``K_f`` hold the diagonals (real, length D, read-only) of the
-    two diagonal Kraus operators; ``np.diag(K_s)`` is the matrix.  Success
-    rescales every surviving amplitude to the smallest one, failure keeps
-    the excess.  Indices outside the current support get 0 in ``K_s`` and
-    1 in ``K_f`` so the pair is complete on the whole space.  A
-    ``terminal`` stage has all input coefficients equal: it cannot fail
-    and ends the chain.  Every array is read-only; a stage's
-    ``failure_coeffs`` is the next stage's ``input_coeffs``.
-    """
-
-    stage_index: int
-    input_coeffs: np.ndarray
-    K_s: np.ndarray
-    K_f: np.ndarray
-    p_fail: float
-    success_coeffs: np.ndarray
-    failure_coeffs: np.ndarray
-    terminal: bool = False
-
-
 @dataclass(frozen=True, eq=False)
 class StagePlan:
     """The full filtering cascade a channel admits, plus usefulness flags.
@@ -129,84 +86,6 @@ class StagePlan:
     @property
     def M(self) -> int:
         return len(self.K_s)
-
-
-def _check_sorted_positive(arr: np.ndarray, n_min: int) -> None:
-    if arr.size < n_min:
-        raise ValueError(f"need at least {n_min} coefficients, got {arr.size}")
-    if np.any(arr <= 0):
-        raise ValueError("coefficients must be strictly positive")
-    if np.any(np.diff(arr) > 0):
-        # The diagonal Kraus construction assumes the family occupies a
-        # basis prefix, which holds only for non-increasing coefficients.
-        raise ValueError("coefficients must be sorted non-increasing")
-
-
-def failure_coefficients(coeffs, tie_tolerance: float = DEFAULT_TIE_TOL) -> np.ndarray:
-    """Coefficients of the family left behind by a failed filter.
-
-    For input values a_k with minimum a_min of multiplicity mu, the
-    survivors are sqrt((a_k^2 - a_min^2) / p_fail) for the n - mu larger
-    coefficients, returned sorted non-increasing and normalized.
-    """
-    arr = np.asarray(coeffs, dtype=float).ravel()
-    _check_sorted_positive(arr, 2)
-    arr = arr / np.linalg.norm(arr)
-    values, mults = group_coefficients(arr, tie_tolerance)
-    if values.size < 2:
-        raise ValueError("all coefficients are equal: the failure branch is empty")
-    v_min_sq = values[0] ** 2
-    p_fail = 1.0 - arr.size * v_min_sq
-    out = np.repeat(np.sqrt((values[1:] ** 2 - v_min_sq) / p_fail), mults[1:])[::-1]
-    return out / np.linalg.norm(out)
-
-
-def _filter_stage(k: int, input_coeffs, family: np.ndarray, D: int, terminal: bool,
-                  failure: np.ndarray) -> McStage:
-    """Stage k filtering over a snapped, normalized, non-increasing
-    ``family``; ``failure`` is the family a failed filter leaves."""
-    n = family.size
-    ratios = family[-1] / family
-    K_s = np.zeros(D)
-    K_s[:n] = ratios
-    K_f = np.ones(D)
-    K_f[:n] = np.sqrt(np.maximum(0.0, 1.0 - ratios**2))
-    if np.max(np.abs(K_s**2 + K_f**2 - 1.0)) > KRAUS_ATOL:
-        raise ValueError("generated Kraus pair violates completeness")
-    success = np.full(n, 1.0 / np.sqrt(n))
-    for arr in (input_coeffs, K_s, K_f, success, failure):
-        arr.setflags(write=False)
-    p_fail = 0.0 if terminal else float(1.0 - n * family[-1] ** 2)
-    return McStage(k, input_coeffs, K_s, K_f, p_fail, success, failure, terminal)
-
-
-def mc_stage(
-    input_coeffs, D: int, k: int = 1, tie_tolerance: float = DEFAULT_TIE_TOL
-) -> McStage:
-    """Build the maximum-confidence filtering stage for a coefficient list.
-
-    Coefficients must be sorted non-increasing and there must be at least
-    two of them (a single survivor admits no informative measurement).
-    Nearly tied values are snapped to their group representative first so
-    the operators treat them as exactly degenerate.  The single-stage
-    reference that ``build_stage_plan`` is tested against.
-    """
-    arr = np.asarray(input_coeffs, dtype=float).ravel()
-    _check_sorted_positive(arr, 2)
-    if arr.size > D:
-        raise ValueError(f"{arr.size} coefficients exceed the dimension D={D}")
-    arr = arr / np.linalg.norm(arr)
-    snapped = snap_to_groups(arr, tie_tolerance)
-    terminal = bool(np.all(snapped == snapped[-1]))
-    fail = np.empty(0) if terminal else failure_coefficients(snapped, tie_tolerance)
-    return _filter_stage(k, arr, snapped, D, terminal, fail)
-
-
-def confidence_at_stage(profile: MultiplicityProfile, D: int, k: int) -> float:
-    """Confidence of a conclusive outcome at stage k: (surviving count)/D."""
-    if not 1 <= k <= profile.M:
-        raise ValueError(f"stage {k} out of range 1..{profile.M}")
-    return profile.support_size(k) / D
 
 
 @lru_cache(maxsize=1)

@@ -1,9 +1,8 @@
 """End-to-end teleportation protocol: sampled runs and exact averages.
 
-The register layout is fixed: subsystem 0 is the receiver's half of the
-entangled pair, subsystem 1 the sender's half, subsystem 2 the unknown
-input state, flattened with subsystem 0 most significant.  Every object
-is kept in one form: ``_post_shift`` builds the register after the
+The register t[b, m, j] is indexed by the receiver's half b of the
+entangled pair, the sender's half m and the unknown input j; no kernel
+holds it whole.  Every object is kept in one form: ``_post_shift`` builds the register after the
 controlled shift from the Schmidt weights, as its b = m diagonal (it
 vanishes elsewhere), stage operators are rows of the plan's (M, D)
 Kraus diagonal arrays, and every kernel reads its D x D tables (F^+, the
@@ -48,7 +47,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import ceil, log2
+from math import ceil
 from types import MappingProxyType
 
 import numpy as np
@@ -101,7 +100,6 @@ class TeleportRecord:
     stage_reached: int
     conclusive: bool
     alice_outcomes: tuple[int, int] | None
-    classical_bits_used: int
     bob_state: QuditState | None
     run_fidelity: float | None
 
@@ -172,7 +170,6 @@ class ProtocolRunner:
         # included, peaks at about 7 complex (D, D) arrays.
         check_allocation(f"the (D, D) arrays of a single run at D={D}", 8 * 16 * D**2)
         self.cfg = cfg
-        self._bits_base = 2 * ceil(log2(D))
         self._filters = _stage_filters(channel, cfg, tie_tolerance)
         # Uniforms one trial may consume: one per stage, then l and k.
         self.draws_per_trial = len(self._filters) + 2
@@ -219,10 +216,10 @@ class ProtocolRunner:
 
     def run(self, input_state: QuditState, rng: np.random.Generator) -> TeleportRecord:
         amps = input_state.amplitudes
-        if input_state.dims != (self.D,) or np.shape(amps) != (self.D,):
+        if np.shape(amps) != (self.D,):
             raise ValueError(
-                f"input must be a single qudit of dimension {self.D}, got dims "
-                f"{input_state.dims} and amplitudes of shape {np.shape(amps)}"
+                f"input must be a single qudit of dimension {self.D}, got "
+                f"amplitudes of shape {np.shape(amps)}"
             )
         if not np.isfinite(amps).all():
             raise ValueError("input amplitudes must be finite")
@@ -265,13 +262,12 @@ class ProtocolRunner:
             v = slice_l[:, k] / np.sqrt(probs_k[k])
             bob_vec = (phases[l if me else 0] * v)[shifts[k]]
             outcomes = (l, k)
-            bob = QuditState((self.D,), bob_vec)
+            bob = QuditState(bob_vec)
             fid = float(np.abs(np.vdot(amps, bob_vec)) ** 2)
         return TeleportRecord(
             stage_reached=stage_reached,
             conclusive=conclusive,
             alice_outcomes=outcomes,
-            classical_bits_used=self._bits_base + stage_reached,
             bob_state=bob,
             run_fidelity=fid,
         )

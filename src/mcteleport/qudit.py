@@ -1,8 +1,7 @@
 """Single-qudit input states and the shared array guards.
 
-A state is a complex amplitude vector over one or more d-level
-subsystems, flattened row-major with subsystem 0 most significant; the
-protocol's input is one qudit.  All values are treated as immutable after
+A state is the complex amplitude vector of one D-level system, the
+protocol's input.  All values are treated as immutable after
 construction; anything stochastic takes an explicit
 ``numpy.random.Generator`` so runs are reproducible and safe to
 parallelize (one generator per worker).
@@ -17,47 +16,40 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
-# Largest array, in bytes, a run may allocate: a complex (D, D, D) array
-# fits up to D = 203, and a run holds a few such arrays at once.
+# Largest array, in bytes, a command may allocate.  A run holds only (D, D)
+# arrays; the largest array at a given D is the oracle's complex (D, D, D)
+# branch enumeration, which fits up to D = 203.
 MAX_ARRAY_BYTES = 2**27
 
 
 @dataclass(frozen=True)
 class QuditState:
-    """Amplitude vector over subsystems of dimensions ``dims``.
+    """Amplitude vector of one qudit; its length is the dimension D.
 
     Public constructors return normalized states; the amplitude array is
     never mutated in place.
     """
 
-    dims: tuple[int, ...]
     amplitudes: np.ndarray
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
+def make_state(amplitudes) -> QuditState:
+    """Build a normalized single-qudit state from raw amplitudes, D being
+    their count.
 
-def make_state(dims, amplitudes) -> QuditState:
-    """Build a normalized register state from raw amplitudes.
-
-    Raises ValueError if a dimension is not an integer, the amplitude count
-    does not match the register size or the vector is (numerically) zero.
+    Raises ValueError if there are fewer than two amplitudes or the vector
+    is (numerically) zero.
     """
-    dims = tuple(check_index("subsystem dimension", d) for d in dims)
-    if not dims or any(d < 2 for d in dims):
-        raise ValueError(f"subsystem dimensions must all be >= 2, got {dims}")
     amps = np.asarray(amplitudes, dtype=complex).ravel()
-    expected = prod(dims)
-    if amps.size != expected:
-        raise ValueError(f"expected {expected} amplitudes for dims {dims}, got {amps.size}")
+    if amps.size < 2:
+        raise ValueError(f"a qudit needs at least 2 amplitudes, got {amps.size}")
     norm = np.linalg.norm(amps)
     if norm < 1e-12:
         raise ValueError("cannot normalize a zero state vector")
-    return QuditState(dims, amps / norm)
+    return QuditState(amps / norm)
 
 
 def check_allocation(what: str, nbytes: int) -> None:
@@ -105,4 +97,4 @@ def haar_random_states(D: int, n: int, rng: np.random.Generator) -> np.ndarray:
 def haar_random_state(D: int, rng: np.random.Generator) -> QuditState:
     """Single-qudit pure state drawn uniformly (Haar) in dimension D."""
     D = check_index("D", D)
-    return QuditState((D,), haar_random_states(D, 1, rng)[0])
+    return QuditState(haar_random_states(D, 1, rng)[0])

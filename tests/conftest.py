@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from mcteleport import McStage, SchmidtChannel, engine, make_channel
+from mcteleport import SchmidtChannel, engine, make_channel
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -100,18 +100,3 @@ def end_class(rec, cfg) -> int:
     if cfg.kind == "deterministic-me":
         return 0
     return rec.stage_reached - 1 if rec.conclusive else cfg.k_max
-
-
-def plan_stages(plan) -> list[McStage]:
-    """A ``StagePlan``'s rows as ``McStage`` objects, the form the
-    single-stage reference ``mc_stage`` returns: stage k reads row k - 1 of
-    the plan's arrays, and its failure family is the next stage's input."""
-    d = len(plan.families)
-    rows = [family[:n] for family, n in zip(plan.families, plan.support)] + [plan.families[0, :0]]
-    stages = []
-    for k in range(1, plan.M + 1):
-        success = np.full(plan.support[k - 1], 1.0 / np.sqrt(plan.support[k - 1]))
-        success.setflags(write=False)
-        stages.append(McStage(k, rows[k - 1], plan.K_s[k - 1], plan.K_f[k - 1],
-                              float(plan.p_fail[k - 1]), success, rows[k], k == d))
-    return stages

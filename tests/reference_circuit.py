@@ -25,6 +25,14 @@ def dft(D):
     return roots(D) / np.sqrt(D)
 
 
+def family_states(e, D):
+    """Row l is psi_l = Z^l sum_m e_m |m>, l = 0..D-1: the symmetric family
+    of the coefficients ``e`` (at most D of them)."""
+    psi = np.zeros((D, D), dtype=complex)
+    psi[:, :len(e)] = roots(D)[:, :len(e)] * e
+    return psi
+
+
 def gxor(reg):
     """|m>|j> -> |m>|m - j mod D> on the sender half and the input."""
     j = np.arange(reg.shape[0])

@@ -6,19 +6,17 @@ import time
 import numpy as np
 import pytest
 
+import reference_circuit as ref
 from conftest import channel_with_multiplicities, random_channel, random_multiplicity_pattern
 from mcteleport import (
     StrategyConfig,
     build_stage_plan,
     channel_report,
-    confidence_at_stage,
     exact_average_fidelity,
     f_clas,
     make_channel,
-    me_correct_probability,
     monte_carlo,
     multiplicity_profile,
-    symmetric_family,
 )
 from mcteleport.cli import SweepSpec, main, sweep_points
 
@@ -114,13 +112,13 @@ def test_criterion_5_sequential_filter_recursion():
         if plan.M < 2:
             continue
         checked += 1
-        family = symmetric_family(ch.coeffs, ch.D)
+        family = ref.family_states(ch.coeffs, ch.D)
         for k in range(1, plan.M):
-            next_family = symmetric_family(plan.families[k, :plan.support[k]], ch.D)
+            next_family = ref.family_states(plan.families[k, :plan.support[k]], ch.D)
             for l, nu in enumerate(family):
-                vec = np.diag(plan.K_f[k - 1]) @ nu.amplitudes
+                vec = plan.K_f[k - 1] * nu
                 vec /= np.linalg.norm(vec)
-                worst = min(worst, abs(np.vdot(next_family[l].amplitudes, vec)))
+                worst = min(worst, abs(np.vdot(next_family[l], vec)))
             family = next_family
     _verdict(5, worst >= 1 - 1e-9,
              f"failure-branch recursion over 50 channels (worst overlap {worst:.12f})")
@@ -189,11 +187,11 @@ def test_criterion_9_fidelity_confidence_identity(grid_reports):
         ch = make_channel(4, np.sqrt(squared))
         prof = multiplicity_profile(ch)
         worst = max(worst, abs(
-            (rep.F_me * 5 - 1) / 4 - me_correct_probability(ch.coeffs, 4)
+            (rep.F_me * 5 - 1) / 4 - np.sum(ch.coeffs) ** 2 / 4
         ))
         for k in range(1, rep.M + 1):
             worst = max(worst, abs(
-                (rep.F_mc_s[k - 1] * 5 - 1) / 4 - confidence_at_stage(prof, 4, k)
+                (rep.F_mc_s[k - 1] * 5 - 1) / 4 - prof.support_size(k) / 4
             ))
     _verdict(9, worst <= 1e-12,
              f"fidelity-confidence identity on the grid (dev {worst:.2e})")

@@ -13,21 +13,28 @@ from conftest import channel_with_multiplicities, random_channel, tied_channels
 from mcteleport import (
     DEFAULT_TIE_TOL,
     StrategyConfig,
+    build_stage_plan,
     channel_report,
-    confidence_at_stage,
     f_clas,
     f_mc_conclusive,
     f_me,
     f_me_after_fail,
-    f_me_after_fail_double_sum,
     make_channel,
-    me_correct_probability,
     multiplicity_profile,
     overall_fidelity,
     stage_probabilities,
 )
 
 EXAMPLE = make_channel(4, np.sqrt([0.5, 0.3, 0.2]))
+
+
+def _double_sum(ch, tie_tolerance=DEFAULT_TIE_TOL):
+    """The double-sum form of ``F_me_after_fail`` that ``analytics`` checks
+    the single-sum form against."""
+    profile = multiplicity_profile(ch, tie_tolerance)
+    (check,), _ = mcteleport.analytics._f_me_after_fail_double_sums(
+        profile.values[None], profile.multiplicities, ch.D)
+    return float(check)
 
 
 def test_f_me_equal_maximal_rank_is_one():
@@ -90,19 +97,18 @@ def test_f_me_after_fail_single_survivor_is_classical():
 
 
 def test_f_me_after_fail_substitution_identity():
-    from mcteleport import failure_coefficients
-
-    b = failure_coefficients(EXAMPLE.coeffs)
+    plan = build_stage_plan(EXAMPLE)
+    b = plan.families[1, :plan.support[1]]
     expected = (1 + np.sum(b) ** 2) / 5
     assert f_me_after_fail(EXAMPLE) == pytest.approx(expected, abs=1e-12)
-    assert f_me_after_fail_double_sum(EXAMPLE) == pytest.approx(expected, abs=1e-12)
+    assert _double_sum(EXAMPLE) == pytest.approx(expected, abs=1e-12)
 
 
 def test_f_me_after_fail_double_sum_is_finite_under_round_off():
     # Squaring the smallest coefficient two ways lands one ulp below zero
     # under the square root on this channel.
     ch = make_channel(16, [0.653249090107, 0.556478502659, 0.513417278978])
-    check = f_me_after_fail_double_sum(ch)
+    check = _double_sum(ch)
     assert np.isfinite(check)
     assert f_me_after_fail(ch) == pytest.approx(check, abs=1e-12)
 
@@ -113,7 +119,7 @@ def test_f_me_after_fail_double_sum_smallest_group_has_no_excess():
     ch = make_channel(11, [0.41176194562886004] * 5 + [0.37253032376315864]
                       + [0.08210255336040086] * 2)
     assert channel_report(ch).F_me_after_fail == f_me_after_fail(ch)
-    assert f_me_after_fail(ch) == pytest.approx(f_me_after_fail_double_sum(ch), abs=1e-12)
+    assert f_me_after_fail(ch) == pytest.approx(_double_sum(ch), abs=1e-12)
 
 
 def test_analytics_does_not_import_engine():
@@ -139,8 +145,6 @@ def test_f_me_after_fail_below_deterministic():
 def test_f_me_after_fail_rejects_equal_coefficients():
     with pytest.raises(ValueError):
         f_me_after_fail(make_channel(4, np.full(3, 1 / np.sqrt(3))))
-    with pytest.raises(ValueError):
-        f_me_after_fail_double_sum(make_channel(4, np.full(3, 1 / np.sqrt(3))))
 
 
 def test_stage_probabilities_first_stage():
@@ -283,11 +287,11 @@ def test_report_singlet_fraction_identities():
         rep = channel_report(ch)
         prof = multiplicity_profile(ch)
         assert (rep.F_me * (ch.D + 1) - 1) / ch.D == pytest.approx(
-            me_correct_probability(ch.coeffs, ch.D), abs=1e-12
+            np.sum(ch.coeffs) ** 2 / ch.D, abs=1e-12
         )
         for k in range(1, rep.M + 1):
             assert (rep.F_mc_s[k - 1] * (ch.D + 1) - 1) / ch.D == pytest.approx(
-                confidence_at_stage(prof, ch.D, k), abs=1e-12
+                prof.support_size(k) / ch.D, abs=1e-12
             )
 
 
@@ -357,7 +361,7 @@ NEAR_TIE = make_channel(7, [0.7071067811869012, 0.707106781186194])
 
 def test_f_me_after_fail_forms_agree_on_a_near_tie_at_zero_tolerance():
     assert channel_report(NEAR_TIE, 0.0).F_me_after_fail == f_me_after_fail(NEAR_TIE, 0.0)
-    assert f_me_after_fail_double_sum(NEAR_TIE, 0.0) == pytest.approx(0.25, abs=1e-12)
+    assert _double_sum(NEAR_TIE, 0.0) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_corrupted_failure_form_still_fails_the_scalar_check(monkeypatch):

@@ -95,6 +95,17 @@ def test_report_missing_dimension_is_usage_error(capsys):
     assert "missing --D" in err
 
 
+@pytest.mark.parametrize("path", ["missing/x.csv", ""], ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("argv", [
+    ("report", "--D", "4", "--coeffs", "0.5,0.3,0.2", "--squared"), ("sweep", "--grid", "5"),
+], ids=["report", "sweep"])
+def test_unwritable_out_prints_nothing(tmp_path, capsys, argv, path):
+    # report once printed the whole report before failing to open the file.
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_plan_example_channel(capsys):
     code, out, _ = run_cli(
         capsys, "plan", "--D", "4", "--coeffs", "0.5,0.3,0.2", "--squared"
@@ -399,6 +410,14 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+def test_config_file_rejects_a_duplicate_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("D = 4\ncoeffs = 0.5,0.3,0.2\nsquared = true\nD = 5\n")
+    code, out, err = run_cli(capsys, "report", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == f"error: {cfg}:4: duplicate key 'D'\n"
+
+
 def test_config_file_reads_only_what_no_flag_sets(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     # A key that a flag sets is never parsed.
@@ -659,11 +678,11 @@ def test_verify_builds_one_plan_and_one_branch_enumeration(capsys, monkeypatch):
     assert rotated == [True] * (k_max + 1) + [False]
 
 
-def test_verify_builds_no_stage_objects_and_groups_the_channel_once(capsys, monkeypatch):
+def test_verify_groups_the_channel_once(capsys, monkeypatch):
     # The sampler and the oracle read the plan's (M, D) Kraus arrays, and
     # the plan and the closed forms share one cached grouping; ``plan``
     # prints every stage from the same arrays.
-    from mcteleport import channels, discrimination
+    from mcteleport import channels
 
     weights = np.linspace(2.0, 1.0, 32)
     coeffs = ",".join(map(str, (weights / weights.sum()).tolist()))
@@ -674,13 +693,8 @@ def test_verify_builds_no_stage_objects_and_groups_the_channel_once(capsys, monk
         groupings.append(1)
         return group(*args)
 
-    def no_stage(*args):
-        raise AssertionError("a McStage was built")
-
     with monkeypatch.context() as patch:
         patch.setattr(channels, "group_coefficients", counted)
-        patch.setattr(discrimination, "group_coefficients", counted)
-        patch.setattr(discrimination, "McStage", no_stage)
         code, out, _ = run_cli(capsys, "verify", "--D", "32", "--coeffs", coeffs, "--squared",
                                "--trials", "1000", "--k-max", "3")
     assert code == 0 and "verdict: PASS" in out

@@ -7,60 +7,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_circuit as ref
-from mcteleport import haar_random_state, make_state, mc_stage, symmetric_family
+from mcteleport import build_stage_plan, haar_random_state, make_channel, make_state
 from mcteleport.qudit import haar_random_states
 
 
 def test_make_state_basis():
-    s = make_state([2], [1, 0])
+    s = make_state([1, 0])
     np.testing.assert_allclose(s.amplitudes, [1, 0])
-    assert s.norm() == pytest.approx(1.0)
+    assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0)
 
 
 def test_make_state_normalizes():
-    s = make_state([3], [1, 1, 1])
+    s = make_state([1, 1, 1])
     np.testing.assert_allclose(s.amplitudes, np.full(3, 1 / np.sqrt(3)))
 
 
 def test_make_state_bell_normalization():
-    s = make_state([2, 2], [1, 0, 0, 1])
+    # The Bell-state amplitudes as one D = 4 qudit.
+    s = make_state([1, 0, 0, 1])
     np.testing.assert_allclose(s.amplitudes, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
 
 
 def test_make_state_rejects_bad_input():
-    with pytest.raises(ValueError):
-        make_state([2], [1, 0, 0])
-    with pytest.raises(ValueError):
-        make_state([2, 2], [0, 0, 0, 0])
-    with pytest.raises(ValueError):
-        make_state([1], [1])
+    with pytest.raises(ValueError, match="cannot normalize a zero state vector"):
+        make_state([0, 0, 0, 0])
+    for amplitudes in ([1], []):
+        with pytest.raises(ValueError, match="a qudit needs at least 2 amplitudes"):
+            make_state(amplitudes)
 
 
 @pytest.mark.parametrize("name, call", [
-    ("subsystem dimension", lambda v: make_state([v, 2], np.ones(4))),
     ("D", lambda v: haar_random_state(v, np.random.default_rng(0))),
     ("D", lambda v: haar_random_states(v, 2, np.random.default_rng(0))),
     ("n", lambda v: haar_random_states(2, v, np.random.default_rng(0))),
-    ("D", lambda v: symmetric_family([0.6, 0.8], v)),
-], ids=["make_state", "haar_random_state", "haar_random_states-D", "haar_random_states-n",
-        "symmetric_family"])
+], ids=["haar_random_state", "haar_random_states-D", "haar_random_states-n"])
 def test_integer_arguments_reject_non_integers_and_accept_numpy_integers(name, call):
-    # make_state([2.9, 2], ...) once built dims (2, 2), and a float D of
-    # the Haar draws failed with a bare TypeError.
+    # A float D of the Haar draws once failed with a bare TypeError.
     for value in (2.9, 3.5, 2.0, "2"):
         message = f"{name} must be an integer, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             call(value)
-    assert_equal = np.testing.assert_array_equal
     for value in (np.int64(2), np.int32(2), np.uint8(2)):
         got, want = call(value), call(2)
-        if isinstance(got, list):  # symmetric_family
-            got, want = got[1], want[1]
-        if isinstance(got, np.ndarray):
-            assert_equal(got, want)
-        else:
-            assert got.dims == want.dims and all(type(d) is int for d in got.dims)
-            assert_equal(got.amplitudes, want.amplitudes)
+        np.testing.assert_array_equal(getattr(got, "amplitudes", got),
+                                      getattr(want, "amplitudes", want))
 
 
 def _basis(D, n):
@@ -231,9 +221,9 @@ def test_kraus_identity_pair_always_succeeds():
 def test_kraus_equal_coefficients_never_fail():
     rng = np.random.default_rng(7)
     coeffs = np.full(3, 1 / np.sqrt(3))
-    stage = mc_stage(coeffs, 4)
-    for nu in symmetric_family(coeffs, 4):
-        passed, _, p = ref.kraus_filter(_on_sender(nu.amplitudes), stage.K_s, stage.K_f, rng)
+    plan = build_stage_plan(make_channel(4, coeffs))
+    for nu in ref.family_states(coeffs, 4):
+        passed, _, p = ref.kraus_filter(_on_sender(nu), plan.K_s[0], plan.K_f[0], rng)
         assert passed
         assert p == pytest.approx(1.0, abs=1e-12)
 
@@ -241,34 +231,29 @@ def test_kraus_equal_coefficients_never_fail():
 def test_kraus_success_branch_maps_to_uniform_family():
     coeffs = np.sqrt([0.5, 0.3, 0.2])
     D = 4
-    stage = mc_stage(coeffs, D)
-    uniform = symmetric_family(stage.success_coeffs, D)
+    plan = build_stage_plan(make_channel(D, coeffs))
+    K_s, K_f, p_fail = plan.K_s[0], plan.K_f[0], plan.p_fail[0]
+    uniform = ref.family_states(np.full(3, 1 / np.sqrt(3)), D)
     rng = np.random.default_rng(8)
-    for l, nu in enumerate(symmetric_family(coeffs, D)):
-        direct = np.diag(stage.K_s) @ nu.amplitudes
+    for l, nu in enumerate(ref.family_states(coeffs, D)):
+        direct = K_s * nu
         direct = direct / np.linalg.norm(direct)
-        assert abs(np.vdot(uniform[l].amplitudes, direct)) == pytest.approx(
-            1.0, abs=1e-10
-        )
-        passed, collapsed, p = ref.kraus_filter(
-            _on_sender(nu.amplitudes), stage.K_s, stage.K_f, rng
-        )
+        assert abs(np.vdot(uniform[l], direct)) == pytest.approx(1.0, abs=1e-10)
+        passed, collapsed, p = ref.kraus_filter(_on_sender(nu), K_s, K_f, rng)
         if passed:
-            assert p == pytest.approx(1 - stage.p_fail, abs=1e-12)
-            assert ref.fidelity(collapsed[0, :, 0], uniform[l].amplitudes) == pytest.approx(
-                1.0, abs=1e-10)
+            assert p == pytest.approx(1 - p_fail, abs=1e-12)
+            assert ref.fidelity(collapsed[0, :, 0], uniform[l]) == pytest.approx(1.0, abs=1e-10)
         else:
-            assert p == pytest.approx(stage.p_fail, abs=1e-12)
+            assert p == pytest.approx(p_fail, abs=1e-12)
 
 
 def test_kraus_branch_probabilities_sum_to_one():
     rng = np.random.default_rng(10)
-    coeffs = np.sqrt([0.45, 0.35, 0.2])
-    stage = mc_stage(coeffs, 5)
+    plan = build_stage_plan(make_channel(5, np.sqrt([0.45, 0.35, 0.2])))
     for _ in range(10):
         psi = haar_random_state(5, rng)
-        p_s = np.linalg.norm(np.diag(stage.K_s) @ psi.amplitudes) ** 2
-        p_f = np.linalg.norm(np.diag(stage.K_f) @ psi.amplitudes) ** 2
+        p_s = np.linalg.norm(np.diag(plan.K_s[0]) @ psi.amplitudes) ** 2
+        p_f = np.linalg.norm(np.diag(plan.K_f[0]) @ psi.amplitudes) ** 2
         assert p_s + p_f == pytest.approx(1.0, abs=1e-10)
 
 
@@ -280,7 +265,7 @@ def test_haar_norm_and_first_moment():
     for _ in range(n):
         psi = haar_random_state(D, rng)
         acc += abs(psi.amplitudes[0]) ** 2
-    assert haar_random_state(D, rng).norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(haar_random_state(D, rng).amplitudes) == pytest.approx(1.0, abs=1e-12)
     # |c_0|^2 is Beta(1, D-1): mean 1/D, var (D-1)/(D^2 (D+1))
     sigma = np.sqrt((D - 1) / (D**2 * (D + 1)) / n)
     assert abs(acc / n - 1 / D) < 3 * sigma
@@ -330,7 +315,7 @@ def test_identity_channel_fidelity_is_one():
 def test_fidelity_examples():
     a, b = np.eye(4)[0], np.eye(4)[1]
     assert ref.fidelity(a, b) == 0.0
-    uniform = make_state([4], np.ones(4)).amplitudes
+    uniform = make_state(np.ones(4)).amplitudes
     assert ref.fidelity(a, uniform) == pytest.approx(0.25)
     with pytest.raises(ValueError):
         ref.fidelity(a, np.array([1, 0]))

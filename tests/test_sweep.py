@@ -6,8 +6,8 @@ distinct channel.  These tests pin it to the per-point reference: the
 full ``itertools.product`` walk for the points, and the scalar route for
 every value: the profile-level functions that the public ``f_me``,
 ``f_mc_conclusive``, ``stage_probabilities``, ``overall_fidelity`` and
-``f_me_after_fail`` wrap, ``confidence_at_stage`` and the stage plan's
-useful flags.
+``f_me_after_fail`` wrap, the surviving count over D for each stage's
+confidence, and the stage plan's useful flags.
 ``channel_report`` shares the array evaluator, so it is no independent
 reference; it is checked as the one-row case: batching rows of mixed tie
 patterns must not change any row's value.
@@ -28,7 +28,6 @@ from mcteleport import (
     build_stage_plan,
     channel_report,
     cli,
-    confidence_at_stage,
     f_clas,
     make_channel,
     multiplicity_profile,
@@ -91,7 +90,7 @@ def _scalar_quantities(D, point, tie_tol):
     for k in range(1, M + 1):
         values.update({
             f"F_mc_s{k}": float(f_mc[k - 1]),
-            f"f_mc_s{k}": confidence_at_stage(profile, D, k),
+            f"f_mc_s{k}": profile.support_size(k) / D,
             f"p_fail_s{k}": p_fail[k - 1], f"P_stage{k}": p_success[k - 1],
             f"P_smc_s{k}": float(cumulative[k - 1]), f"useful_s{k}": float(useful[k - 1]),
         })
