@@ -562,10 +562,10 @@ def cmd_verify(args) -> int:
     if args.trials < 1000:
         raise ValueError("verify needs at least 1000 trials")
     cfg = StrategyConfig(kind=KIND_SMC, k_max=args.k_max, fallback=args.fallback)
-    # _verify_rows enumerates the oracle's branches before it samples, so its
-    # D^3 guard (the largest allocation of a verify) and the stage plan reject
-    # an oversized D, rank-1 channels and an excess k_max before any trial is
-    # drawn; every later call reuses the cached plan and enumeration.
+    # _verify_rows enumerates the oracle's branches before it samples: the
+    # stage plan rejects rank-1 channels and an excess k_max, the runner's
+    # (D, D) guard (a verify's largest allocation) an oversized D, before any
+    # trial is drawn; every later call reuses the cached plan and enumeration.
     rows = _verify_rows(ch, cfg, args.trials, args.seed, args.workers, args.tie_tol)
     if args.self_test_corrupt:
         name, analytic, *rest = rows[0]

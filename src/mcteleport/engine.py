@@ -25,16 +25,15 @@ larger than (rows, D), at most ``BLOCK_ENTRIES`` entries.
 ``ProtocolRunner.run`` is the single-run reference, on the (D, D)
 diagonal of the register, and every ``monte_carlo`` call replays one
 trial through both and requires them to agree.
-``exact_average_fidelity`` enumerates every measurement branch as a
-linear operator on the input and sums, per branch set, the squared
-traces Q and the squared norms T of those operators; the Haar-averaged
-fidelity is (Q + T) / ((D + 1) T).  It involves no sampling and serves
-as the oracle the sampled statistics are checked against, read by the
-same labels.  It starts from the D filtered Schmidt weights, since the
-register after the controlled shift vanishes unless b = m, and gathers
-the D^3 entries of the rotated branch operators from one D x D table.
-The one enumeration, ``_branch_sets``, is cached, so every oracle row
-reads the same (Q, T) sets.
+``exact_average_fidelity`` treats every measurement branch as a linear
+operator on the input and sums, per branch set, the squared traces Q and
+the squared norms T of those operators; the Haar-averaged fidelity is
+(Q + T) / ((D + 1) T).  It involves no sampling and serves as the oracle
+the sampled statistics are checked against, read by the same labels.  It
+applies the plan's Kraus diagonals to the D Schmidt weights (the register
+after the controlled shift vanishes unless b = m) and reads each set's
+(Q, T) from their trace identity in O(D).  The one enumeration,
+``_branch_sets``, is cached, so every oracle row reads the same sets.
 
 The sampler and the oracle both take their stage operators from
 ``build_stage_plan``, which caches the last plan it built, so one plan
@@ -204,15 +203,20 @@ class ProtocolRunner:
         self._conclusive = np.array([True] * k + [cfg.kind != KIND_SMC])
         self._me = np.array([True] * k + [fallback == "me"])
         self._delivers = np.array([True] * k + [fallback != "discard"])
+        # Every readout, and the oracle's trace identity, rests on
+        # phases[l, s] F^+[l, s] = 1/sqrt(D) (4.5e-16 off at most for D <= 1024).
+        finv, rot, phases = _tables(D)[:3]
+        deviation = float(np.abs(np.sqrt(D) * phases * finv - 1).max())
+        if not deviation <= 1e-12:
+            raise AssertionError(f"the correction phases and F^+ disagree at D={D}: "
+                                 f"|sqrt(D) phases F^+ - 1| reaches {deviation:.3g}")
         # Each class's sender-outcome distribution and its running sum.
-        self._probs1 = np.where(self._me[:, None], self._w2 @ _tables(D)[1].T, self._w2)
+        self._probs1 = np.where(self._me[:, None], self._w2 @ rot.T, self._w2)
         self._cum1 = np.cumsum(self._probs1, axis=1)
 
     @staticmethod
     def _sample_axis(probs: np.ndarray, rng: np.random.Generator) -> int:
-        cum = np.cumsum(probs)
-        outcome = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        return min(outcome, probs.size - 1)
+        return int(_sample_shared(np.cumsum(probs), rng.random()))
 
     def run(self, input_state: QuditState, rng: np.random.Generator) -> TeleportRecord:
         amps = input_state.amplitudes
@@ -596,19 +600,12 @@ def _branch_sums(w: np.ndarray, rotate: bool) -> tuple[float, float]:
     w[s] at b = s, j = (s - i) mod D, else 0.  With ``rotate`` the readout
     is the minimum-error one, R_lk = (F^+ t)[:, l, k] with F^+ acting on s
     and C_lk = X^-k Z^l; without it (``guess``) R_lk = t[:, l, k] and
-    C_lk = X^-k.  As tr(C_lk R_lk) = sum_i phases[l, i + k] R_lk[i + k, i],
-    the rotation and trace sum need only diag[k, i, s], which is w[s] at
-    s = (i + k) mod D and 0 elsewhere; T is the squared norm of those D^2
-    entries, since C_lk and F^+ are unitary.  Rotated, entry [k, i, n] is
-    w[s] F^+[n, s] phases[s, n]: row s of one D x D table, gathered
-    through ``shifts`` and summed over i.
+    C_lk = X^-k.  tr(C_lk R_lk) is the sum of w[s] phases[l, s] F^+[l, s] =
+    w[s] / sqrt(D) over s, or w[l]: Q = D (sum w)^2, or D sum w^2, and
+    T = D sum w^2, as C_lk and F^+ are unitary.
     """
-    D = w.size
-    finv, _, phases, _, shifts = _tables(D)
-    gathered = w[shifts]
-    table = w[:, None] * finv.T * phases if rotate else np.diag(w)
-    traces = table[shifts].sum(axis=1)
-    return float(np.vdot(traces, traces).real), float(np.vdot(gathered, gathered))
+    D, norm = w.size, float(w @ w)
+    return (D * float(w.sum()) ** 2 if rotate else D * norm), D * norm
 
 
 def _set_labels(cfg: StrategyConfig) -> tuple[str, ...]:
@@ -637,7 +634,6 @@ def _branch_sets(
     tolerance) and returned read-only; errors are not cached.
     """
     D = channel.D
-    check_allocation(f"the (D, D, D) branch enumeration at D={D}", 16 * D**3)
     w = np.pad(channel.coeffs, (0, D - channel.N))
     sums = []
     for ks, kf in _stage_filters(channel, cfg, tie_tolerance):

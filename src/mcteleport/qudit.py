@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # Largest array, in bytes, a command may allocate.  A run holds only (D, D)
-# arrays; the largest array at a given D is the oracle's complex (D, D, D)
-# branch enumeration, which fits up to D = 203.
+# arrays and the oracle length-D ones; the runner's guard counts eight
+# complex (D, D) arrays, which fit up to D = 1024.
 MAX_ARRAY_BYTES = 2**27
 
 
@@ -37,19 +37,23 @@ class QuditState:
 
 
 def make_state(amplitudes) -> QuditState:
-    """Build a normalized single-qudit state from raw amplitudes, D being
-    their count.
+    """Normalized single-qudit state from a 1-D sequence of raw amplitudes.
 
-    Raises ValueError if there are fewer than two amplitudes or the vector
-    is (numerically) zero.
+    Raises ValueError if the input is not 1-D, has fewer than two
+    amplitudes, holds a NaN or an infinity, or is (numerically) zero.
     """
-    amps = np.asarray(amplitudes, dtype=complex).ravel()
-    if amps.size < 2:
-        raise ValueError(f"a qudit needs at least 2 amplitudes, got {amps.size}")
-    norm = np.linalg.norm(amps)
-    if norm < 1e-12:
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.ndim != 1 or amps.size < 2:
+        raise ValueError(f"a qudit needs at least 2 amplitudes in 1-D, got shape {amps.shape}")
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
+    # Divided by the largest real or imaginary part first, so nothing overflows.
+    scale = float(max(np.abs(amps.real).max(), np.abs(amps.imag).max()))
+    unit = amps / (scale or 1.0)
+    norm = float(np.linalg.norm(unit))
+    if scale * norm < 1e-12:
         raise ValueError("cannot normalize a zero state vector")
-    return QuditState(amps / norm)
+    return QuditState(unit / norm)
 
 
 def check_allocation(what: str, nbytes: int) -> None:

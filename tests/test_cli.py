@@ -279,24 +279,18 @@ def test_verify_corrupt_mode_fails(capsys):
 @pytest.mark.parametrize("table", [0, 2], ids=["finv", "phases"])
 def test_verify_fails_on_a_conjugated_fourier_or_phase_table(capsys, monkeypatch, table,
                                                               fallback):
-    # F^+ and the correction phases feed the oracle and the single run but
-    # not the block kernel, whose fidelity reads neither.  The replayed trial
-    # catches the fault first; without that check the oracle rows fail while
-    # the sampled means stay in band around the analytic values.
+    # F^+ and the correction phases feed the single run but not the block
+    # kernel or the oracle, which both rely on phases F^+ = 1/sqrt(D); the
+    # runner checks that before any trial.
     from mcteleport import engine
 
     monkeypatch.setattr(engine, "_tables", conjugated_tables(table))
-    argv = ("verify", "--D", "4", "--coeffs", "0.5,0.3,0.2", "--squared",
-            "--trials", "1000", "--k-max", "2", "--fallback", fallback)
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 2 and "replayed trial disagrees" in err
-    monkeypatch.setattr(engine, "_replay_check", lambda *args: None)
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 2
-    fidelity_rows = [line for line in out.splitlines() if line.startswith(("F_", "overall"))]
-    assert len(fidelity_rows) == 3
-    assert all(line.endswith("FAIL oracle!=analytic") for line in fidelity_rows)
-    assert "empirical out of band" not in out
+    code, out, err = run_cli(capsys, "verify", "--D", "4", "--coeffs", "0.5,0.3,0.2",
+                             "--squared", "--trials", "1000", "--k-max", "2",
+                             "--fallback", fallback)
+    assert code == 2 and out == ""
+    assert err.startswith("error: internal cross-check failed: the correction phases "
+                          "and F^+ disagree at D=4")
 
 
 SPARSE_STAGE1 = (
@@ -512,7 +506,7 @@ def test_verify_band_never_falls_below_the_oracle_tolerance(capsys, monkeypatch)
 
 @pytest.mark.parametrize("argv,what", [
     (("verify", "--D", "3000", "--coeffs", "0.6,0.8", "--trials", "1000"),
-     "the (D, D, D) branch enumeration at D=3000 would need 411,988 MiB"),
+     "the (D, D) arrays of a single run at D=3000 would need 1,099 MiB"),
     (("plan", "--D", "100000000", "--coeffs", "0.6,0.8"),
      "the Kraus diagonals of 1 stage(s) at D=100000000 would need 1,526 MiB"),
     (("verify", "--D", "4", "--coeffs", "0.6,0.8", "--trials", str(2**24 + 1)),
@@ -534,7 +528,7 @@ def test_oversized_dimension_is_a_usage_error_before_allocating(capsys, argv, wh
 def test_report_and_verify_still_run_at_large_dimension(capsys):
     code, out, _ = run_cli(capsys, "report", "--D", "100000000", "--coeffs", "0.6,0.8")
     assert code == 0 and "stage 1:" in out
-    code, out, _ = run_cli(capsys, "verify", "--D", "128", "--coeffs", "0.6,0.8",
+    code, out, _ = run_cli(capsys, "verify", "--D", "1024", "--coeffs", "0.6,0.8",
                            "--trials", "1000")
     assert code == 0 and "verdict: PASS" in out
 

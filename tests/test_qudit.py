@@ -20,6 +20,9 @@ def test_make_state_basis():
 def test_make_state_normalizes():
     s = make_state([1, 1, 1])
     np.testing.assert_allclose(s.amplitudes, np.full(3, 1 / np.sqrt(3)))
+    # Amplitudes whose squared norm overflows (once the zero vector).
+    s = make_state([1e308, 1e308])
+    np.testing.assert_allclose(s.amplitudes, np.full(2, 1 / np.sqrt(2)))
 
 
 def test_make_state_bell_normalization():
@@ -34,6 +37,12 @@ def test_make_state_rejects_bad_input():
     for amplitudes in ([1], []):
         with pytest.raises(ValueError, match="a qudit needs at least 2 amplitudes"):
             make_state(amplitudes)
+    # NaN and inf once gave NaN amplitudes; a matrix flattened to D = 4.
+    for amplitudes in ([np.inf, 1], [np.nan, 1]):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            make_state(amplitudes)
+    with pytest.raises(ValueError, match=re.escape("in 1-D, got shape (2, 2)")):
+        make_state([[1, 0], [0, 1]])
 
 
 @pytest.mark.parametrize("name, call", [
