@@ -6,35 +6,43 @@ propagate consistently between these formulas and the simulated operators.
 Quantities named ``F_*`` are average teleportation fidelities; the
 corresponding singlet fractions are recovered as (F*(D+1) - 1)/D.
 
-The public per-quantity functions (``f_me``, ``stage_probabilities``, ...)
-are scalar.  Reports come from one array evaluator, ``_pattern_block``,
+Every closed form comes from one array evaluator, ``_pattern_block``,
 which assembles every field for a block of channels sharing a tie pattern
 and asserts the identities between them: ``report_blocks`` feeds it the
 distinct channels among sweep points, ``channel_report`` one channel as a
-one-row block.  It performs the scalar functions' floating-point
-operations, and the tests hold the two to bit-for-bit equality.  It
-calls ufuncs and ndarray methods, not the NumPy wrappers (``np.sum``,
-``np.diff``, ...) that only dispatch to them: the operands and their
-order are the same, and so are the bits.
+one-row block.  The per-quantity functions (``f_me``,
+``stage_probabilities``, ``overall_fidelity``, ...) read the cached
+``channel_report``; ``overall_fidelity`` adds, for the ``me`` fallback
+after k > 1 stages, the failure-family sum the evaluator forms at depth 1.
+The tests hold every field to a 60-digit reference, the printed output
+to recorded digests, and the values to the exact branch enumeration of
+``engine``.  The evaluator calls ufuncs and ndarray methods, not the
+NumPy wrappers (``np.sum``, ``np.diff``, ...) that only dispatch to them:
+the operands and their order are the same, and so are the bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import prod
 
 import numpy as np
 
 from .channels import (
     DEFAULT_TIE_TOL,
     NORMALIZATION_SLACK,
-    MultiplicityProfile,
     SchmidtChannel,
     check_tie_tolerance,
     multiplicity_profile,
 )
-from .discrimination import KIND_DETERMINISTIC, USEFUL_MARGIN, StrategyConfig
+from .discrimination import KIND_DETERMINISTIC, StrategyConfig
 
 IDENTITY_ATOL = 1e-12
+
+# Strict margin for "stage k beats the deterministic protocol" comparisons;
+# keeps exactly-equal coefficient sets on the not-useful side of the fence.
+USEFUL_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,18 +74,10 @@ class ChannelReport:
     overall_smc: float
 
 
-def _sum_amplitudes(profile: MultiplicityProfile) -> float:
-    return float(np.sum(profile.values * profile.multiplicities))
-
-
 def f_me(ch: SchmidtChannel, tie_tolerance: float = DEFAULT_TIE_TOL) -> float:
     """Average fidelity of the optimal deterministic protocol,
     (1 + (sum_m a_m)^2) / (D + 1)."""
-    return _f_me(multiplicity_profile(ch, tie_tolerance), ch.D)
-
-
-def _f_me(profile: MultiplicityProfile, D: int) -> float:
-    return (1.0 + _sum_amplitudes(profile) ** 2) / (D + 1)
+    return channel_report(ch, tie_tolerance).F_me
 
 
 def f_clas(D: int) -> float:
@@ -87,109 +87,37 @@ def f_clas(D: int) -> float:
     return 2.0 / (D + 1)
 
 
-def _stage_cascade(profile: MultiplicityProfile):
-    """Per-stage probabilities of the filtering cascade.
-
-    Stage k consumes the k-th smallest coefficient group; its success
-    probability telescopes to n_k * (v_k^2 - v_{k-1}^2) where n_k counts
-    the surviving coefficients.  Returns (p_fail, p_success, cumulative,
-    survival) arrays of length M; ``survival[k - 1]`` is the probability
-    that stages 1..k all fail.
-    """
-    M = profile.M
-    p_success = profile.support[:M] * np.diff(profile.values[:M] ** 2, prepend=0.0)
-    p_fail = np.empty(M)
-    survival = np.empty(M)
-    prod = 1.0
-    for k, p in enumerate(p_success.tolist()):
-        q = 1.0 - p / prod if prod > 0 else 0.0
-        q = min(max(q, 0.0), 1.0)  # the terminal stage lands at -1e-16-ish
-        p_fail[k] = q
-        prod *= q
-        survival[k] = prod
-    return p_fail, p_success, np.cumsum(p_success), survival
-
-
 def f_mc_conclusive(
     ch: SchmidtChannel, k: int, tie_tolerance: float = DEFAULT_TIE_TOL
 ) -> float:
-    """Average fidelity given a conclusive outcome at stage k.
-
-    Computed two ways -- directly as (1 + n_k)/(D + 1) from the count n_k
-    of coefficients surviving into stage k, and by recursion from stage 1
-    subtracting each consumed multiplicity -- and checked to agree.
-    """
-    profile = multiplicity_profile(ch, tie_tolerance)
-    if not 1 <= k <= profile.M:
-        raise ValueError(f"stage {k} out of range 1..{profile.M}")
-    return float(_f_mc_stages(profile, ch.D)[k - 1])
-
-
-def _f_mc_stages(profile: MultiplicityProfile, D: int) -> np.ndarray:
-    """Conclusive fidelity of every stage 1..M."""
-    M = profile.M
-    direct = (1.0 + profile.support[:M]) / (D + 1)
-    # Stage k's value less each multiplicity consumed before it, in turn.
-    recursive = np.subtract.accumulate(np.concatenate((
-        [(1.0 + profile.N) / (D + 1)], profile.multiplicities[: M - 1] / (D + 1))))
-    bad = np.flatnonzero(np.abs(direct - recursive) > IDENTITY_ATOL)
-    if bad.size:
-        raise AssertionError(
-            f"stage-fidelity forms disagree: {float(direct[bad[0]])!r} "
-            f"vs {float(recursive[bad[0]])!r}"
-        )
-    return direct
-
-
-def _failure_family_sum(
-    profile: MultiplicityProfile, depth: int, survival: np.ndarray
-) -> float | None:
-    """Sum of the failure-family coefficients after ``depth`` >= 1 failed
-    stages, or None when that branch has no probability mass."""
-    prod = survival[depth - 1]
-    if prod <= 0 or depth >= profile.d:
-        return None
-    v_sq = profile.values**2
-    tail_v = np.sqrt((v_sq[depth:] - v_sq[depth - 1]) / prod)
-    return float(np.sum(tail_v * profile.multiplicities[depth:]))
+    """Average fidelity given a conclusive outcome at stage k, (1 + n_k)/(D + 1)
+    with n_k the count of coefficients surviving into stage k; the report
+    checks it against the recursion from stage 1 that subtracts each
+    consumed multiplicity."""
+    rep = channel_report(ch, tie_tolerance)
+    if not 1 <= k <= rep.M:
+        raise ValueError(f"stage {k} out of range 1..{rep.M}")
+    return rep.F_mc_s[k - 1]
 
 
 def f_me_after_fail(ch: SchmidtChannel, tie_tolerance: float = DEFAULT_TIE_TOL) -> float:
     """Average fidelity of the minimum-error completion after one failed
     filter stage: the deterministic formula applied to the failure-family
     coefficients.  Undefined (error) when all coefficients are equal."""
-    profile = multiplicity_profile(ch, tie_tolerance)
-    return _f_me_after_fail(profile, ch.D, _stage_cascade(profile))
-
-
-def _f_me_after_fail(profile: MultiplicityProfile, D: int, cascade) -> float:
-    _require_failure_branch(profile)
-    _, _, _, survival = cascade
-    s = _failure_family_sum(profile, 1, survival)
-    value = (1.0 + s**2) / (D + 1)
-    (check,), (budget,) = _f_me_after_fail_double_sums(
-        profile.values[None], profile.multiplicities, D)
-    if not abs(value - check) <= budget:
-        raise AssertionError(
-            f"failure-fidelity forms disagree: {value!r} vs {float(check)!r}"
-        )
-    return value
-
-
-def _require_failure_branch(profile: MultiplicityProfile) -> None:
-    if profile.d < 2:
+    value = channel_report(ch, tie_tolerance).F_me_after_fail
+    if value is None:
         raise ValueError("all coefficients are equal: the filter cannot fail")
+    return value
 
 
 def stage_probabilities(
     ch: SchmidtChannel, k: int, tie_tolerance: float = DEFAULT_TIE_TOL
 ) -> tuple[np.ndarray, float]:
     """Success probability of each stage 1..k and their cumulative total."""
-    profile = multiplicity_profile(ch, tie_tolerance)
-    if not 1 <= k <= profile.M:
-        raise ValueError(f"stage {k} out of range 1..{profile.M}")
-    _, p_success, cumulative, _ = _stage_cascade(profile)
-    return p_success[:k].copy(), float(cumulative[k - 1])
+    rep = channel_report(ch, tie_tolerance)
+    if not 1 <= k <= rep.M:
+        raise ValueError(f"stage {k} out of range 1..{rep.M}")
+    return np.array(rep.p_success[:k]), rep.P_smc[k - 1]
 
 
 def overall_fidelity(
@@ -204,34 +132,31 @@ def overall_fidelity(
     attempts deliver nothing), so the value is conditioned on success;
     pair it with the overall success probability when reporting.
     """
-    profile = multiplicity_profile(ch, tie_tolerance)
-    return _overall_fidelity(profile, ch.D, cfg, _stage_cascade(profile))
-
-
-def _overall_fidelity(
-    profile: MultiplicityProfile, D: int, cfg: StrategyConfig, cascade
-) -> float:
+    rep = channel_report(ch, tie_tolerance)
     if cfg.kind == KIND_DETERMINISTIC:
-        return _f_me(profile, D)
-    if not 1 <= cfg.k_max <= profile.M:
-        raise ValueError(f"k_max={cfg.k_max} out of range 1..{profile.M}")
-    _, p_success, cumulative, survival = cascade
-    fid = (1.0 + profile.support[: cfg.k_max]) / (D + 1)
-    base = float(np.dot(p_success[: cfg.k_max], fid))
-    residual = 1.0 - float(cumulative[cfg.k_max - 1])
-    residual = max(residual, 0.0)
+        return rep.F_me
+    k = cfg.k_max
+    if not 1 <= k <= rep.M:
+        raise ValueError(f"k_max={k} out of range 1..{rep.M}")
+    base = float(np.dot(rep.p_success[:k], rep.F_mc_s[:k]))
     if cfg.fallback == "discard":
-        return base / float(cumulative[cfg.k_max - 1])
+        return base / rep.P_smc[k - 1]
+    residual = max(1.0 - rep.P_smc[k - 1], 0.0)
     if residual < 1e-15:
         return base
     if cfg.fallback == "guess":
-        return base + residual * f_clas(D)
-    s = _failure_family_sum(profile, cfg.k_max, survival)
-    if s is None:
+        return base + residual * rep.F_clas
+    # The minimum-error completion on the family left after k failed stages.
+    survival = prod(rep.p_fail[:k])
+    if survival <= 0 or k >= rep.d:
         return base
-    return base + residual * (1.0 + s**2) / (D + 1)
+    profile = multiplicity_profile(ch, tie_tolerance)
+    (s,) = _failure_family_sums(profile.values[None] ** 2, profile.multiplicities, k,
+                                np.array([survival])).tolist()
+    return base + residual * (1.0 + s**2) / (rep.D + 1)
 
 
+@lru_cache(maxsize=1)
 def channel_report(
     ch: SchmidtChannel, tie_tolerance: float = DEFAULT_TIE_TOL
 ) -> ChannelReport:
@@ -239,7 +164,12 @@ def channel_report(
     identities that tie them together: the one-row case of
     :func:`report_blocks`.  ``make_channel`` has already validated, sorted
     and normalised the coefficients, so their ascending row goes straight
-    to the per-pattern evaluator."""
+    to the per-pattern evaluator.
+
+    The last report is cached (it is immutable), keyed by the channel's
+    identity and the tie tolerance as passed, so the per-quantity
+    functions above, which read it, evaluate a channel once; errors are
+    not cached."""
     check_tie_tolerance(tie_tolerance)
     D = ch.D
     if ch.N == 1:
@@ -357,8 +287,8 @@ def _pattern_block(D, amps, gaps, points, rows) -> ReportBlock:
     ``gaps``, and every identity that ties them together, asserted on each
     row; a failure names the failing row of ``points``.  Within the pattern
     every quantity is column arithmetic on the (P, d) group values; only
-    the survival recurrence loops, over the M stages.  The comments name
-    the scalar function each step matches bit for bit."""
+    the survival recurrence loops, over the M stages.  The one-row case is
+    :func:`channel_report`, which the per-quantity functions read."""
     amps, points = amps[rows], points[rows]
     P, N = amps.shape
     edges = np.array([0, *(gaps.nonzero()[0] + 1).tolist(), N])
@@ -369,7 +299,7 @@ def _pattern_block(D, amps, gaps, points, rows) -> ReportBlock:
     # group_coefficients: root mean square of each group's members; a lone
     # member's mean is its own square.  take keeps rows contiguous
     # (a[:, idx] is column-major), so each row sum below adds pairwise, as
-    # the scalar route does, for any P; a column-major block of P > 1 rows
+    # a one-row block does, for any P; a column-major block of P > 1 rows
     # adds left to right, off in the last bit from 8 terms on.
     sq = amps**2
     values = np.sqrt(sq.take(edges[:-1], axis=1))
@@ -377,28 +307,31 @@ def _pattern_block(D, amps, gaps, points, rows) -> ReportBlock:
         a, b = edges[j], edges[j + 1]
         values[:, j] = np.sqrt(np.add.reduce(sq[:, a:b], axis=1) / (b - a))
     v_sq = values**2
-    # _f_me squares the Python float sum with pow(), which can differ from
-    # x*x by an ulp; float_power calls the same pow().
+    # float_power squares with pow(), as Python's float ** 2 does; x*x can
+    # differ by an ulp.
     sum_a_sq = np.float_power(np.add.reduce(values * mults, axis=1), 2)
     F_me = (1.0 + sum_a_sq) / (D + 1)
     f_me = sum_a_sq / D
     F_clas = f_clas(D)
 
-    # _stage_cascade; chain[k] is the probability that stages 1..k all fail.
+    # Stage k consumes the k-th smallest group: its success probability
+    # telescopes to n_k (v_k^2 - v_{k-1}^2), n_k the surviving count.
+    # chain[k] is the probability that stages 1..k all fail.
     p_success = v_sq[:, :M].copy()  # np.diff of (0, v_1^2, ..., v_M^2)
     p_success[:, 1:] -= v_sq[:, : M - 1]
     p_success *= support
     p_fail, chain = np.empty((M, P)), np.empty((M + 1, P))  # p_fail[k - 1] is stage k's
-    chain[0] = prod = 1.0
+    chain[0] = alive = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for k, p in enumerate(p_success.T):
-            # Once a branch is dead (prod == 0) the quotient is inf or nan,
-            # and both clamp to the scalar path's 0.
-            p_fail[k] = q = np.minimum(np.fmax(1.0 - p / prod, 0.0), 1.0)
-            chain[k + 1] = prod = prod * q
+            # Once a branch is dead (alive == 0) the quotient is inf or nan,
+            # and both clamp to 0; the terminal stage lands at -1e-16-ish.
+            p_fail[k] = q = np.minimum(np.fmax(1.0 - p / alive, 0.0), 1.0)
+            chain[k + 1] = alive = alive * q
     cumulative = p_success.cumsum(axis=1)
 
-    # _f_mc_stages
+    # Conclusive fidelity of every stage, directly and by recursion from
+    # stage 1, subtracting each consumed multiplicity.
     F_mc = (1.0 + support) / (D + 1)
     recursive = np.subtract.accumulate(np.concatenate(([(1.0 + N) / (D + 1)],
                                                        mults[: M - 1] / (D + 1))))
@@ -411,19 +344,18 @@ def _pattern_block(D, amps, gaps, points, rows) -> ReportBlock:
     margin = support - sum_a_sq[:, None]
     useful = margin > USEFUL_MARGIN
 
-    # _overall_fidelity, full cascade with the guess fallback
+    # The full cascade with the guess fallback.
     base = np.vecdot(p_success, F_mc)
     residual = np.maximum(1.0 - cumulative[:, M - 1], 0.0)
     overall_smc = np.where(residual < 1e-15, base, base + residual * F_clas)
 
-    # _overall_fidelity, one stage with the me fallback, and _f_me_after_fail:
-    # both need the failure family after stage 1 (_failure_family_sum).
+    # One stage with the me fallback, and F_me_after_fail: both need the
+    # failure family after stage 1.
     base = np.vecdot(p_success[:, :1], F_mc[:1])
     residual = np.maximum(1.0 - cumulative[:, 0], 0.0)
     if d >= 2:
         live = chain[1] > 0
-        tail = np.sqrt((v_sq[:, 1:] - v_sq[:, :1]) / np.where(live, chain[1], 1.0)[:, None])
-        s_sq = np.float_power(np.where(live, np.add.reduce(tail * mults[1:], axis=1), np.nan), 2)
+        s_sq = np.float_power(_failure_family_sums(v_sq, mults, 1, chain[1]), 2)
         F_fail = (1.0 + s_sq) / (D + 1)
         check, budget = _f_me_after_fail_double_sums(values, mults, D)
         _require_rows(np.abs(F_fail - check) <= budget,
@@ -461,6 +393,18 @@ def _pattern_block(D, amps, gaps, points, rows) -> ReportBlock:
         P_smc=cumulative, useful=useful, F_me_after_fail=F_fail,
         overall_me=overall_me, overall_smc=overall_smc,
     )
+
+
+def _failure_family_sums(v_sq, mults, depth, survival) -> np.ndarray:
+    """The sum of the failure-family coefficients after ``depth`` >= 1
+    failed stages, sqrt((v_m^2 - v_depth^2) / survival) over the groups
+    m > depth, for each row of squared group values ``v_sq`` (shape (P, d),
+    d > depth) with multiplicities ``mults``; NaN where ``survival`` (P,),
+    the probability that stages 1..depth all fail, is 0."""
+    live = survival > 0
+    tail = np.sqrt((v_sq[:, depth:] - v_sq[:, depth - 1:depth])
+                   / np.where(live, survival, 1.0)[:, None])
+    return np.where(live, np.add.reduce(tail * mults[depth:], axis=1), np.nan)
 
 
 def _f_me_after_fail_double_sums(values, mults, D) -> tuple[np.ndarray, np.ndarray]:

@@ -81,10 +81,6 @@ class MultiplicityProfile:
         counts.setflags(write=False)
         return counts
 
-    def support_size(self, k: int) -> int:
-        """Number of coefficients still alive entering stage k (1-based)."""
-        return int(self.support[k - 1])
-
 
 def _validated_coeffs(coeffs, D: int) -> np.ndarray:
     arr = np.asarray(coeffs, dtype=float).ravel()

@@ -268,21 +268,6 @@ def _emit_csv(fh, metadata: list[str], header: list[str], blocks: list[str]) -> 
     fh.writelines((head, *blocks))
 
 
-def parse_csv(text: str) -> tuple[list[str], list[str], list[list[str]]]:
-    """Inverse of the CSV writer: (metadata, header, rows)."""
-    metadata: list[str] = []
-    header: list[str] = []
-    rows: list[list[str]] = []
-    for line in text.splitlines():
-        if line.startswith("#"):
-            metadata.append(line[1:].strip())
-        elif not header:
-            header = line.split(",")
-        elif line:
-            rows.append(line.split(","))
-    return metadata, header, rows
-
-
 # ---------------------------------------------------------------------------
 # Sweep grid
 
@@ -496,7 +481,7 @@ def cmd_plan(args) -> int:
           f"F_me={_fmt(rep.F_me)} F_clas={_fmt(rep.F_clas)}")
     print(f"{'stage':>5} {'p_fail':>10} {'F_conclusive':>13} {'confidence':>11} "
           f"{'useful':>6} {'P_cumulative':>13} {'bits':>5} {'ancillas':>8}")
-    stages = zip(plan.p_fail.tolist(), rep.F_mc_s, rep.f_mc_s, plan.useful_flags, rep.P_smc)
+    stages = zip(plan.p_fail.tolist(), rep.F_mc_s, rep.f_mc_s, rep.useful, rep.P_smc)
     for k, (p_fail, F_mc, f_mc, useful, P_smc) in enumerate(stages, 1):
         print(f"{k:>5} {p_fail:>10.6g} {F_mc:>13.6g} {f_mc:>11.6g} "
               f"{'yes' if useful else 'no':>6} {P_smc:>13.6g} {bits_base + k:>5} {k:>8}")

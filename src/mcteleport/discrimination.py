@@ -27,10 +27,6 @@ KIND_DETERMINISTIC = "deterministic-me"
 KIND_SMC = "mc-smc"
 FALLBACKS = ("discard", "me", "guess")
 
-# Strict margin for "stage k beats the deterministic protocol" comparisons;
-# keeps exactly-equal coefficient sets on the not-useful side of the fence.
-USEFUL_MARGIN = 1e-12
-
 # Tolerance of the completeness check K_s^2 + K_f^2 = 1 of a Kraus pair.
 KRAUS_ATOL = 1e-10
 
@@ -67,7 +63,7 @@ class StrategyConfig:
 
 @dataclass(frozen=True, eq=False)
 class StagePlan:
-    """The full filtering cascade a channel admits, plus usefulness flags.
+    """The full filtering cascade a channel admits.
 
     Row k - 1 of the read-only (M, D) arrays ``K_s`` and ``K_f`` holds
     stage k's Kraus diagonals and ``p_fail[k - 1]`` its failure
@@ -81,7 +77,6 @@ class StagePlan:
     p_fail: np.ndarray
     families: np.ndarray
     support: np.ndarray
-    useful_flags: tuple[bool, ...]
 
     @property
     def M(self) -> int:
@@ -98,20 +93,17 @@ def build_stage_plan(
     and the oracle calls of one ``verify`` share one build; errors are not.
 
     The family entering stage k is sqrt(a_m^2 - v^2), normalized, over the
-    ``support_size(k)`` largest snapped coefficients, v being the largest
+    ``support[k - 1]`` largest snapped coefficients, v being the largest
     group value consumed before stage k (0 at stage 1); it is also the
     failure family of stage k - 1.  Every family is a row of one (d, N)
     array and the Kraus diagonals are rows of (M, D) arrays, which the plan
-    keeps.  Stage k is useful when a conclusive outcome there
-    beats the deterministic protocol, i.e. when the surviving coefficient
-    count exceeds (sum_m a_m)^2 strictly.
+    keeps.
     """
     if ch.N < 2:
         raise ValueError("rank-1 channels admit no discrimination stages")
     profile = multiplicity_profile(ch, tie_tolerance)
     M, d = profile.M, profile.d
     check_allocation(f"the Kraus diagonals of {M} stage(s) at D={ch.D}", 16 * M * ch.D)
-    sum_a = float(np.add.reduce(profile.values * profile.multiplicities))
 
     # Row k - 1 of each array is stage k's; family rows are zero past
     # their support, and K_s is 0 (so K_f is 1) off it.  One norm per
@@ -135,5 +127,4 @@ def build_stage_plan(
         p_fail[-1] = 0.0  # a terminal stage cannot fail
     for arr in (families, K_s, K_f, p_fail):
         arr.setflags(write=False)
-    useful = tuple((support[:M] - sum_a**2 > USEFUL_MARGIN).tolist())
-    return StagePlan(K_s, K_f, p_fail, families, support, useful)
+    return StagePlan(K_s, K_f, p_fail, families, support)

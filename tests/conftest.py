@@ -2,13 +2,24 @@
 profile: every property test draws the same examples on every run."""
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from mcteleport import SchmidtChannel, engine, make_channel
+from mcteleport import SchmidtChannel, analytics, engine, make_channel
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture
+def fresh_reports():
+    """``channel_report``'s one-entry cache, cleared before and after the
+    test: a test that patches the evaluator's internals neither reads a
+    report built without its patch nor leaves one built with it."""
+    analytics.channel_report.cache_clear()
+    yield
+    analytics.channel_report.cache_clear()
 
 
 def random_channel(rng, D=None, N=None, min_sq=0.01) -> SchmidtChannel:

@@ -15,7 +15,7 @@ which the float coefficients miss by a few ulps.
 
 from decimal import Decimal, localcontext
 
-from mcteleport.discrimination import USEFUL_MARGIN
+from mcteleport.analytics import USEFUL_MARGIN
 
 DIGITS = 60
 FALLBACKS = ("me", "guess", "discard")

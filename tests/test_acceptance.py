@@ -170,7 +170,7 @@ def test_criterion_8_useful_stage_consistency(grid_reports):
         prof = multiplicity_profile(make_channel(4, np.sqrt(squared)))
         sum_a = float(np.sum(prof.values * prof.multiplicities))
         for k in range(1, rep.M + 1):
-            margin = prof.support_size(k) - sum_a**2
+            margin = prof.support[k - 1] - sum_a**2
             identity = (rep.F_mc_s[k - 1] - rep.F_me) * (rep.D + 1) - margin
             ok &= abs(identity) <= 1e-12
             if margin > 1e-12:
@@ -191,7 +191,7 @@ def test_criterion_9_fidelity_confidence_identity(grid_reports):
         ))
         for k in range(1, rep.M + 1):
             worst = max(worst, abs(
-                (rep.F_mc_s[k - 1] * 5 - 1) / 4 - prof.support_size(k) / 4
+                (rep.F_mc_s[k - 1] * 5 - 1) / 4 - prof.support[k - 1] / 4
             ))
     _verdict(9, worst <= 1e-12,
              f"fidelity-confidence identity on the grid (dev {worst:.2e})")

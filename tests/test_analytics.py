@@ -1,11 +1,12 @@
 import ast
+import re
 from dataclasses import fields
 from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mcteleport.analytics
@@ -26,7 +27,8 @@ from mcteleport import (
     overall_fidelity,
     stage_probabilities,
 )
-from mcteleport.discrimination import USEFUL_MARGIN
+from mcteleport.cli import main
+from mcteleport.analytics import USEFUL_MARGIN
 
 EXAMPLE = make_channel(4, np.sqrt([0.5, 0.3, 0.2]))
 
@@ -294,7 +296,7 @@ def test_report_singlet_fraction_identities():
         )
         for k in range(1, rep.M + 1):
             assert (rep.F_mc_s[k - 1] * (ch.D + 1) - 1) / ch.D == pytest.approx(
-                prof.support_size(k) / ch.D, abs=1e-12
+                prof.support[k - 1] / ch.D, abs=1e-12
             )
 
 
@@ -316,37 +318,6 @@ def test_report_stage1_dominates_deterministic():
     for _ in range(100):
         rep = channel_report(random_channel(rng))
         assert rep.F_mc_s[0] >= rep.F_me - 1e-12
-
-
-def test_report_useful_flags_agree_with_stage_plan():
-    from mcteleport import build_stage_plan
-
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        ch = random_channel(rng)
-        assert channel_report(ch).useful == build_stage_plan(ch).useful_flags
-
-
-# D up to 32, so groups of 8 or more coefficients occur, whose sums the
-# evaluator and the scalar route must both add pairwise; at tie tolerance 0
-# the near ties of tied_channels are groups of their own.
-@settings(max_examples=400)
-@given(tied_channels(max_D=32), st.sampled_from([DEFAULT_TIE_TOL, 0.0, 1e-7]))
-def test_report_fields_equal_public_functions_bit_for_bit(ch, tol):
-    rep = channel_report(ch, tol)
-    assert rep.F_me == f_me(ch, tol)
-    for k in range(1, rep.M + 1):
-        assert rep.F_mc_s[k - 1] == f_mc_conclusive(ch, k, tol)
-        p, total = stage_probabilities(ch, k, tol)
-        assert tuple(p.tolist()) == rep.p_success[:k]
-        assert total == rep.P_smc[k - 1]
-    if rep.M >= 1:
-        me = StrategyConfig(kind="mc-smc", k_max=1, fallback="me")
-        guess = StrategyConfig(kind="mc-smc", k_max=rep.M, fallback="guess")
-        assert rep.overall_me == overall_fidelity(ch, me, tol)
-        assert rep.overall_smc == overall_fidelity(ch, guess, tol)
-    if rep.d >= 2:
-        assert rep.F_me_after_fail == f_me_after_fail(ch, tol)
 
 
 # Every field of a report must lie within IDENTITY_ATOL of the 60-digit
@@ -397,10 +368,19 @@ def _reference_checks(ch, tol):
     return rep, ref, checks
 
 
+# Two chains of 16 amplitudes 8.9e-8 apart: 32 groups at tie tolerances 0
+# and 1e-9, two groups 1.3e-6 wide at 1e-7, whose root mean squares exceed
+# their means by ~5e-13 each (tied_channels' groups are 6e-12 wide, where
+# the two differ by ~1e-24).
+_CHAINS = np.concatenate((0.1 + 8e-8 * np.arange(16), 0.2 + 8e-8 * np.arange(16)))
+WIDE_GROUPS = make_channel(32, _CHAINS / np.linalg.norm(_CHAINS))
+
+
 # D up to 32, so groups of 8 or more coefficients occur; at tie tolerance 0
 # the near ties of tied_channels are groups of their own.
 @settings(max_examples=400)
 @given(tied_channels(max_D=32))
+@example(WIDE_GROUPS)
 def test_report_fields_are_within_their_bounds_of_the_60_digit_reference(ch):
     for tol in (DEFAULT_TIE_TOL, 0.0, 1e-7):
         rep, ref, checks = _reference_checks(ch, tol)
@@ -441,9 +421,16 @@ def test_f_me_after_fail_forms_agree_on_a_near_tie_at_zero_tolerance():
     assert _double_sum(NEAR_TIE, 0.0) == pytest.approx(0.25, abs=1e-12)
 
 
-def test_corrupted_failure_form_still_fails_the_scalar_check(monkeypatch):
+@pytest.mark.usefixtures("fresh_reports")
+def test_corrupted_failure_form_still_fails_the_scalar_check(monkeypatch, capsys):
     forms = mcteleport.analytics._f_me_after_fail_double_sums
     monkeypatch.setattr(mcteleport.analytics, "_f_me_after_fail_double_sums",
                         lambda *args: (forms(*args)[0] + 1e-9, forms(*args)[1]))
-    with pytest.raises(AssertionError, match=r"^failure-fidelity forms disagree: [0-9.]+ vs [0-9.]+$"):
-        f_me_after_fail(EXAMPLE)
+    message = (r"failure-fidelity forms disagree: [0-9.]+ vs [0-9.]+ "
+               r"at point \[0\.19999999999999998, 0\.29999999999999993, 0\.5000000000000001\]")
+    for evaluate in (channel_report, f_me_after_fail):
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            evaluate(EXAMPLE)
+    assert main(["report", "--D", "4", "--coeffs", "0.5,0.3,0.2", "--squared"]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: internal cross-check failed: {message}\n", err)

@@ -6,7 +6,22 @@ import pytest
 
 from conftest import InlinePool, conjugated_tables
 from mcteleport import build_stage_plan, channel_report, make_channel
-from mcteleport.cli import _COMMANDS, main, parse_csv, report_quantity
+from mcteleport.cli import _COMMANDS, main, report_quantity
+
+
+def parse_csv(text: str) -> tuple[list[str], list[str], list[list[str]]]:
+    """Inverse of the CLI's CSV writer: (metadata, header, rows)."""
+    metadata: list[str] = []
+    header: list[str] = []
+    rows: list[list[str]] = []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            metadata.append(line[1:].strip())
+        elif not header:
+            header = line.split(",")
+        elif line:
+            rows.append(line.split(","))
+    return metadata, header, rows
 
 
 def run_cli(capsys, *argv):
@@ -567,6 +582,7 @@ def test_near_tied_smallest_group_passes_the_failure_fidelity_check(tmp_path, ca
     assert (code, err) == (0, "")
 
 
+@pytest.mark.usefixtures("fresh_reports")
 def test_corrupted_failure_form_exits_2_naming_plain_floats(capsys, monkeypatch):
     from mcteleport import analytics
 
@@ -793,4 +809,4 @@ def test_report_and_plan_call_no_removed_numpy_wrapper(name, capsys, monkeypatch
     if expected[1] is not None:
         for field in ("K_s", "K_f", "p_fail", "families", "support"):
             assert np.array_equal(getattr(got[1], field), getattr(expected[1], field))
-        assert got[1].useful_flags == expected[1].useful_flags
+        assert got[0].useful == expected[0].useful

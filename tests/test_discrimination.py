@@ -107,11 +107,12 @@ def test_me_equals_stage1_confidence_only_for_equal_coeffs():
 
 
 def test_build_stage_plan_equal_coefficients():
-    plan = build_stage_plan(make_channel(4, np.full(3, 1 / np.sqrt(3))))
+    ch = make_channel(4, np.full(3, 1 / np.sqrt(3)))
+    plan = build_stage_plan(ch)
     # One terminal stage: it cannot fail and leaves no failure family.
     assert plan.M == len(plan.families) == 1
     assert plan.p_fail[0] == 0.0
-    assert plan.useful_flags == (False,)
+    assert channel_report(ch).useful == (False,)
 
 
 def test_build_stage_plan_example_channel():
@@ -119,7 +120,7 @@ def test_build_stage_plan_example_channel():
     assert plan.M == 2
     # second stage beats the deterministic protocol iff 2 > (sum a)^2,
     # which is false for this channel
-    assert plan.useful_flags == (True, False)
+    assert channel_report(EXAMPLE).useful == (True, False)
     # Stage 1 of sqrt[.5, .3, .2]: K_s = a_min / a on the support, p_fail =
     # 1 - 3 a_min^2 = 0.4, and a failure leaves the family sqrt[.75, .25].
     np.testing.assert_allclose(plan.K_s[0], [*(EXAMPLE.coeffs[2] / EXAMPLE.coeffs), 0.0],
@@ -150,7 +151,7 @@ def test_build_stage_plan_useful_second_stage_witness():
     ch = _search_stage2_useful_channel()
     plan = build_stage_plan(ch)
     assert plan.M == 2
-    assert plan.useful_flags == (True, True)
+    assert channel_report(ch).useful == (True, True)
 
 
 def test_stage_chain_matches_sequential_filtering():
@@ -239,7 +240,7 @@ def test_cached_plan_is_only_reused_for_its_channel_and_tie_tolerance():
     for ch, tie in [(a, 1e-9), (b, 1e-9), (a, 1e-9), (b, 1e-9),
                     (c, 1e-9), (c, 1e-7), (c, 1e-9), (c, 1e-9)]:
         got, want = build_stage_plan(ch, tie), uncached(ch, tie)
-        assert (got.M, got.useful_flags) == (want.M, want.useful_flags)
+        assert got.M == want.M
         for name in PLAN_ARRAYS:
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         for _ in range(2):

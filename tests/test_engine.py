@@ -29,7 +29,7 @@ from mcteleport import (
     run_protocol,
     stage_probabilities,
 )
-from mcteleport import engine
+from mcteleport import cli, engine
 from mcteleport.engine import ProtocolRunner
 from mcteleport.qudit import haar_random_states
 
@@ -272,6 +272,25 @@ def test_oracle_agrees_with_every_closed_form_on_channel_grid():
         assert exact_average_fidelity(ch, cfg_M) == pytest.approx(
             rep.overall_smc, abs=1e-9
         )
+
+
+def test_overall_fidelity_equals_the_oracle_on_every_pool_channel(monkeypatch):
+    # The benchmark's report/plan pool: D up to 32, exactly tied groups, so
+    # the me fallback reads failure families at every depth.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    checked = 0
+    for D, members in workloads.pool_channels().items():
+        for amps in members:
+            ch = make_channel(D, amps)
+            for k in range(1, multiplicity_profile(ch).M + 1):
+                for fallback in ("me", "guess", "discard"):
+                    cfg = StrategyConfig(kind="mc-smc", k_max=k, fallback=fallback)
+                    error = abs(overall_fidelity(ch, cfg) - exact_average_fidelity(ch, cfg))
+                    assert error <= cli.ORACLE_ATOL, (D, amps.tolist(), k, fallback)
+                    checked += 1
+    assert checked == 3303
 
 
 def test_oracle_branch_probabilities_match_analytics():

@@ -2,15 +2,11 @@
 
 ``sweep`` enumerates only the feasible grid points and evaluates every
 closed form on whole arrays (``analytics.report_blocks``), once per
-distinct channel.  These tests pin it to the per-point reference: the
-full ``itertools.product`` walk for the points, and the scalar route for
-every value: the profile-level functions that the public ``f_me``,
-``f_mc_conclusive``, ``stage_probabilities``, ``overall_fidelity`` and
-``f_me_after_fail`` wrap, the surviving count over D for each stage's
-confidence, and the stage plan's useful flags.
-``channel_report`` shares the array evaluator, so it is no independent
-reference; it is checked as the one-row case: batching rows of mixed tie
-patterns must not change any row's value.
+distinct channel.  These tests pin the points to the full
+``itertools.product`` walk, and every value to the point's own one-row
+``channel_report``: batching rows of mixed tie patterns must not change
+any row's bits.  The values themselves are checked against the 60-digit
+reference in ``test_analytics``.
 """
 
 import tracemalloc
@@ -22,16 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcteleport import (
-    StrategyConfig,
-    analytics,
-    build_stage_plan,
-    channel_report,
-    cli,
-    f_clas,
-    make_channel,
-    multiplicity_profile,
-)
+from mcteleport import analytics, channel_report, cli, make_channel
 from mcteleport.channels import DEFAULT_TIE_TOL
 from mcteleport.cli import SweepSpec, main, report_quantity, sweep_points
 
@@ -61,48 +48,9 @@ def _same_bits(a, b):
     return (np.isnan(a) & np.isnan(b)) | (a.view(np.uint64) == b.view(np.uint64))
 
 
-def _scalar_quantities(D, point, tie_tol):
-    """Every quantity ``report_quantity`` resolves at one sweep point, by
-    name, from the scalar route; names it omits read NaN.
-
-    The point is grouped once, and the profile-level functions that the
-    public ones wrap read that grouping (the public wrappers are checked
-    against the report in ``test_analytics``)."""
-    ch = make_channel(D, np.sqrt(point))
-    profile = multiplicity_profile(ch, tie_tol)
-    M, d = profile.M, profile.d
-    cascade = analytics._stage_cascade(profile)
-    p_fail, p_success, cumulative, _ = cascade
-    f_mc = analytics._f_mc_stages(profile, D)
-    useful = build_stage_plan(ch, tie_tol).useful_flags
-
-    def overall(k_max, fallback):
-        return analytics._overall_fidelity(
-            profile, D, StrategyConfig("mc-smc", k_max, fallback), cascade)
-
-    values = {
-        "D": D, "N": ch.N, "d": d, "M": M, "F_me": analytics._f_me(profile, D),
-        "f_me": analytics._sum_amplitudes(profile) ** 2 / D, "F_clas": f_clas(D),
-        "overall_me": overall(1, "me"), "overall_smc": overall(M, "guess"),
-    }
-    if d >= 2:
-        values["F_me_after_fail"] = analytics._f_me_after_fail(profile, D, cascade)
-    for k in range(1, M + 1):
-        values.update({
-            f"F_mc_s{k}": float(f_mc[k - 1]),
-            f"f_mc_s{k}": profile.support_size(k) / D,
-            f"p_fail_s{k}": p_fail[k - 1], f"P_stage{k}": p_success[k - 1],
-            f"P_smc_s{k}": float(cumulative[k - 1]), f"useful_s{k}": float(useful[k - 1]),
-        })
-    values["P_smc_overall"] = values[f"P_smc_s{M}"]
-    if M + 1 == d:  # a lone top coefficient: the surface continues classically
-        values.update({f"F_mc_s{d}": f_clas(D), f"f_mc_s{d}": 1.0 / D})
-    return values
-
-
 def _assert_matches_references(D, N, grid, tie_tol):
-    """Every sweep value equals, bit for bit, both the scalar route and
-    the point's own one-row ``channel_report``."""
+    """Every sweep value equals, bit for bit, the point's own one-row
+    ``channel_report``."""
     points, _ = sweep_points(SweepSpec(D=D, N=N, resolution=grid, quantities=(),
                                        out=None, tie_tol=tie_tol))
     names = _names(N)
@@ -112,16 +60,12 @@ def _assert_matches_references(D, N, grid, tie_tol):
     assert ids.tolist() == list(range(len(channels)))
     assert (first[1:] > first[:-1]).all()
     table = channels[channel]
-    scalar = np.array([[float(ref.get(q, np.nan)) for q in names]
-                       for ref in (_scalar_quantities(D, p, tie_tol) for p in points)])
     reports = [channel_report(make_channel(D, np.sqrt(p)), tie_tol) for p in points]
     one_row = np.array([[float(report_quantity(rep, q)) for q in names] for rep in reports])
-    for route, expected in (("scalar route", scalar), ("channel_report", one_row)):
-        same = _same_bits(table, expected)
-        if not same.all():
-            i, j = np.argwhere(~same)[0]
-            pytest.fail(f"{names[j]} at {points[i].tolist()} ({route}): "
-                        f"{table[i, j]!r} != {expected[i, j]!r}")
+    same = _same_bits(table, one_row)
+    if not same.all():
+        i, j = np.argwhere(~same)[0]
+        pytest.fail(f"{names[j]} at {points[i].tolist()}: {table[i, j]!r} != {one_row[i, j]!r}")
 
 
 @pytest.mark.parametrize("N,grid", [
@@ -166,6 +110,7 @@ def test_sweep_calls_no_per_point_report(monkeypatch, capsys):
     assert capsys.readouterr().out.count("\n") == 8 + 55
 
 
+@pytest.mark.usefixtures("fresh_reports")
 def test_each_distinct_channel_is_evaluated_once(monkeypatch, capsys):
     # Points that swap free axes normalise to the same sorted amplitudes:
     # the 5,050 points of the paper's D=4, N=3 sweep are 2,550 channels.
@@ -210,6 +155,7 @@ def test_duplicate_points_print_their_own_channel_report():
      "failure-fidelity forms disagree: "),
     (("IDENTITY_ATOL", -1.0), "stage-fidelity forms disagree: "),
 ], ids=["failure-fidelity", "stage-fidelity"])
+@pytest.mark.usefixtures("fresh_reports")
 def test_failed_identity_in_the_array_path_exits_2(monkeypatch, capsys, patch, message):
     monkeypatch.setattr(analytics, *patch)
     code = main(["sweep", "--D", "4", "--N", "3", "--grid", "5"])
@@ -422,10 +368,7 @@ def test_report_blocks_equal_channel_reports_with_multibyte_codes(N):
     table = channels[channel]
     reports = [channel_report(make_channel(D, np.sqrt(p))) for p in squared]
     one_row = np.array([[float(report_quantity(rep, q)) for q in names] for rep in reports])
-    scalar = np.array([[float(ref.get(q, np.nan)) for q in names] for ref in
-                       (_scalar_quantities(D, p, DEFAULT_TIE_TOL) for p in squared)])
     assert _same_bits(table, one_row).all()
-    assert _same_bits(table, scalar).all()
 
 
 @pytest.mark.parametrize("patch,message", [
@@ -434,6 +377,7 @@ def test_report_blocks_equal_channel_reports_with_multibyte_codes(N):
      "failure-fidelity forms disagree: "),
     (("IDENTITY_ATOL", -1.0), "stage-fidelity forms disagree: "),
 ], ids=["failure-fidelity", "stage-fidelity"])
+@pytest.mark.usefixtures("fresh_reports")
 def test_failed_identity_names_the_first_point_of_the_first_pattern(monkeypatch, capsys,
                                                                     patch, message):
     # Both checks fail on every row they test: the first is the first row of
