@@ -12,8 +12,9 @@ and asserts the identities between them: ``report_blocks`` feeds it the
 distinct channels among sweep points, ``channel_report`` one channel as a
 one-row block.  The per-quantity functions (``f_me``,
 ``stage_probabilities``, ``overall_fidelity``, ...) read the cached
-``channel_report``; ``overall_fidelity`` adds, for the ``me`` fallback
-after k > 1 stages, the failure-family sum the evaluator forms at depth 1.
+``channel_report``; for the ``me`` fallback, ``overall_fidelity`` adds the
+failure-family sum after k_max stages, from the helper the evaluator uses
+after one stage.
 The tests hold every field to a 60-digit reference, the printed output
 to recorded digests, and the values to the exact branch enumeration of
 ``engine``.  The evaluator calls ufuncs and ndarray methods, not the
@@ -307,8 +308,8 @@ def _pattern_block(D, amps, gaps, points, rows) -> ReportBlock:
         a, b = edges[j], edges[j + 1]
         values[:, j] = np.sqrt(np.add.reduce(sq[:, a:b], axis=1) / (b - a))
     v_sq = values**2
-    # float_power squares with pow(), as Python's float ** 2 does; x*x can
-    # differ by an ulp.
+    # float_power squares with pow(), as every recorded output was computed;
+    # x*x can differ by an ulp.
     sum_a_sq = np.float_power(np.add.reduce(values * mults, axis=1), 2)
     F_me = (1.0 + sum_a_sq) / (D + 1)
     f_me = sum_a_sq / D
@@ -355,7 +356,8 @@ def _pattern_block(D, amps, gaps, points, rows) -> ReportBlock:
     residual = np.maximum(1.0 - cumulative[:, 0], 0.0)
     if d >= 2:
         live = chain[1] > 0
-        s_sq = np.float_power(_failure_family_sums(v_sq, mults, 1, chain[1]), 2)
+        s = _failure_family_sums(v_sq, mults, 1, np.where(live, chain[1], 1.0))
+        s_sq = np.float_power(np.where(live, s, np.nan), 2)
         F_fail = (1.0 + s_sq) / (D + 1)
         check, budget = _f_me_after_fail_double_sums(values, mults, D)
         _require_rows(np.abs(F_fail - check) <= budget,
@@ -399,12 +401,10 @@ def _failure_family_sums(v_sq, mults, depth, survival) -> np.ndarray:
     """The sum of the failure-family coefficients after ``depth`` >= 1
     failed stages, sqrt((v_m^2 - v_depth^2) / survival) over the groups
     m > depth, for each row of squared group values ``v_sq`` (shape (P, d),
-    d > depth) with multiplicities ``mults``; NaN where ``survival`` (P,),
-    the probability that stages 1..depth all fail, is 0."""
-    live = survival > 0
-    tail = np.sqrt((v_sq[:, depth:] - v_sq[:, depth - 1:depth])
-                   / np.where(live, survival, 1.0)[:, None])
-    return np.where(live, np.add.reduce(tail * mults[depth:], axis=1), np.nan)
+    d > depth) with multiplicities ``mults``; ``survival`` (P,), positive,
+    is the probability that stages 1..depth all fail."""
+    tail = np.sqrt((v_sq[:, depth:] - v_sq[:, depth - 1:depth]) / survival[:, None])
+    return np.add.reduce(tail * mults[depth:], axis=1)
 
 
 def _f_me_after_fail_double_sums(values, mults, D) -> tuple[np.ndarray, np.ndarray]:

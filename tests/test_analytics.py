@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import mcteleport.analytics
 
@@ -28,7 +27,6 @@ from mcteleport import (
     stage_probabilities,
 )
 from mcteleport.cli import main
-from mcteleport.analytics import USEFUL_MARGIN
 
 EXAMPLE = make_channel(4, np.sqrt([0.5, 0.3, 0.2]))
 
@@ -390,9 +388,10 @@ def test_report_fields_are_within_their_bounds_of_the_60_digit_reference(ch):
         for name, got, want, bound in checks:
             assert abs(Decimal(got) - want) <= bound, (name, tol, got, str(want), str(bound))
         # A flag may flip only where the margin lies within rounding of its threshold.
+        threshold = Decimal(mcteleport.analytics.USEFUL_MARGIN)
         for k, (got, want, margin) in enumerate(zip(rep.useful, ref["useful"],
                                                     ref["useful_margin"]), 1):
-            assert got == want or abs(margin - Decimal(USEFUL_MARGIN)) <= ATOL, (k, tol)
+            assert got == want or abs(margin - threshold) <= ATOL, (k, tol)
 
 
 def test_channel_report_fields_are_the_report_block_fields_but_rows():

@@ -809,4 +809,3 @@ def test_report_and_plan_call_no_removed_numpy_wrapper(name, capsys, monkeypatch
     if expected[1] is not None:
         for field in ("K_s", "K_f", "p_fail", "families", "support"):
             assert np.array_equal(getattr(got[1], field), getattr(expected[1], field))
-        assert got[0].useful == expected[0].useful
