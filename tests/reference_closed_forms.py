@@ -18,7 +18,6 @@ from decimal import Decimal, localcontext
 from mcteleport.analytics import USEFUL_MARGIN
 
 DIGITS = 60
-FALLBACKS = ("me", "guess", "discard")
 
 
 def reference_report(ch, tie_tolerance) -> dict:
@@ -26,8 +25,9 @@ def reference_report(ch, tie_tolerance) -> dict:
     ``useful`` as bools, ``F_me_after_fail`` None when d < 2), plus
     ``overall[(k_max, fallback)]`` for every k_max in 1..M and every
     fallback, ``failure_mass[k]``, the exact probability that stages 1..k
-    all fail (k = 0..M), and ``useful_margin``, each stage's
-    surviving count less (Σ_m a_m)^2."""
+    all fail (k = 0..M), ``gap[k]``, the smallest excess v_{k+1}^2 - v_k^2
+    of the failure family after stage k (k = 1..d - 1), and
+    ``useful_margin``, each stage's surviving count less (Σ_m a_m)^2."""
     floats = sorted(ch.coeffs.tolist())
     cuts = [i + 1 for i, (lo, hi) in enumerate(zip(floats, floats[1:]))
             if hi - lo > tie_tolerance]
@@ -81,5 +81,5 @@ def reference_report(ch, tie_tolerance) -> dict:
             "overall": overall,
             "failure_mass": mass,
             "useful_margin": margin,
-            "gap": [None] + [(w[k + 1] - w[k]) for k in range(1, d)],
+            "gap": [None] + [w[k + 1] - w[k] for k in range(1, d)],
         }
