@@ -32,7 +32,6 @@ import numpy as np
 
 from .channels import (
     DEFAULT_TIE_TOL,
-    NORMALIZATION_SLACK,
     SchmidtChannel,
     check_tie_tolerance,
     multiplicity_profile,
@@ -240,6 +239,8 @@ def report_blocks(
     """:func:`channel_report` of every distinct channel among the rows of
     ``squared``, a (P, N) block of squared Schmidt coefficients with
     2 <= N <= D, on whole arrays, and the (P,) index of each row's channel.
+    The caller's rows are positive and sum to 1 up to rounding, as the
+    points of ``cli.sweep_points`` do; they are not checked here.
 
     Each row is normalised and sorted as ``make_channel`` does.  Rows whose
     sorted amplitudes are the same bits are one channel, evaluated once (a
@@ -251,15 +252,8 @@ def report_blocks(
     """
     check_tie_tolerance(tie_tolerance)
     squared = np.asarray(squared, dtype=float)
-    N = squared.shape[1]
-    if not 2 <= N <= D:
-        raise ValueError(f"need 2 <= N <= D, got N={N}, D={D}")
-    if not np.all(np.isfinite(squared) & (squared > 0)):
-        raise ValueError("squared coefficients must be finite and strictly positive")
     amps = np.sqrt(squared)
     total = np.sum(amps**2, axis=1)
-    if np.any(np.abs(total - 1.0) > NORMALIZATION_SLACK):
-        raise ValueError(f"squared coefficients must sum to 1 within {NORMALIZATION_SLACK:g}")
     amps = np.sort(amps / np.sqrt(total)[:, None], axis=1)
     # Rows of equal amplitude bits have equal codes: one channel, kept at its
     # first row.

@@ -66,10 +66,6 @@ class MultiplicityProfile:
         return int(self.values.size)
 
     @property
-    def N(self) -> int:
-        return int(self.multiplicities.sum())
-
-    @property
     def M(self) -> int:
         return self.d - 1 if int(self.multiplicities[-1]) == 1 else self.d
 

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from math import ceil, comb, log2, sqrt
@@ -43,7 +41,7 @@ from .analytics import (
 from .channels import DEFAULT_TIE_TOL, SchmidtChannel, check_tie_tolerance, make_channel
 from .discrimination import FALLBACKS, KIND_SMC, StrategyConfig, build_stage_plan
 from .engine import exact_average_fidelity, exact_branch_probabilities, monte_carlo
-from .qudit import check_allocation
+from .qudit import check_allocation, map_slices
 
 SWEEP_EPS = 1e-3  # free squared coefficients live in [eps, 1 - eps]
 SWEEP_BLOCK_ROWS = 1 << 14  # sweep points evaluated per array pass
@@ -106,10 +104,11 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_coeffs(text: str) -> tuple[float, ...]:
+    # ArgumentTypeError: argparse shows its message, not the function's name.
     try:
         return tuple(float(x) for x in text.split(",") if x.strip() != "")
     except ValueError as exc:
-        raise ValueError(f"cannot parse coefficient list from {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse coefficient list from {text!r}") from exc
 
 
 def _parse_names(text: str) -> tuple[str, ...]:
@@ -356,10 +355,10 @@ def _sweep_table(D: int, tie_tol: float, quantities: tuple[str, ...],
     return table, channel
 
 
-def _sweep_chunk(packed) -> list[str]:
+def _sweep_chunk(D: int, tie_tol: float, quantities: tuple[str, ...],
+                 points: np.ndarray) -> list[str]:
     """The CSV text of ``points``, one string per block of
     SWEEP_BLOCK_ROWS points."""
-    D, tie_tol, quantities, points = packed
     blocks = (points[at:at + SWEEP_BLOCK_ROWS] for at in range(0, len(points), SWEEP_BLOCK_ROWS))
     return [_csv_text(block, *_sweep_table(D, tie_tol, quantities, block)) for block in blocks]
 
@@ -399,24 +398,16 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[str], list[str]]:
     """Compute a sweep: (metadata, header, CSV blocks); each block is the
     text of consecutive rows, and the metadata counts the skipped points.
     Rows are ordered by grid index, and the text is the same, regardless of
-    worker count; at most ``os.cpu_count()`` and one worker per point are
-    started."""
+    worker count; ``map_slices`` starts at most one worker per CPU and per
+    block of SWEEP_BLOCK_ROWS points, and none for one block."""
     check_tie_tolerance(spec.tie_tol)
     for name in spec.quantities:
         _check_quantity(name)
     points, skipped = sweep_points(spec)
     header = [f"a{i}_sq" for i in range(spec.N)] + list(spec.quantities)
-    workers = min(spec.workers, os.cpu_count() or 1, len(points))
-    if workers <= 1:
-        blocks = _sweep_chunk((spec.D, spec.tie_tol, spec.quantities, points))
-    else:
-        bounds = np.linspace(0, len(points), workers + 1).astype(int)
-        chunks = [
-            (spec.D, spec.tie_tol, spec.quantities, points[a:b])
-            for a, b in zip(bounds[:-1], bounds[1:])
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = [text for part in pool.map(_sweep_chunk, chunks) for text in part]
+    chunk = functools.partial(_sweep_chunk, spec.D, spec.tie_tol, spec.quantities)
+    parts = map_slices(chunk, points, spec.workers, SWEEP_BLOCK_ROWS)
+    blocks = [text for part in parts for text in part]
     metadata = [
         f"mcteleport {__version__}",
         "command: sweep",
@@ -638,7 +629,7 @@ def main(argv=None) -> int:
         return globals()[f"cmd_{args.command}"](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except (ValueError, OSError, KeyError, TypeError) as exc:
+    except (ValueError, argparse.ArgumentTypeError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

@@ -67,16 +67,13 @@ class StagePlan:
 
     Row k - 1 of the read-only (M, D) arrays ``K_s`` and ``K_f`` holds
     stage k's Kraus diagonals and ``p_fail[k - 1]`` its failure
-    probability; row k - 1 of ``families``, (d, N), holds the family
-    entering stage k over its first ``support[k - 1]`` entries.  The
-    sampler, the oracle and ``plan`` read these arrays.
+    probability.  The sampler and the oracle read the diagonals, ``plan``
+    the failure probabilities.
     """
 
     K_s: np.ndarray
     K_f: np.ndarray
     p_fail: np.ndarray
-    families: np.ndarray
-    support: np.ndarray
 
     @property
     def M(self) -> int:
@@ -96,8 +93,8 @@ def build_stage_plan(
     ``support[k - 1]`` largest snapped coefficients, v being the largest
     group value consumed before stage k (0 at stage 1); it is also the
     failure family of stage k - 1.  Every family is a row of one (d, N)
-    array and the Kraus diagonals are rows of (M, D) arrays, which the plan
-    keeps.
+    array, and the plan keeps only the Kraus diagonals, rows of (M, D)
+    arrays, and the failure probabilities.
     """
     if ch.N < 2:
         raise ValueError("rank-1 channels admit no discrimination stages")
@@ -125,6 +122,6 @@ def build_stage_plan(
     p_fail = 1.0 - support[:M] * smallest**2
     if M == d:
         p_fail[-1] = 0.0  # a terminal stage cannot fail
-    for arr in (families, K_s, K_f, p_fail):
+    for arr in (K_s, K_f, p_fail):
         arr.setflags(write=False)
-    return StagePlan(K_s, K_f, p_fail, families, support)
+    return StagePlan(K_s, K_f, p_fail)

@@ -42,8 +42,6 @@ serves every call on the same channel and tie tolerance.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import ceil
@@ -67,6 +65,7 @@ from .qudit import (
     check_index,
     haar_random_state,
     haar_random_states,
+    map_slices,
 )
 
 # Branch sets with less Haar-averaged probability than this are treated as
@@ -473,12 +472,12 @@ def _group_draws(runner: ProtocolRunner, seed: int, trials: int, group: int):
     return _draw(runner, _generator(seed, _BLOCK_STREAM, group), n)
 
 
-def _run_blocks(runner: ProtocolRunner, seed: int, trials: int, first: int, stop: int):
-    """(end class, fidelity) of groups [first, stop), in trial order, one
+def _run_blocks(runner: ProtocolRunner, seed: int, trials: int, groups: range):
+    """(end class, fidelity) of ``groups``, in trial order, one
     ``run_block`` call per group.  Groups sit at fixed trial positions, so
     the result does not depend on how they are shared."""
     parts = []
-    for group in range(first, stop):
+    for group in groups:
         ends, _, fids = runner.run_block(*_group_draws(runner, seed, trials, group))
         parts.append((ends, fids))
     return tuple(np.concatenate(p) for p in zip(*parts))
@@ -537,7 +536,7 @@ def monte_carlo(
     each; group g draws its inputs, as |psi|^2 rows, and then its uniforms
     (``_draw``) from one generator keyed by (seed, 0, g).  The result is
     deterministic given ``seed`` and bit-identical for any ``workers``:
-    each worker (at most ``os.cpu_count()`` and the number of groups) gets
+    each worker (``map_slices``: at most one per CPU and per group) gets
     whole groups, and aggregation folds them in trial order.  One more
     trial, from a generator of its own, is replayed through
     ``ProtocolRunner.run_haar`` and ``run_block``; AssertionError if the
@@ -560,15 +559,8 @@ def monte_carlo(
 
     D = channel.D
     n_groups = ceil(trials / group_rows(D))
-    workers = min(workers, os.cpu_count() or 1, n_groups)
-    if workers <= 1:
-        ends, fids = _run_blocks(runner, seed, trials, 0, n_groups)
-    else:
-        bounds = np.linspace(0, n_groups, workers + 1).astype(int).tolist()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(partial(_run_blocks, runner, seed, trials),
-                                  bounds[:-1], bounds[1:]))
-        ends, fids = (np.concatenate(p) for p in zip(*parts))
+    parts = map_slices(partial(_run_blocks, runner, seed, trials), range(n_groups), workers)
+    ends, fids = parts[0] if len(parts) == 1 else (np.concatenate(p) for p in zip(*parts))
 
     labels = _bucket_labels(cfg)
     counts = np.bincount(ends, minlength=len(labels))

@@ -1,4 +1,4 @@
-"""Single-qudit input states and the shared array guards.
+"""Single-qudit input states, the shared array guards and the worker map.
 
 A state is the complex amplitude vector of one D-level system, the
 protocol's input.  All values are treated as immutable after
@@ -15,6 +15,8 @@ against the paper's circuit on a full (D, D, D) register of their own
 from __future__ import annotations
 
 import operator
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +74,19 @@ def check_index(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def map_slices(fn, seq, workers: int, unit: int = 1) -> list:
+    """``fn`` of each of at most min(``workers``, ``os.cpu_count()``,
+    ceil(len(seq) / ``unit``)) contiguous, near-equal slices of ``seq``, in
+    slice order, one worker process a slice.  With one slice, ``fn(seq)``
+    runs in this process and no pool is started."""
+    count = min(workers, os.cpu_count() or 1, -(-len(seq) // unit))
+    if count <= 1:
+        return [fn(seq)]
+    bounds = np.linspace(0, len(seq), count + 1).astype(int).tolist()
+    with ProcessPoolExecutor(max_workers=count) as pool:
+        return list(pool.map(fn, [seq[a:b] for a, b in zip(bounds[:-1], bounds[1:])]))
 
 
 def _phase_table(D: int) -> np.ndarray:

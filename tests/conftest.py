@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from mcteleport import SchmidtChannel, analytics, engine, make_channel
+from mcteleport import SchmidtChannel, analytics, engine, make_channel, multiplicity_profile
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -44,6 +44,18 @@ def channel_with_multiplicities(rng, D, mults) -> SchmidtChannel:
     sq = np.repeat(base, mults)
     sq = sq / sq.sum()
     return make_channel(D, np.sqrt(sq))
+
+
+def profile_families(ch, tie_tolerance=1e-9) -> list[np.ndarray]:
+    """The family entering each stage 1..d, from the channel's profile, each
+    in its own array: sqrt(a_m^2 - v^2) over the surviving coefficients,
+    largest first, normalised, v being the largest group value consumed
+    before the stage (0 at stage 1)."""
+    profile = multiplicity_profile(ch, tie_tolerance)
+    squares = np.repeat(profile.values, profile.multiplicities)[::-1] ** 2
+    consumed = np.concatenate(([0.0], profile.values[:-1] ** 2))
+    families = [np.sqrt(squares[:n] - v_sq) for n, v_sq in zip(profile.support, consumed)]
+    return [f / np.linalg.norm(f) for f in families]
 
 
 def random_multiplicity_pattern(rng, max_n=10):

@@ -10,12 +10,11 @@ from hypothesis import example, given, settings
 
 import mcteleport.analytics
 
-from conftest import channel_with_multiplicities, random_channel, tied_channels
+from conftest import channel_with_multiplicities, profile_families, random_channel, tied_channels
 from reference_closed_forms import reference_report
 from mcteleport import (
     DEFAULT_TIE_TOL,
     StrategyConfig,
-    build_stage_plan,
     channel_report,
     f_clas,
     f_mc_conclusive,
@@ -100,8 +99,7 @@ def test_f_me_after_fail_single_survivor_is_classical():
 
 
 def test_f_me_after_fail_substitution_identity():
-    plan = build_stage_plan(EXAMPLE)
-    b = plan.families[1, :plan.support[1]]
+    b = profile_families(EXAMPLE)[1]
     expected = (1 + np.sum(b) ** 2) / 5
     assert f_me_after_fail(EXAMPLE) == pytest.approx(expected, abs=1e-12)
     assert _double_sum(EXAMPLE) == pytest.approx(expected, abs=1e-12)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import InlinePool, conjugated_tables
-from mcteleport import build_stage_plan, channel_report, make_channel
+from mcteleport import build_stage_plan, channel_report, cli, make_channel, qudit
 from mcteleport.cli import _COMMANDS, main, report_quantity
 
 
@@ -231,12 +231,18 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_sweep_worker_pool_invariance(tmp_path, capsys):
+def test_sweep_worker_pool_invariance(tmp_path, capsys, monkeypatch):
+    # 45 points in nine blocks, split among three workers in this process.
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_ROWS", 5)
+    monkeypatch.setattr(qudit, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(qudit.os, "cpu_count", lambda: 3)
+    InlinePool.sizes = []
     serial = tmp_path / "serial.csv"
     pooled = tmp_path / "pooled.csv"
     base = ["sweep", "--D", "4", "--N", "3", "--grid", "9", "--seed", "3"]
     assert run_cli(capsys, *base, "--workers", "1", "--out", str(serial))[0] == 0
     assert run_cli(capsys, *base, "--workers", "3", "--out", str(pooled))[0] == 0
+    assert InlinePool.sizes == [3]
     assert serial.read_bytes() == pooled.read_bytes()
 
 
@@ -351,21 +357,23 @@ def test_failed_internal_cross_check_exits_2_without_traceback(capsys, monkeypat
     assert "Traceback" not in err
 
 
-def test_sweep_caps_workers_at_cpus_and_points(monkeypatch, tmp_path, capsys):
-    from mcteleport import cli
-
+def test_sweep_caps_workers_at_cpus_and_blocks(monkeypatch, tmp_path, capsys):
     InlinePool.sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(qudit, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(qudit.os, "cpu_count", lambda: 3)
     outputs = []
-    for grid, workers in (("9", "1"), ("9", "64"), ("2", "64")):
-        path = tmp_path / f"sweep{grid}-{workers}.csv"
+    default = cli.SWEEP_BLOCK_ROWS
+    # Blocks per sweep: 1, 1, 3 and 5 of 9 points, then 2 of 3 points.
+    for rows, grid, workers in ((default, "9", "1"), (default, "9", "64"), (3, "9", "64"),
+                                (2, "9", "64"), (2, "3", "64")):
+        monkeypatch.setattr(cli, "SWEEP_BLOCK_ROWS", rows)
+        path = tmp_path / f"sweep{rows}-{grid}-{workers}.csv"
         assert run_cli(capsys, "sweep", "--D", "4", "--N", "2", "--grid", grid,
                        "--workers", workers, "--out", str(path))[0] == 0
         outputs.append(path.read_bytes())
-    # 9 points: min(64, 3 cpus); 2 points: one worker per point
-    assert InlinePool.sizes == [3, 2]
-    assert outputs[0] == outputs[1]
+    # One block starts no pool; then one worker per block, at most 3 CPUs.
+    assert InlinePool.sizes == [3, 3, 2]
+    assert outputs[1:4] == outputs[:1] * 3
 
 
 def test_verify_rejects_excess_stage_budget_before_sampling(capsys):
@@ -503,8 +511,6 @@ def test_verify_band_covers_rounding_of_an_exact_bucket(capsys):
 
 
 def test_verify_band_never_falls_below_the_oracle_tolerance(capsys, monkeypatch):
-    from mcteleport import cli
-
     row = ("F_mc_s1", 1.0, 1.0, 1.0 - 2e-16, 3e-17, 1000)
     monkeypatch.setattr(cli, "_verify_rows", lambda *args: [row])
     code, out, _ = run_cli(capsys, "verify", "--D", "4", "--coeffs", "0.5,0.3,0.2",
@@ -556,8 +562,6 @@ def test_non_string_argument_is_a_usage_error(capsys):
 
 
 def test_type_error_in_a_command_is_a_usage_error(capsys, monkeypatch):
-    from mcteleport import cli
-
     def broken(*args):
         raise TypeError("unsupported operand type(s) for +: 'int' and 'str'")
 
@@ -613,6 +617,30 @@ def test_fewer_than_one_worker_and_a_negative_sweep_seed_are_usage_errors(capsys
     assert run_cli(capsys, *argv) == (1, "", message)
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["report", "--D", "4", "--coeffs", "a,b"], None,
+     "argument --coeffs: cannot parse coefficient list from 'a,b'"),
+    (["report", "--D", "4"], "coeffs = a,b", "cannot parse coefficient list from 'a,b'"),
+    (["report", "--D", "4", "--coeffs", "0.5,0.5"], "squared = maybe",
+     "cannot parse boolean from 'maybe'"),
+    (["report"], "D 4", "{cfg}:1: expected key=value, got 'D 4'"),
+    (["report", "--D", "4"], None, "missing --coeffs"),
+    (["report", "--D", "4", "--coeffs", "0.5,0.5,0", "--squared"], None,
+     "squared coefficients must be strictly positive"),
+    (["sweep", "--N", "1"], None, "need 2 <= N <= D, got N=1, D=4"),
+    (["sweep", "--grid", "1"], None, "grid resolution must be >= 2"),
+    (["report", "--D", "1", "--coeffs", "1"], None, "dimension must be >= 2, got 1"),
+])
+def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, argv, config, message):
+    cfg = tmp_path / "run.cfg"
+    if config is not None:
+        cfg.write_text(config + "\n")
+        argv = [*argv, "--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "error: " + message.format(cfg=cfg)
+
+
 def test_fewer_than_one_worker_from_config_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("workers = 0\n")
@@ -622,8 +650,6 @@ def test_fewer_than_one_worker_from_config_is_a_usage_error(tmp_path, capsys):
 
 
 def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path, capsys, monkeypatch):
-    from mcteleport import cli
-
     build_parser = cli.build_parser
     builds = []
 
@@ -717,8 +743,6 @@ def test_verify_groups_the_channel_once(capsys, monkeypatch):
 
 def test_verify_evaluates_the_stage_probabilities_once(capsys, monkeypatch):
     # One closed-form cascade gives every P_stage row and P_smc_overall.
-    from mcteleport import cli
-
     calls = []
     probabilities = cli.stage_probabilities
 
@@ -776,8 +800,6 @@ class WrapperCalled(Exception):
 
 @pytest.mark.parametrize("name", DISPATCH_CHANNELS)
 def test_report_and_plan_call_no_removed_numpy_wrapper(name, capsys, monkeypatch, tmp_path):
-    from mcteleport import cli
-
     args = DISPATCH_CHANNELS[name]
     options = cli._resolve("report", vars(cli._parser().parse_args(["report", *args])))
     csv = tmp_path / "report.csv"
@@ -807,5 +829,5 @@ def test_report_and_plan_call_no_removed_numpy_wrapper(name, capsys, monkeypatch
     if name == "full-rank":
         assert got[0].M == 31
     if expected[1] is not None:
-        for field in ("K_s", "K_f", "p_fail", "families", "support"):
+        for field in ("K_s", "K_f", "p_fail"):
             assert np.array_equal(getattr(got[1], field), getattr(expected[1], field))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given
 
 import reference_circuit as ref
-from conftest import random_channel, tied_channels
+from conftest import profile_families, random_channel, tied_channels
 from mcteleport import build_stage_plan, channel_report, make_channel, multiplicity_profile
 
 EXAMPLE = make_channel(4, np.sqrt([0.5, 0.3, 0.2]))
@@ -56,24 +56,31 @@ def test_me_confidence_matches_outcome_distribution():
             assert probs[l] == pytest.approx(np.sum(ch.coeffs) ** 2 / ch.D, abs=1e-12)
 
 
+def _failed_family(plan, ch, k):
+    """The family k failed stages leave: the plan's K_f rows 1..k applied to
+    the coefficients, normalised, over the coefficients they keep."""
+    f = np.prod(plan.K_f[:k, :ch.N], axis=0) * ch.coeffs
+    f = f[f > 0]
+    return f / np.linalg.norm(f)
+
+
 def test_failure_coefficients_tied_minimum():
-    plan = build_stage_plan(make_channel(4, np.sqrt([0.6, 0.2, 0.2])))
-    np.testing.assert_allclose(plan.families[1, :plan.support[1]], [1.0], atol=1e-12)
+    ch = make_channel(4, np.sqrt([0.6, 0.2, 0.2]))
+    np.testing.assert_allclose(_failed_family(build_stage_plan(ch), ch, 1), [1.0], atol=1e-12)
 
 
 def test_failure_coefficients_normalized():
-    # Row 1 of the plan's families is the family a failed first stage leaves.
+    # A failed first stage leaves the profile's stage-2 family.
     rng = np.random.default_rng(7)
     for _ in range(20):
         ch = random_channel(rng, D=6, N=4)
         prof = multiplicity_profile(ch)
         if prof.d < 2:
             continue
-        plan = build_stage_plan(ch)
-        out = plan.families[1, :plan.support[1]]
-        assert np.sum(out**2) == pytest.approx(1.0, abs=1e-12)
+        out = _failed_family(build_stage_plan(ch), ch, 1)
         assert out.size == ch.N - prof.multiplicities[0]
         assert np.all(np.diff(out) <= 0)
+        np.testing.assert_allclose(out, profile_families(ch)[1], rtol=0, atol=1e-12)
 
 
 def test_confidence_at_stage_values():
@@ -110,7 +117,7 @@ def test_build_stage_plan_equal_coefficients():
     ch = make_channel(4, np.full(3, 1 / np.sqrt(3)))
     plan = build_stage_plan(ch)
     # One terminal stage: it cannot fail and leaves no failure family.
-    assert plan.M == len(plan.families) == 1
+    assert plan.M == multiplicity_profile(ch).d == 1
     assert plan.p_fail[0] == 0.0
     assert channel_report(ch).useful == (False,)
 
@@ -127,7 +134,8 @@ def test_build_stage_plan_example_channel():
                                rtol=0, atol=1e-14)
     assert plan.K_f[0, 3] == 1.0
     assert plan.p_fail[0] == pytest.approx(0.4, abs=1e-12)
-    np.testing.assert_allclose(plan.families[1, :2], np.sqrt([0.75, 0.25]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_failed_family(plan, EXAMPLE, 1), np.sqrt([0.75, 0.25]),
+                               rtol=0, atol=1e-12)
 
 
 def test_build_stage_plan_rejects_rank_one():
@@ -165,9 +173,10 @@ def test_stage_chain_matches_sequential_filtering():
         if plan.M < 2:
             continue
         checked += 1
+        families = profile_families(ch)
         family = ref.family_states(ch.coeffs, ch.D)
         for k in range(1, plan.M):
-            next_family = ref.family_states(plan.families[k, :plan.support[k]], ch.D)
+            next_family = ref.family_states(families[k], ch.D)
             for l, nu in enumerate(family):
                 vec = plan.K_f[k - 1] * nu
                 vec = vec / np.linalg.norm(vec)
@@ -182,7 +191,7 @@ def test_chained_failure_probability_second_stage():
         plan = build_stage_plan(ch)
         if plan.M < 2:
             continue
-        b = plan.families[1, :plan.support[1]]
+        b = _failed_family(plan, ch, 1)
         expected = 1 - b.size * b[-1] ** 2
         assert plan.p_fail[1] == pytest.approx(expected, abs=1e-12)
 
@@ -215,15 +224,13 @@ def test_build_stage_plan_groups_the_coefficients_once(monkeypatch):
 
 
 STAGE_ROWS = ("K_s", "K_f", "p_fail")  # row k - 1 is stage k's
-PLAN_ARRAYS = (*STAGE_ROWS, "families", "support")
 
 
 def test_stage_arrays_are_read_only():
-    # A cached plan is shared by every later caller, and the family row of
-    # stage k + 1 is stage k's failure family: no write may reach them.
+    # A cached plan is shared by every later caller: no write may reach it.
     for plan in (build_stage_plan(EXAMPLE),
                  build_stage_plan(make_channel(3, np.full(3, 1 / np.sqrt(3))))):
-        for name in PLAN_ARRAYS:
+        for name in STAGE_ROWS:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(plan, name)[...] = 9
 
@@ -241,7 +248,7 @@ def test_cached_plan_is_only_reused_for_its_channel_and_tie_tolerance():
                     (c, 1e-9), (c, 1e-7), (c, 1e-9), (c, 1e-9)]:
         got, want = build_stage_plan(ch, tie), uncached(ch, tie)
         assert got.M == want.M
-        for name in PLAN_ARRAYS:
+        for name in STAGE_ROWS:
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         for _ in range(2):
             with pytest.raises(ValueError, match="rank-1"):
@@ -250,20 +257,16 @@ def test_cached_plan_is_only_reused_for_its_channel_and_tie_tolerance():
 
 def _per_stage_plan(ch, tie_tolerance=1e-9):
     """``build_stage_plan``'s rows built one stage at a time, each from its
-    own family array: the families, and each stage's (K_s, K_f, p_fail).
-    The reference for the array build."""
+    own family array: each stage's (K_s, K_f, p_fail).  The reference for
+    the array build."""
     profile = multiplicity_profile(ch, tie_tolerance)
-    squares = np.repeat(profile.values, profile.multiplicities)[::-1] ** 2
-    consumed = np.concatenate(([0.0], profile.values[:-1] ** 2))
-    families = [np.sqrt(squares[:n] - v_sq) for n, v_sq in zip(profile.support, consumed)]
-    families = [f / np.linalg.norm(f) for f in families]
     stages = []
-    for k, f in enumerate(families[:profile.M], 1):
+    for k, f in enumerate(profile_families(ch, tie_tolerance)[:profile.M], 1):
         K_s = np.zeros(ch.D)
         K_s[:f.size] = f[-1] / f
         K_f = np.sqrt(np.maximum(0.0, 1.0 - K_s**2))
         stages.append((K_s, K_f, 0.0 if k == profile.d else 1.0 - f.size * f[-1] ** 2))
-    return families, stages
+    return stages
 
 
 @given(tied_channels(max_D=40).filter(lambda ch: ch.N > 1))
@@ -272,11 +275,8 @@ def _per_stage_plan(ch, tie_tolerance=1e-9):
 @example(make_channel(40, np.sqrt(np.linspace(2.0, 1.0, 40) / 60.0)))  # 39 stages
 def test_array_plan_equals_the_per_stage_build_bit_for_bit(ch):
     plan = build_stage_plan.__wrapped__(ch, 1e-9)
-    families, stages = _per_stage_plan(ch)
+    stages = _per_stage_plan(ch)
     assert plan.M == len(stages) == multiplicity_profile(ch).M
-    assert len(plan.families) == len(families)
-    for row, n, want in zip(plan.families, plan.support, families):
-        assert row[:n].tobytes() == want.tobytes()
     for name in STAGE_ROWS:
         array = getattr(plan, name)
         assert array.dtype == np.float64 and not array.flags.writeable

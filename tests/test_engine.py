@@ -20,6 +20,7 @@ from mcteleport import (
     channel_report,
     exact_average_fidelity,
     exact_branch_probabilities,
+    f_me,
     f_me_after_fail,
     haar_random_state,
     make_channel,
@@ -29,7 +30,7 @@ from mcteleport import (
     run_protocol,
     stage_probabilities,
 )
-from mcteleport import cli, engine
+from mcteleport import cli, engine, qudit
 from mcteleport.engine import ProtocolRunner
 from mcteleport.qudit import haar_random_states
 
@@ -149,6 +150,15 @@ def test_monte_carlo_result_arrays_are_guarded_before_sampling(monkeypatch):
     with pytest.raises(Sampled):
         monte_carlo(EXAMPLE, cfg, 2**24, seed=0)
     assert built == [1]
+
+
+@pytest.mark.parametrize("trials, seed, message", [
+    (0, 0, "trials must be >= 1"),
+    (1000, -1, "seed must be a non-negative integer"),
+])
+def test_monte_carlo_rejects_no_trials_and_a_negative_seed(trials, seed, message):
+    with pytest.raises(ValueError, match=message):
+        monte_carlo(EXAMPLE, StrategyConfig(), trials, seed)
 
 
 def test_monte_carlo_seed_determinism():
@@ -284,6 +294,9 @@ def test_overall_fidelity_equals_the_oracle_on_every_pool_channel(monkeypatch):
     for D, members in workloads.pool_channels().items():
         for amps in members:
             ch = make_channel(D, amps)
+            # The deterministic strategy reads the report's F_me.
+            assert overall_fidelity(ch, DET) == f_me(ch)
+            assert abs(f_me(ch) - exact_average_fidelity(ch, DET)) <= cli.ORACLE_ATOL
             for k in range(1, multiplicity_profile(ch).M + 1):
                 for fallback in ("me", "guess", "discard"):
                     cfg = StrategyConfig(kind="mc-smc", k_max=k, fallback=fallback)
@@ -713,8 +726,8 @@ def test_monte_carlo_worker_invariance_across_blocks(monkeypatch):
     trials = 3 * size + 100
     serial = monte_carlo(ch, cfg, trials, seed=41)
     pooled = [monte_carlo(ch, cfg, trials, seed=41, workers=2)]
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(qudit, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(qudit.os, "cpu_count", lambda: 8)
     InlinePool.sizes = []
     pooled += [monte_carlo(ch, cfg, trials, seed=41, workers=w) for w in (2, 3, 4)]
     assert InlinePool.sizes == [2, 3, 4]
@@ -726,8 +739,8 @@ def test_monte_carlo_worker_invariance_across_blocks(monkeypatch):
 
 
 def test_monte_carlo_caps_workers_at_cpus_and_blocks(monkeypatch):
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(qudit, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(qudit.os, "cpu_count", lambda: 3)
     cfg = StrategyConfig(kind="mc-smc", k_max=1, fallback="me")
     size = engine.group_rows(4)
     InlinePool.sizes = []
@@ -751,10 +764,10 @@ def test_monte_carlo_worker_invariance_across_groups(monkeypatch):
     seed = 10
     runner = ProtocolRunner(ch, cfg)
     for group in range(3):
-        ends, _ = engine._run_blocks(runner, seed, 5000, group, group + 1)
+        ends, _ = engine._run_blocks(runner, seed, 5000, range(group, group + 1))
         assert (ends == 0).sum() == 1
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(qudit, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(qudit.os, "cpu_count", lambda: 8)
     InlinePool.sizes = []
     runs = [monte_carlo(ch, cfg, 5000, seed=seed, workers=w) for w in (1, 2, 3, 4)]
     assert InlinePool.sizes == [2, 3, 3]
@@ -913,10 +926,10 @@ def test_one_group_of_blocks_stays_below_16_mib(D):
     runner = ProtocolRunner(_staged_channel(D), StrategyConfig(k_max=min(3, D - 1)))
     trials = engine.group_rows(D)
     assert trials * D <= engine.BLOCK_ENTRIES
-    engine._run_blocks(runner, 5, trials, 0, 1)
+    engine._run_blocks(runner, 5, trials, range(1))
     tracemalloc.start()
     try:
-        engine._run_blocks(runner, 5, trials, 0, 1)
+        engine._run_blocks(runner, 5, trials, range(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1169,10 +1182,10 @@ def test_block_kernel_reads_neither_the_fourier_nor_the_phase_table(monkeypatch,
     trials = 3000  # one group at D = 8
     for cfg in [DET] + [StrategyConfig(k_max=3, fallback=fb) for fb in ("me", "guess", "discard")]:
         runner = ProtocolRunner(_staged_channel(8), cfg)
-        want = engine._run_blocks(runner, 6, trials, 0, 1)
+        want = engine._run_blocks(runner, 6, trials, range(1))
         with monkeypatch.context() as patch:
             patch.setattr(engine, "_tables", conjugated_tables(table))
-            got = engine._run_blocks(runner, 6, trials, 0, 1)
+            got = engine._run_blocks(runner, 6, trials, range(1))
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
 

@@ -288,7 +288,7 @@ def test_sweep_text_equals_per_row_formatting_across_blocks(monkeypatch, capsys)
     channels, channel = cli._sweep_table(5, DEFAULT_TIE_TOL, quantities, points)
     assert whole.split("\n", 8)[-1] == _per_row_lines(np.hstack((points, channels[channel])))
     monkeypatch.setattr(cli, "SWEEP_BLOCK_ROWS", 7)
-    blocks = cli._sweep_chunk((5, DEFAULT_TIE_TOL, quantities, points))
+    blocks = cli._sweep_chunk(5, DEFAULT_TIE_TOL, quantities, points)
     assert len(blocks) == -(-len(points) // 7)
     assert main(argv) == 0
     assert capsys.readouterr().out == whole
