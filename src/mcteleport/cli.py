@@ -582,13 +582,17 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; its ``commands`` maps each command name to
+    that command's own parser."""
     parser = _Parser(prog="mcteleport", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
     for command, (summary, defaults) in _COMMANDS.items():
         # Unset options stay off the namespace, so _resolve tells a flag
         # from a default.
-        p = sub.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
+        p = parser.commands[command] = sub.add_parser(
+            command, help=summary, argument_default=argparse.SUPPRESS)
         for dest, default in defaults.items():
             parse, text = _OPTIONS[dest]
             if default is not None:
@@ -601,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, type=parse, help=text,
                                choices=FALLBACKS if dest == "fallback" else None)
         p.add_argument("--config", help="key=value config file")
-    sub.choices["verify"].add_argument(
+    parser.commands["verify"].add_argument(
         "--self-test-corrupt", action="store_true", default=False,
         help="perturb one analytic value; the run must fail (harness self-test)")
     return parser
@@ -615,14 +619,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> dict:
+    """The given options of ``argv`` and its command.  After a command name
+    only that command's parser runs, and arguments it leaves over are the
+    top-level parser's usage error, as under ``parse_args``; an empty
+    argv, an unknown command and -h take the full parser."""
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return vars(parser.parse_args(argv))
+    given, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return {**vars(given), "command": argv[0]}
+
+
 def main(argv=None) -> int:
     parser = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        for arg in argv or ():
+        for arg in argv:
             if not isinstance(arg, str):
                 raise TypeError(f"command-line arguments must be strings, "
                                 f"got {arg!r} ({type(arg).__name__})")
-        given = vars(parser.parse_args(argv))
+        given = _parse(parser, list(argv))
         args = _resolve(given["command"], given)
         # Looked up per call, so a cmd_* replaced after the parser was
         # built is the one that runs.

@@ -21,7 +21,12 @@ bucket in every route, named only by ``_bucket_labels``.  All trials of a
 class carry the same filtered Schmidt weights, so the runner keeps one
 row of weights and readout probabilities per class, (k_max + 1, D)
 tables, sorts a call's trials by class once, and a group needs no array
-larger than (rows, D), at most ``BLOCK_ENTRIES`` entries.
+larger than (rows, D), at most ``BLOCK_ENTRIES`` entries.  The kernel
+keeps its NumPy passes few and wide, with the bits of its row-major form:
+the class index takes one comparison per stage into an ``int16`` array,
+the running sums of the second outcome are laid out (D, rows), so each
+step adds one contiguous row, and each bucket's mean and standard error
+come from one shared sum (``_summarize``).
 ``ProtocolRunner.run`` is the single-run reference, on the (D, D)
 diagonal of the register, and every ``monte_carlo`` call replays one
 trial through both and requires them to agree.
@@ -316,9 +321,13 @@ class ProtocolRunner:
             )
         diff, shifts = _tables(D)[3:]
         k = len(self._filters)
-        # The first stage whose uniform falls below its success probability;
-        # the last class's inf catches every trial all stages failed.
-        ends = (uniforms[:, : k + 1] < self._p_end).argmax(axis=1)
+        # The first stage whose uniform falls below its success probability:
+        # stages set in reverse, so the first success wins; a trial every
+        # stage failed keeps class k.  k <= D - 1 <= 1023 fits int16, whose
+        # stable sort is a radix sort.
+        ends = np.full(B, k, dtype=np.int16)
+        for s in range(k - 1, -1, -1):
+            ends[uniforms[:, s] < self._p_end[s]] = s
 
         outcomes = np.full((B, 2), -1, dtype=np.int64)
         fids = np.full(B, np.nan)
@@ -342,7 +351,10 @@ class ProtocolRunner:
                 probs2 = q @ self._w2[c][shifts]
             else:
                 probs2 = np.take_along_axis(q, diff[o1], axis=1)
-            o2 = _sample_rows(np.cumsum(probs2, axis=1), uniforms[rows, first + 1])
+            # Running sums laid out (D, rows): each step adds one contiguous
+            # row, the same additions in the same order as along a row.
+            cum = np.cumsum(probs2.T, axis=0, out=np.empty((D, rows.size)))
+            o2 = _sample_rows(cum, uniforms[rows, first + 1])
             p2 = probs2[np.arange(rows.size), o2]
             # After X^-k Z^l the receiver holds phases[l, s] F^+[l, s] w_s psi[n]
             # / sqrt(p1 p2) at index n, with s = n + k mod D, and that phase
@@ -359,10 +371,10 @@ class ProtocolRunner:
 
 
 def _sample_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise ``ProtocolRunner._sample_axis`` on running sums ``cum`` of
-    the outcome probabilities: one outcome per row."""
-    # Counting over all but the last column clamps the outcome at D - 1.
-    return (cum[:, :-1] <= (u * cum[:, -1])[:, None]).sum(axis=1)
+    """``ProtocolRunner._sample_axis`` per trial on running sums ``cum`` of
+    the outcome probabilities, laid out (D, trials): one outcome per column."""
+    # Counting over all but the last sum clamps the outcome at D - 1.
+    return (cum[:-1] <= u * cum[-1]).sum(axis=0)
 
 
 def _sample_shared(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -455,12 +467,15 @@ def _draw(runner: ProtocolRunner, rng: np.random.Generator, n: int):
     """
     probs, uniforms = np.empty((n, runner.D)), np.empty((n, runner.draws_per_trial))
     rng.standard_exponential(out=probs)
-    bad = np.flatnonzero(~probs.any(axis=1))
+    # The row sums that normalise the rows also find the rows of zeros.
+    sums = probs.sum(axis=1)
+    bad = np.flatnonzero(sums == 0)
     while bad.size:
         probs[bad] = rng.standard_exponential((bad.size, runner.D))
-        bad = bad[~probs[bad].any(axis=1)]
+        sums[bad] = probs[bad].sum(axis=1)
+        bad = bad[sums[bad] == 0]
     rng.random(out=uniforms)
-    probs /= probs.sum(axis=1)[:, None]
+    probs /= sums[:, None]
     return probs, uniforms
 
 
@@ -513,13 +528,20 @@ def _replay_check(runner: ProtocolRunner, seed: int) -> None:
 
 
 def _summarize(values: np.ndarray) -> tuple[float, float, float]:
-    """Mean, standard error, min of a fidelity sample (NaN if empty)."""
+    """Mean, standard error, min of a fidelity sample (NaN if empty).
+
+    ``ndarray.mean`` and ``.std(ddof=1)`` step for step, from one shared
+    sum of the sample: the same bits, with one reduction fewer."""
     values = values[~np.isnan(values)]
-    if values.size == 0:
+    n = values.size
+    if n == 0:
         return np.nan, np.nan, np.nan
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else np.nan
-    return mean, stderr, float(values.min())
+    mean = np.add.reduce(values) / n
+    stderr = np.nan
+    if n > 1:
+        dev = values - mean
+        stderr = float(np.sqrt(np.add.reduce(dev * dev) / (n - 1)) / np.sqrt(n))
+    return float(mean), stderr, float(values.min())
 
 
 def monte_carlo(
@@ -574,7 +596,7 @@ def monte_carlo(
         mean_fidelity=stats[:, 0],
         stderr_fidelity=stats[:, 1],
         min_fidelity=stats[:, 2],
-        conclusive_probability=float(np.mean(runner._conclusive[ends])),
+        conclusive_probability=float(counts[runner._conclusive].sum() / trials),
         overall_mean_fidelity=overall_mean,
         overall_stderr_fidelity=overall_stderr,
     )

@@ -81,7 +81,9 @@ def map_slices(fn, seq, workers: int, unit: int = 1) -> list:
     ceil(len(seq) / ``unit``)) contiguous, near-equal slices of ``seq``, in
     slice order, one worker process a slice.  With one slice, ``fn(seq)``
     runs in this process and no pool is started."""
-    count = min(workers, os.cpu_count() or 1, -(-len(seq) // unit))
+    count = min(workers, -(-len(seq) // unit))
+    if count > 1:  # CPUs are counted only when a pool is possible
+        count = min(count, os.cpu_count() or 1)
     if count <= 1:
         return [fn(seq)]
     bounds = np.linspace(0, len(seq), count + 1).astype(int).tolist()

@@ -1,11 +1,20 @@
 import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import InlinePool, conjugated_tables
-from mcteleport import build_stage_plan, channel_report, cli, make_channel, qudit
+from mcteleport import (
+    StrategyConfig,
+    build_stage_plan,
+    channel_report,
+    cli,
+    make_channel,
+    monte_carlo,
+    qudit,
+)
 from mcteleport.cli import _COMMANDS, main, report_quantity
 
 
@@ -376,6 +385,20 @@ def test_sweep_caps_workers_at_cpus_and_blocks(monkeypatch, tmp_path, capsys):
     assert outputs[1:4] == outputs[:1] * 3
 
 
+def test_one_slice_counts_no_cpus(monkeypatch, capsys):
+    def no_cpu_count():
+        raise AssertionError("os.cpu_count called for one slice")
+
+    monkeypatch.setattr(qudit.os, "cpu_count", no_cpu_count)
+    cfg = StrategyConfig(kind="mc-smc", k_max=1, fallback="me")
+    assert monte_carlo(make_channel(4, [0.6, 0.8]), cfg, 3000, seed=1, workers=1).trials == 3000
+    # One block of 55 points at --workers 4: one slice, so no pool either.
+    code, out, err = run_cli(capsys, "sweep", "--D", "4", "--N", "3", "--grid", "11",
+                             "--workers", "4")
+    assert (code, err) == (0, "")
+    assert "feasible_points: 55" in out
+
+
 def test_verify_rejects_excess_stage_budget_before_sampling(capsys):
     code, _, err = run_cli(
         capsys, "verify", "--D", "4", "--coeffs", "0.5,0.3,0.2", "--squared",
@@ -647,6 +670,54 @@ def test_fewer_than_one_worker_from_config_is_a_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "sweep", "--D", "4", "--N", "2", "--grid", "5",
                              "--config", str(cfg))
     assert (code, out, err) == (1, "", "error: workers must be >= 1, got 0\n")
+
+
+_CHANNEL = ["--D", "4", "--coeffs", "0.5,0.3,0.2", "--squared"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["-h"], 0),
+    *[([command, "-h"], 0) for command in _COMMANDS],
+    (["verify", *_CHANNEL, "--bogus"], 1),  # a bad flag
+    (["report", "--D"], 1),  # a missing value
+    (["verify", *_CHANNEL, "--fallback", "retry"], 1),
+    (["report", "--D", "4", "--coef", "0.5,0.3,0.2", "--squared"], 0),  # an abbreviation
+    ([], 1),
+    (["frobnicate", *_CHANNEL], 1),
+    (["plan", *_CHANNEL, "extra"], 1),  # a stray positional
+    (["report", "--", *_CHANNEL], 1),
+    (["report", "--D", "four", "--coeffs", "0.6,0.8"], 1),
+    (["sweep", "--grid", "1.5"], 1),
+], ids=lambda value: (" ".join(value) or "no-command") if isinstance(value, list) else None)
+def test_a_command_parsed_by_its_own_parser_prints_what_the_full_parser_prints(
+        capsys, monkeypatch, argv, code):
+    own = run_cli(capsys, *argv)
+    assert own[0] == code
+    # With no command known, every argv takes the full parser.
+    monkeypatch.setattr(cli._parser(), "commands", {})
+    assert run_cli(capsys, *argv) == own
+
+
+def test_a_known_command_runs_only_its_own_parser(capsys, monkeypatch):
+    def full_parse(*args, **kwargs):
+        raise AssertionError("the full parser ran")
+
+    parser = cli._parser()
+    monkeypatch.setattr(parser, "parse_args", full_parse)
+    monkeypatch.setattr(parser, "parse_known_args", full_parse)
+    assert run_cli(capsys, "report", *_CHANNEL)[0] == 0
+    code, out, err = run_cli(capsys, "report", *_CHANNEL, "--bogus")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["usage: mcteleport [-h] {report,plan,sweep,verify} ...",
+                                "error: unrecognized arguments: --bogus"]
+
+
+def test_main_without_arguments_reads_sys_argv(capsys, monkeypatch):
+    argv = ["verify", *_CHANNEL, "--trials", "1000", "--bogus"]
+    want = run_cli(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["mcteleport", *argv])
+    code = main()
+    assert (code, *capsys.readouterr()) == want
 
 
 def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path, capsys, monkeypatch):

@@ -622,7 +622,7 @@ def test_shared_running_sum_search_equals_the_row_count():
         u = u[u < 1]
         assert (u * cum[-1] == cum[:-1, None]).any()
         got = engine._sample_shared(cum, u)
-        np.testing.assert_array_equal(got, engine._sample_rows(np.tile(cum, (u.size, 1)), u))
+        np.testing.assert_array_equal(got, engine._sample_rows(np.tile(cum[:, None], (1, u.size)), u))
         # The single run's draw on the same probabilities picks the same outcome.
         probs = np.diff(cum, prepend=0.0)
         if np.array_equal(np.cumsum(probs), cum):
@@ -1135,7 +1135,7 @@ def _complex_run_block(runner, probs, uniforms):
     me = runner._me[cls]
     q = probs[rows]
     first = stages[rows]
-    o1 = engine._sample_rows(runner._cum1[cls], uniforms[rows, first])
+    o1 = engine._sample_rows(runner._cum1[cls].T, uniforms[rows, first])
     p1 = runner._probs1[cls, o1]
     probs2 = np.empty_like(q)
     for c in np.flatnonzero(np.bincount(cls, minlength=k + 1)):
@@ -1144,7 +1144,7 @@ def _complex_run_block(runner, probs, uniforms):
             probs2[sel] = q[sel] @ runner._w2[c][shifts]
         else:
             probs2[sel] = np.take_along_axis(q[sel], diff[o1[sel]], axis=1)
-    o2 = engine._sample_rows(np.cumsum(probs2, axis=1), uniforms[rows, first + 1])
+    o2 = engine._sample_rows(np.cumsum(probs2, axis=1).T, uniforms[rows, first + 1])
     r = np.arange(rows.size)
     p2 = probs2[r, o2]
     coef = np.where(me[:, None], phases[o1] * finv[o1], np.arange(D) == o1[:, None])
@@ -1172,6 +1172,117 @@ def test_real_block_readout_equals_the_complex_readout(D):
             # sums part by about sqrt(D) ulps (2.3e-15 at D = 100).
             np.testing.assert_allclose(got[2], want[2], rtol=0,
                                        atol=4 * np.sqrt(D) * np.finfo(float).eps)
+
+
+def _row_major_run_block(runner, probs, uniforms):
+    """``ProtocolRunner.run_block`` in its row-major form: the end class as
+    the ``argmax`` of the stage decisions, running sums laid out (rows, D)
+    and a row-wise count.  The kernel must return its bits."""
+    B, D = probs.shape
+    diff, shifts = engine._tables(D)[3:]
+    k = len(runner._filters)
+    ends = (uniforms[:, : k + 1] < runner._p_end).argmax(axis=1)
+    outcomes = np.full((B, 2), -1, dtype=np.int64)
+    fids = np.full(B, np.nan)
+    order = np.argsort(ends, kind="stable")
+    edges = np.cumsum(np.bincount(ends, minlength=k + 1)).tolist()
+    for c, (lo, hi) in enumerate(zip([0] + edges[:-1], edges)):
+        if lo == hi or not runner._delivers[c]:
+            continue
+        rows = order[lo:hi]
+        q = probs[rows]
+        first = min(c + 1, k)
+        o1 = engine._sample_shared(runner._cum1[c], uniforms[rows, first])
+        p1 = runner._probs1[c, o1]
+        if runner._me[c]:
+            probs2 = q @ runner._w2[c][shifts]
+        else:
+            probs2 = np.take_along_axis(q, diff[o1], axis=1)
+        cum = np.cumsum(probs2, axis=1)
+        o2 = (cum[:, :-1] <= (uniforms[rows, first + 1] * cum[:, -1])[:, None]).sum(axis=1)
+        p2 = probs2[np.arange(rows.size), o2]
+        if runner._me[c]:
+            overlap = np.einsum("rn,rn->r", q, runner._class_w[c][shifts[o2]]) / np.sqrt(D)
+        else:
+            overlap = q[np.arange(rows.size), diff[o1, o2]] * runner._class_w[c, o1]
+        outcomes[rows, 0], outcomes[rows, 1] = o1, o2
+        fids[rows] = overlap**2 / (p1 * p2)
+    return ends, outcomes, fids
+
+
+def _forced_classes(runner, classes, rng):
+    """|psi|^2 rows and uniforms whose trial i ends in class ``classes[i]``:
+    it fails the stages before and, short of the last class, passes its own."""
+    k = len(runner._filters)
+    probs, uniforms = engine._draw(runner, rng, len(classes))
+    stage = np.arange(k)
+    uniforms[:, :k] = np.where(stage < classes[:, None], 1 - 1e-9,
+                               np.where(stage == classes[:, None], 0.0, uniforms[:, :k]))
+    return probs, uniforms
+
+
+def _assert_kernel_equals_the_row_major_kernel(runner, probs, uniforms):
+    got = runner.run_block(probs, uniforms)
+    want = _row_major_run_block(runner, probs, uniforms)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(got[2].view(np.int64), want[2].view(np.int64))
+    return got[0]
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5, 8, 16, 24, 32, 64])
+def test_block_kernel_equals_the_row_major_kernel_bit_for_bit(D):
+    rng = np.random.default_rng(np.random.SeedSequence((41, D)))
+    ch = _staged_channel(D)
+    M = multiplicity_profile(ch).M
+    cfgs = [DET] + [StrategyConfig(k_max=k, fallback=fb)
+                    for k in range(1, min(3, M) + 1) for fb in ("me", "guess", "discard")]
+    for cfg in cfgs:
+        runner = ProtocolRunner(ch, cfg)
+        k = len(runner._filters)
+        # A drawn block, one row alone, and one row of each class, shuffled:
+        # a class of one row takes NumPy's matrix-vector product.
+        blocks = [engine._draw(runner, rng, n) for n in (engine.group_rows(D), 1)]
+        blocks.append(_forced_classes(runner, rng.permutation(k + 1), rng))
+        for probs, uniforms in blocks:
+            _assert_kernel_equals_the_row_major_kernel(runner, probs, uniforms)
+
+
+def test_block_kernel_equals_the_row_major_kernel_past_127_classes():
+    # A full-rank D = 160 channel at k_max = 130: class indices pass 127,
+    # where an int8 class index would wrap.
+    D, k = 160, 130
+    runner = ProtocolRunner(_staged_channel(D), StrategyConfig(k_max=k, fallback="me"))
+    rng = np.random.default_rng(43)
+    classes = rng.permutation(np.concatenate((np.arange(k + 1), [127, 128, k, k])))
+    ends = _assert_kernel_equals_the_row_major_kernel(
+        runner, *_forced_classes(runner, classes, rng))
+    np.testing.assert_array_equal(ends, classes)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 127, 128, 129, 3000])
+def test_summaries_equal_the_ndarray_reductions_bit_for_bit(n):
+    # Sizes around NumPy's 8-way unrolled and 128-entry pairwise sums.
+    rng = np.random.default_rng(n)
+    values = rng.beta(8.0, 2.0, n)
+    mixed = np.insert(values, rng.integers(0, n + 1, size=5), np.nan)
+    got = engine._summarize(mixed)
+    if n == 0:
+        assert np.isnan(got).all()
+        return
+    stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else np.nan
+    want = (float(values.mean()), stderr, float(values.min()))
+    np.testing.assert_array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+
+@pytest.mark.parametrize("cfg", [DET] + [StrategyConfig(k_max=2, fallback=fb)
+                                         for fb in ("me", "guess", "discard")])
+def test_conclusive_probability_is_the_mean_of_the_conclusive_flags(cfg):
+    trials = 2 * engine.group_rows(4) + 37
+    stats = monte_carlo(EXAMPLE, cfg, trials, seed=3)
+    runner = ProtocolRunner(EXAMPLE, cfg)
+    ends, _ = engine._run_blocks(runner, 3, trials, range(3))
+    assert stats.conclusive_probability == float(np.mean(runner._conclusive[ends]))
 
 
 @pytest.mark.parametrize("table", [0, 2], ids=["finv", "phases"])
