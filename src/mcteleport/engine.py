@@ -24,9 +24,10 @@ tables, sorts a call's trials by class once, and a group needs no array
 larger than (rows, D), at most ``BLOCK_ENTRIES`` entries.  The kernel
 keeps its NumPy passes few and wide, with the bits of its row-major form:
 the class index takes one comparison per stage into an ``int16`` array,
-the running sums of the second outcome are laid out (D, rows), so each
-step adds one contiguous row, and each bucket's mean and standard error
-come from one shared sum (``_summarize``).
+the running sums of the second outcome are laid out (D, rows), so the
+search for each trial's outcome runs along trials rather than along D,
+and each bucket's mean and standard error come from one shared sum
+(``_summarize``).
 ``ProtocolRunner.run`` is the single-run reference, on the (D, D)
 diagonal of the register, and every ``monte_carlo`` call replays one
 trial through both and requires them to agree.
@@ -351,8 +352,9 @@ class ProtocolRunner:
                 probs2 = q @ self._w2[c][shifts]
             else:
                 probs2 = np.take_along_axis(q, diff[o1], axis=1)
-            # Running sums laid out (D, rows): each step adds one contiguous
-            # row, the same additions in the same order as along a row.
+            # Running sums laid out (D, rows), so ``_sample_rows`` compares
+            # and counts along trials: the same additions in the same order
+            # as along a row.
             cum = np.cumsum(probs2.T, axis=0, out=np.empty((D, rows.size)))
             o2 = _sample_rows(cum, uniforms[rows, first + 1])
             p2 = probs2[np.arange(rows.size), o2]

@@ -639,11 +639,7 @@ def test_block_kernel_matches_single_run_with_classes_shuffled(fallback):
     rng = np.random.default_rng(23)
     classes = rng.permutation(np.arange(40) % (k + 1))
     inputs = haar_random_states(D, classes.size, rng)
-    uniforms = rng.random((classes.size, runner.draws_per_trial))
-    # A trial of class c fails stages 1..c and, if c < k, passes stage c + 1.
-    stage = np.arange(k)
-    uniforms[:, :k] = np.where(stage < classes[:, None], 1 - 1e-9,
-                               np.where(stage == classes[:, None], 0.0, uniforms[:, :k]))
+    uniforms = _force_classes(rng.random((classes.size, runner.draws_per_trial)), classes, k)
     ends = _kernel_matching_single_runs(runner, inputs, uniforms)[0]
     np.testing.assert_array_equal(ends, classes)
 
@@ -1210,15 +1206,21 @@ def _row_major_run_block(runner, probs, uniforms):
     return ends, outcomes, fids
 
 
-def _forced_classes(runner, classes, rng):
-    """|psi|^2 rows and uniforms whose trial i ends in class ``classes[i]``:
-    it fails the stages before and, short of the last class, passes its own."""
-    k = len(runner._filters)
-    probs, uniforms = engine._draw(runner, rng, len(classes))
+def _force_classes(uniforms, classes, k):
+    """``uniforms`` with the stage decisions of k stages set so that trial i
+    ends in class ``classes[i]``: a trial of class c fails stages 1..c and,
+    if c < k, passes stage c + 1."""
     stage = np.arange(k)
     uniforms[:, :k] = np.where(stage < classes[:, None], 1 - 1e-9,
                                np.where(stage == classes[:, None], 0.0, uniforms[:, :k]))
-    return probs, uniforms
+    return uniforms
+
+
+def _forced_classes(runner, classes, rng):
+    """|psi|^2 rows and uniforms of ``_draw`` whose trial i ends in class
+    ``classes[i]``."""
+    probs, uniforms = engine._draw(runner, rng, len(classes))
+    return probs, _force_classes(uniforms, classes, len(runner._filters))
 
 
 def _assert_kernel_equals_the_row_major_kernel(runner, probs, uniforms):
