@@ -185,8 +185,7 @@ class ProtocolRunner:
         # or, once every stage failed, class k_max; the deterministic
         # strategy has the one class 0.  All trials of a class carry the same
         # filtered weights ``_class_w``.  ``_p_end[s - 1]`` is the success
-        # probability of stage s given that a trial reaches it; the last
-        # entry, inf, ends every trial left.
+        # probability of stage s given that a trial reaches it.
         w, rows, p_end = self._weights, [], []
         for ks, kf in self._filters:
             ws = w * ks
@@ -197,7 +196,7 @@ class ProtocolRunner:
             # A stage that cannot fail leaves no trial to exhaust the budget:
             # the last class keeps zero weights rather than 0/0.
             w = wf / norm if norm > 0 else wf
-        self._p_end = np.array(p_end + [np.inf])
+        self._p_end = np.array(p_end)
         self._class_w = np.array(rows + [w])
         self._w2 = self._class_w**2
         # Per class: conclusive; read out by minimum error (Fourier basis,

@@ -1122,7 +1122,7 @@ def _complex_run_block(runner, probs, uniforms):
     B, D = probs.shape
     finv, _, phases, diff, shifts = engine._tables(D)
     k = len(runner._filters)
-    ends = (uniforms[:, : k + 1] < runner._p_end).argmax(axis=1)
+    ends = (uniforms[:, : k + 1] < np.append(runner._p_end, np.inf)).argmax(axis=1)
     stages = np.minimum(ends + 1, k)
     outcomes = np.full((B, 2), -1, dtype=np.int64)
     fids = np.full(B, np.nan)
@@ -1177,7 +1177,7 @@ def _row_major_run_block(runner, probs, uniforms):
     B, D = probs.shape
     diff, shifts = engine._tables(D)[3:]
     k = len(runner._filters)
-    ends = (uniforms[:, : k + 1] < runner._p_end).argmax(axis=1)
+    ends = (uniforms[:, : k + 1] < np.append(runner._p_end, np.inf)).argmax(axis=1)
     outcomes = np.full((B, 2), -1, dtype=np.int64)
     fids = np.full(B, np.nan)
     order = np.argsort(ends, kind="stable")
