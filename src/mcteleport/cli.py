@@ -619,7 +619,7 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> dict:
+def _parse(parser: argparse.ArgumentParser, argv) -> dict:
     """The given options of ``argv`` and its command.  After a command name
     only that command's parser runs, and arguments it leaves over are the
     top-level parser's usage error, as under ``parse_args``; an empty
@@ -642,7 +642,7 @@ def main(argv=None) -> int:
             if not isinstance(arg, str):
                 raise TypeError(f"command-line arguments must be strings, "
                                 f"got {arg!r} ({type(arg).__name__})")
-        given = _parse(parser, list(argv))
+        given = _parse(parser, argv)
         args = _resolve(given["command"], given)
         # Looked up per call, so a cmd_* replaced after the parser was
         # built is the one that runs.

@@ -1226,8 +1226,9 @@ def _forced_classes(runner, classes, rng):
 def _assert_kernel_equals_the_row_major_kernel(runner, probs, uniforms):
     got = runner.run_block(probs, uniforms)
     want = _row_major_run_block(runner, probs, uniforms)
-    for a, b in zip(got, want):
+    for a, b in zip(got[:2], want[:2]):
         np.testing.assert_array_equal(a, b)
+    # Fidelities bit for bit, NaN for a discarded trial included.
     np.testing.assert_array_equal(got[2].view(np.int64), want[2].view(np.int64))
     return got[0]
 
