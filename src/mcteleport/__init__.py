@@ -34,10 +34,8 @@ from .engine import (
     exact_average_fidelity,
     exact_branch_probabilities,
     monte_carlo,
-    run_protocol,
 )
 from .qudit import (
-    QuditState,
     haar_random_state,
     make_state,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "DEFAULT_TIE_TOL",
     "MultiplicityProfile",
     "ProtocolRunner",
-    "QuditState",
     "SchmidtChannel",
     "StagePlan",
     "StrategyConfig",
@@ -68,6 +65,5 @@ __all__ = [
     "monte_carlo",
     "multiplicity_profile",
     "overall_fidelity",
-    "run_protocol",
     "stage_probabilities",
 ]

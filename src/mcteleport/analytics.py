@@ -422,7 +422,9 @@ def _f_me_after_fail_double_sums(values, mults, D) -> tuple[np.ndarray, np.ndarr
     # Sum over ordered pairs m != m'.
     cross = np.add.reduce(excess, axis=1) ** 2 - norm
     scale = (D + 1) * p_fail
-    return f_clas(D) + cross / scale, IDENTITY_ATOL + np.abs(norm - p_fail) / scale
+    # A zero p_fail gives inf or nan, which the caller's comparison rejects.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return f_clas(D) + cross / scale, IDENTITY_ATOL + np.abs(norm - p_fail) / scale
 
 
 def _require_rows(ok: np.ndarray, points: np.ndarray, message: str, compared=()) -> None:

@@ -512,11 +512,12 @@ def _verify_rows(channel, cfg, trials, seed, workers, tie_tol):
     for k in range(1, cfg.k_max + 1):
         analytic_f = f_mc_conclusive(channel, k, tie_tol)
         oracle_f = exact_average_fidelity(channel, cfg, f"stage{k}", tie_tol)
-        rows.append((f"F_mc_s{k}", analytic_f, oracle_f, stats.stage_mean_fidelity(k),
-                     stats.stage_stderr_fidelity(k), stats.stage_count(k)))
+        # Bucket k - 1 is stage k.
+        rows.append((f"F_mc_s{k}", analytic_f, oracle_f, float(stats.mean_fidelity[k - 1]),
+                     float(stats.stderr_fidelity[k - 1]), int(stats.counts[k - 1])))
         p_k = float(p_stages[k - 1])
         rows.append((f"P_stage{k}", p_k, masses[f"stage{k}"],
-                     stats.stage_probability(k), binomial_err(p_k), None))
+                     float(stats.probabilities[k - 1]), binomial_err(p_k), None))
     rows.append(("P_smc_overall", p_total, 1.0 - masses["exhausted-me"],
                  stats.conclusive_probability, binomial_err(p_total), None))
     label = ("overall_conditional" if cfg.fallback == "discard"

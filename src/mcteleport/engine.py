@@ -65,7 +65,6 @@ from .discrimination import (
     build_stage_plan,
 )
 from .qudit import (
-    QuditState,
     _phase_table,
     check_allocation,
     check_index,
@@ -97,14 +96,14 @@ class TeleportRecord:
     """Outcome trace of a single protocol run.
 
     ``stage_reached`` is 0 on the deterministic path, otherwise the index
-    of the last filtering stage executed.  ``bob_state`` and
-    ``run_fidelity`` are absent for discarded attempts.
+    of the last filtering stage executed.  ``bob_state``, the receiver's
+    amplitude array, and ``run_fidelity`` are absent for discarded attempts.
     """
 
     stage_reached: int
     conclusive: bool
     alice_outcomes: tuple[int, int] | None
-    bob_state: QuditState | None
+    bob_state: np.ndarray | None
     run_fidelity: float | None
 
 
@@ -158,7 +157,7 @@ class ProtocolRunner:
     exactly the same order and with the same Born weights as the paper's
     circuit on the full (D, D, D) register (``tests/reference_circuit.py``),
     so a run is reproducible either way.  The input must be a finite unit
-    vector of length D; ``make_state`` normalizes raw amplitudes.
+    vector of D amplitudes; ``make_state`` normalizes raw amplitudes.
     ``run_block`` is the same process for a block of trials at once, read
     from per-end-class tables built here.
     """
@@ -218,16 +217,12 @@ class ProtocolRunner:
         self._probs1 = np.where(self._me[:, None], self._w2 @ rot.T, self._w2)
         self._cum1 = np.cumsum(self._probs1, axis=1)
 
-    @staticmethod
-    def _sample_axis(probs: np.ndarray, rng: np.random.Generator) -> int:
-        return int(_sample_shared(np.cumsum(probs), rng.random()))
-
-    def run(self, input_state: QuditState, rng: np.random.Generator) -> TeleportRecord:
-        amps = input_state.amplitudes
-        if np.shape(amps) != (self.D,):
+    def run(self, amps, rng: np.random.Generator) -> TeleportRecord:
+        amps = np.asarray(amps, dtype=complex)
+        if amps.shape != (self.D,):
             raise ValueError(
                 f"input must be a single qudit of dimension {self.D}, got "
-                f"amplitudes of shape {np.shape(amps)}"
+                f"amplitudes of shape {amps.shape}"
             )
         if not np.isfinite(amps).all():
             raise ValueError("input amplitudes must be finite")
@@ -262,16 +257,15 @@ class ProtocolRunner:
             # m = b directly and keeps row l alone.
             rows = (np.abs(t) ** 2).sum(axis=1)
             probs_l = rot @ rows if me else rows
-            l = self._sample_axis(probs_l, rng)
+            l = int(_sample_shared(np.cumsum(probs_l), rng.random()))
             readout = finv[l] if me else np.arange(self.D) == l
             slice_l = readout[:, None] * t / np.sqrt(probs_l[l])
             probs_k = (np.abs(slice_l) ** 2).sum(axis=0)
-            k = self._sample_axis(probs_k, rng)
+            k = int(_sample_shared(np.cumsum(probs_k), rng.random()))
             v = slice_l[:, k] / np.sqrt(probs_k[k])
-            bob_vec = (phases[l if me else 0] * v)[shifts[k]]
+            bob = (phases[l if me else 0] * v)[shifts[k]]
             outcomes = (l, k)
-            bob = QuditState(bob_vec)
-            fid = float(np.abs(np.vdot(amps, bob_vec)) ** 2)
+            fid = float(np.abs(np.vdot(amps, bob)) ** 2)
         return TeleportRecord(
             stage_reached=stage_reached,
             conclusive=conclusive,
@@ -372,7 +366,7 @@ class ProtocolRunner:
 
 
 def _sample_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``ProtocolRunner._sample_axis`` per trial on running sums ``cum`` of
+    """The single run's outcome draw per trial on running sums ``cum`` of
     the outcome probabilities, laid out (D, trials): one outcome per column."""
     # Counting over all but the last sum clamps the outcome at D - 1.
     return (cum[:-1] <= u * cum[-1]).sum(axis=0)
@@ -382,17 +376,6 @@ def _sample_shared(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``_sample_rows`` for rows that all share the running sums ``cum``:
     one binary search per row, clamped at D - 1."""
     return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.size - 1)
-
-
-def run_protocol(
-    channel: SchmidtChannel,
-    input_state: QuditState,
-    cfg: StrategyConfig,
-    rng: np.random.Generator,
-    tie_tolerance: float = DEFAULT_TIE_TOL,
-) -> TeleportRecord:
-    """Run the full protocol once on a given input state."""
-    return ProtocolRunner(channel, cfg, tie_tolerance).run(input_state, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +388,10 @@ class AggregateStats:
 
     Bucket c is end class c: the conclusive stages in order, then the
     terminal bucket (exhausted or discarded attempts), or the deterministic
-    strategy's single bucket.  Counts over all buckets sum to ``trials``.
-    Fidelity columns hold NaN where a bucket is empty or carries no output
-    state (discarded attempts).
+    strategy's single bucket, so stage k is at index k - 1 of every
+    column.  Counts over all buckets sum to ``trials``.  Fidelity columns
+    hold NaN where a bucket is empty or carries no output state (discarded
+    attempts).
     """
 
     trials: int
@@ -420,21 +404,6 @@ class AggregateStats:
     conclusive_probability: float
     overall_mean_fidelity: float
     overall_stderr_fidelity: float
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
-    def stage_count(self, k: int) -> int:
-        return int(self.counts[self.index(f"stage{k}")])
-
-    def stage_probability(self, k: int) -> float:
-        return float(self.probabilities[self.index(f"stage{k}")])
-
-    def stage_mean_fidelity(self, k: int) -> float:
-        return float(self.mean_fidelity[self.index(f"stage{k}")])
-
-    def stage_stderr_fidelity(self, k: int) -> float:
-        return float(self.stderr_fidelity[self.index(f"stage{k}")])
 
 
 def _bucket_labels(cfg: StrategyConfig) -> tuple[str, ...]:

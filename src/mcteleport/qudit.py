@@ -17,7 +17,6 @@ from __future__ import annotations
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,19 +26,9 @@ import numpy as np
 MAX_ARRAY_BYTES = 2**27
 
 
-@dataclass(frozen=True)
-class QuditState:
-    """Amplitude vector of one qudit; its length is the dimension D.
-
-    Public constructors return normalized states; the amplitude array is
-    never mutated in place.
-    """
-
-    amplitudes: np.ndarray
-
-
-def make_state(amplitudes) -> QuditState:
-    """Normalized single-qudit state from a 1-D sequence of raw amplitudes.
+def make_state(amplitudes) -> np.ndarray:
+    """Normalized complex amplitude array of one qudit from a 1-D sequence
+    of raw amplitudes; its length is the dimension D.
 
     Raises ValueError if the input is not 1-D, has fewer than two
     amplitudes, holds a NaN or an infinity, or is (numerically) zero.
@@ -55,7 +44,7 @@ def make_state(amplitudes) -> QuditState:
     norm = float(np.linalg.norm(unit))
     if scale * norm < 1e-12:
         raise ValueError("cannot normalize a zero state vector")
-    return QuditState(unit / norm)
+    return unit / norm
 
 
 def check_allocation(what: str, nbytes: int) -> None:
@@ -115,7 +104,8 @@ def haar_random_states(D: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return z / norms[:, None]
 
 
-def haar_random_state(D: int, rng: np.random.Generator) -> QuditState:
-    """Single-qudit pure state drawn uniformly (Haar) in dimension D."""
+def haar_random_state(D: int, rng: np.random.Generator) -> np.ndarray:
+    """Amplitudes of a single-qudit pure state drawn uniformly (Haar) in
+    dimension D."""
     D = check_index("D", D)
-    return QuditState(haar_random_states(D, 1, rng)[0])
+    return haar_random_states(D, 1, rng)[0]

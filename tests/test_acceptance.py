@@ -57,8 +57,8 @@ def test_criterion_1_stage1_fidelity_constancy():
         worst_oracle = max(worst_oracle, abs(oracle - 0.8))
         stats = monte_carlo(ch, cfg, 100_000, seed=int(rng.integers(1 << 30)),
                             workers=4)
-        err = stats.stage_stderr_fidelity(1)
-        pull = abs(stats.stage_mean_fidelity(1) - 0.8) / err
+        err = stats.stderr_fidelity[0]
+        pull = abs(stats.mean_fidelity[0] - 0.8) / err
         worst_pull = max(worst_pull, pull)
     elapsed = time.time() - start
     ok = worst_oracle < 1e-9 and worst_pull < 4 and elapsed < 300
@@ -95,15 +95,15 @@ def test_criterion_4_perfect_conclusive_limit():
     ch = make_channel(3, np.sqrt([0.5, 0.3, 0.2]))
     cfg = StrategyConfig(kind="mc-smc", k_max=1, fallback="discard")
     stats = monte_carlo(ch, cfg, 100_000, seed=41)
-    min_fid = stats.min_fidelity[stats.index("stage1")]
+    min_fid = stats.min_fidelity[0]
     p = 3 * 0.2
     sigma = np.sqrt(p * (1 - p) / stats.trials)
-    freq_ok = abs(stats.stage_probability(1) - p) < 4 * sigma
+    freq_ok = abs(stats.probabilities[0] - p) < 4 * sigma
     ok = min_fid >= 1 - 1e-10 and freq_ok
     _verdict(
         4, ok,
         f"full-rank conclusive runs faithful (min fidelity {min_fid:.12f}), "
-        f"success frequency {stats.stage_probability(1):.4f} vs {p}",
+        f"success frequency {stats.probabilities[0]:.4f} vs {p}",
     )
 
 

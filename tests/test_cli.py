@@ -1,6 +1,8 @@
+import dataclasses
 import re
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -303,6 +305,37 @@ def test_verify_corrupt_mode_fails(capsys):
     )
     assert code == 2
     assert "verdict: FAIL" in out
+
+
+@pytest.mark.parametrize("bias", [0.05, 0.0])
+def test_the_empirical_band_alone_can_fail_a_verify(capsys, monkeypatch, bias):
+    # --self-test-corrupt moves the analytic value, which the oracle note
+    # always catches.  Here only the sampled stage-1 mean moves, so the
+    # empirical band is the one check that can see it.  About 6,000 of
+    # the 10^4 trials land in F_mc_s1, whose band is then about 0.0085.
+    sampled = cli.monte_carlo
+
+    def biased(*args, **kwargs):
+        stats = sampled(*args, **kwargs)
+        mean = stats.mean_fidelity.copy()
+        mean[0] += bias
+        return dataclasses.replace(stats, mean_fidelity=mean)
+
+    monkeypatch.setattr(cli, "monte_carlo", biased)
+    code, out, err = run_cli(capsys, "verify", "--D", "4", "--coeffs", "0.5,0.3,0.2",
+                             "--squared", "--trials", "10000", "--k-max", "1", "--seed", "3")
+    lines = out.splitlines()
+    rows = {line.split()[0]: line for line in lines[1:-1]}
+    assert list(rows) == ["F_mc_s1", "P_stage1", "P_smc_overall", "overall_me"]
+    assert "oracle!=analytic" not in out and err == ""
+    failed = {name: line for name, line in rows.items() if not line.endswith(" pass")}
+    if bias:
+        assert list(failed) == ["F_mc_s1"]
+        assert failed["F_mc_s1"].endswith(" FAIL empirical out of band")
+        assert (code, lines[-1]) == (2, "verdict: FAIL")
+    else:
+        assert failed == {}
+        assert (code, lines[-1]) == (0, "verdict: PASS")
 
 
 @pytest.mark.parametrize("fallback", ["me", "guess", "discard"])
@@ -609,6 +642,26 @@ def test_near_tied_smallest_group_passes_the_failure_fidelity_check(tmp_path, ca
     assert (code, err) == (0, "")
 
 
+ONE_ULP = ("--D", "4", "--coeffs", "0.5773502691896257,0.5773502691896258,0.5773502691896258",
+           "--tie-tol", "0")
+
+
+@pytest.mark.parametrize("argv", [("report",), ("plan",), ("verify", "--k-max", "1")],
+                         ids=["report", "plan", "verify"])
+def test_one_ulp_smallest_group_fails_its_cross_check_without_a_warning(capsys, argv):
+    # The smallest group lies one ulp below the other two, so p_fail = 1 -
+    # N a_min^2 is exactly 0 and the double-sum form divides by it.  That
+    # division once raised a RuntimeWarning, a traceback under
+    # -W error::RuntimeWarning; the cross-check then fails as it should
+    # (until the two forms are normalised alike).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, *argv, *ONE_ULP)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: internal cross-check failed: failure-fidelity forms "
+                        r"disagree: nan vs inf at point \[.*\]\n", err)
+
+
 @pytest.mark.usefixtures("fresh_reports")
 def test_corrupted_failure_form_exits_2_naming_plain_floats(capsys, monkeypatch):
     from mcteleport import analytics
@@ -787,8 +840,10 @@ def test_verify_builds_one_plan_and_one_branch_enumeration(capsys, monkeypatch):
 
 def test_verify_groups_the_channel_once(capsys, monkeypatch):
     # The sampler and the oracle read the plan's (M, D) Kraus arrays, and
-    # the plan and the closed forms share one cached grouping; ``plan``
-    # prints every stage from the same arrays.
+    # a verify calls ``channels.group_coefficients`` once: that call is
+    # what this test counts.  ``channel_report``'s evaluator groups the
+    # coefficients by their tie pattern on its own and is not counted.
+    # ``plan`` prints every stage from the same arrays.
     from mcteleport import channels
 
     weights = np.linspace(2.0, 1.0, 32)

@@ -3,6 +3,7 @@ import gc
 import re
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ import reference_circuit as ref
 from conftest import InlinePool, conjugated_tables, end_class, random_channel, tied_channels
 from mcteleport import (
     DEFAULT_TIE_TOL,
-    QuditState,
     StrategyConfig,
     build_stage_plan,
     channel_report,
@@ -27,7 +27,6 @@ from mcteleport import (
     monte_carlo,
     multiplicity_profile,
     overall_fidelity,
-    run_protocol,
     stage_probabilities,
 )
 from mcteleport import cli, engine, qudit
@@ -54,8 +53,8 @@ def test_runner_matches_reference_implementation(cfg):
         rng_b = np.random.default_rng(np.random.SeedSequence((99, trial)))
         psi = haar_random_state(4, rng_a)
         psi_b = haar_random_state(4, rng_b)
-        rec = run_protocol(EXAMPLE, psi, cfg, rng_a)
-        stage, conclusive, outcomes, bob = ref.run(EXAMPLE, psi_b.amplitudes, cfg, rng_b)
+        rec = ProtocolRunner(EXAMPLE, cfg).run(psi, rng_a)
+        stage, conclusive, outcomes, bob = ref.run(EXAMPLE, psi_b, cfg, rng_b)
         assert rec.stage_reached == stage
         assert rec.conclusive == conclusive
         assert rec.alice_outcomes == outcomes
@@ -63,17 +62,15 @@ def test_runner_matches_reference_implementation(cfg):
             assert rec.bob_state is None
             assert rec.run_fidelity is None
         else:
-            assert ref.fidelity(rec.bob_state.amplitudes, bob) == pytest.approx(1.0, abs=1e-12)
-            assert rec.run_fidelity == pytest.approx(
-                ref.fidelity(psi.amplitudes, bob), abs=1e-12
-            )
+            assert ref.fidelity(rec.bob_state, bob) == pytest.approx(1.0, abs=1e-12)
+            assert rec.run_fidelity == pytest.approx(ref.fidelity(psi, bob), abs=1e-12)
 
 
 def test_deterministic_on_maximal_channel_is_faithful():
     rng = np.random.default_rng(0)
     ch = make_channel(4, np.full(4, 0.5))
     for _ in range(25):
-        rec = run_protocol(ch, haar_random_state(4, rng), DET, rng)
+        rec = ProtocolRunner(ch, DET).run(haar_random_state(4, rng), rng)
         assert rec.run_fidelity == pytest.approx(1.0, abs=1e-12)
         assert rec.conclusive
         assert rec.stage_reached == 0
@@ -87,17 +84,17 @@ def test_conclusive_stage1_on_full_rank_channel_is_faithful():
     cfg = StrategyConfig(kind="mc-smc", k_max=1, fallback="discard")
     seen = 0
     for _ in range(100):
-        rec = run_protocol(ch, haar_random_state(3, rng), cfg, rng)
+        rec = ProtocolRunner(ch, cfg).run(haar_random_state(3, rng), rng)
         if rec.conclusive:
             seen += 1
             assert rec.run_fidelity >= 1 - 1e-10
     assert seen > 20
 
 
-def test_run_protocol_dimension_mismatch():
+def test_run_dimension_mismatch():
     rng = np.random.default_rng(3)
     with pytest.raises(ValueError):
-        run_protocol(EXAMPLE, haar_random_state(3, rng), DET, rng)
+        ProtocolRunner(EXAMPLE, DET).run(haar_random_state(3, rng), rng)
 
 
 @pytest.mark.parametrize("amplitudes, message", [
@@ -106,21 +103,21 @@ def test_run_protocol_dimension_mismatch():
     (np.array([0.5, np.nan, 0.5, 0.5]), "input amplitudes must be finite"),
     (np.full(3, 1 / np.sqrt(3)), "amplitudes of shape (3,)"),
 ], ids=["unnormalized", "zero", "nan", "short"])
-def test_run_protocol_rejects_a_bad_input_state(amplitudes, message):
+def test_run_rejects_a_bad_input_state(amplitudes, message):
     # Each once returned a wrong fidelity (3.0), a NaN with leaked
     # RuntimeWarnings, or a bare broadcasting error.
-    state = QuditState(amplitudes.astype(complex))
+    runner = ProtocolRunner(EXAMPLE, StrategyConfig(k_max=1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(message)):
-            run_protocol(EXAMPLE, state, StrategyConfig(k_max=1), np.random.default_rng(0))
+            runner.run(amplitudes, np.random.default_rng(0))
 
 
-def test_run_protocol_rejects_excess_stage_budget():
+def test_runner_rejects_excess_stage_budget():
     rng = np.random.default_rng(4)
     cfg = StrategyConfig(kind="mc-smc", k_max=3, fallback="me")
     with pytest.raises(ValueError):
-        run_protocol(EXAMPLE, haar_random_state(4, rng), cfg, rng)
+        ProtocolRunner(EXAMPLE, cfg).run(haar_random_state(4, rng), rng)
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -194,10 +191,10 @@ def test_monte_carlo_matches_oracle_within_four_sigma():
     stats = monte_carlo(EXAMPLE, cfg, 20_000, seed=9)
     for k in (1, 2):
         oracle = exact_average_fidelity(EXAMPLE, cfg, f"stage{k}")
-        err = stats.stage_stderr_fidelity(k)
-        assert abs(stats.stage_mean_fidelity(k) - oracle) < 4 * err
+        err = stats.stderr_fidelity[k - 1]
+        assert abs(stats.mean_fidelity[k - 1] - oracle) < 4 * err
         p_oracle = exact_branch_probabilities(EXAMPLE, cfg)[f"stage{k}"]
-        p_hat = stats.stage_probability(k)
+        p_hat = stats.probabilities[k - 1]
         p_err = np.sqrt(p_oracle * (1 - p_oracle) / stats.trials)
         assert abs(p_hat - p_oracle) < 4 * p_err
     overall_oracle = exact_average_fidelity(EXAMPLE, cfg)
@@ -221,7 +218,7 @@ def test_monte_carlo_stage1_success_frequency():
     )
     p = 3 * 0.2
     sigma = np.sqrt(p * (1 - p) / stats.trials)
-    assert abs(stats.stage_probability(1) - p) < 4 * sigma
+    assert abs(stats.probabilities[0] - p) < 4 * sigma
 
 
 def test_oracle_conclusive_stage1_depends_only_on_rank():
@@ -495,7 +492,7 @@ def test_post_shift_equals_the_public_register(D):
     b = np.arange(D)
     for N in range(1, D + 1):
         ch = random_channel(rng, D=D, N=N)
-        psi = haar_random_state(D, rng).amplitudes
+        psi = haar_random_state(D, rng)
         t = engine._post_shift(ProtocolRunner(ch, DET)._weights, psi)
         register = ref.post_shift(ch.coeffs, psi)
         assert np.array_equal(t, register[b, b])
@@ -516,7 +513,7 @@ def test_single_run_at_dimension_512_peaks_below_eight_square_arrays():
         gc.collect()
         tracemalloc.start()
         try:
-            run_protocol(ch, psi, cfg, rng)
+            ProtocolRunner(ch, cfg).run(psi, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -540,7 +537,7 @@ def test_single_runs_at_large_dimensions_leave_no_cubic_arrays_held():
         for D in range(100, 116, 2):
             ch = make_channel(D, np.sqrt([0.5, 0.3, 0.2]))
             rng = np.random.default_rng(D)
-            run_protocol(ch, haar_random_state(D, rng), cfg, rng)
+            ProtocolRunner(ch, cfg).run(haar_random_state(D, rng), rng)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
     finally:
@@ -569,7 +566,7 @@ def _kernel_matching_single_runs(runner, inputs, uniforms):
     against ``run`` on the same input and uniforms."""
     ends, outcomes, fids = runner.run_block(np.abs(inputs) ** 2, uniforms)
     for i in range(len(inputs)):
-        rec = runner.run(QuditState(inputs[i]), _ReplayedUniforms(uniforms[i]))
+        rec = runner.run(inputs[i], _ReplayedUniforms(uniforms[i]))
         assert ends[i] == end_class(rec, runner.cfg)
         assert tuple(outcomes[i]) == (rec.alice_outcomes or (-1, -1))
         if rec.run_fidelity is None:
@@ -626,8 +623,8 @@ def test_shared_running_sum_search_equals_the_row_count():
         # The single run's draw on the same probabilities picks the same outcome.
         probs = np.diff(cum, prepend=0.0)
         if np.array_equal(np.cumsum(probs), cum):
-            assert got.tolist() == [ProtocolRunner._sample_axis(probs, _ReplayedUniforms(u[i:i + 1]))
-                                    for i in range(u.size)]
+            assert got.tolist() == [int(engine._sample_shared(np.cumsum(probs), x))
+                                    for x in u.tolist()]
 
 
 @pytest.mark.parametrize("fallback", ["me", "guess", "discard"])
@@ -1090,9 +1087,9 @@ def _check_single_run_against(D, rotate):
                             for fb in ("me", "guess", "discard")]:
             runner = ProtocolRunner(ch, cfg)
             for _ in range(3):
-                psi = haar_random_state(D, rng).amplitudes
+                psi = haar_random_state(D, rng)
                 uniforms = rng.random(runner.draws_per_trial)
-                rec = runner.run(QuditState(psi), _ReplayedUniforms(uniforms))
+                rec = runner.run(psi, _ReplayedUniforms(uniforms))
                 stage, conclusive, outcomes, bob = ref.run(
                     ch, psi, cfg, _ReplayedUniforms(uniforms), rotate)
                 assert (rec.stage_reached, rec.conclusive, rec.alice_outcomes) == (
@@ -1100,7 +1097,7 @@ def _check_single_run_against(D, rotate):
                 if bob is None:
                     assert rec.bob_state is None
                     continue
-                got = rec.bob_state.amplitudes
+                got = rec.bob_state
                 assert np.linalg.norm(got - bob) <= 1e-12 * np.linalg.norm(bob)
                 assert rec.run_fidelity == pytest.approx(ref.fidelity(psi, bob), rel=1e-12, abs=0)
 
@@ -1312,12 +1309,58 @@ def test_tables_agree_with_the_reference_circuit():
     for D in range(2, 65):
         finv, _, phases, _, shifts = engine._tables(D)
         np.testing.assert_allclose(finv, ref.dft(D).conj().T, rtol=0, atol=1e-15)
-        v = haar_random_state(D, np.random.default_rng(D)).amplitudes
+        v = haar_random_state(D, np.random.default_rng(D))
         for l in range(D):
             np.testing.assert_allclose(phases[l], ref.correct(np.ones(D), 0, l),
                                        rtol=0, atol=8 * np.finfo(float).eps)
         for k in range(D):
             np.testing.assert_array_equal(v[shifts[k]], ref.correct(v, k))
+
+
+# pi to 62 decimals, for roots of unity computed in ``decimal`` (no mpmath).
+PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _exact_root(r, D):
+    """(cos, sin) of 2 pi r / D to 60 digits, by Taylor series on the angle
+    reduced to [-pi, pi]."""
+    with localcontext() as ctx:
+        ctx.prec = 70
+        x = 2 * PI * r / D
+        if x > PI:
+            x -= 2 * PI
+        parts, term, k = [Decimal(0), Decimal(0)], Decimal(1), 0
+        while abs(term) > Decimal("1e-66"):
+            # x^k / k! adds to cos for even k and to sin for odd k, with the
+            # signs + + - - repeating.
+            parts[k % 2] += term if k % 4 < 2 else -term
+            k += 1
+            term = term * x / k
+        return tuple(parts)
+
+
+def test_table_phases_are_within_eight_eps_of_exact_roots():
+    # Every entry phases[l, n] of D = 2..64 against exp(2 pi i (l n mod D) / D)
+    # at 60 digits; the entries are compared once per distinct (root,
+    # value) pair.  The worst error is about 7 eps (at D = 49), the
+    # rounding of the argument 2 pi k / D carried into exp.
+    bound = 8 * Decimal(np.finfo(float).eps)
+    errors = []
+    for D in range(2, 65):
+        phases = engine._tables(D)[2]
+        n = np.arange(D)
+        r = np.multiply.outer(n, n) % D
+        pairs = np.unique(np.stack([r.ravel(), phases.real.ravel(), phases.imag.ravel()]),
+                          axis=1).T
+        roots = [_exact_root(k, D) for k in range(D)]
+        for k, re_part, im_part in pairs.tolist():
+            cos, sin = roots[int(k)]
+            with localcontext() as ctx:
+                ctx.prec = 70
+                err = ((Decimal(re_part) - cos) ** 2 + (Decimal(im_part) - sin) ** 2).sqrt()
+            errors.append((err, D))
+    worst, D = max(errors)
+    assert worst <= bound, f"error {float(worst):.3g} at D={D}"
 
 
 def test_reference_circuit_reads_nothing_of_the_engine():
@@ -1364,7 +1407,7 @@ def test_block_kernel_matches_single_run_on_random_channels(ch, k_max, seed):
         uniforms = rng.random((len(inputs), runner.draws_per_trial))
         ends, outcomes, fids = runner.run_block(np.abs(inputs) ** 2, uniforms)
         for i in range(len(inputs)):
-            rec = runner.run(QuditState(inputs[i]), _ReplayedUniforms(uniforms[i]))
+            rec = runner.run(inputs[i], _ReplayedUniforms(uniforms[i]))
             assert ends[i] == end_class(rec, cfg)
             assert tuple(outcomes[i]) == (rec.alice_outcomes or (-1, -1))
             if rec.run_fidelity is None:
