@@ -1,16 +1,16 @@
 """Closed-form fidelities, probabilities and stage structure for a channel.
 
-Everything here is evaluated from the coefficient multiplicity profile
-(grouped values), never from raw floats, so tie-tolerance decisions
-propagate consistently between these formulas and the simulated operators.
+Everything here is evaluated from the grouped values that ``channels``
+forms, never from raw floats, so tie-tolerance decisions propagate
+consistently between these formulas and the simulated operators.
 Quantities named ``F_*`` are average teleportation fidelities; the
 corresponding singlet fractions are recovered as (F*(D+1) - 1)/D.
 
 Every closed form comes from one array evaluator, ``_pattern_block``,
 which assembles every field for a block of channels sharing a tie pattern
 and asserts the identities between them: ``report_blocks`` feeds it the
-distinct channels among sweep points, ``channel_report`` one channel as a
-one-row block.  The per-quantity functions (``f_me``,
+grouped distinct channels among sweep points, ``channel_report`` one
+channel's profile as a one-row block.  The per-quantity functions (``f_me``,
 ``stage_probabilities``, ``overall_fidelity``, ...) read the cached
 ``channel_report``; for the ``me`` fallback, ``overall_fidelity`` adds the
 failure-family sum after k_max stages, from the helper the evaluator uses
@@ -30,10 +30,10 @@ from math import prod
 
 import numpy as np
 
+from . import channels
 from .channels import (
     DEFAULT_TIE_TOL,
     SchmidtChannel,
-    check_tie_tolerance,
     multiplicity_profile,
 )
 from .discrimination import KIND_DETERMINISTIC, StrategyConfig
@@ -162,29 +162,25 @@ def channel_report(
 ) -> ChannelReport:
     """Evaluate every closed form for one channel and assert the internal
     identities that tie them together: the one-row case of
-    :func:`report_blocks`.  ``make_channel`` has already validated, sorted
-    and normalised the coefficients, so their ascending row goes straight
-    to the per-pattern evaluator.
+    :func:`report_blocks`, evaluated from the channel's cached
+    ``multiplicity_profile``.
 
     The last report is cached (it is immutable), keyed by the channel's
     identity and the tie tolerance as passed, so the per-quantity
     functions above, which read it, evaluate a channel once; errors are
     not cached."""
-    check_tie_tolerance(tie_tolerance)
+    profile = multiplicity_profile(ch, tie_tolerance)
     D = ch.D
     if ch.N == 1:
-        # Rank 1: no stage, so every strategy is the deterministic one.  The
-        # group value sqrt(a^2) is formed as group_coefficients forms it.
-        sum_a_sq = float(np.sqrt(ch.coeffs[0] ** 2)) ** 2
+        # Rank 1: no stage, so every strategy is the deterministic one.
+        sum_a_sq = float(profile.values[0]) ** 2
         F_me = (1.0 + sum_a_sq) / (D + 1)
         return ChannelReport(
             D=D, N=1, d=1, M=0, F_me=F_me, f_me=sum_a_sq / D, F_clas=f_clas(D),
             F_mc_s=(), f_mc_s=(), p_fail=(), p_success=(), P_smc=(), useful=(),
             F_me_after_fail=None, overall_me=F_me, overall_smc=F_me,
         )
-    amps = ch.coeffs[None, ::-1]
-    gaps = amps[0, 1:] - amps[0, :-1] > tie_tolerance  # np.diff
-    block = _pattern_block(D, amps, gaps, amps**2, slice(None))  # its one row, as a view
+    block = _pattern_block(D, profile, ch.coeffs[None, ::-1] ** 2, slice(None))
 
     def row(series):
         return tuple(series[0].tolist())
@@ -246,11 +242,10 @@ def report_blocks(
     sorted amplitudes are the same bits are one channel, evaluated once (a
     report reads only these amplitudes); the channels are numbered by first
     occurrence, and a block's ``rows`` index them.  The channels are split
-    by their tie pattern (the gap mask of ``group_coefficients``) and each
-    pattern is evaluated by ``_pattern_block``, the evaluator
-    ``channel_report`` also uses.
+    by their tie pattern (their ``channels.tie_gaps`` mask), each pattern
+    is grouped by ``channels.group_rows`` and evaluated by
+    ``_pattern_block``, the evaluator ``channel_report`` also uses.
     """
-    check_tie_tolerance(tie_tolerance)
     squared = np.asarray(squared, dtype=float)
     amps = np.sqrt(squared)
     total = np.sum(amps**2, axis=1)
@@ -261,14 +256,18 @@ def report_blocks(
     order = first.argsort()  # the channels by first occurrence
     keep = first[order]
     amps, squared, channel = amps[keep], squared[keep], order.argsort()[channel]
-    gaps = np.diff(amps, axis=1) > tie_tolerance
+    gaps = channels.tie_gaps(amps, tie_tolerance)
     # A gap mask packed 8 gaps to a byte has a code that sorts as the bool row
     # does, so the patterns come in np.unique(axis=0)'s order, without its
     # per-field sort.
     _, first, which = np.unique(_row_codes(np.packbits(gaps, axis=1)),
                                 return_index=True, return_inverse=True)
-    return [_pattern_block(D, amps, gaps[i], squared, (which == g).nonzero()[0])
-            for g, i in enumerate(first.tolist())], channel
+    blocks = []
+    for g, i in enumerate(first.tolist()):
+        rows = (which == g).nonzero()[0]
+        profile = channels.MultiplicityProfile(*channels.group_rows(amps[rows], gaps[i]))
+        blocks.append(_pattern_block(D, profile, squared[rows], rows))
+    return blocks, channel
 
 
 def _row_codes(rows: np.ndarray) -> np.ndarray:
@@ -276,31 +275,18 @@ def _row_codes(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
-def _pattern_block(D, amps, gaps, points, rows) -> ReportBlock:
-    """Every closed form of the channels whose ascending amplitudes are the
-    ``rows`` of ``amps`` (shape (., N), N >= 2), all with the gap mask
-    ``gaps``, and every identity that ties them together, asserted on each
-    row; a failure names the failing row of ``points``.  Within the pattern
-    every quantity is column arithmetic on the (P, d) group values; only
-    the survival recurrence loops, over the M stages.  The one-row case is
-    :func:`channel_report`, which the per-quantity functions read."""
-    amps, points = amps[rows], points[rows]
-    P, N = amps.shape
-    edges = np.array([0, *(gaps.nonzero()[0] + 1).tolist(), N])
-    mults = edges[1:] - edges[:-1]
-    d = mults.size
-    M = d - 1 if mults[-1] == 1 else d
-    support = mults[::-1].cumsum()[::-1][:M]
-    # group_coefficients: root mean square of each group's members; a lone
-    # member's mean is its own square.  take keeps rows contiguous
-    # (a[:, idx] is column-major), so each row sum below adds pairwise, as
-    # a one-row block does, for any P; a column-major block of P > 1 rows
-    # adds left to right, off in the last bit from 8 terms on.
-    sq = amps**2
-    values = np.sqrt(sq.take(edges[:-1], axis=1))
-    for j in (mults > 1).nonzero()[0].tolist():
-        a, b = edges[j], edges[j + 1]
-        values[:, j] = np.sqrt(np.add.reduce(sq[:, a:b], axis=1) / (b - a))
+def _pattern_block(D, profile, points, rows) -> ReportBlock:
+    """Every closed form of the channels ``rows`` (N >= 2) that share the
+    multiplicities of ``profile``, from its (P, d) or one channel's (d,)
+    group values, and every identity that ties them together, asserted on
+    each row; a failure names the failing row of ``points``, their (P, N)
+    squared coefficients.  Every quantity is column arithmetic on the
+    group values; only the survival recurrence loops, over the M stages.
+    The one-row case is :func:`channel_report`."""
+    mults, d, M, support = profile.multiplicities, profile.d, profile.M, profile.support
+    N, support = int(support[0]), support[:M]
+    values = profile.values.reshape(-1, d)  # one channel's (d,) as a row
+    P = values.shape[0]
     v_sq = values**2
     # float_power squares with pow(), as every recorded output was computed;
     # x*x can differ by an ulp.

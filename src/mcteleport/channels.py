@@ -4,13 +4,14 @@ A two-qudit pure channel is stored as its positive Schmidt coefficients,
 sorted non-increasing.  The coefficient multiplicity structure (how many
 coefficients share each value) controls how many filtering stages the
 probabilistic protocol supports, so grouping of nearly equal values is an
-explicit, tolerance-controlled step shared by analytics and simulation.
+explicit, tolerance-controlled step, written only here (``tie_gaps``,
+``group_rows`` and ``MultiplicityProfile``) for analytics and simulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import isfinite
 
 import numpy as np
@@ -52,10 +53,11 @@ class SchmidtChannel:
 class MultiplicityProfile:
     """Groups of equal coefficients, ordered from smallest to largest value.
 
-    ``values[j]`` is the amplitude shared by ``multiplicities[j]``
-    coefficients; ``M`` is the number of filtering stages that can yield a
-    conclusive outcome: the group count, minus one when the largest value
-    is non-degenerate (a lone top coefficient leaves nothing to filter).
+    ``values[..., j]`` (shape (d,), or (P, d) for P channels) is the
+    amplitude shared by ``multiplicities[j]`` coefficients; ``M`` is the
+    number of filtering stages that can yield a conclusive outcome: the
+    group count, minus one when the largest value is non-degenerate (a
+    lone top coefficient leaves nothing to filter).
     """
 
     values: np.ndarray
@@ -63,19 +65,17 @@ class MultiplicityProfile:
 
     @property
     def d(self) -> int:
-        return int(self.values.size)
+        return int(self.multiplicities.size)
 
     @property
     def M(self) -> int:
         return self.d - 1 if int(self.multiplicities[-1]) == 1 else self.d
 
-    @cached_property
+    @property
     def support(self) -> np.ndarray:
         """``support[k - 1]`` counts the coefficients still alive entering
-        stage k: the suffix sums of the multiplicities."""
-        counts = self.multiplicities[::-1].cumsum()[::-1]
-        counts.setflags(write=False)
-        return counts
+        stage k: the suffix sums of the multiplicities, a new array."""
+        return self.multiplicities[::-1].cumsum()[::-1]
 
 
 def _validated_coeffs(coeffs, D: int) -> np.ndarray:
@@ -125,27 +125,38 @@ def check_tie_tolerance(tie_tolerance: float) -> None:
         )
 
 
-def group_coefficients(coeffs, tie_tolerance: float = DEFAULT_TIE_TOL):
-    """Cluster coefficients that are equal within ``tie_tolerance``.
-
-    Returns (values, multiplicities) ordered smallest to largest.  Linkage
-    is by consecutive gap on the sorted list; each group's representative
-    value is the root mean square of its members, which preserves the
-    total squared weight exactly.  ``tie_tolerance`` must be finite and in
-    [0, MAX_TIE_TOL].
-    """
+def tie_gaps(amps: np.ndarray, tie_tolerance: float) -> np.ndarray:
+    """Where ascending amplitudes (last axis) differ by more than
+    ``tie_tolerance``, which must be finite and in [0, MAX_TIE_TOL]."""
     check_tie_tolerance(tie_tolerance)
-    arr = np.array(coeffs, dtype=float).ravel()  # a copy, sorted in place
-    arr.sort()
-    cuts = ((arr[1:] - arr[:-1] > tie_tolerance).nonzero()[0] + 1).tolist()
-    edges = np.array([0, *cuts, arr.size] if arr.size else [0])
+    return amps[..., 1:] - amps[..., :-1] > tie_tolerance  # np.diff
+
+
+def group_rows(amps: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group each ascending amplitude row of ``amps`` (P, N) at the gaps
+    ``gaps`` (N - 1,) they share: (values (P, d), multiplicities (d,)),
+    smallest first.  A value is the root mean square of the group's
+    members, which preserves the total squared weight."""
+    N = amps.shape[1]
+    edges = np.array([0, *(gaps.nonzero()[0] + 1).tolist(), N] if N else [0])
     mults = edges[1:] - edges[:-1]
-    sq = arr**2
-    # A singleton's mean is its one member; a larger group's is np.mean's sum / count.
-    values = np.sqrt(sq[edges[:-1]])
+    # take keeps rows contiguous (a[:, idx] is column-major), so each row
+    # sum adds pairwise for any P; a column-major block of P > 1 rows adds
+    # left to right, off in the last bit from 8 terms on.
+    sq = amps**2
+    values = np.sqrt(sq.take(edges[:-1], axis=1))
     for j in (mults > 1).nonzero()[0].tolist():
-        values[j] = np.sqrt(np.add.reduce(sq[edges[j]:edges[j + 1]]) / mults[j])
+        a, b = edges[j], edges[j + 1]
+        values[:, j] = np.sqrt(np.add.reduce(sq[:, a:b], axis=1) / (b - a))
     return values, mults
+
+
+def group_coefficients(coeffs, tie_tolerance: float = DEFAULT_TIE_TOL):
+    """``group_rows`` of the coefficients as one sorted row: (values,
+    multiplicities), smallest first."""
+    arr = np.sort(np.asarray(coeffs, dtype=float).ravel())
+    values, mults = group_rows(arr[None], tie_gaps(arr, tie_tolerance))
+    return values[0], mults
 
 
 @lru_cache(maxsize=1)
@@ -159,7 +170,8 @@ def multiplicity_profile(
     pass both positionally and one verify, report or plan groups its
     channel once; errors are not cached.
     """
-    values, mults = group_coefficients(ch.coeffs, tie_tolerance)
+    amps = ch.coeffs[None, ::-1]  # ascending, a view
+    (values,), mults = group_rows(amps, tie_gaps(amps[0], tie_tolerance))
     values.setflags(write=False)
     mults.setflags(write=False)
     return MultiplicityProfile(values, mults)

@@ -334,23 +334,23 @@ class ProtocolRunner:
             if lo == hi or not self._delivers[c]:
                 continue
             rows = order[lo:hi]
-            q = probs[rows]
+            q = probs.take(rows, axis=0)  # take: a faster gather than a[rows]
             first = min(c + 1, k)
             # Sender outcome o1: l after the Fourier rotation, else m.
-            o1 = _sample_shared(self._cum1[c], uniforms[rows, first])
-            p1 = self._probs1[c, o1]
+            o1 = _sample_shared(self._cum1[c], uniforms[:, first].take(rows))
+            p1 = self._probs1[c].take(o1)
             # Receiver outcome o2: one product with the class's circulant
             # w_c^2[(i + j) mod D] for minimum error, a gather for ``guess``.
             if self._me[c]:
                 probs2 = q @ self._w2[c][shifts]
             else:
-                probs2 = np.take_along_axis(q, diff[o1], axis=1)
+                probs2 = np.take_along_axis(q, diff.take(o1, axis=0), axis=1)
             # Running sums laid out (D, rows), so ``_sample_rows`` compares
             # and counts along trials: the same additions in the same order
             # as along a row.
             cum = np.cumsum(probs2.T, axis=0, out=np.empty((D, rows.size)))
-            o2 = _sample_rows(cum, uniforms[rows, first + 1])
-            p2 = probs2[np.arange(rows.size), o2]
+            o2 = _sample_rows(cum, uniforms[:, first + 1].take(rows))
+            p2 = probs2.take(np.arange(0, rows.size * D, D) + o2)  # flat [arange, o2]
             # After X^-k Z^l the receiver holds phases[l, s] F^+[l, s] w_s psi[n]
             # / sqrt(p1 p2) at index n, with s = n + k mod D, and that phase
             # product is 1/sqrt(D) for every s: the overlap with the input is

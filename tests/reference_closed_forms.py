@@ -1,7 +1,7 @@
 """Every closed form of a channel report, evaluated at 60 significant digits.
 
 The reference takes a channel's normalised float coefficients as exact and
-groups them by the float gap mask of ``channels.group_coefficients``
+groups them by the float gap mask of ``channels.tie_gaps``
 (ascending order, a new group wherever the gap exceeds the tie
 tolerance), so it shares the program's tie decisions and measures its
 arithmetic error alone.  Everything after the grouping is stdlib

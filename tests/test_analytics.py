@@ -134,6 +134,33 @@ def test_analytics_does_not_import_engine():
     assert not any(name.split(".")[-1] == "engine" for name in imported), imported
 
 
+def test_the_tie_decision_has_one_owner(monkeypatch):
+    # A mutant grouping that merges the two smallest groups reaches the
+    # one-channel report, the stage plan and every sweep block alike.
+    from mcteleport import build_stage_plan, channels
+
+    group = channels.group_rows
+
+    def merged(amps, gaps):
+        gaps = gaps.copy()
+        gaps[gaps.argmax()] = False  # the first cut
+        return group(amps, gaps)
+
+    points = np.array([[0.5, 0.3, 0.2], [0.6, 0.3, 0.1]])
+    ch = make_channel(4, np.sqrt(points[0]))
+    assert (channel_report(ch).d, channel_report(ch).M) == (3, 2)
+    monkeypatch.setattr(channels, "group_rows", merged)
+    try:
+        ch = make_channel(4, np.sqrt(points[0]))  # a new key for every cache
+        rep = channel_report(ch)
+        assert (rep.d, rep.M, build_stage_plan(ch).M) == (2, 1, 1)
+        blocks, _ = mcteleport.analytics.report_blocks(4, points)
+        assert [(b.d, b.M, b.rows.tolist()) for b in blocks] == [(2, 1, [0, 1])]
+    finally:
+        for cached in (multiplicity_profile, build_stage_plan, channel_report):
+            cached.cache_clear()
+
+
 def test_f_me_after_fail_below_deterministic():
     rng = np.random.default_rng(2)
     for _ in range(50):

@@ -839,30 +839,33 @@ def test_verify_builds_one_plan_and_one_branch_enumeration(capsys, monkeypatch):
 
 
 def test_verify_groups_the_channel_once(capsys, monkeypatch):
-    # The sampler and the oracle read the plan's (M, D) Kraus arrays, and
-    # a verify calls ``channels.group_coefficients`` once: that call is
-    # what this test counts.  ``channel_report``'s evaluator groups the
-    # coefficients by their tie pattern on its own and is not counted.
-    # ``plan`` prints every stage from the same arrays.
+    # ``channels.group_rows`` is the one grouping of every route: the plan
+    # the sampler and the oracle read and the closed forms of one
+    # ``verify``, ``report`` or ``plan`` share the channel's cached
+    # profile, so each command calls it once.  ``plan`` prints every stage
+    # from the plan's arrays.
     from mcteleport import channels
 
     weights = np.linspace(2.0, 1.0, 32)
     coeffs = ",".join(map(str, (weights / weights.sum()).tolist()))
     groupings = []
-    group = channels.group_coefficients
+    group = channels.group_rows
 
     def counted(*args):
         groupings.append(1)
         return group(*args)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(channels, "group_coefficients", counted)
-        code, out, _ = run_cli(capsys, "verify", "--D", "32", "--coeffs", coeffs, "--squared",
-                               "--trials", "1000", "--k-max", "3")
+    monkeypatch.setattr(channels, "group_rows", counted)
+    code, out, _ = run_cli(capsys, "verify", "--D", "32", "--coeffs", coeffs, "--squared",
+                           "--trials", "1000", "--k-max", "3")
     assert code == 0 and "verdict: PASS" in out
     assert len(groupings) == 1
+    code, out, _ = run_cli(capsys, "report", "--D", "32", "--coeffs", coeffs, "--squared")
+    assert code == 0 and "M=31" in out
+    assert len(groupings) == 2
     code, out, _ = run_cli(capsys, "plan", "--D", "32", "--coeffs", coeffs, "--squared")
     assert code == 0 and "M=31" in out
+    assert len(groupings) == 3
     stages = [line.split()[0] for line in out.splitlines()[2:]]
     assert stages[:-1] == [str(k) for k in range(1, 32)] and stages[-1] == "expected"
 

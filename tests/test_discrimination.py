@@ -210,13 +210,13 @@ def test_build_stage_plan_groups_the_coefficients_once(monkeypatch):
     import mcteleport.channels
 
     calls = []
-    group = mcteleport.channels.group_coefficients
+    group = mcteleport.channels.group_rows
 
     def counted(*args, **kwargs):
         calls.append(1)
         return group(*args, **kwargs)
 
-    monkeypatch.setattr(mcteleport.channels, "group_coefficients", counted)
+    monkeypatch.setattr(mcteleport.channels, "group_rows", counted)
     weights = np.linspace(2.0, 1.0, 32)
     plan = build_stage_plan(make_channel(32, np.sqrt(weights / weights.sum())))
     assert plan.M == 31

@@ -116,9 +116,9 @@ def test_each_distinct_channel_is_evaluated_once(monkeypatch, capsys):
     # the 5,050 points of the paper's D=4, N=3 sweep are 2,550 channels.
     evaluate, evaluated = analytics._pattern_block, []
 
-    def counted(D, amps, gaps, points, rows):
+    def counted(D, profile, points, rows):
         evaluated.append(rows.size)
-        return evaluate(D, amps, gaps, points, rows)
+        return evaluate(D, profile, points, rows)
 
     monkeypatch.setattr(analytics, "_pattern_block", counted)
     assert main(["sweep", "--D", "4", "--N", "3", "--grid", "101"]) == 0
