@@ -133,12 +133,12 @@ def tie_gaps(amps: np.ndarray, tie_tolerance: float) -> np.ndarray:
 
 
 def group_rows(amps: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group each ascending amplitude row of ``amps`` (P, N) at the gaps
-    ``gaps`` (N - 1,) they share: (values (P, d), multiplicities (d,)),
-    smallest first.  A value is the root mean square of the group's
+    """Group each ascending amplitude row of ``amps`` (P, N), N >= 1, at
+    the gaps ``gaps`` (N - 1,) they share: (values (P, d), multiplicities
+    (d,)), smallest first.  A value is the root mean square of the group's
     members, which preserves the total squared weight."""
     N = amps.shape[1]
-    edges = np.array([0, *(gaps.nonzero()[0] + 1).tolist(), N] if N else [0])
+    edges = np.array([0, *(gaps.nonzero()[0] + 1).tolist(), N])
     mults = edges[1:] - edges[:-1]
     # take keeps rows contiguous (a[:, idx] is column-major), so each row
     # sum adds pairwise for any P; a column-major block of P > 1 rows adds
@@ -149,14 +149,6 @@ def group_rows(amps: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarr
         a, b = edges[j], edges[j + 1]
         values[:, j] = np.sqrt(np.add.reduce(sq[:, a:b], axis=1) / (b - a))
     return values, mults
-
-
-def group_coefficients(coeffs, tie_tolerance: float = DEFAULT_TIE_TOL):
-    """``group_rows`` of the coefficients as one sorted row: (values,
-    multiplicities), smallest first."""
-    arr = np.sort(np.asarray(coeffs, dtype=float).ravel())
-    values, mults = group_rows(arr[None], tie_gaps(arr, tie_tolerance))
-    return values[0], mults
 
 
 @lru_cache(maxsize=1)

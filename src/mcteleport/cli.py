@@ -24,7 +24,7 @@ import re
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
-from math import ceil, comb, log2, sqrt
+from math import ceil, comb, log, log2, nan, sqrt
 
 import numpy as np
 
@@ -65,12 +65,9 @@ DEFAULT_QUANTITIES = (
 )
 
 ORACLE_ATOL = 1e-9  # analytic vs branch-enumeration agreement
-EMPIRICAL_SIGMAS = 4.0  # Monte Carlo guard band
-MIN_FIDELITY_SAMPLES = 2  # fewer samples in a bucket: status "sparse n=<count>"
-# A fidelity stderr below this is the rounding noise of samples that agree
-# exactly in theory (~1e-17); it prints as 0.  The band's floor is
-# ORACLE_ATOL, so the verdict does not depend on it.
-ROUNDING_STDERR = 1e-15
+# Two-sided tail of each verify row's Monte Carlo band: the normal tail
+# beyond 4 sigma, here held by a bound that needs no normal approximation.
+BAND_TAIL = 6.334e-5
 
 
 def _fmt(value) -> str:
@@ -496,16 +493,17 @@ def cmd_sweep(args) -> int:
 
 
 def _verify_rows(channel, cfg, trials, seed, workers, tie_tol):
-    """Each row: (name, analytic, oracle, empirical, stderr, samples).
-    ``samples`` is the number of fidelities behind a fidelity row and None
-    on probability rows, whose stderr is the binomial sqrt(p(1 - p)/trials)
-    of the analytic p, so a bucket that happens to see no hits keeps a
-    band of its expected width."""
+    """Each row: (name, analytic, oracle, empirical, stderr, n).  The
+    empirical value is the mean of n sampled values in [0, 1], and
+    ``stderr`` is that mean's sample standard error (NaN for n < 2).  A
+    fidelity row samples the fidelities of its bucket; a probability row
+    samples a 0/1 hit per trial, so n = trials and the stderr is
+    sqrt(p(1 - p)/(n - 1)) at the sampled p."""
     masses = exact_branch_probabilities(channel, cfg, tie_tol)
     stats = monte_carlo(channel, cfg, trials, seed, workers=workers, tie_tolerance=tie_tol)
 
-    def binomial_err(p):
-        return sqrt(max(p * (1.0 - p), 0.0) / trials)
+    def hit_row(name, analytic, oracle, p):
+        return (name, analytic, oracle, p, sqrt(p * (1.0 - p) / (trials - 1)), trials)
 
     p_stages, p_total = stage_probabilities(channel, cfg.k_max, tie_tol)
     rows = []
@@ -515,11 +513,10 @@ def _verify_rows(channel, cfg, trials, seed, workers, tie_tol):
         # Bucket k - 1 is stage k.
         rows.append((f"F_mc_s{k}", analytic_f, oracle_f, float(stats.mean_fidelity[k - 1]),
                      float(stats.stderr_fidelity[k - 1]), int(stats.counts[k - 1])))
-        p_k = float(p_stages[k - 1])
-        rows.append((f"P_stage{k}", p_k, masses[f"stage{k}"],
-                     float(stats.probabilities[k - 1]), binomial_err(p_k), None))
-    rows.append(("P_smc_overall", p_total, 1.0 - masses["exhausted-me"],
-                 stats.conclusive_probability, binomial_err(p_total), None))
+        rows.append(hit_row(f"P_stage{k}", float(p_stages[k - 1]), masses[f"stage{k}"],
+                            float(stats.probabilities[k - 1])))
+    rows.append(hit_row("P_smc_overall", p_total, 1.0 - masses["exhausted-me"],
+                        stats.conclusive_probability))
     label = ("overall_conditional" if cfg.fallback == "discard"
              else f"overall_{cfg.fallback}")
     delivered = trials if cfg.fallback != "discard" else int(stats.counts[:-1].sum())
@@ -535,6 +532,15 @@ def _verify_rows(channel, cfg, trials, seed, workers, tie_tol):
 
 
 def cmd_verify(args) -> int:
+    """Print each row of ``_verify_rows`` and judge it twice: the oracle
+    must match the analytic value within ORACLE_ATOL, and the empirical
+    mean must lie within ``band`` of it.  For a mean of n >= 2 values in
+    [0, 1], band = sqrt(2L)·stderr + 7L/(3(n - 1)) with L = ln(4/BAND_TAIL)
+    is the empirical Bernstein bound (Maurer and Pontil 2009, Thm 4) on
+    each tail at BAND_TAIL/2, whatever the values' distribution.  A row of
+    n < 2 has no sample variance and no band: its status is
+    ``sparse n=<count>`` (the matching probability row tests its count).
+    The printed ``+-`` is the band."""
     ch = _build_channel(args)
     if args.trials < 1000:
         raise ValueError("verify needs at least 1000 trials")
@@ -550,28 +556,25 @@ def cmd_verify(args) -> int:
 
     print(f"verify: D={ch.D} N={ch.N} k_max={cfg.k_max} fallback={cfg.fallback} "
           f"trials={args.trials} seed={args.seed}")
+    L = log(4.0 / BAND_TAIL)
     all_ok = True
-    for name, analytic, oracle, empirical, err, samples in rows:
+    for name, analytic, oracle, empirical, err, n in rows:
         notes = []
         if abs(oracle - analytic) > ORACLE_ATOL:
             notes.append("oracle!=analytic")
-        # A fidelity mean needs two samples for a stderr; fewer get no
-        # empirical test (their bucket count is tested by the P row).  A
-        # stderr of samples equal up to rounding is below the mean's rounding.
-        sparse = samples is not None and samples < MIN_FIDELITY_SAMPLES
-        band = max(EMPIRICAL_SIGMAS * err, ORACLE_ATOL) if np.isfinite(err) else ORACLE_ATOL
-        if not sparse and (not np.isfinite(empirical) or abs(empirical - analytic) > band):
+        sparse = n < 2  # no sample variance, so no band
+        band = nan if sparse else sqrt(2.0 * L) * err + 7.0 * L / (3 * (n - 1))
+        if not (sparse or abs(empirical - analytic) <= band):  # a NaN mean fails
             notes.append("empirical out of band")
         all_ok &= not notes
         if notes:
             status = "FAIL " + ",".join(notes)
         else:
-            status = f"sparse n={samples}" if sparse else "pass"
-        shown = 0.0 if samples is not None and err < ROUNDING_STDERR else err
+            status = f"sparse n={n}" if sparse else "pass"
         print(
             f"{name:<18} analytic={format(analytic, '.12g'):<18} "
             f"oracle={format(oracle, '.12g'):<18} "
-            f"empirical={format(empirical, '.12g')}+-{format(shown, '.3g'):<12} "
+            f"empirical={format(empirical, '.12g')}+-{format(band, '.3g'):<12} "
             f"{status}"
         )
     print(f"verdict: {'PASS' if all_ok else 'FAIL'}")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import reference_circuit as ref
 from conftest import channel_with_multiplicities, random_channel
 from mcteleport import make_channel, multiplicity_profile
-from mcteleport.channels import group_coefficients
+from mcteleport.channels import DEFAULT_TIE_TOL, group_rows, tie_gaps
 
 
 def _channel_state(ch):
@@ -184,18 +184,19 @@ def test_group_values_are_rms_of_members(groups, rnd):
                for level, mult in groups]
     coeffs = [c for group in members for c in group]
     rnd.shuffle(coeffs)
-    values, mults = group_coefficients(coeffs)
+    arr = np.sort(coeffs)
+    (values,), mults = group_rows(arr[None], tie_gaps(arr, DEFAULT_TIE_TOL))
     expected = sorted(members, key=min)
     assert mults.tolist() == [len(group) for group in expected]
     for value, group in zip(values, expected):
         assert value == np.sqrt(np.mean(np.sort(group) ** 2))
 
 
-def _group_coefficients_by_list_of_means(coeffs, tie_tolerance):
+def _group_by_list_of_means(coeffs, tie_tolerance):
     """Reference: one ``np.mean`` per group, singletons included."""
     arr = np.sort(np.asarray(coeffs, dtype=float).ravel())
     cuts = (np.flatnonzero(np.diff(arr) > tie_tolerance) + 1).tolist()
-    edges = [0, *cuts, arr.size] if arr.size else [0]
+    edges = [0, *cuts, arr.size]
     sq = arr**2
     values = [np.sqrt(np.mean(sq[a:b])) for a, b in zip(edges, edges[1:])]
     return np.asarray(values, dtype=float), np.diff(edges)
@@ -205,17 +206,18 @@ def _group_coefficients_by_list_of_means(coeffs, tie_tolerance):
 @given(
     st.lists(st.tuples(st.floats(min_value=1e-3, max_value=1.0),
                        st.integers(min_value=1, max_value=8)),
-             min_size=0, max_size=12),
+             min_size=1, max_size=12),
     st.sampled_from([0.0, 1e-12, 1e-10, 5e-10]),
     st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
     st.randoms(use_true_random=False),
 )
-def test_group_coefficients_equals_list_of_means_bit_for_bit(levels, spread, tol, rnd):
+def test_group_rows_equals_list_of_means_bit_for_bit(levels, spread, tol, rnd):
     coeffs = [level + spread * rnd.uniform(-1, 1)
               for level, mult in levels for _ in range(mult)]
     rnd.shuffle(coeffs)
-    values, mults = group_coefficients(coeffs, tol)
-    ref_values, ref_mults = _group_coefficients_by_list_of_means(coeffs, tol)
+    arr = np.sort(coeffs)
+    (values,), mults = group_rows(arr[None], tie_gaps(arr, tol))
+    ref_values, ref_mults = _group_by_list_of_means(coeffs, tol)
     assert values.dtype == ref_values.dtype and mults.dtype == ref_mults.dtype
     assert values.tobytes() == ref_values.tobytes()
     assert mults.tolist() == ref_mults.tolist()

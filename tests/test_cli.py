@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import sys
 import tracemalloc
@@ -307,12 +308,15 @@ def test_verify_corrupt_mode_fails(capsys):
     assert "verdict: FAIL" in out
 
 
-@pytest.mark.parametrize("bias", [0.05, 0.0])
-def test_the_empirical_band_alone_can_fail_a_verify(capsys, monkeypatch, bias):
+@pytest.mark.parametrize("trials, bias", [(10**4, 0.05), (10**4, 0.0), (10**5, 0.005),
+                                          (10**5, 0.0)],
+                         ids=["0.05", "0.0", "1e5-0.005", "1e5-0.0"])
+def test_the_empirical_band_alone_can_fail_a_verify(capsys, monkeypatch, trials, bias):
     # --self-test-corrupt moves the analytic value, which the oracle note
     # always catches.  Here only the sampled stage-1 mean moves, so the
-    # empirical band is the one check that can see it.  About 6,000 of
-    # the 10^4 trials land in F_mc_s1, whose band is then about 0.0085.
+    # empirical band is the one check that can see it.  About 60 % of the
+    # trials land in F_mc_s1, whose band is then about 0.014 at 10^4
+    # trials and 0.0036 at 10^5.
     sampled = cli.monte_carlo
 
     def biased(*args, **kwargs):
@@ -323,7 +327,8 @@ def test_the_empirical_band_alone_can_fail_a_verify(capsys, monkeypatch, bias):
 
     monkeypatch.setattr(cli, "monte_carlo", biased)
     code, out, err = run_cli(capsys, "verify", "--D", "4", "--coeffs", "0.5,0.3,0.2",
-                             "--squared", "--trials", "10000", "--k-max", "1", "--seed", "3")
+                             "--squared", "--trials", str(trials), "--k-max", "1",
+                             "--seed", "3")
     lines = out.splitlines()
     rows = {line.split()[0]: line for line in lines[1:-1]}
     assert list(rows) == ["F_mc_s1", "P_stage1", "P_smc_overall", "overall_me"]
@@ -367,11 +372,14 @@ def test_verify_sparse_bucket_is_not_a_failure(capsys):
     code, out, _ = run_cli(capsys, *SPARSE_STAGE1)
     assert code == 0
     rows = {line.split()[0]: line for line in out.splitlines()}
+    # fewer than two fidelities have no sample variance, so no band
     assert rows["F_mc_s1"].split()[-1] in ("n=0", "n=1")
     assert rows["F_mc_s1"].split()[-2] == "sparse"
-    # the count itself is tested against the band of the analytic p
+    assert "+-nan " in rows["F_mc_s1"]
+    # the count itself is tested by the band of 1000 0/1 hits, none of
+    # them here: 7L/(3 * 999) with L = ln(4/BAND_TAIL)
     assert rows["P_stage1"].endswith("pass")
-    assert "+-0.000632" in rows["P_stage1"]
+    assert "empirical=0+-0.0258 " in rows["P_stage1"]
     assert "verdict: PASS" in out
 
     code, out, _ = run_cli(capsys, *SPARSE_STAGE1, "--self-test-corrupt")
@@ -560,25 +568,33 @@ def test_verify_band_covers_rounding_of_an_exact_bucket(capsys):
     code, out, _ = run_cli(capsys, *ROUNDED_STAGE1)
     assert code == 0, out
     assert "verdict: PASS" in out
-    # That stderr is rounding noise and prints as 0.
-    assert "empirical=1+-0 " in out.splitlines()[1]
+    # The band of 442 samples is its 7L/(3 * 441) term; the stderr adds
+    # nothing visible.
+    assert "empirical=1+-0.0585 " in out.splitlines()[1]
     code, out, _ = run_cli(capsys, *ROUNDED_STAGE1, "--self-test-corrupt")
     assert code == 2
 
 
-def test_verify_band_never_falls_below_the_oracle_tolerance(capsys, monkeypatch):
-    row = ("F_mc_s1", 1.0, 1.0, 1.0 - 2e-16, 3e-17, 1000)
-    monkeypatch.setattr(cli, "_verify_rows", lambda *args: [row])
-    code, out, _ = run_cli(capsys, "verify", "--D", "4", "--coeffs", "0.5,0.3,0.2",
-                           "--squared", "--trials", "1000")
-    assert code == 0, out
-    assert out.splitlines()[1].endswith("pass")
-    # a real spread keeps its 4-sigma band
-    monkeypatch.setattr(cli, "_verify_rows", lambda *args: [(*row[:3], 0.99, 1e-3, 1000)])
-    code, out, _ = run_cli(capsys, "verify", "--D", "4", "--coeffs", "0.5,0.3,0.2",
-                           "--squared", "--trials", "1000")
-    assert code == 2
-    assert "FAIL empirical out of band" in out
+@pytest.mark.parametrize("stderr", [0.0, 1e-3])
+@pytest.mark.parametrize("n", [2, 1000, 10**5])
+def test_verify_judges_a_row_by_its_empirical_bernstein_band(capsys, monkeypatch, n, stderr):
+    # Maurer and Pontil's bound for a mean of n values in [0, 1], on each
+    # tail at BAND_TAIL/2; the printed +- is this band.
+    L = math.log(4 / cli.BAND_TAIL)
+    band = math.sqrt(2 * L) * stderr + 7 * L / (3 * (n - 1))
+    cases = [(0.5 + (1 - 1e-9) * band, 0, "pass"),
+             (0.5 - (1 - 1e-9) * band, 0, "pass"),
+             (0.5 + (1 + 1e-9) * band, 2, "FAIL empirical out of band"),
+             (0.5 - (1 + 1e-9) * band, 2, "FAIL empirical out of band"),
+             (math.nan, 2, "FAIL empirical out of band")]
+    for empirical, expected, status in cases:
+        row = ("F_mc_s1", 0.5, 0.5, empirical, stderr, n)
+        monkeypatch.setattr(cli, "_verify_rows", lambda *args, row=row: [row])
+        code, out, _ = run_cli(capsys, "verify", "--D", "4", "--coeffs", "0.5,0.3,0.2",
+                               "--squared", "--trials", "1000")
+        line = out.splitlines()[1]
+        assert (code, line.endswith(status)) == (expected, True), line
+        assert f"+-{band:.3g} " in line
 
 
 @pytest.mark.parametrize("argv,what", [
