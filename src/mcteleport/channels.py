@@ -18,6 +18,10 @@ import numpy as np
 
 from .qudit import check_index
 
+# Largest accepted dimension: above 2**53, D + 1 is not exact in float64,
+# so the closed forms in D would round (and overflow from about 1.8e308).
+MAX_D = 2**53
+
 # Coefficients closer than this (as amplitudes) form one multiplicity group.
 DEFAULT_TIE_TOL = 1e-9
 
@@ -109,6 +113,8 @@ def make_channel(D: int, coeffs) -> SchmidtChannel:
     D = check_index("D", D)
     if D < 2:
         raise ValueError(f"dimension must be >= 2, got {D}")
+    if D > MAX_D:
+        raise ValueError(f"dimension must be <= {MAX_D}, got {D}")
     arr = _validated_coeffs(coeffs, D)  # a new array, sorted in place
     arr.sort()
     arr = arr[::-1].copy()

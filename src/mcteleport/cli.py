@@ -38,7 +38,7 @@ from .analytics import (
     report_blocks,
     stage_probabilities,
 )
-from .channels import DEFAULT_TIE_TOL, SchmidtChannel, check_tie_tolerance, make_channel
+from .channels import DEFAULT_TIE_TOL, MAX_D, SchmidtChannel, check_tie_tolerance, make_channel
 from .discrimination import FALLBACKS, KIND_SMC, StrategyConfig, build_stage_plan
 from .engine import exact_average_fidelity, exact_branch_probabilities, monte_carlo
 from .qudit import check_allocation, map_slices
@@ -290,6 +290,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.N < 2 or self.N > self.D:
             raise ValueError(f"need 2 <= N <= D, got N={self.N}, D={self.D}")
+        if self.D > MAX_D:
+            raise ValueError(f"dimension must be <= {MAX_D}, got {self.D}")
         if self.resolution < 2:
             raise ValueError("grid resolution must be >= 2")
         if self.seed < 0:
@@ -546,9 +548,10 @@ def cmd_verify(args) -> int:
         raise ValueError("verify needs at least 1000 trials")
     cfg = StrategyConfig(kind=KIND_SMC, k_max=args.k_max, fallback=args.fallback)
     # _verify_rows enumerates the oracle's branches before it samples: the
-    # stage plan rejects rank-1 channels and an excess k_max, the runner's
-    # (D, D) guard (a verify's largest allocation) an oversized D, before any
-    # trial is drawn; every later call reuses the cached plan and enumeration.
+    # oracle's and the stage plan's guards reject a D too large for their
+    # length-D arrays, the plan a rank-1 channel or an excess k_max, and
+    # the runner's (D, D) guard any D above 1024, before any trial is drawn;
+    # every later call reuses the cached plan and enumeration.
     rows = _verify_rows(ch, cfg, args.trials, args.seed, args.workers, args.tie_tol)
     if args.self_test_corrupt:
         name, analytic, *rest = rows[0]

@@ -11,17 +11,17 @@ phases and shifts of the correction X^-k Z^l) from one cache,
 
 Two evaluation routes are provided for every strategy.  ``monte_carlo``
 samples full protocol runs (Haar-random inputs, Born-rule measurements)
-in groups of ``group_rows(D)`` trials, each group drawn from one
+in groups of ``group_size(D)`` trials, each group drawn from one
 generator of its own and run by one ``ProtocolRunner.run_block`` call.
 The kernel reads only the squared moduli |psi_n|^2 of an input, which
 for a Haar state are uniform on the simplex, so a group draws them
 directly: D standard exponentials per trial divided by their sum.  A
 trial's end class (the stage it is conclusive at, or exhausted) is its
 bucket in every route, named only by ``_bucket_labels``.  All trials of a
-class carry the same filtered Schmidt weights, so the runner keeps one
-row of weights and readout probabilities per class, (k_max + 1, D)
-tables, sorts a call's trials by class once, and a group needs no array
-larger than (rows, D), at most ``BLOCK_ENTRIES`` entries.  The kernel
+class carry the same filtered Schmidt weights and the same readout, so
+the runner decides both once per class, in (k_max + 1, D) and
+(k_max + 1,) tables, sorts a call's trials by class once, and a group
+needs no array larger than (rows, D), at most ``BLOCK_ENTRIES`` entries.  The kernel
 keeps its NumPy passes few and wide, with the bits of its row-major form:
 the class index takes one comparison per stage into an ``int16`` array,
 the running sums of the second outcome are laid out (D, rows), so the
@@ -29,8 +29,10 @@ search for each trial's outcome runs along trials rather than along D,
 and each bucket's mean and standard error come from one shared sum
 (``_summarize``).
 ``ProtocolRunner.run`` is the single-run reference, on the (D, D)
-diagonal of the register, and every ``monte_carlo`` call replays one
-trial through both and requires them to agree.
+diagonal of the register, reading the same per-class readout tables; it
+returns its trial as a row of ``run_block`` (a ``TeleportRecord``), and
+every ``monte_carlo`` call replays one trial through both and requires
+the two rows to agree.
 ``exact_average_fidelity`` treats every measurement branch as a linear
 operator on the input and sums, per branch set, the squared traces Q and
 the squared norms T of those operators; the Haar-averaged fidelity is
@@ -77,7 +79,7 @@ from .qudit import (
 # unreachable when conditioning.
 MIN_BRANCH_MASS = 1e-12
 
-# Monte Carlo group size, BLOCK_ENTRIES // D trials (``group_rows``), so no
+# Monte Carlo group size, BLOCK_ENTRIES // D trials (``group_size``), so no
 # (rows, D) array of a kernel call holds more than BLOCK_ENTRIES entries.
 # Group g draws from generator (seed, 0, g), so the size is part of what
 # defines the samples.
@@ -93,18 +95,19 @@ REPLAY_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class TeleportRecord:
-    """Outcome trace of a single protocol run.
+    """One protocol run, as a row of ``ProtocolRunner.run_block``.
 
-    ``stage_reached`` is 0 on the deterministic path, otherwise the index
-    of the last filtering stage executed.  ``bob_state``, the receiver's
-    amplitude array, and ``run_fidelity`` are absent for discarded attempts.
+    ``end_class`` is s - 1 for a run conclusive at stage s, else the last
+    class, k_max (the deterministic strategy's one class is 0).
+    ``outcomes`` are the sender's readout outcomes and ``bob_state`` the
+    receiver's amplitude array; a discarded attempt has outcomes (-1, -1),
+    fidelity NaN and no ``bob_state``.
     """
 
-    stage_reached: int
-    conclusive: bool
-    alice_outcomes: tuple[int, int] | None
+    end_class: int
+    outcomes: tuple[int, int]
+    fidelity: float
     bob_state: np.ndarray | None
-    run_fidelity: float | None
 
 
 # A verify works at one D and a benchmark process at two at most (D = 24
@@ -158,8 +161,10 @@ class ProtocolRunner:
     circuit on the full (D, D, D) register (``tests/reference_circuit.py``),
     so a run is reproducible either way.  The input must be a finite unit
     vector of D amplitudes; ``make_state`` normalizes raw amplitudes.
-    ``run_block`` is the same process for a block of trials at once, read
-    from per-end-class tables built here.
+    ``run_block`` is the same process for a block of trials at once.  Both
+    read each end class's readout (minimum error, ``guess`` or none) from
+    the per-class tables built here, and ``run`` returns its trial as a
+    row of ``run_block``.
     """
 
     def __init__(
@@ -172,14 +177,13 @@ class ProtocolRunner:
         # No array here or in a run is larger than D x D: a run, the tables
         # included, peaks at about 7 complex (D, D) arrays.
         check_allocation(f"the (D, D) arrays of a single run at D={D}", 8 * 16 * D**2)
-        self.cfg = cfg
         self._filters = _stage_filters(channel, cfg, tie_tolerance)
         # Uniforms one trial may consume: one per stage, then l and k.
         self.draws_per_trial = len(self._filters) + 2
         # The Schmidt weights padded to D: all a kernel reads of the channel.
         self._weights = np.pad(channel.coeffs, (0, D - channel.N))
 
-        # ``run_block`` reads only the following (k_max + 1, D) tables.  A
+        # ``run`` and ``run_block`` read the following per-class tables.  A
         # trial's end class is the stage s it is conclusive at (class s - 1)
         # or, once every stage failed, class k_max; the deterministic
         # strategy has the one class 0.  All trials of a class carry the same
@@ -234,45 +238,35 @@ class ProtocolRunner:
             )
         t = _post_shift(self._weights, amps)
 
-        stage_reached = 0
-        conclusive = self.cfg.kind != KIND_SMC
-        for stage_reached, (ks, kf) in enumerate(self._filters, start=1):
+        end = len(self._filters)
+        for s, (ks, kf) in enumerate(self._filters):
             psi = t * ks[:, None]
             p_s = np.vdot(psi, psi).real
             if rng.random() < p_s:
-                t = psi / np.sqrt(p_s)
-                conclusive = True
+                t, end = psi / np.sqrt(p_s), s
                 break
             psi = t * kf[:, None]
             t = psi / np.sqrt(np.vdot(psi, psi).real)
+        if not self._delivers[end]:
+            return TeleportRecord(end, (-1, -1), np.nan, None)
 
-        outcomes = bob = fid = None
-        if conclusive or self.cfg.fallback != "discard":
-            # Minimum-error readout (Fourier basis, correction X^-k Z^l), or
-            # for ``guess`` a computational readout corrected by X^-k.
-            me = conclusive or self.cfg.fallback == "me"
-            finv, rot, phases, _, shifts = _tables(self.D)
-            # (F^+ t)[b, l, j] = F^+[l, b] t[b, j], so outcome l has
-            # probability |F^+|^2 @ (row sums of |t|^2); ``guess`` reads
-            # m = b directly and keeps row l alone.
-            rows = (np.abs(t) ** 2).sum(axis=1)
-            probs_l = rot @ rows if me else rows
-            l = int(_sample_shared(np.cumsum(probs_l), rng.random()))
-            readout = finv[l] if me else np.arange(self.D) == l
-            slice_l = readout[:, None] * t / np.sqrt(probs_l[l])
-            probs_k = (np.abs(slice_l) ** 2).sum(axis=0)
-            k = int(_sample_shared(np.cumsum(probs_k), rng.random()))
-            v = slice_l[:, k] / np.sqrt(probs_k[k])
-            bob = (phases[l if me else 0] * v)[shifts[k]]
-            outcomes = (l, k)
-            fid = float(np.abs(np.vdot(amps, bob)) ** 2)
-        return TeleportRecord(
-            stage_reached=stage_reached,
-            conclusive=conclusive,
-            alice_outcomes=outcomes,
-            bob_state=bob,
-            run_fidelity=fid,
-        )
+        # Minimum-error readout (Fourier basis, correction X^-k Z^l), or for
+        # ``guess`` a computational readout corrected by X^-k.
+        me = self._me[end]
+        finv, rot, phases, _, shifts = _tables(self.D)
+        # (F^+ t)[b, l, j] = F^+[l, b] t[b, j], so outcome l has probability
+        # |F^+|^2 @ (row sums of |t|^2); ``guess`` reads m = b directly and
+        # keeps row l alone.
+        rows = (np.abs(t) ** 2).sum(axis=1)
+        probs_l = rot @ rows if me else rows
+        l = int(_sample_shared(np.cumsum(probs_l), rng.random()))
+        readout = finv[l] if me else np.arange(self.D) == l
+        slice_l = readout[:, None] * t / np.sqrt(probs_l[l])
+        probs_k = (np.abs(slice_l) ** 2).sum(axis=0)
+        k = int(_sample_shared(np.cumsum(probs_k), rng.random()))
+        v = slice_l[:, k] / np.sqrt(probs_k[k])
+        bob = (phases[l if me else 0] * v)[shifts[k]]
+        return TeleportRecord(end, (l, k), float(np.abs(np.vdot(amps, bob)) ** 2), bob)
 
     def run_haar(self, rng: np.random.Generator) -> TeleportRecord:
         return self.run(haar_random_state(self.D, rng), rng)
@@ -395,12 +389,10 @@ class AggregateStats:
     """
 
     trials: int
-    labels: tuple[str, ...]
     counts: np.ndarray
     probabilities: np.ndarray
     mean_fidelity: np.ndarray
     stderr_fidelity: np.ndarray
-    min_fidelity: np.ndarray
     conclusive_probability: float
     overall_mean_fidelity: float
     overall_stderr_fidelity: float
@@ -414,7 +406,7 @@ def _bucket_labels(cfg: StrategyConfig) -> tuple[str, ...]:
     return tuple(f"stage{k}" for k in range(1, cfg.k_max + 1)) + (terminal[cfg.fallback],)
 
 
-def group_rows(D: int) -> int:
+def group_size(D: int) -> int:
     """Trials per kernel call, and per generator, at dimension D (at least 1)."""
     return max(1, BLOCK_ENTRIES // D)
 
@@ -450,9 +442,9 @@ def _draw(runner: ProtocolRunner, rng: np.random.Generator, n: int):
 
 
 def _group_draws(runner: ProtocolRunner, seed: int, trials: int, group: int):
-    """``_draw`` of group ``group``: its ``group_rows(D)`` trials (fewer
+    """``_draw`` of group ``group``: its ``group_size(D)`` trials (fewer
     in the last group) from one generator keyed by (seed, 0, group)."""
-    size = group_rows(runner.D)
+    size = group_size(runner.D)
     n = min(size, trials - group * size)
     return _draw(runner, _generator(seed, _BLOCK_STREAM, group), n)
 
@@ -480,38 +472,30 @@ def _replay_check(runner: ProtocolRunner, seed: int) -> None:
     probs = np.abs(haar_random_states(runner.D, 1, rng)) ** 2
     batch = runner.run_block(probs, rng.random((1, runner.draws_per_trial)))
     end, outcomes, fid = (a[0] for a in batch)
-    # The record's end class: s - 1 if conclusive at stage s, else the last.
-    end_class = len(runner._filters)
-    if rec.conclusive and rec.stage_reached:
-        end_class = rec.stage_reached - 1
-    want = (end_class, rec.alice_outcomes or (-1, -1))
-    got = (int(end), tuple(outcomes.tolist()))
-    if rec.run_fidelity is None:
-        same_fid = bool(np.isnan(fid))
-    else:
-        same_fid = abs(fid - rec.run_fidelity) <= REPLAY_ATOL
+    want, got = (rec.end_class, rec.outcomes), (int(end), tuple(outcomes.tolist()))
+    same_fid = abs(fid - rec.fidelity) <= REPLAY_ATOL or (np.isnan(fid) and np.isnan(rec.fidelity))
     if got != want or not same_fid:
         raise AssertionError(
             f"replayed trial disagrees: (end class, outcomes) is {want} "
-            f"with F={rec.run_fidelity!r} from run, {got} with F={fid!r} from run_block"
+            f"with F={rec.fidelity!r} from run, {got} with F={fid!r} from run_block"
         )
 
 
-def _summarize(values: np.ndarray) -> tuple[float, float, float]:
-    """Mean, standard error, min of a fidelity sample (NaN if empty).
+def _summarize(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of a fidelity sample (NaN if empty).
 
     ``ndarray.mean`` and ``.std(ddof=1)`` step for step, from one shared
     sum of the sample: the same bits, with one reduction fewer."""
     values = values[~np.isnan(values)]
     n = values.size
     if n == 0:
-        return np.nan, np.nan, np.nan
+        return np.nan, np.nan
     mean = np.add.reduce(values) / n
     stderr = np.nan
     if n > 1:
         dev = values - mean
         stderr = float(np.sqrt(np.add.reduce(dev * dev) / (n - 1)) / np.sqrt(n))
-    return float(mean), stderr, float(values.min())
+    return float(mean), stderr
 
 
 def monte_carlo(
@@ -524,7 +508,7 @@ def monte_carlo(
 ) -> AggregateStats:
     """Sample ``trials`` protocol runs on fresh Haar inputs.
 
-    Trials run in groups of ``group_rows(D)``, one ``run_block`` call
+    Trials run in groups of ``group_size(D)``, one ``run_block`` call
     each; group g draws its inputs, as |psi|^2 rows, and then its uniforms
     (``_draw``) from one generator keyed by (seed, 0, g).  The result is
     deterministic given ``seed`` and bit-identical for any ``workers``:
@@ -550,22 +534,20 @@ def monte_carlo(
     _replay_check(runner, seed)
 
     D = channel.D
-    n_groups = ceil(trials / group_rows(D))
+    n_groups = ceil(trials / group_size(D))
     parts = map_slices(partial(_run_blocks, runner, seed, trials), range(n_groups), workers)
     ends, fids = parts[0] if len(parts) == 1 else (np.concatenate(p) for p in zip(*parts))
 
-    labels = _bucket_labels(cfg)
-    counts = np.bincount(ends, minlength=len(labels))
-    stats = np.array([_summarize(fids[ends == c]) for c in range(len(labels))])
-    overall_mean, overall_stderr, _ = _summarize(fids)
+    classes = len(runner._filters) + 1
+    counts = np.bincount(ends, minlength=classes)
+    stats = np.array([_summarize(fids[ends == c]) for c in range(classes)])
+    overall_mean, overall_stderr = _summarize(fids)
     return AggregateStats(
         trials=trials,
-        labels=labels,
         counts=counts,
         probabilities=counts / trials,
         mean_fidelity=stats[:, 0],
         stderr_fidelity=stats[:, 1],
-        min_fidelity=stats[:, 2],
         conclusive_probability=float(counts[runner._conclusive].sum() / trials),
         overall_mean_fidelity=overall_mean,
         overall_stderr_fidelity=overall_stderr,
@@ -618,6 +600,8 @@ def _branch_sets(
     tolerance) and returned read-only; errors are not cached.
     """
     D = channel.D
+    # The padded weights and at most two products of them are held at once.
+    check_allocation(f"the oracle's length-D weights at D={D}", 3 * 8 * D)
     w = np.pad(channel.coeffs, (0, D - channel.N))
     sums = []
     for ks, kf in _stage_filters(channel, cfg, tie_tolerance):

@@ -115,11 +115,3 @@ def conjugated_tables(table):
 
     return conjugated
 
-
-def end_class(rec, cfg) -> int:
-    """The end class of a ``TeleportRecord``, the bucket index that
-    ``run_block`` returns: s - 1 for a run conclusive at stage s, else the
-    last class (k_max; the deterministic strategy's one class is 0)."""
-    if cfg.kind == "deterministic-me":
-        return 0
-    return rec.stage_reached - 1 if rec.conclusive else cfg.k_max

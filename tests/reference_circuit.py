@@ -78,26 +78,29 @@ def correct(v, k, l=0):
 
 
 def run(channel, psi, cfg, rng, rotate=np.matmul):
-    """One run: (stage reached, conclusive, sender outcomes, receiver
-    amplitudes); outcomes and amplitudes are None for a discarded attempt.
-    ``rotate(finv, reg)`` applies F^+ to the sender half."""
+    """One run: (end class, sender outcomes, receiver amplitudes).  The end
+    class is s - 1 for a run conclusive at stage s, else k_max (0 for the
+    deterministic strategy); a discarded attempt has outcomes (-1, -1) and
+    no amplitudes.  ``rotate(finv, reg)`` applies F^+ to the sender half."""
     D = channel.D
     reg = post_shift(channel.coeffs, psi)
-    stage, conclusive = 0, cfg.kind != "mc-smc"
+    end, conclusive = 0, cfg.kind != "mc-smc"
     if not conclusive:
         plan = build_stage_plan(channel)
-        for stage in range(1, cfg.k_max + 1):
-            conclusive, reg, _ = kraus_filter(reg, plan.K_s[stage - 1], plan.K_f[stage - 1], rng)
+        end = cfg.k_max
+        for stage in range(cfg.k_max):
+            conclusive, reg, _ = kraus_filter(reg, plan.K_s[stage], plan.K_f[stage], rng)
             if conclusive:
+                end = stage
                 break
     me = conclusive or cfg.fallback == "me"
     if not me and cfg.fallback == "discard":
-        return stage, conclusive, None, None
+        return end, (-1, -1), None
     if me:
         reg = rotate(dft(D).conj().T, reg)
     l, reg, _ = measure(reg, 1, rng)
     k, reg, _ = measure(reg, 2, rng)
-    return stage, conclusive, (l, k), correct(reg[:, l, k], k, l if me else 0)
+    return end, (l, k), correct(reg[:, l, k], k, l if me else 0)
 
 
 def fidelity(a, b):

@@ -23,6 +23,7 @@ from mcteleport import (
     monte_carlo,
     multiplicity_profile,
 )
+from mcteleport import engine
 from mcteleport.cli import SweepSpec, main, sweep_points
 
 DET = StrategyConfig(kind="deterministic-me")
@@ -95,7 +96,11 @@ def test_criterion_4_perfect_conclusive_limit():
     ch = make_channel(3, np.sqrt([0.5, 0.3, 0.2]))
     cfg = StrategyConfig(kind="mc-smc", k_max=1, fallback="discard")
     stats = monte_carlo(ch, cfg, 100_000, seed=41)
-    min_fid = stats.min_fidelity[0]
+    # The same 100,000 trials' fidelities, group by group.
+    groups = range(-(-stats.trials // engine.group_size(ch.D)))
+    ends, fids = engine._run_blocks(engine.ProtocolRunner(ch, cfg), 41, stats.trials, groups)
+    np.testing.assert_array_equal(np.bincount(ends), stats.counts)
+    min_fid = fids[ends == 0].min()
     p = 3 * 0.2
     sigma = np.sqrt(p * (1 - p) / stats.trials)
     freq_ok = abs(stats.probabilities[0] - p) < 4 * sigma
