@@ -84,6 +84,8 @@ def f_clas(D: int) -> float:
     """Best average fidelity without any entanglement, 2 / (D + 1)."""
     if D < 2:
         raise ValueError(f"dimension must be >= 2, got {D}")
+    if D > channels.MAX_D:
+        raise ValueError(f"dimension must be <= {channels.MAX_D}, got {D}")
     return 2.0 / (D + 1)
 
 

@@ -27,7 +27,11 @@ the class index takes one comparison per stage into an ``int16`` array,
 the running sums of the second outcome are laid out (D, rows), so the
 search for each trial's outcome runs along trials rather than along D,
 and each bucket's mean and standard error come from one shared sum
-(``_summarize``).
+(``_summarize``).  Past about 320 (D - 4) entries a class forms those sums
+as D - 1 adds of whole rows along trials, not ``np.cumsum`` along the
+short D axis (``_running_sums``), and a minimum-error class of at least D
+trials reads each trial's shifted weights w_c[(n + o2) mod D] as a row of
+the class's (D, D) circulant, built once per call like the product's.
 ``ProtocolRunner.run`` is the single-run reference, on the (D, D)
 diagonal of the register, reading the same per-class readout tables; it
 returns its trial as a row of ``run_block`` (a ``TeleportRecord``), and
@@ -84,6 +88,10 @@ MIN_BRANCH_MASS = 1e-12
 # Group g draws from generator (seed, 0, g), so the size is part of what
 # defines the samples.
 BLOCK_ENTRIES = 2**16
+
+# A class's running sums take whole-row adds once its rows * D reaches
+# SUM_ADD_ENTRIES * (D - 4) (``_running_sums``); the samples do not depend on it.
+SUM_ADD_ENTRIES = 320
 
 # Largest deviation of an input's squared norm from 1 that ``run`` accepts.
 INPUT_NORM_ATOL = 1e-12
@@ -181,7 +189,8 @@ class ProtocolRunner:
         # Uniforms one trial may consume: one per stage, then l and k.
         self.draws_per_trial = len(self._filters) + 2
         # The Schmidt weights padded to D: all a kernel reads of the channel.
-        self._weights = np.pad(channel.coeffs, (0, D - channel.N))
+        self._weights = np.zeros(D)
+        self._weights[: channel.N] = channel.coeffs
 
         # ``run`` and ``run_block`` read the following per-class tables.  A
         # trial's end class is the stage s it is conclusive at (class s - 1)
@@ -339,11 +348,7 @@ class ProtocolRunner:
                 probs2 = q @ self._w2[c][shifts]
             else:
                 probs2 = np.take_along_axis(q, diff.take(o1, axis=0), axis=1)
-            # Running sums laid out (D, rows), so ``_sample_rows`` compares
-            # and counts along trials: the same additions in the same order
-            # as along a row.
-            cum = np.cumsum(probs2.T, axis=0, out=np.empty((D, rows.size)))
-            o2 = _sample_rows(cum, uniforms[:, first + 1].take(rows))
+            o2 = _sample_rows(_running_sums(probs2), uniforms[:, first + 1].take(rows))
             p2 = probs2.take(np.arange(0, rows.size * D, D) + o2)  # flat [arange, o2]
             # After X^-k Z^l the receiver holds phases[l, s] F^+[l, s] w_s psi[n]
             # / sqrt(p1 p2) at index n, with s = n + k mod D, and that phase
@@ -351,12 +356,39 @@ class ProtocolRunner:
             # the real sum_n q[n] w[(n + k) mod D] / sqrt(D).  ``guess`` leaves
             # w_m psi[n] at n = (m - k) mod D alone.
             if self._me[c]:
-                overlap = np.einsum("rn,rn->r", q, self._class_w[c][shifts[o2]]) / np.sqrt(D)
+                # Each trial's w_c[(n + o2) mod D]: with at least D trials,
+                # rows of the class's circulant; below, where building the
+                # (D, D) circulant costs more than it saves, a gather.
+                shifted = (self._class_w[c][shifts].take(o2, axis=0) if rows.size >= D
+                           else self._class_w[c][shifts[o2]])
+                overlap = np.einsum("rn,rn->r", q, shifted) / np.sqrt(D)
             else:
                 overlap = q[np.arange(rows.size), diff[o1, o2]] * self._class_w[c, o1]
             outcomes[rows, 0], outcomes[rows, 1] = o1, o2
             fids[rows] = overlap**2 / (p1 * p2)
         return ends, outcomes, fids
+
+
+def _running_sums(probs: np.ndarray) -> np.ndarray:
+    """Running sums of each row of ``probs`` (rows, D), laid out (D, rows),
+    so ``_sample_rows`` compares and counts along trials.
+
+    Both forms make the additions of a row-wise ``np.cumsum`` in its order,
+    so they return the same bits.  On a 2-vCPU Xeon VM (NumPy 2.4),
+    ``np.cumsum`` along the short D axis costs about 3 us plus 3.4 ns an
+    entry, and D - 1 adds of whole rows along trials,
+    ``cum[j] = cum[j - 1] + probs[:, j]``, about 0.7 us an add plus 0.9 ns
+    an entry, so the adds win once rows * D passes about
+    ``SUM_ADD_ENTRIES * (D - 4)``.
+    """
+    rows, D = probs.shape
+    if rows * D < SUM_ADD_ENTRIES * (D - 4):
+        return np.cumsum(probs.T, axis=0, out=np.empty((D, rows)))
+    cum = np.empty((D, rows))
+    cum[0] = probs[:, 0]
+    for j in range(1, D):
+        np.add(cum[j - 1], probs[:, j], out=cum[j])
+    return cum
 
 
 def _sample_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -602,7 +634,8 @@ def _branch_sets(
     D = channel.D
     # The padded weights and at most two products of them are held at once.
     check_allocation(f"the oracle's length-D weights at D={D}", 3 * 8 * D)
-    w = np.pad(channel.coeffs, (0, D - channel.N))
+    w = np.zeros(D)
+    w[: channel.N] = channel.coeffs
     sums = []
     for ks, kf in _stage_filters(channel, cfg, tie_tolerance):
         sums.append(_branch_sums(w * ks, True))

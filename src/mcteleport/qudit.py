@@ -94,6 +94,7 @@ def haar_random_states(D: int, n: int, rng: np.random.Generator) -> np.ndarray:
     D, n = check_index("D", D), check_index("n", n)
     if D < 1:
         raise ValueError(f"dimension must be >= 1, got {D}")
+    check_allocation(f"a Haar draw of {n:,} state(s) at D={D:,}", 16 * n * D)
     z = rng.standard_normal((n, D)) + 1j * rng.standard_normal((n, D))
     norms = np.linalg.norm(z, axis=1)
     bad = np.flatnonzero(norms < 1e-12)

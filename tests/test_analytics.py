@@ -25,6 +25,7 @@ from mcteleport import (
     overall_fidelity,
     stage_probabilities,
 )
+from mcteleport.channels import MAX_D
 from mcteleport.cli import main
 
 EXAMPLE = make_channel(4, np.sqrt([0.5, 0.3, 0.2]))
@@ -60,6 +61,11 @@ def test_f_clas_values():
     assert all(a > b for a, b in zip(values[:-1], values[1:]))
     with pytest.raises(ValueError):
         f_clas(1)
+    # 2.0 / (D + 1) once raised OverflowError at D = 10**400.
+    assert f_clas(MAX_D) == pytest.approx(2 / MAX_D)
+    for D in (MAX_D + 1, 10**400):
+        with pytest.raises(ValueError, match=f"dimension must be <= {MAX_D}"):
+            f_clas(D)
 
 
 def test_f_mc_conclusive_stage1():

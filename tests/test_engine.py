@@ -1221,13 +1221,18 @@ def _assert_kernel_equals_the_row_major_kernel(runner, probs, uniforms):
     return got[0]
 
 
-@pytest.mark.parametrize("D", [2, 3, 4, 5, 8, 16, 24, 32, 64])
+@pytest.mark.parametrize("D", [2, 3, 4, 5, 8, 16, 24, 32, 64, 256])
 def test_block_kernel_equals_the_row_major_kernel_bit_for_bit(D):
     rng = np.random.default_rng(np.random.SeedSequence((41, D)))
     ch = _staged_channel(D)
     M = multiplicity_profile(ch).M
     cfgs = [DET] + [StrategyConfig(k_max=k, fallback=fb)
                     for k in range(1, min(3, M) + 1) for fb in ("me", "guess", "discard")]
+    # Class sizes on both sides of each switch of the kernel: the fewest
+    # rows that take whole-row running sums, and D, the fewest that read
+    # the overlap's circulant (at D = 256 a whole group is below the first).
+    switch = -(-engine.SUM_ADD_ENTRIES * (D - 4) // D)
+    sizes = sorted({n for n in (switch - 1, switch, D - 1, D) if n >= 1})
     for cfg in cfgs:
         runner = ProtocolRunner(ch, cfg)
         k = len(runner._filters)
@@ -1235,6 +1240,9 @@ def test_block_kernel_equals_the_row_major_kernel_bit_for_bit(D):
         # a class of one row takes NumPy's matrix-vector product.
         blocks = [engine._draw(runner, rng, n) for n in (engine.group_size(D), 1)]
         blocks.append(_forced_classes(runner, rng.permutation(k + 1), rng))
+        # Every class of one size, shuffled.
+        blocks += [_forced_classes(runner, rng.permutation(np.repeat(np.arange(k + 1), n)), rng)
+                   for n in sizes]
         for probs, uniforms in blocks:
             _assert_kernel_equals_the_row_major_kernel(runner, probs, uniforms)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference_circuit as ref
 from mcteleport import build_stage_plan, haar_random_state, make_channel, make_state
-from mcteleport.qudit import haar_random_states
+from mcteleport.qudit import MAX_ARRAY_BYTES, haar_random_states
 
 
 def test_make_state_basis():
@@ -59,6 +59,12 @@ def test_integer_arguments_reject_non_integers_and_accept_numpy_integers(name, c
     for value in (np.int64(2), np.int32(2), np.uint8(2)):
         got, want = call(value), call(2)
         np.testing.assert_array_equal(got, want)
+    # An integer too large to draw: haar_random_state(10**12, rng) once asked
+    # NumPy for 7.28 TiB and raised its MemoryError.  At 16 bytes an
+    # amplitude, one state of MAX_ARRAY_BYTES // 16 + 1 is over the limit.
+    for value in (10**12, MAX_ARRAY_BYTES // 16 + 1):
+        with pytest.raises(ValueError, match="MAX_ARRAY_BYTES"):
+            call(value)
 
 
 def _basis(D, n):
