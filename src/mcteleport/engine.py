@@ -27,11 +27,12 @@ the class index takes one comparison per stage into an ``int16`` array,
 the running sums of the second outcome are laid out (D, rows), so the
 search for each trial's outcome runs along trials rather than along D,
 and each bucket's mean and standard error come from one shared sum
-(``_summarize``).  Past about 320 (D - 4) entries a class forms those sums
-as D - 1 adds of whole rows along trials, not ``np.cumsum`` along the
-short D axis (``_running_sums``), and a minimum-error class of at least D
-trials reads each trial's shifted weights w_c[(n + o2) mod D] as a row of
-the class's (D, D) circulant, built once per call like the product's.
+(``_summarize``).  From about 280 (1 - 3.7 / D) rows a class forms those
+sums as D - 1 adds of whole rows along trials, not ``np.cumsum`` along the
+short D axis (``_running_sums``), and a minimum-error class reads each
+trial's shifted weights w_c[(n + o2) mod D] with one index into D
+overlapping records of its doubled weights: the rows of its circulant,
+held in O(D).
 ``ProtocolRunner.run`` is the single-run reference, on the (D, D)
 diagonal of the register, reading the same per-class readout tables; it
 returns its trial as a row of ``run_block`` (a ``TeleportRecord``), and
@@ -89,9 +90,10 @@ MIN_BRANCH_MASS = 1e-12
 # defines the samples.
 BLOCK_ENTRIES = 2**16
 
-# A class's running sums take whole-row adds once its rows * D reaches
-# SUM_ADD_ENTRIES * (D - 4) (``_running_sums``); the samples do not depend on it.
-SUM_ADD_ENTRIES = 320
+# A class's running sums take whole-row adds from about
+# SUM_ADD_ROWS (1 - 3.7 / D) rows (``_sum_add_rows``); the samples do not
+# depend on it.
+SUM_ADD_ROWS = 280
 
 # Largest deviation of an input's squared norm from 1 that ``run`` accepts.
 INPUT_NORM_ATOL = 1e-12
@@ -211,6 +213,13 @@ class ProtocolRunner:
         self._p_end = np.array(p_end)
         self._class_w = np.array(rows + [w])
         self._w2 = self._class_w**2
+        # Record j of ``_class_rows[c]`` is the D floats of w_c, doubled,
+        # from index j: w_c[(j + n) mod D], row j of the class's circulant.
+        # The records overlap, so they take O(D) memory, and one index
+        # copies each trial's row whole.
+        doubled = np.concatenate((self._class_w, self._class_w), axis=1)
+        self._class_rows = [np.ndarray(D, np.dtype((np.void, 8 * D)), wc, strides=(8,))
+                            for wc in doubled]
         # Per class: conclusive; read out by minimum error (Fourier basis,
         # correction X^-k Z^l) rather than ``guess`` (sender index m,
         # correction X^-k); delivers a state.
@@ -356,11 +365,7 @@ class ProtocolRunner:
             # the real sum_n q[n] w[(n + k) mod D] / sqrt(D).  ``guess`` leaves
             # w_m psi[n] at n = (m - k) mod D alone.
             if self._me[c]:
-                # Each trial's w_c[(n + o2) mod D]: with at least D trials,
-                # rows of the class's circulant; below, where building the
-                # (D, D) circulant costs more than it saves, a gather.
-                shifted = (self._class_w[c][shifts].take(o2, axis=0) if rows.size >= D
-                           else self._class_w[c][shifts[o2]])
+                shifted = self._class_rows[c][o2].view(np.float64).reshape(rows.size, D)
                 overlap = np.einsum("rn,rn->r", q, shifted) / np.sqrt(D)
             else:
                 overlap = q[np.arange(rows.size), diff[o1, o2]] * self._class_w[c, o1]
@@ -369,20 +374,31 @@ class ProtocolRunner:
         return ends, outcomes, fids
 
 
+def _sum_add_rows(D: int) -> int:
+    """The fewest rows of a class whose running sums ``_running_sums``
+    forms as whole-row adds: 1 at D <= 3, 21 at D = 4, 151 at D = 8, 216
+    at D = 16, 248 at D = 32 and 276 at D = 256 (above its 256-row group).
+
+    On a 2-vCPU Xeon VM (NumPy 2.4), ``np.cumsum`` along the short D axis
+    costs about 2.5 us plus 3.4 ns an entry and the D - 1 adds about
+    0.7 us an add plus 0.9 ns an entry.  The adds measured faster from
+    22 rows at D = 4, 64 at D = 5, 128 at D = 8, about 185 at D = 16 and
+    190 to 380 at D = 24 to 200.
+    """
+    return max(1, ceil(SUM_ADD_ROWS * (1 - 3.7 / D)))
+
+
 def _running_sums(probs: np.ndarray) -> np.ndarray:
     """Running sums of each row of ``probs`` (rows, D), laid out (D, rows),
     so ``_sample_rows`` compares and counts along trials.
 
-    Both forms make the additions of a row-wise ``np.cumsum`` in its order,
-    so they return the same bits.  On a 2-vCPU Xeon VM (NumPy 2.4),
-    ``np.cumsum`` along the short D axis costs about 3 us plus 3.4 ns an
-    entry, and D - 1 adds of whole rows along trials,
-    ``cum[j] = cum[j - 1] + probs[:, j]``, about 0.7 us an add plus 0.9 ns
-    an entry, so the adds win once rows * D passes about
-    ``SUM_ADD_ENTRIES * (D - 4)``.
+    A small class takes ``np.cumsum`` along D; from ``_sum_add_rows(D)``
+    rows, D - 1 adds of whole rows along trials,
+    ``cum[j] = cum[j - 1] + probs[:, j]``.  Both make the additions of a
+    row-wise ``np.cumsum`` in its order, so they return the same bits.
     """
     rows, D = probs.shape
-    if rows * D < SUM_ADD_ENTRIES * (D - 4):
+    if rows < _sum_add_rows(D):
         return np.cumsum(probs.T, axis=0, out=np.empty((D, rows)))
     cum = np.empty((D, rows))
     cum[0] = probs[:, 0]

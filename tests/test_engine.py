@@ -1228,10 +1228,10 @@ def test_block_kernel_equals_the_row_major_kernel_bit_for_bit(D):
     M = multiplicity_profile(ch).M
     cfgs = [DET] + [StrategyConfig(k_max=k, fallback=fb)
                     for k in range(1, min(3, M) + 1) for fb in ("me", "guess", "discard")]
-    # Class sizes on both sides of each switch of the kernel: the fewest
-    # rows that take whole-row running sums, and D, the fewest that read
-    # the overlap's circulant (at D = 256 a whole group is below the first).
-    switch = -(-engine.SUM_ADD_ENTRIES * (D - 4) // D)
+    # Class sizes on both sides of the running-sum switch, the fewest rows
+    # that take whole-row adds (at D = 256 a whole group is below it), and
+    # D - 1 and D rows, fewer than and as many as the overlap's D records.
+    switch = engine._sum_add_rows(D)
     sizes = sorted({n for n in (switch - 1, switch, D - 1, D) if n >= 1})
     for cfg in cfgs:
         runner = ProtocolRunner(ch, cfg)
