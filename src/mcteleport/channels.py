@@ -92,14 +92,16 @@ def _validated_coeffs(coeffs, D: int) -> np.ndarray:
         raise ValueError(f"coefficients must be finite, got {arr.tolist()}")
     if np.logical_or.reduce(arr <= 0):
         raise ValueError(f"coefficients must be strictly positive, got {arr.tolist()}")
-    small = arr[arr**2 < MIN_SQUARED_COEFF]
+    with np.errstate(over="ignore"):  # a coefficient above ~1.34e154 squares to inf
+        sq = arr**2
+        total = float(np.add.reduce(sq))
+    small = arr[sq < MIN_SQUARED_COEFF]
     if small.size:
         c = float(small[0])
         raise ValueError(
             f"coefficient {c!r} is too small: its square {c * c!r} is below "
             f"the smallest normal float {MIN_SQUARED_COEFF!r}"
         )
-    total = float(np.add.reduce(arr**2))
     if abs(total - 1.0) > NORMALIZATION_SLACK:
         raise ValueError(
             f"squared coefficients sum to {total:.9g}, more than "

@@ -5,9 +5,9 @@ entangled pair, the sender's half m and the unknown input j; no kernel
 holds it whole.  Every object is kept in one form: ``_post_shift`` builds the register after the
 controlled shift from the Schmidt weights, as its b = m diagonal (it
 vanishes elsewhere), stage operators are rows of the plan's (M, D)
-Kraus diagonal arrays, and every kernel reads its D x D tables (F^+, the
-phases and shifts of the correction X^-k Z^l) from one cache,
-``_tables``; nothing of size D^3 is cached.
+Kraus diagonal arrays, and every kernel reads its D x D tables (F^+ and
+the phases of the correction X^-k Z^l) from one cache, ``_tables``;
+nothing of size D^3 is cached.
 
 Two evaluation routes are provided for every strategy.  ``monte_carlo``
 samples full protocol runs (Haar-random inputs, Born-rule measurements)
@@ -29,10 +29,9 @@ search for each trial's outcome runs along trials rather than along D,
 and each bucket's mean and standard error come from one shared sum
 (``_summarize``).  From about 280 (1 - 3.7 / D) rows a class forms those
 sums as D - 1 adds of whole rows along trials, not ``np.cumsum`` along the
-short D axis (``_running_sums``), and a minimum-error class reads each
-trial's shifted weights w_c[(n + o2) mod D] with one index into D
-overlapping records of its doubled weights: the rows of its circulant,
-held in O(D).
+short D axis (``_running_sums``).  A minimum-error class reads its two
+circulants, w_c^2[(i + j) mod D] and w_c[(n + o2) mod D], as views of its
+weights repeated twice, built in the call, so the runner keeps no view.
 ``ProtocolRunner.run`` is the single-run reference, on the (D, D)
 diagonal of the register, reading the same per-class readout tables; it
 returns its trial as a row of ``run_block`` (a ``TeleportRecord``), and
@@ -124,18 +123,17 @@ class TeleportRecord:
 # and 32), so four entries of a few D x D arrays each cover the traffic.
 @lru_cache(maxsize=4)
 def _tables(D: int) -> tuple[np.ndarray, ...]:
-    """Read-only (finv, rot, phases, diff, shifts): F^+, |F^+|^2,
-    phases[l, n] = exp(2 pi i l n / D), diff[b, j] = (b - j) mod D and
-    shifts[k, m] = (m + k) mod D.
+    """Read-only (finv, rot, phases, diff): F^+, |F^+|^2,
+    phases[l, n] = exp(2 pi i l n / D) and diff[b, j] = (b - j) mod D.
 
-    X^-k Z^l v is ``(phases[l] * v)[shifts[k]]``, row l of the symmetric
+    X^-k Z^l v is ``np.roll(phases[l] * v, -k)``, row l of the symmetric
     ``phases`` being the diagonal of Z^l, and F^+ = (phases / sqrt(D))^+
     is the inverse of the Fourier matrix F[m, n] = exp(2 pi i m n / D) / sqrt(D).
     """
     n = np.arange(D)
     phases = _phase_table(D)[np.multiply.outer(n, n) % D]
     finv = (phases / np.sqrt(D)).conj().T
-    tables = (finv, np.abs(finv) ** 2, phases, np.subtract.outer(n, n) % D, np.add.outer(n, n) % D)
+    tables = (finv, np.abs(finv) ** 2, phases, np.subtract.outer(n, n) % D)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -212,14 +210,6 @@ class ProtocolRunner:
             w = wf / norm if norm > 0 else wf
         self._p_end = np.array(p_end)
         self._class_w = np.array(rows + [w])
-        self._w2 = self._class_w**2
-        # Record j of ``_class_rows[c]`` is the D floats of w_c, doubled,
-        # from index j: w_c[(j + n) mod D], row j of the class's circulant.
-        # The records overlap, so they take O(D) memory, and one index
-        # copies each trial's row whole.
-        doubled = np.concatenate((self._class_w, self._class_w), axis=1)
-        self._class_rows = [np.ndarray(D, np.dtype((np.void, 8 * D)), wc, strides=(8,))
-                            for wc in doubled]
         # Per class: conclusive; read out by minimum error (Fourier basis,
         # correction X^-k Z^l) rather than ``guess`` (sender index m,
         # correction X^-k); delivers a state.
@@ -236,7 +226,7 @@ class ProtocolRunner:
             raise AssertionError(f"the correction phases and F^+ disagree at D={D}: "
                                  f"|sqrt(D) phases F^+ - 1| reaches {deviation:.3g}")
         # Each class's sender-outcome distribution and its running sum.
-        self._probs1 = np.where(self._me[:, None], self._w2 @ rot.T, self._w2)
+        self._probs1 = np.where(self._me[:, None], self._class_w**2 @ rot.T, self._class_w**2)
         self._cum1 = np.cumsum(self._probs1, axis=1)
 
     def run(self, amps, rng: np.random.Generator) -> TeleportRecord:
@@ -271,7 +261,7 @@ class ProtocolRunner:
         # Minimum-error readout (Fourier basis, correction X^-k Z^l), or for
         # ``guess`` a computational readout corrected by X^-k.
         me = self._me[end]
-        finv, rot, phases, _, shifts = _tables(self.D)
+        finv, rot, phases, _ = _tables(self.D)
         # (F^+ t)[b, l, j] = F^+[l, b] t[b, j], so outcome l has probability
         # |F^+|^2 @ (row sums of |t|^2); ``guess`` reads m = b directly and
         # keeps row l alone.
@@ -283,7 +273,7 @@ class ProtocolRunner:
         probs_k = (np.abs(slice_l) ** 2).sum(axis=0)
         k = int(_sample_shared(np.cumsum(probs_k), rng.random()))
         v = slice_l[:, k] / np.sqrt(probs_k[k])
-        bob = (phases[l if me else 0] * v)[shifts[k]]
+        bob = np.roll(phases[l if me else 0] * v, -k)
         return TeleportRecord(end, (l, k), float(np.abs(np.vdot(amps, bob)) ** 2), bob)
 
     def run_haar(self, rng: np.random.Generator) -> TeleportRecord:
@@ -325,7 +315,7 @@ class ProtocolRunner:
                 f"expected probs (B, {self.D}) and uniforms (B, {self.draws_per_trial}), "
                 f"got {probs.shape} and {uniforms.shape}"
             )
-        diff, shifts = _tables(D)[3:]
+        diff = _tables(D)[3]
         k = len(self._filters)
         # The first stage whose uniform falls below its success probability:
         # stages set in reverse, so the first success wins; a trial every
@@ -353,8 +343,12 @@ class ProtocolRunner:
             p1 = self._probs1[c].take(o1)
             # Receiver outcome o2: one product with the class's circulant
             # w_c^2[(i + j) mod D] for minimum error, a gather for ``guess``.
+            # Row j of w_c's circulant is w_c repeated twice, from index j.  The
+            # product reads its (D, D) strided view squared into a new array:
+            # the view itself rounds differently on one row.
             if self._me[c]:
-                probs2 = q @ self._w2[c][shifts]
+                wc = np.concatenate((self._class_w[c], self._class_w[c]))
+                probs2 = q @ np.ndarray((D, D), float, wc, strides=(8, 8))**2
             else:
                 probs2 = np.take_along_axis(q, diff.take(o1, axis=0), axis=1)
             o2 = _sample_rows(_running_sums(probs2), uniforms[:, first + 1].take(rows))
@@ -363,9 +357,11 @@ class ProtocolRunner:
             # / sqrt(p1 p2) at index n, with s = n + k mod D, and that phase
             # product is 1/sqrt(D) for every s: the overlap with the input is
             # the real sum_n q[n] w[(n + k) mod D] / sqrt(D).  ``guess`` leaves
-            # w_m psi[n] at n = (m - k) mod D alone.
+            # w_m psi[n] at n = (m - k) mod D alone.  A shifted w_c is a row of
+            # that circulant, one of D overlapping records: one index copies it.
             if self._me[c]:
-                shifted = self._class_rows[c][o2].view(np.float64).reshape(rows.size, D)
+                records = np.ndarray(D, f"V{8 * D}", wc, strides=(8,))  # void, 8D bytes
+                shifted = records[o2].view(np.float64).reshape(rows.size, D)
                 overlap = np.einsum("rn,rn->r", q, shifted) / np.sqrt(D)
             else:
                 overlap = q[np.arange(rows.size), diff[o1, o2]] * self._class_w[c, o1]

@@ -727,6 +727,9 @@ _COEFFS = ("--coeffs", "0.5,0.3,0.2", "--squared")
     (["report", "--D", "4"], None, "missing --coeffs"),
     (["report", "--D", "4", "--coeffs", "0.5,0.5,0", "--squared"], None,
      "squared coefficients must be strictly positive"),
+    # Squares above the largest float: inf, with no overflow warning.
+    (["report", "--D", "4", "--coeffs", "1e200"], None,
+     "squared coefficients sum to inf, more than 1e-06 away from 1"),
     (["sweep", "--N", "1"], None, "need 2 <= N <= D, got N=1, D=4"),
     (["sweep", "--grid", "1"], None, "grid resolution must be >= 2"),
     (["report", "--D", "1", "--coeffs", "1"], None, "dimension must be >= 2, got 1"),

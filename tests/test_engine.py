@@ -1,5 +1,6 @@
 import ast
 import gc
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -653,16 +654,19 @@ def test_block_kernel_when_the_last_stage_cannot_fail(D, coeffs, fallback):
     assert set(ends.tolist()) <= set(range(cfg.k_max))  # every trial conclusive
 
 
-def test_block_kernel_memory_stays_below_one_cubic_block_array():
-    # A (B, D, D) float64 array at D = 32 and B = 64 rows takes 512 KiB;
+@pytest.mark.parametrize("D", [32, 256])
+def test_block_kernel_memory_stays_below_one_cubic_block_array(D):
+    # A (B, D, D) float64 array of B = 64 rows takes 512 KiB at D = 32;
     # the kernel reads (k_max + 1, D) tables and (B, D) arrays only.
-    D = 32
     ch = _staged_channel(D)
     cfg = StrategyConfig(kind="mc-smc", k_max=3, fallback="me")
     runner = ProtocolRunner(ch, cfg)
     for value in vars(runner).values():
         if isinstance(value, np.ndarray):
             assert value.size <= (cfg.k_max + 1) * D
+    # The whole state, as a worker process receives it: a stored view
+    # pickles as a copy of all it spans, so none may reach a (D, D) array.
+    assert len(pickle.dumps(runner)) < 8 * D * D
     B = 64
     rng = np.random.default_rng(8)
     inputs, uniforms = haar_random_states(D, B, rng), rng.random((B, runner.draws_per_trial))
@@ -934,11 +938,17 @@ def test_monte_carlo_replay_check_catches_a_disagreeing_kernel(monkeypatch):
         monte_carlo(EXAMPLE, DET, 1000, seed=3)
 
 
+def _shifts(D):
+    """shifts[k, m] = (m + k) mod D, so X^-k v is v[shifts[k]]."""
+    n = np.arange(D)
+    return np.add.outer(n, n) % D
+
+
 def _d4_branch_sums(t, rotate):
     """(Q, T) and the gather diag[k, i, s] = t[(i + k) mod D, s, k, i] of a
     full (D, D, D, D) register, one column per basis input i."""
     D = t.shape[0]
-    _, _, phases, _, shifts = engine._tables(D)
+    phases, shifts = engine._tables(D)[2], _shifts(D)
     diag = t[shifts, :, np.arange(D)[:, None], np.arange(D)]
     gather = diag.copy()
     if rotate:
@@ -954,7 +964,7 @@ def test_branch_sets_match_a_full_register_reference(D):
     # only nonzero entries of the register on a trace's diagonal are the
     # filtered Schmidt weights w[s] at s = (i + k) mod D.
     rng = np.random.default_rng(40 + D)
-    shifts = engine._tables(D)[4]
+    shifts = _shifts(D)
     rows, cols = np.arange(D)[:, None], np.arange(D)
     for _ in range(4):
         ch = random_channel(rng, D=D)
@@ -1038,7 +1048,8 @@ def _tensordot_branch_sums(w, rotate):
     diag[k, i, s], w[s] at s = (i + k) mod D, rotated by a ``tensordot``
     with F^+ over every s, zeros included."""
     D = w.size
-    finv, _, phases, _, shifts = engine._tables(D)
+    finv, _, phases, _ = engine._tables(D)
+    shifts = _shifts(D)
     k, i = np.ogrid[:D, :D]
     diag = np.zeros((D, D, D), dtype=complex)
     diag[k, i, shifts] = w[shifts]
@@ -1108,7 +1119,8 @@ def _complex_run_block(runner, probs, uniforms):
     amplitudes coef[s] w_s, coef = phases[o1] F^+[o1] (a one-hot row for
     ``guess``), gathered at s = n + o2 and contracted with |psi|^2."""
     B, D = probs.shape
-    finv, _, phases, diff, shifts = engine._tables(D)
+    finv, _, phases, diff = engine._tables(D)
+    shifts = _shifts(D)
     k = len(runner._filters)
     ends = (uniforms[:, : k + 1] < np.append(runner._p_end, np.inf)).argmax(axis=1)
     stages = np.minimum(ends + 1, k)
@@ -1125,7 +1137,7 @@ def _complex_run_block(runner, probs, uniforms):
     for c in np.flatnonzero(np.bincount(cls, minlength=k + 1)):
         sel = cls == c
         if runner._me[c]:
-            probs2[sel] = q[sel] @ runner._w2[c][shifts]
+            probs2[sel] = q[sel] @ (runner._class_w[c]**2)[shifts]
         else:
             probs2[sel] = np.take_along_axis(q[sel], diff[o1[sel]], axis=1)
     o2 = engine._sample_rows(np.cumsum(probs2, axis=1).T, uniforms[rows, first + 1])
@@ -1163,7 +1175,7 @@ def _row_major_run_block(runner, probs, uniforms):
     the ``argmax`` of the stage decisions, running sums laid out (rows, D)
     and a row-wise count.  The kernel must return its bits."""
     B, D = probs.shape
-    diff, shifts = engine._tables(D)[3:]
+    diff, shifts = engine._tables(D)[3], _shifts(D)
     k = len(runner._filters)
     ends = (uniforms[:, : k + 1] < np.append(runner._p_end, np.inf)).argmax(axis=1)
     outcomes = np.full((B, 2), -1, dtype=np.int64)
@@ -1179,7 +1191,7 @@ def _row_major_run_block(runner, probs, uniforms):
         o1 = engine._sample_shared(runner._cum1[c], uniforms[rows, first])
         p1 = runner._probs1[c, o1]
         if runner._me[c]:
-            probs2 = q @ runner._w2[c][shifts]
+            probs2 = q @ (runner._class_w[c]**2)[shifts]
         else:
             probs2 = np.take_along_axis(q, diff[o1], axis=1)
         cum = np.cumsum(probs2, axis=1)
@@ -1302,18 +1314,18 @@ def test_block_kernel_reads_neither_the_fourier_nor_the_phase_table(monkeypatch,
 
 def test_tables_agree_with_the_reference_circuit():
     # F^+ is the reference Fourier matrix's conjugate transpose, phases[l]
-    # is the diagonal of Z^l and shifts[k] realises X^-k.  The table's
+    # is the diagonal of Z^l and np.roll(v, -k) realises X^-k.  The table's
     # roots exp(2 pi i k / D) carry the rounding of their argument, up to
     # 7 ulps at D <= 64 (the FFT's roots are within 3 of exact).
     for D in range(2, 65):
-        finv, _, phases, _, shifts = engine._tables(D)
+        finv, _, phases, _ = engine._tables(D)
         np.testing.assert_allclose(finv, ref.dft(D).conj().T, rtol=0, atol=1e-15)
         v = haar_random_state(D, np.random.default_rng(D))
         for l in range(D):
             np.testing.assert_allclose(phases[l], ref.correct(np.ones(D), 0, l),
                                        rtol=0, atol=8 * np.finfo(float).eps)
         for k in range(D):
-            np.testing.assert_array_equal(v[shifts[k]], ref.correct(v, k))
+            np.testing.assert_array_equal(np.roll(v, -k), ref.correct(v, k))
 
 
 # pi to 62 decimals, for roots of unity computed in ``decimal`` (no mpmath).
