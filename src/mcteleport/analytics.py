@@ -1,8 +1,8 @@
 """Closed-form fidelities, probabilities and stage structure for a channel.
 
 Everything here is evaluated from the grouped values that ``channels``
-forms, never from raw floats, so tie-tolerance decisions propagate
-consistently between these formulas and the simulated operators.
+forms at the channel's own tie tolerance, never from raw floats, so
+these formulas and the simulated operators make the same tie decisions.
 Quantities named ``F_*`` are average teleportation fidelities; the
 corresponding singlet fractions are recovered as (F*(D+1) - 1)/D.
 
@@ -31,12 +31,9 @@ from math import prod
 import numpy as np
 
 from . import channels
-from .channels import (
-    DEFAULT_TIE_TOL,
-    SchmidtChannel,
-    multiplicity_profile,
-)
+from .channels import DEFAULT_TIE_TOL, SchmidtChannel, multiplicity_profile
 from .discrimination import KIND_DETERMINISTIC, StrategyConfig
+from .qudit import check_index
 
 IDENTITY_ATOL = 1e-12
 
@@ -74,10 +71,10 @@ class ChannelReport:
     overall_smc: float
 
 
-def f_me(ch: SchmidtChannel, tie_tolerance: float = DEFAULT_TIE_TOL) -> float:
+def f_me(ch: SchmidtChannel) -> float:
     """Average fidelity of the optimal deterministic protocol,
     (1 + (sum_m a_m)^2) / (D + 1)."""
-    return channel_report(ch, tie_tolerance).F_me
+    return channel_report(ch).F_me
 
 
 def f_clas(D: int) -> float:
@@ -89,44 +86,38 @@ def f_clas(D: int) -> float:
     return 2.0 / (D + 1)
 
 
-def f_mc_conclusive(
-    ch: SchmidtChannel, k: int, tie_tolerance: float = DEFAULT_TIE_TOL
-) -> float:
+def f_mc_conclusive(ch: SchmidtChannel, k: int) -> float:
     """Average fidelity given a conclusive outcome at stage k, (1 + n_k)/(D + 1)
     with n_k the count of coefficients surviving into stage k; the report
     checks it against the recursion from stage 1 that subtracts each
     consumed multiplicity."""
-    rep = channel_report(ch, tie_tolerance)
+    k = check_index("k", k)
+    rep = channel_report(ch)
     if not 1 <= k <= rep.M:
         raise ValueError(f"stage {k} out of range 1..{rep.M}")
     return rep.F_mc_s[k - 1]
 
 
-def f_me_after_fail(ch: SchmidtChannel, tie_tolerance: float = DEFAULT_TIE_TOL) -> float:
+def f_me_after_fail(ch: SchmidtChannel) -> float:
     """Average fidelity of the minimum-error completion after one failed
     filter stage: the deterministic formula applied to the failure-family
     coefficients.  Undefined (error) when all coefficients are equal."""
-    value = channel_report(ch, tie_tolerance).F_me_after_fail
+    value = channel_report(ch).F_me_after_fail
     if value is None:
         raise ValueError("all coefficients are equal: the filter cannot fail")
     return value
 
 
-def stage_probabilities(
-    ch: SchmidtChannel, k: int, tie_tolerance: float = DEFAULT_TIE_TOL
-) -> tuple[np.ndarray, float]:
+def stage_probabilities(ch: SchmidtChannel, k: int) -> tuple[np.ndarray, float]:
     """Success probability of each stage 1..k and their cumulative total."""
-    rep = channel_report(ch, tie_tolerance)
+    k = check_index("k", k)
+    rep = channel_report(ch)
     if not 1 <= k <= rep.M:
         raise ValueError(f"stage {k} out of range 1..{rep.M}")
     return np.array(rep.p_success[:k]), rep.P_smc[k - 1]
 
 
-def overall_fidelity(
-    ch: SchmidtChannel,
-    cfg: StrategyConfig,
-    tie_tolerance: float = DEFAULT_TIE_TOL,
-) -> float:
+def overall_fidelity(ch: SchmidtChannel, cfg: StrategyConfig) -> float:
     """Average fidelity of a full strategy, conclusive and terminal
     branches weighted by their probabilities.
 
@@ -134,7 +125,7 @@ def overall_fidelity(
     attempts deliver nothing), so the value is conditioned on success;
     pair it with the overall success probability when reporting.
     """
-    rep = channel_report(ch, tie_tolerance)
+    rep = channel_report(ch)
     if cfg.kind == KIND_DETERMINISTIC:
         return rep.F_me
     k = cfg.k_max
@@ -152,26 +143,23 @@ def overall_fidelity(
     survival = prod(rep.p_fail[:k])
     if survival <= 0 or k >= rep.d:
         return base
-    profile = multiplicity_profile(ch, tie_tolerance)
+    profile = multiplicity_profile(ch)
     (s,) = _failure_family_sums(profile.values[None] ** 2, profile.multiplicities, k,
                                 np.array([survival])).tolist()
     return base + residual * (1.0 + s**2) / (rep.D + 1)
 
 
 @lru_cache(maxsize=1)
-def channel_report(
-    ch: SchmidtChannel, tie_tolerance: float = DEFAULT_TIE_TOL
-) -> ChannelReport:
+def channel_report(ch: SchmidtChannel) -> ChannelReport:
     """Evaluate every closed form for one channel and assert the internal
     identities that tie them together: the one-row case of
     :func:`report_blocks`, evaluated from the channel's cached
     ``multiplicity_profile``.
 
     The last report is cached (it is immutable), keyed by the channel's
-    identity and the tie tolerance as passed, so the per-quantity
-    functions above, which read it, evaluate a channel once; errors are
-    not cached."""
-    profile = multiplicity_profile(ch, tie_tolerance)
+    identity, so the per-quantity functions above, which read it, evaluate
+    a channel once; errors are not cached."""
+    profile = multiplicity_profile(ch)
     D = ch.D
     if ch.N == 1:
         # Rank 1: no stage, so every strategy is the deterministic one.

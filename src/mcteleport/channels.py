@@ -1,18 +1,21 @@
 """Entanglement resource description.
 
 A two-qudit pure channel is stored as its positive Schmidt coefficients,
-sorted non-increasing.  The coefficient multiplicity structure (how many
-coefficients share each value) controls how many filtering stages the
-probabilistic protocol supports, so grouping of nearly equal values is an
-explicit, tolerance-controlled step, written only here (``tie_gaps``,
+sorted non-increasing, and the tie tolerance they are grouped at.  The
+coefficient multiplicity structure (how many coefficients share each
+value) controls how many filtering stages the probabilistic protocol
+supports, so grouping of nearly equal values is an explicit,
+tolerance-controlled step, written only here (``tie_gaps``,
 ``group_rows`` and ``MultiplicityProfile``) for analytics and simulation.
+``make_channel`` takes the tolerance once; every route that reads a
+channel groups it at the channel's own ``tie_tolerance``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite
+from numbers import Real
 
 import numpy as np
 
@@ -43,10 +46,12 @@ MIN_SQUARED_COEFF = float(np.finfo(float).tiny)
 @dataclass(frozen=True, eq=False)
 class SchmidtChannel:
     """Pure two-qudit channel of local dimension D with rank-N coefficients
-    (read-only); compared and hashed by identity, so it can key a cache."""
+    (read-only), grouped at ``tie_tolerance`` by every route that reads
+    it; compared and hashed by identity, so it alone can key a cache."""
 
     D: int
     coeffs: np.ndarray
+    tie_tolerance: float = DEFAULT_TIE_TOL
 
     @property
     def N(self) -> int:
@@ -110,8 +115,9 @@ def _validated_coeffs(coeffs, D: int) -> np.ndarray:
     return arr / np.sqrt(total)
 
 
-def make_channel(D: int, coeffs) -> SchmidtChannel:
-    """Validate, sort (non-increasing) and normalize Schmidt coefficients."""
+def make_channel(D: int, coeffs, tie_tolerance: float = DEFAULT_TIE_TOL) -> SchmidtChannel:
+    """Validate, sort (non-increasing) and normalize Schmidt coefficients,
+    and validate the tie tolerance they are grouped at."""
     D = check_index("D", D)
     if D < 2:
         raise ValueError(f"dimension must be >= 2, got {D}")
@@ -121,16 +127,20 @@ def make_channel(D: int, coeffs) -> SchmidtChannel:
     arr.sort()
     arr = arr[::-1].copy()
     arr.setflags(write=False)
-    return SchmidtChannel(D, arr)
+    return SchmidtChannel(D, arr, check_tie_tolerance(tie_tolerance))
 
 
-def check_tie_tolerance(tie_tolerance: float) -> None:
-    """ValueError unless ``tie_tolerance`` is finite and in [0, MAX_TIE_TOL]."""
-    if not (isfinite(tie_tolerance) and 0 <= tie_tolerance <= MAX_TIE_TOL):
+def check_tie_tolerance(tie_tolerance: float) -> float:
+    """``tie_tolerance`` as a float; ValueError unless it is a real number,
+    finite and in [0, MAX_TIE_TOL]."""
+    # A real number compares exactly, so NaN, inf and an int too large for
+    # a float all fall outside the range.
+    if not (isinstance(tie_tolerance, Real) and 0 <= tie_tolerance <= MAX_TIE_TOL):
         raise ValueError(
             f"tie tolerance must be finite and in [0, {MAX_TIE_TOL:g}], "
             f"got {tie_tolerance!r}"
         )
+    return float(tie_tolerance)
 
 
 def tie_gaps(amps: np.ndarray, tie_tolerance: float) -> np.ndarray:
@@ -160,18 +170,16 @@ def group_rows(amps: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 @lru_cache(maxsize=1)
-def multiplicity_profile(
-    ch: SchmidtChannel, tie_tolerance: float = DEFAULT_TIE_TOL
-) -> MultiplicityProfile:
-    """Group the channel coefficients into equal-value multiplicity sets.
+def multiplicity_profile(ch: SchmidtChannel) -> MultiplicityProfile:
+    """Group the channel coefficients, at the channel's tie tolerance, into
+    equal-value multiplicity sets.
 
     The last profile built is cached (its arrays are read-only), keyed by
-    the channel's identity and the tie tolerance as passed, so callers
-    pass both positionally and one verify, report or plan groups its
+    the channel's identity, so one verify, report or plan groups its
     channel once; errors are not cached.
     """
     amps = ch.coeffs[None, ::-1]  # ascending, a view
-    (values,), mults = group_rows(amps, tie_gaps(amps[0], tie_tolerance))
+    (values,), mults = group_rows(amps, tie_gaps(amps[0], ch.tie_tolerance))
     values.setflags(write=False)
     mults.setflags(write=False)
     return MultiplicityProfile(values, mults)

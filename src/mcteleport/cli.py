@@ -187,7 +187,7 @@ def _build_channel(args: argparse.Namespace) -> SchmidtChannel:
         if any(c <= 0 for c in coeffs):
             raise ValueError("squared coefficients must be strictly positive")
         coeffs = tuple(sqrt(c) for c in coeffs)
-    return make_channel(args.D, coeffs)
+    return make_channel(args.D, coeffs, args.tie_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +426,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[str], list[str]]:
 
 def cmd_report(args) -> int:
     ch = _build_channel(args)
-    rep = channel_report(ch, args.tie_tol)
+    rep = channel_report(ch)
     # The CSV file is opened before the first print: an unwritable --out
     # prints nothing.
     with (_csv_file(args.out) if args.out else nullcontext()) as fh:
@@ -451,7 +451,7 @@ def cmd_report(args) -> int:
                 f"mcteleport {__version__}",
                 "command: report",
                 f"spec: D={rep.D} coeffs={','.join(_fmt(c) for c in ch.coeffs.tolist())} "
-                f"tie_tol={args.tie_tol:g}",
+                f"tie_tol={ch.tie_tolerance:g}",
             ]
             row = [_fmt(report_quantity(rep, c)) for c in cols]
             _emit_csv(fh, metadata, cols, [",".join(row) + "\n"])
@@ -460,12 +460,12 @@ def cmd_report(args) -> int:
 
 def cmd_plan(args) -> int:
     ch = _build_channel(args)
-    rep = channel_report(ch, args.tie_tol)
+    rep = channel_report(ch)
     if ch.N < 2:
         print("rank-1 channel: no filtering stages; deterministic protocol only")
         print(f"F_me={_fmt(rep.F_me)} (classical bound {_fmt(rep.F_clas)})")
         return 0
-    plan = build_stage_plan(ch, args.tie_tol)
+    plan = build_stage_plan(ch)
     bits_base = 2 * ceil(log2(ch.D))
     print(f"channel: D={ch.D} N={ch.N} M={plan.M} "
           f"F_me={_fmt(rep.F_me)} F_clas={_fmt(rep.F_clas)}")
@@ -494,24 +494,24 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _verify_rows(channel, cfg, trials, seed, workers, tie_tol):
+def _verify_rows(channel, cfg, trials, seed, workers):
     """Each row: (name, analytic, oracle, empirical, stderr, n).  The
     empirical value is the mean of n sampled values in [0, 1], and
     ``stderr`` is that mean's sample standard error (NaN for n < 2).  A
     fidelity row samples the fidelities of its bucket; a probability row
     samples a 0/1 hit per trial, so n = trials and the stderr is
     sqrt(p(1 - p)/(n - 1)) at the sampled p."""
-    masses = exact_branch_probabilities(channel, cfg, tie_tol)
-    stats = monte_carlo(channel, cfg, trials, seed, workers=workers, tie_tolerance=tie_tol)
+    masses = exact_branch_probabilities(channel, cfg)
+    stats = monte_carlo(channel, cfg, trials, seed, workers=workers)
 
     def hit_row(name, analytic, oracle, p):
         return (name, analytic, oracle, p, sqrt(p * (1.0 - p) / (trials - 1)), trials)
 
-    p_stages, p_total = stage_probabilities(channel, cfg.k_max, tie_tol)
+    p_stages, p_total = stage_probabilities(channel, cfg.k_max)
     rows = []
     for k in range(1, cfg.k_max + 1):
-        analytic_f = f_mc_conclusive(channel, k, tie_tol)
-        oracle_f = exact_average_fidelity(channel, cfg, f"stage{k}", tie_tol)
+        analytic_f = f_mc_conclusive(channel, k)
+        oracle_f = exact_average_fidelity(channel, cfg, f"stage{k}")
         # Bucket k - 1 is stage k.
         rows.append((f"F_mc_s{k}", analytic_f, oracle_f, float(stats.mean_fidelity[k - 1]),
                      float(stats.stderr_fidelity[k - 1]), int(stats.counts[k - 1])))
@@ -524,8 +524,8 @@ def _verify_rows(channel, cfg, trials, seed, workers, tie_tol):
     delivered = trials if cfg.fallback != "discard" else int(stats.counts[:-1].sum())
     rows.append((
         label,
-        overall_fidelity(channel, cfg, tie_tol),
-        exact_average_fidelity(channel, cfg, tie_tolerance=tie_tol),
+        overall_fidelity(channel, cfg),
+        exact_average_fidelity(channel, cfg),
         stats.overall_mean_fidelity,
         stats.overall_stderr_fidelity,
         delivered,
@@ -552,7 +552,7 @@ def cmd_verify(args) -> int:
     # length-D arrays, the plan a rank-1 channel or an excess k_max, and
     # the runner's (D, D) guard any D above 1024, before any trial is drawn;
     # every later call reuses the cached plan and enumeration.
-    rows = _verify_rows(ch, cfg, args.trials, args.seed, args.workers, args.tie_tol)
+    rows = _verify_rows(ch, cfg, args.trials, args.seed, args.workers)
     if args.self_test_corrupt:
         name, analytic, *rest = rows[0]
         rows[0] = (name, analytic + 0.01, *rest)

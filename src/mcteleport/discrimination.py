@@ -20,7 +20,7 @@ from math import sqrt
 
 import numpy as np
 
-from .channels import DEFAULT_TIE_TOL, SchmidtChannel, multiplicity_profile
+from .channels import SchmidtChannel, multiplicity_profile
 from .qudit import check_allocation, check_index
 
 KIND_DETERMINISTIC = "deterministic-me"
@@ -81,13 +81,12 @@ class StagePlan:
 
 
 @lru_cache(maxsize=1)
-def build_stage_plan(
-    ch: SchmidtChannel, tie_tolerance: float = DEFAULT_TIE_TOL
-) -> StagePlan:
+def build_stage_plan(ch: SchmidtChannel) -> StagePlan:
     """Every filtering stage the channel admits, from one grouping.
 
-    The last plan built is cached (its arrays are read-only), so the sampler
-    and the oracle calls of one ``verify`` share one build; errors are not.
+    The last plan built is cached (its arrays are read-only), keyed by the
+    channel's identity, so the sampler and the oracle calls of one
+    ``verify`` share one build; errors are not.
 
     The family entering stage k is sqrt(a_m^2 - v^2), normalized, over the
     ``support[k - 1]`` largest snapped coefficients, v being the largest
@@ -98,7 +97,7 @@ def build_stage_plan(
     """
     if ch.N < 2:
         raise ValueError("rank-1 channels admit no discrimination stages")
-    profile = multiplicity_profile(ch, tie_tolerance)
+    profile = multiplicity_profile(ch)
     M, d = profile.M, profile.d
     check_allocation(f"the Kraus diagonals of {M} stage(s) at D={ch.D}", 16 * M * ch.D)
 

@@ -49,7 +49,7 @@ after the controlled shift vanishes unless b = m) and reads each set's
 
 The sampler and the oracle both take their stage operators from
 ``build_stage_plan``, which caches the last plan it built, so one plan
-serves every call on the same channel and tie tolerance.
+serves every call on the same channel.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ import numpy as np
 
 # ``make_channel`` is unused here but stays importable from this module:
 # the benchmark's layer trace (perfbench/layers.py) wraps it by this name.
-from .channels import DEFAULT_TIE_TOL, SchmidtChannel, make_channel  # noqa: F401
+from .channels import SchmidtChannel, make_channel  # noqa: F401
 from .discrimination import (
     KIND_DETERMINISTIC,
     KIND_SMC,
@@ -147,13 +147,13 @@ def _post_shift(w: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return w[:, None] * psi[_tables(psi.size)[3]]
 
 
-def _stage_filters(channel: SchmidtChannel, cfg: StrategyConfig,
-                   tie_tolerance: float) -> list[tuple[np.ndarray, np.ndarray]]:
+def _stage_filters(channel: SchmidtChannel,
+                   cfg: StrategyConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     """(K_s, K_f) diagonals of the first ``cfg.k_max`` filtering stages (none
     for the deterministic strategy); ValueError if there are fewer."""
     if cfg.kind != KIND_SMC:
         return []
-    plan = build_stage_plan(channel, tie_tolerance)
+    plan = build_stage_plan(channel)
     if cfg.k_max > plan.M:
         raise ValueError(f"k_max={cfg.k_max} exceeds the {plan.M} stage(s) this channel admits")
     return list(zip(plan.K_s[: cfg.k_max], plan.K_f[: cfg.k_max]))
@@ -175,17 +175,12 @@ class ProtocolRunner:
     row of ``run_block``.
     """
 
-    def __init__(
-        self,
-        channel: SchmidtChannel,
-        cfg: StrategyConfig,
-        tie_tolerance: float = DEFAULT_TIE_TOL,
-    ):
+    def __init__(self, channel: SchmidtChannel, cfg: StrategyConfig):
         self.D = D = channel.D
         # No array here or in a run is larger than D x D: a run, the tables
         # included, peaks at about 7 complex (D, D) arrays.
         check_allocation(f"the (D, D) arrays of a single run at D={D}", 8 * 16 * D**2)
-        self._filters = _stage_filters(channel, cfg, tie_tolerance)
+        self._filters = _stage_filters(channel, cfg)
         # Uniforms one trial may consume: one per stage, then l and k.
         self.draws_per_trial = len(self._filters) + 2
         # The Schmidt weights padded to D: all a kernel reads of the channel.
@@ -548,7 +543,6 @@ def monte_carlo(
     trials: int,
     seed: int,
     workers: int = 1,
-    tie_tolerance: float = DEFAULT_TIE_TOL,
 ) -> AggregateStats:
     """Sample ``trials`` protocol runs on fresh Haar inputs.
 
@@ -574,7 +568,7 @@ def monte_carlo(
     # The largest result array: 8 B per trial for the end classes and for
     # the fidelities (about 34 B per trial at peak in all).
     check_allocation(f"the per-trial results of {trials:,} trials", 8 * trials)
-    runner = ProtocolRunner(channel, cfg, tie_tolerance)
+    runner = ProtocolRunner(channel, cfg)
     _replay_check(runner, seed)
 
     D = channel.D
@@ -628,7 +622,7 @@ def _set_labels(cfg: StrategyConfig) -> tuple[str, ...]:
 
 @lru_cache(maxsize=1)
 def _branch_sets(
-    channel: SchmidtChannel, cfg: StrategyConfig, tie_tolerance: float,
+    channel: SchmidtChannel, cfg: StrategyConfig,
 ) -> MappingProxyType[str, tuple[float, float]]:
     """Measurement branches of a strategy, as (Q, T) per branch set.
 
@@ -640,8 +634,8 @@ def _branch_sets(
     is (Q + T) / ((D + 1) T) and its total probability T/D.  The sets are
     named by ``_set_labels``.
 
-    The last result is cached by (channel identity, strategy, tie
-    tolerance) and returned read-only; errors are not cached.
+    The last result is cached by (channel identity, strategy) and returned
+    read-only; errors are not cached.
     """
     D = channel.D
     # The padded weights and at most two products of them are held at once.
@@ -649,7 +643,7 @@ def _branch_sets(
     w = np.zeros(D)
     w[: channel.N] = channel.coeffs
     sums = []
-    for ks, kf in _stage_filters(channel, cfg, tie_tolerance):
+    for ks, kf in _stage_filters(channel, cfg):
         sums.append(_branch_sums(w * ks, True))
         w = w * kf
     sums.append(_branch_sums(w, True))
@@ -666,7 +660,6 @@ def exact_average_fidelity(
     channel: SchmidtChannel,
     cfg: StrategyConfig,
     bucket: str | None = None,
-    tie_tolerance: float = DEFAULT_TIE_TOL,
 ) -> float:
     """Haar-averaged teleportation fidelity by exact branch enumeration.
 
@@ -683,7 +676,7 @@ def exact_average_fidelity(
     if bucket is not None and bucket not in _set_labels(cfg):
         raise ValueError(f"unknown bucket {bucket!r}; this strategy's sets are "
                          f"{', '.join(_set_labels(cfg))}")
-    sets = _branch_sets(channel, cfg, tie_tolerance)
+    sets = _branch_sets(channel, cfg)
     # A discarded attempt has no set: it delivers no state.
     chosen = ([bucket] if bucket is not None
               else [label for label in _bucket_labels(cfg) if label in sets])
@@ -696,11 +689,9 @@ def exact_average_fidelity(
 
 
 def exact_branch_probabilities(
-    channel: SchmidtChannel,
-    cfg: StrategyConfig,
-    tie_tolerance: float = DEFAULT_TIE_TOL,
+    channel: SchmidtChannel, cfg: StrategyConfig,
 ) -> dict[str, float]:
     """Haar-averaged probability T/D of each set of the cached
     ``_branch_sets``, under its label."""
-    sets = _branch_sets(channel, cfg, tie_tolerance)
+    sets = _branch_sets(channel, cfg)
     return {label: t / channel.D for label, (_, t) in sets.items()}

@@ -46,12 +46,12 @@ def channel_with_multiplicities(rng, D, mults) -> SchmidtChannel:
     return make_channel(D, np.sqrt(sq))
 
 
-def profile_families(ch, tie_tolerance=1e-9) -> list[np.ndarray]:
+def profile_families(ch) -> list[np.ndarray]:
     """The family entering each stage 1..d, from the channel's profile, each
     in its own array: sqrt(a_m^2 - v^2) over the surviving coefficients,
     largest first, normalised, v being the largest group value consumed
     before the stage (0 at stage 1)."""
-    profile = multiplicity_profile(ch, tie_tolerance)
+    profile = multiplicity_profile(ch)
     squares = np.repeat(profile.values, profile.multiplicities)[::-1] ** 2
     consumed = np.concatenate(([0.0], profile.values[:-1] ** 2))
     families = [np.sqrt(squares[:n] - v_sq) for n, v_sq in zip(profile.support, consumed)]

@@ -20,7 +20,7 @@ from mcteleport.analytics import USEFUL_MARGIN
 DIGITS = 60
 
 
-def reference_report(ch, tie_tolerance) -> dict:
+def reference_report(ch) -> dict:
     """The ``ChannelReport`` fields of ``ch`` as Decimals (counts as ints,
     ``useful`` as bools, ``F_me_after_fail`` None when d < 2), plus
     ``overall[(k_max, fallback)]`` for every k_max in 1..M and every
@@ -30,7 +30,7 @@ def reference_report(ch, tie_tolerance) -> dict:
     ``useful_margin``, each stage's surviving count less (Σ_m a_m)^2."""
     floats = sorted(ch.coeffs.tolist())
     cuts = [i + 1 for i, (lo, hi) in enumerate(zip(floats, floats[1:]))
-            if hi - lo > tie_tolerance]
+            if hi - lo > ch.tie_tolerance]
     edges = [0, *cuts, len(floats)]
     with localcontext() as ctx:
         ctx.prec = DIGITS

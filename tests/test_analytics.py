@@ -1,6 +1,6 @@
 import ast
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -31,10 +31,10 @@ from mcteleport.cli import main
 EXAMPLE = make_channel(4, np.sqrt([0.5, 0.3, 0.2]))
 
 
-def _double_sum(ch, tie_tolerance=DEFAULT_TIE_TOL):
+def _double_sum(ch):
     """The double-sum form of ``F_me_after_fail`` that ``analytics`` checks
     the single-sum form against."""
-    profile = multiplicity_profile(ch, tie_tolerance)
+    profile = multiplicity_profile(ch)
     (check,), _ = mcteleport.analytics._f_me_after_fail_double_sums(
         profile.values[None], profile.multiplicities, ch.D)
     return float(check)
@@ -369,10 +369,10 @@ ULP = Decimal(2) ** -52
 ATOL = Decimal(mcteleport.analytics.IDENTITY_ATOL)
 
 
-def _reference_checks(ch, tol):
+def _reference_checks(ch):
     """(name, value, 60-digit reference, bound) of every report field and
     of ``overall_fidelity`` at every k_max and fallback."""
-    rep, ref = channel_report(ch, tol), reference_report(ch, tol)
+    rep, ref = channel_report(ch), reference_report(ch)
     mass, gap = ref["failure_mass"], ref["gap"]
 
     def family_bound(k):
@@ -391,7 +391,7 @@ def _reference_checks(ch, tol):
     else:
         checks.append(("overall_me", rep.overall_me, ref["overall_me"], ATOL))
     for (k, fallback), want in ref["overall"].items():
-        got = overall_fidelity(ch, StrategyConfig("mc-smc", k, fallback), tol)
+        got = overall_fidelity(ch, StrategyConfig("mc-smc", k, fallback))
         bound = family_bound(k) if fallback == "me" and k < rep.d else ATOL
         checks.append((f"overall({k}, {fallback})", got, want, bound))
     return rep, ref, checks
@@ -412,7 +412,8 @@ WIDE_GROUPS = make_channel(32, _CHAINS / np.linalg.norm(_CHAINS))
 @example(WIDE_GROUPS)
 def test_report_fields_are_within_their_bounds_of_the_60_digit_reference(ch):
     for tol in (DEFAULT_TIE_TOL, 0.0, 1e-7):
-        rep, ref, checks = _reference_checks(ch, tol)
+        # The same coefficient bits, grouped at each tolerance.
+        rep, ref, checks = _reference_checks(replace(ch, tie_tolerance=tol))
         assert (rep.D, rep.N, rep.d, rep.M) == (ref["D"], ref["N"], ref["d"], ref["M"])
         assert (rep.F_me_after_fail is None) == (ref["F_me_after_fail"] is None)
         assert len(ref["overall"]) == 3 * rep.M
@@ -434,21 +435,22 @@ def test_channel_report_fields_are_the_report_block_fields_but_rows():
 
 # Two smallest coefficients ~1e-12 apart: p_fail = 1 - N a_min^2 loses most
 # of its digits, and 1/p_fail magnifies the normalisation residual that
-# separates the two F_me_after_fail forms (here to ~1e-5).
-NEAR_TIE = make_channel(7, [0.7071067811869012, 0.707106781186194])
+# separates the two F_me_after_fail forms (here to ~1e-5).  At tie
+# tolerance 0 the two are groups of their own.
+NEAR_TIE = make_channel(7, [0.7071067811869012, 0.707106781186194], tie_tolerance=0.0)
 
 
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 3: F_me_after_fail divides by p_fail = 1 - N a_min^2, not by the "
     "failure family's own squared norm, and reads 0.2500208 against an exact 0.25"))
 def test_near_tie_at_zero_tolerance_is_within_identity_atol_of_the_reference():
-    _, _, checks = _reference_checks(NEAR_TIE, 0.0)
+    _, _, checks = _reference_checks(NEAR_TIE)
     assert all(abs(Decimal(got) - want) <= ATOL for _, got, want, _ in checks)
 
 
 def test_f_me_after_fail_forms_agree_on_a_near_tie_at_zero_tolerance():
-    assert channel_report(NEAR_TIE, 0.0).F_me_after_fail == f_me_after_fail(NEAR_TIE, 0.0)
-    assert _double_sum(NEAR_TIE, 0.0) == pytest.approx(0.25, abs=1e-12)
+    assert channel_report(NEAR_TIE).F_me_after_fail == f_me_after_fail(NEAR_TIE)
+    assert _double_sum(NEAR_TIE) == pytest.approx(0.25, abs=1e-12)
 
 
 @pytest.mark.usefixtures("fresh_reports")

@@ -1,11 +1,16 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_circuit as ref
+import mcteleport
 from conftest import channel_with_multiplicities, random_channel
 from mcteleport import make_channel, multiplicity_profile
+from mcteleport.analytics import report_blocks
 from mcteleport.channels import DEFAULT_TIE_TOL, group_rows, tie_gaps
 
 
@@ -45,6 +50,36 @@ def test_make_channel_rejections():
         make_channel(3, [0.9, 0.1])  # squared sum far from 1
     with pytest.raises(ValueError):
         make_channel(3, [])
+
+
+@pytest.mark.parametrize("tie_tolerance", [
+    None, "1e-9", 1j, 10**400, np.array(1e-9), float("nan"), float("inf"), -1e-9, 2e-6,
+], ids=["none", "str", "complex", "huge-int", "array", "nan", "inf", "negative", "large"])
+@pytest.mark.parametrize("route", ["make_channel", "report_blocks"])
+def test_bad_tie_tolerance_is_a_value_error(route, tie_tolerance):
+    # None, a string and a complex once raised TypeError, and 10**400
+    # OverflowError, from the range check.
+    message = f"tie tolerance must be finite and in [0, 1e-06], got {tie_tolerance!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if route == "make_channel":
+            make_channel(4, np.sqrt([0.5, 0.3, 0.2]), tie_tolerance)
+        else:
+            report_blocks(4, [[0.5, 0.3, 0.2]], tie_tolerance)
+
+
+def test_only_make_channel_takes_a_tie_tolerance():
+    # The channel owns its tie tolerance (the SchmidtChannel field that
+    # make_channel fills), so no route can group one channel two ways.
+    takers = set()
+    for name in mcteleport.__all__:
+        obj = getattr(mcteleport, name)
+        members = [obj] if callable(obj) else []
+        if inspect.isclass(obj):
+            members += [fn for _, fn in inspect.getmembers(obj, inspect.isfunction)]
+        for fn in members:
+            if any(param.startswith("tie_") for param in inspect.signature(fn).parameters):
+                takers.add(name)
+    assert sorted(takers) == ["SchmidtChannel", "make_channel"]
 
 
 def test_make_channel_silent_renormalization():
@@ -97,13 +132,13 @@ def test_profile_ties_grouped_with_tolerance():
 
 
 def test_profile_near_ties_respect_tolerance():
+    # One set of coefficients, one channel object per tolerance, each
+    # grouped at its own tolerance whatever the cached profile holds.
     sq = np.array([0.5, 0.25 + 1e-12, 0.25 - 1e-12])
-    prof = multiplicity_profile(make_channel(4, np.sqrt(sq)), tie_tolerance=1e-9)
-    assert prof.d == 2
-    prof_tight = multiplicity_profile(
-        make_channel(4, np.sqrt(sq)), tie_tolerance=1e-14
-    )
-    assert prof_tight.d == 3
+    loose, tight, looser = (make_channel(4, np.sqrt(sq), tie_tolerance=tol)
+                            for tol in (1e-9, 1e-14, 1e-7))
+    for ch, d in [(loose, 2), (tight, 3), (loose, 2), (looser, 2), (tight, 3)]:
+        assert multiplicity_profile(ch).d == d
 
 
 @settings(max_examples=200)

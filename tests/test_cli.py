@@ -910,9 +910,9 @@ def test_verify_evaluates_the_stage_probabilities_once(capsys, monkeypatch):
     calls = []
     probabilities = cli.stage_probabilities
 
-    def counted(channel, k, tie_tolerance):
+    def counted(channel, k):
         calls.append(k)
-        return probabilities(channel, k, tie_tolerance)
+        return probabilities(channel, k)
 
     monkeypatch.setattr(cli, "stage_probabilities", counted)
     code, out, _ = run_cli(capsys, "verify", "--D", "5", "--coeffs", "0.4,0.3,0.2,0.1",
@@ -971,9 +971,9 @@ def test_report_and_plan_call_no_removed_numpy_wrapper(name, capsys, monkeypatch
 
     def run_all():
         ch = cli._build_channel(options)  # a new channel misses the one-entry caches
-        plan = build_stage_plan(ch, options.tie_tol) if ch.N > 1 else None
+        plan = build_stage_plan(ch) if ch.N > 1 else None
         runs = [run_cli(capsys, *argv) for argv in commands]
-        return channel_report(ch, options.tie_tol), plan, runs, csv.read_text()
+        return channel_report(ch), plan, runs, csv.read_text()
 
     expected = run_all()
     csv.unlink()

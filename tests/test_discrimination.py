@@ -238,30 +238,32 @@ def test_stage_arrays_are_read_only():
 def test_cached_plan_is_only_reused_for_its_channel_and_tie_tolerance():
     a = make_channel(4, np.sqrt([0.5, 0.3, 0.2]))
     b = make_channel(4, np.sqrt([0.6, 0.3, 0.1]))
-    # Two amplitudes 5e-8 apart: distinct at tie tolerance 1e-9, one group at 1e-7.
-    c = make_channel(4, np.array([0.8, 0.4 + 5e-8, 0.4]) / np.linalg.norm([0.8, 0.4, 0.4]))
-    rank1 = make_channel(4, [1.0])
+    # Two amplitudes 5e-8 apart: distinct at tie tolerance 1e-9, one group at
+    # 1e-7; one channel object per tolerance, from the same coefficients.
+    amps = np.array([0.8, 0.4 + 5e-8, 0.4]) / np.linalg.norm([0.8, 0.4, 0.4])
+    c, c7 = (make_channel(4, amps, tie_tolerance=tie) for tie in (1e-9, 1e-7))
+    rank1 = {tie: make_channel(4, [1.0], tie_tolerance=tie) for tie in (1e-9, 1e-7)}
     uncached = build_stage_plan.__wrapped__
-    assert (uncached(c, 1e-9).M, uncached(c, 1e-7).M) == (2, 1)
+    assert c.coeffs.tobytes() == c7.coeffs.tobytes()
+    assert (uncached(c).M, uncached(c7).M) == (2, 1)
     assert a == a and a != make_channel(4, a.coeffs)
-    for ch, tie in [(a, 1e-9), (b, 1e-9), (a, 1e-9), (b, 1e-9),
-                    (c, 1e-9), (c, 1e-7), (c, 1e-9), (c, 1e-9)]:
-        got, want = build_stage_plan(ch, tie), uncached(ch, tie)
+    for ch in [a, b, a, b, c, c7, c, c]:
+        got, want = build_stage_plan(ch), uncached(ch)
         assert got.M == want.M
         for name in STAGE_ROWS:
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         for _ in range(2):
             with pytest.raises(ValueError, match="rank-1"):
-                build_stage_plan(rank1, tie)
+                build_stage_plan(rank1[ch.tie_tolerance])
 
 
-def _per_stage_plan(ch, tie_tolerance=1e-9):
+def _per_stage_plan(ch):
     """``build_stage_plan``'s rows built one stage at a time, each from its
     own family array: each stage's (K_s, K_f, p_fail).  The reference for
     the array build."""
-    profile = multiplicity_profile(ch, tie_tolerance)
+    profile = multiplicity_profile(ch)
     stages = []
-    for k, f in enumerate(profile_families(ch, tie_tolerance)[:profile.M], 1):
+    for k, f in enumerate(profile_families(ch)[:profile.M], 1):
         K_s = np.zeros(ch.D)
         K_s[:f.size] = f[-1] / f
         K_f = np.sqrt(np.maximum(0.0, 1.0 - K_s**2))
@@ -274,7 +276,7 @@ def _per_stage_plan(ch, tie_tolerance=1e-9):
 @example(make_channel(5, np.full(4, 0.5)))  # one group: a terminal stage
 @example(make_channel(40, np.sqrt(np.linspace(2.0, 1.0, 40) / 60.0)))  # 39 stages
 def test_array_plan_equals_the_per_stage_build_bit_for_bit(ch):
-    plan = build_stage_plan.__wrapped__(ch, 1e-9)
+    plan = build_stage_plan.__wrapped__(ch)
     stages = _per_stage_plan(ch)
     assert plan.M == len(stages) == multiplicity_profile(ch).M
     for name in STAGE_ROWS:

@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 import reference_circuit as ref
 from conftest import InlinePool, conjugated_tables, random_channel, tied_channels
 from mcteleport import (
-    DEFAULT_TIE_TOL,
     StrategyConfig,
     build_stage_plan,
     channel_report,
     exact_average_fidelity,
     exact_branch_probabilities,
+    f_mc_conclusive,
     f_me,
     f_me_after_fail,
     haar_random_state,
@@ -358,7 +358,7 @@ def test_oracle_stage_checks_hold_with_a_shared_plan(cached, bucket):
     # plan in the cache or not, and the error names the strategy's sets.
     build_stage_plan.cache_clear()
     if cached:
-        build_stage_plan(EXAMPLE, DEFAULT_TIE_TOL)
+        build_stage_plan(EXAMPLE)
     message = (f"unknown bucket {bucket!r}; this strategy's sets are "
                "stage1, stage2, exhausted-me, exhausted-guess")
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -368,7 +368,7 @@ def test_oracle_stage_checks_hold_with_a_shared_plan(cached, bucket):
 
 def _oracle_from_full_sets(ch, cfg, bucket=None):
     """``exact_average_fidelity`` read from a full ``_branch_sets``, every Q computed."""
-    sets = engine._branch_sets(ch, cfg, DEFAULT_TIE_TOL)
+    sets = engine._branch_sets(ch, cfg)
     if bucket is None:
         chosen = (["deterministic"] if cfg.kind == "deterministic-me"
                   else [f"stage{k}" for k in range(1, cfg.k_max + 1)]
@@ -402,7 +402,7 @@ def test_oracle_reads_equal_the_full_branch_sets_bit_for_bit(ch):
                     exact_average_fidelity(ch, cfg, bucket)
             else:
                 assert exact_average_fidelity(ch, cfg, bucket) == want
-        sets = engine._branch_sets(ch, cfg, DEFAULT_TIE_TOL)
+        sets = engine._branch_sets(ch, cfg)
         want = {label: t / ch.D for label, (_, t) in sets.items()}
         assert exact_branch_probabilities(ch, cfg) == want
 
@@ -422,6 +422,8 @@ SMC1 = StrategyConfig(kind="mc-smc", k_max=1, fallback="me")
 @pytest.mark.parametrize("name,call", [
     ("D", lambda value: make_channel(value, [0.8, 0.6])),
     ("k_max", lambda value: StrategyConfig(k_max=value)),
+    ("k", lambda value: f_mc_conclusive(EXAMPLE, value)),
+    ("k", lambda value: stage_probabilities(EXAMPLE, value)),
     ("trials", lambda value: monte_carlo(EXAMPLE, SMC1, value, seed=0)),
     ("seed", lambda value: monte_carlo(EXAMPLE, SMC1, 1000, seed=value)),
     ("workers", lambda value: monte_carlo(EXAMPLE, SMC1, 1000, seed=0, workers=value)),
@@ -443,7 +445,7 @@ def test_every_delivering_bucket_is_an_oracle_set(cfg):
     # the enumeration, and the oracle reads that set under its name.
     ch = _staged_channel(5)
     labels = engine._bucket_labels(cfg)
-    sets = engine._branch_sets(ch, cfg, DEFAULT_TIE_TOL)
+    sets = engine._branch_sets(ch, cfg)
     delivering = [label for label in labels if label != "discarded"]
     assert set(delivering) <= set(sets)
     for label in delivering:
@@ -974,7 +976,7 @@ def test_branch_sets_match_a_full_register_reference(D):
         for cfg in [DET] + [StrategyConfig(kind="mc-smc", k_max=k) for k in range(1, M + 1)]:
             t, w = register.copy(), np.pad(ch.coeffs, (0, D - ch.N))
             inputs = {}
-            for k, (ks, kf) in enumerate(engine._stage_filters(ch, cfg, 1e-9), start=1):
+            for k, (ks, kf) in enumerate(engine._stage_filters(ch, cfg), start=1):
                 inputs[f"stage{k}"] = (t * ks[None, :, None, None], w * ks, True)
                 t, w = t * kf[None, :, None, None], w * kf
             if cfg.kind == "deterministic-me":
@@ -982,7 +984,7 @@ def test_branch_sets_match_a_full_register_reference(D):
             else:
                 inputs["exhausted-me"] = (t, w, True)
                 inputs["exhausted-guess"] = (t, w, False)
-            sets = engine._branch_sets(ch, cfg, 1e-9)
+            sets = engine._branch_sets(ch, cfg)
             assert sets.keys() == inputs.keys()
             for label, (t_in, w_in, rotate) in inputs.items():
                 (q, t_sum), gather = _d4_branch_sums(t_in, rotate)
@@ -996,11 +998,11 @@ def test_branch_sets_match_a_full_register_reference(D):
 def test_branch_sets_memory_stays_linear_at_dimension_1024():
     ch = _staged_channel(1024)
     cfg = StrategyConfig(kind="mc-smc", k_max=3, fallback="me")
-    engine._branch_sets(ch, cfg, 1e-9)  # fill the per-D caches first
+    engine._branch_sets(ch, cfg)  # fill the per-D caches first
     tracemalloc.start()
     try:
         # The uncached function: a second cached call would be a hit.
-        engine._branch_sets.__wrapped__(ch, cfg, 1e-9)
+        engine._branch_sets.__wrapped__(ch, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1008,25 +1010,44 @@ def test_branch_sets_memory_stays_linear_at_dimension_1024():
     assert peak < 64 * 2**10
 
 
+def test_every_route_groups_at_the_channel_tie_tolerance():
+    # Two amplitudes 5e-8 apart: two stages at tie tolerance 1e-9, one at
+    # 1e-7.  The report, the plan, the sampler and the oracle each read
+    # the tolerance from the channel object, whatever their caches hold.
+    amps = np.array([0.8, 0.4 + 5e-8, 0.4]) / np.linalg.norm([0.8, 0.4, 0.4])
+    for tie, M in [(1e-9, 2), (1e-7, 1), (1e-9, 2)]:
+        ch = make_channel(4, amps, tie_tolerance=tie)
+        cfg = StrategyConfig(kind="mc-smc", k_max=M, fallback="me")
+        assert (channel_report(ch).M, build_stage_plan(ch).M) == (M, M)
+        assert len(ProtocolRunner(ch, cfg)._filters) == M
+        assert monte_carlo(ch, cfg, 1000, seed=0).counts.size == M + 1
+        labels = [f"stage{k}" for k in range(1, M + 1)] + ["exhausted-me", "exhausted-guess"]
+        assert list(exact_branch_probabilities(ch, cfg)) == labels
+        with pytest.raises(ValueError, match=f"k_max={M + 1} exceeds the {M} stage"):
+            exact_branch_probabilities(ch, StrategyConfig(k_max=M + 1))
+
+
 def test_cached_branch_sets_are_only_reused_for_their_channel_strategy_and_tolerance(
         monkeypatch):
     a = make_channel(4, np.sqrt([0.5, 0.3, 0.2]))
     b = make_channel(4, np.sqrt([0.6, 0.3, 0.1]))
-    # Two amplitudes 5e-8 apart: M = 2 at tie tolerance 1e-9, M = 1 at 1e-7.
-    c = make_channel(4, np.array([0.8, 0.4 + 5e-8, 0.4]) / np.linalg.norm([0.8, 0.4, 0.4]))
+    # Two amplitudes 5e-8 apart: M = 2 at tie tolerance 1e-9, M = 1 at 1e-7;
+    # one channel object per tolerance, from the same coefficients.
+    amps = np.array([0.8, 0.4 + 5e-8, 0.4]) / np.linalg.norm([0.8, 0.4, 0.4])
+    c, c7 = (make_channel(4, amps, tie_tolerance=tie) for tie in (1e-9, 1e-7))
     one, two = (StrategyConfig(kind="mc-smc", k_max=k, fallback="guess") for k in (1, 2))
     uncached = engine._branch_sets.__wrapped__
-    assert uncached(c, one, 1e-9) != uncached(c, one, 1e-7)
-    assert uncached(a, one, 1e-9) != uncached(a, two, 1e-9)
-    for ch, cfg, tie in [(a, one, 1e-9), (b, one, 1e-9), (a, one, 1e-9), (a, two, 1e-9),
-                         (a, one, 1e-9), (b, two, 1e-9), (c, one, 1e-9), (c, one, 1e-7),
-                         (c, one, 1e-9), (c, two, 1e-9), (a, DET, 1e-9)]:
-        sets = engine._branch_sets(ch, cfg, tie)
-        assert sets == uncached(ch, cfg, tie)
+    assert c.coeffs.tobytes() == c7.coeffs.tobytes()
+    assert uncached(c, one) != uncached(c7, one)
+    assert uncached(a, one) != uncached(a, two)
+    for ch, cfg in [(a, one), (b, one), (a, one), (a, two), (a, one), (b, two), (c, one),
+                    (c7, one), (c, one), (c, two), (a, DET)]:
+        sets = engine._branch_sets(ch, cfg)
+        assert sets == uncached(ch, cfg)
         with pytest.raises(TypeError):
             sets["stage1"] = (0.0, 0.0)
     with pytest.raises(ValueError, match="k_max=2 exceeds"):
-        engine._branch_sets(c, two, 1e-7)
+        engine._branch_sets(c7, two)
 
     # A failed mass check is raised on every call, never cached.
     sums = engine._branch_sums
@@ -1039,7 +1060,7 @@ def test_cached_branch_sets_are_only_reused_for_their_channel_strategy_and_toler
     misses = engine._branch_sets.cache_info().misses
     for _ in range(2):
         with pytest.raises(AssertionError, match="branch probabilities sum to"):
-            engine._branch_sets(b, one, 1e-9)
+            engine._branch_sets(b, one)
     assert engine._branch_sets.cache_info().misses - misses == 2
 
 
@@ -1395,7 +1416,7 @@ def test_correction_phases_times_the_inverse_fourier_matrix_are_constant():
 def test_branch_sets_conserve_mass_and_bound_fidelity(ch, k_max):
     M = multiplicity_profile(ch).M if ch.N > 1 else 0
     cfg = DET if k_max == 0 or M == 0 else StrategyConfig(kind="mc-smc", k_max=min(k_max, M))
-    sets = engine._branch_sets(ch, cfg, 1e-9)
+    sets = engine._branch_sets(ch, cfg)
     masses = [t / ch.D for label, (_, t) in sets.items() if label != "exhausted-guess"]
     assert sum(masses) == pytest.approx(1.0, abs=1e-12)
     for q, t in sets.values():

@@ -60,7 +60,7 @@ def _assert_matches_references(D, N, grid, tie_tol):
     assert ids.tolist() == list(range(len(channels)))
     assert (first[1:] > first[:-1]).all()
     table = channels[channel]
-    reports = [channel_report(make_channel(D, np.sqrt(p)), tie_tol) for p in points]
+    reports = [channel_report(make_channel(D, np.sqrt(p), tie_tol)) for p in points]
     one_row = np.array([[float(report_quantity(rep, q)) for q in names] for rep in reports])
     same = _same_bits(table, one_row)
     if not same.all():

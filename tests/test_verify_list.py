@@ -7,8 +7,9 @@ quarter of the channels sq[1] = sq[0]·(1 + 1e-11), renormalised, a near
 tie that the default tie tolerance groups.  Each channel is verified at
 k_max 1, 2 and 3 and every fallback, 1000 trials, skipping a k_max above
 its stage count M, with Monte Carlo seeds 0, 1, 2, ... in list order.
-That gives 1,002 verifies.  A 4-sigma normal-approximation band fails 7
-of them, on small skewed buckets.
+That gives 1,002 verifies.  The 4-sigma normal-approximation band that
+the empirical Bernstein band replaced failed 7 of them, on small skewed
+buckets.
 """
 
 import contextlib
