@@ -9,7 +9,7 @@ Subcommands::
     verify  analytic vs exact-enumeration vs Monte Carlo cross-check
 
 Exit codes: 0 success, 1 usage/input error, 2 verification failure or a
-failed internal cross-check.
+failed internal cross-check, 141 stdout closed by its reader.
 
 CSV output is deterministic for a given spec and seed: '#'-prefixed
 metadata lines (no timestamps), one header line, comma-separated values
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from contextlib import nullcontext
@@ -65,6 +66,7 @@ DEFAULT_QUANTITIES = (
 )
 
 ORACLE_ATOL = 1e-9  # analytic vs branch-enumeration agreement
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: stdout closed by its reader
 # Two-sided tail of each verify row's Monte Carlo band: the normal tail
 # beyond 4 sigma, here held by a bound that needs no normal approximation.
 BAND_TAIL = 6.334e-5
@@ -656,6 +658,10 @@ def main(argv=None) -> int:
         return globals()[f"cmd_{args.command}"](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    except BrokenPipeError:
+        # The reader closed stdout (``| head -1``): stop quietly, with the
+        # shell's status for a write to a closed pipe, 128 + SIGPIPE.
+        return EXIT_BROKEN_PIPE
     except (ValueError, argparse.ArgumentTypeError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -668,7 +674,16 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    if code == EXIT_BROKEN_PIPE:
+        # What is left in the buffer goes nowhere, so the interpreter's
+        # final flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

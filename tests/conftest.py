@@ -84,9 +84,10 @@ def tied_channels(draw, max_D=8):
 
 
 class InlinePool:
-    """ProcessPoolExecutor stand-in: records each ``max_workers`` in
-    ``sizes`` and runs the mapped chunks in this process, so a test of the
-    worker count starts no process."""
+    """``concurrent.futures.ProcessPoolExecutor`` stand-in, set on that
+    module, where ``qudit.map_slices`` imports it from: records each
+    ``max_workers`` in ``sizes`` and runs the mapped chunks in this
+    process, so a test of the worker count starts no process."""
 
     sizes: list = []
 

@@ -98,7 +98,9 @@ def test_criterion_4_perfect_conclusive_limit():
     stats = monte_carlo(ch, cfg, 100_000, seed=41)
     # The same 100,000 trials' fidelities, group by group.
     groups = range(-(-stats.trials // engine.group_size(ch.D)))
-    ends, fids = engine._run_blocks(engine.ProtocolRunner(ch, cfg), 41, stats.trials, groups)
+    runner = engine.ProtocolRunner(ch, cfg)
+    replay = engine._replay_draw(runner, 41)[1]
+    ends, fids, _ = engine._run_blocks(runner, 41, stats.trials, replay, groups)
     np.testing.assert_array_equal(np.bincount(ends), stats.counts)
     min_fid = fids[ends == 0].min()
     p = 3 * 0.2

@@ -1,9 +1,15 @@
+import concurrent.futures
 import dataclasses
+import errno
+import io
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +25,8 @@ from mcteleport import (
     qudit,
 )
 from mcteleport.cli import _COMMANDS, main, report_quantity
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def parse_csv(text: str) -> tuple[list[str], list[str], list[list[str]]]:
@@ -131,6 +139,51 @@ def test_unwritable_out_prints_nothing(tmp_path, capsys, argv, path):
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / path))
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--D", "4", "--coeffs", "0.5,0.3,0.2", "--squared"),
+    ("plan", "--D", "4", "--coeffs", "0.8164965639173801,0.4082483329897253,0.40824828195869006"),
+], ids=["report", "plan"])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(capsys, monkeypatch, argv):
+    # ``plan ... | head -1`` once printed "error: [Errno 32] Broken pipe"
+    # and exited 1.
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(list(argv)) == 141
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_the_entry_point_exits_141_when_its_reader_closes_the_pipe(unbuffered):
+    # With buffered output the write fails only at the last flush, after
+    # main has returned; the reader's end is closed before the child starts
+    # writing.
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
+    argv = [sys.executable, "-m", "mcteleport.cli", "plan", "--D", "4",
+            "--coeffs", "0.5,0.3,0.2", "--squared"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as child:
+        child.stdout.close()
+        err = child.stderr.read()
+    assert (child.returncode, err) == (141, b"")
+
+
+def test_a_command_with_one_worker_loads_no_process_pool():
+    # qudit.map_slices imports the pool only where it starts one, so a
+    # command at --workers 1 never loads multiprocessing.
+    script = ("import sys\nfrom mcteleport import cli\n"
+              "assert cli.main(['verify', '--D', '4', '--coeffs', '0.5,0.3,0.2', '--squared',"
+              " '--trials', '1000']) == 0\n"
+              "assert 'concurrent.futures.process' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC)},
+                   check=True, capture_output=True)
 
 
 def test_plan_example_channel(capsys):
@@ -246,7 +299,7 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
 def test_sweep_worker_pool_invariance(tmp_path, capsys, monkeypatch):
     # 45 points in nine blocks, split among three workers in this process.
     monkeypatch.setattr(cli, "SWEEP_BLOCK_ROWS", 5)
-    monkeypatch.setattr(qudit, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(qudit.os, "cpu_count", lambda: 3)
     InlinePool.sizes = []
     serial = tmp_path / "serial.csv"
@@ -409,7 +462,7 @@ def test_failed_internal_cross_check_exits_2_without_traceback(capsys, monkeypat
 
 def test_sweep_caps_workers_at_cpus_and_blocks(monkeypatch, tmp_path, capsys):
     InlinePool.sizes = []
-    monkeypatch.setattr(qudit, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(qudit.os, "cpu_count", lambda: 3)
     outputs = []
     default = cli.SWEEP_BLOCK_ROWS

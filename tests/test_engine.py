@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import gc
 import pickle
 import re
@@ -718,7 +719,7 @@ def test_monte_carlo_worker_invariance_across_blocks(monkeypatch):
     trials = 3 * size + 100
     serial = monte_carlo(ch, cfg, trials, seed=41)
     pooled = [monte_carlo(ch, cfg, trials, seed=41, workers=2)]
-    monkeypatch.setattr(qudit, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(qudit.os, "cpu_count", lambda: 8)
     InlinePool.sizes = []
     pooled += [monte_carlo(ch, cfg, trials, seed=41, workers=w) for w in (2, 3, 4)]
@@ -731,7 +732,7 @@ def test_monte_carlo_worker_invariance_across_blocks(monkeypatch):
 
 
 def test_monte_carlo_caps_workers_at_cpus_and_blocks(monkeypatch):
-    monkeypatch.setattr(qudit, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(qudit.os, "cpu_count", lambda: 3)
     cfg = StrategyConfig(kind="mc-smc", k_max=1, fallback="me")
     size = engine.group_size(4)
@@ -756,9 +757,9 @@ def test_monte_carlo_worker_invariance_across_groups(monkeypatch):
     seed = 10
     runner = ProtocolRunner(ch, cfg)
     for group in range(3):
-        ends, _ = engine._run_blocks(runner, seed, 5000, range(group, group + 1))
+        ends, _, _ = engine._run_blocks(runner, seed, 5000, None, range(group, group + 1))
         assert (ends == 0).sum() == 1
-    monkeypatch.setattr(qudit, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(qudit.os, "cpu_count", lambda: 8)
     InlinePool.sizes = []
     runs = [monte_carlo(ch, cfg, 5000, seed=seed, workers=w) for w in (1, 2, 3, 4)]
@@ -850,6 +851,52 @@ def test_group_draws_redraw_a_row_of_zeros_before_the_uniforms(monkeypatch):
         np.testing.assert_array_equal(uniforms, rng.random((rows, runner.draws_per_trial)))
 
 
+@pytest.mark.parametrize("D", range(2, 10))
+def test_row_sums_are_numpys_bit_for_bit(D):
+    # Column adds below D = 8, NumPy's own sum from D = 8 (its pairwise
+    # order), on rows holding exact zeros and subnormal entries.
+    rng = np.random.default_rng(D)
+    for rows in (1, 2, 3, 7, 8, 9, 255, 1000, 16383, 16384):
+        probs = rng.standard_exponential((rows, D))
+        probs[rng.random((rows, D)) < 0.2] = 0.0
+        tiny = rng.random((rows, D)) < 0.2
+        probs[tiny] = rng.integers(1, 2**52, size=tiny.sum()) * 5e-324
+        probs[::3, -1] = 5e-324
+        got, want = engine._row_sums(probs), probs.sum(axis=1)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class _SubnormalZerosFirst(_ZerosFirst):
+    """_ZerosFirst that also puts zeros and subnormals into other rows of
+    its first draw, and keeps a copy of every draw."""
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.draws = []
+
+    def standard_exponential(self, size=None, out=None):
+        e = super().standard_exponential(size, out=out)
+        if self.calls == 1:
+            e[2, 0], e[4], e[5, -1] = 5e-324, 3e-310, 0.0
+        self.draws.append(e.copy())
+        return e
+
+
+@pytest.mark.parametrize("D", range(2, 10))
+@pytest.mark.parametrize("rows", [6, 16384])
+def test_draws_normalise_by_numpys_row_sums_through_the_redraw(D, rows):
+    runner = ProtocolRunner(make_channel(D, [0.8, 0.6]), DET)
+    gen = _SubnormalZerosFirst(np.random.default_rng(D))
+    probs, _ = engine._draw(runner, gen, rows)
+    # Rows 1 and 3 are redrawn, then row 1 once more.
+    first, second, third = gen.draws
+    raw = first.copy()
+    raw[[1, 3]] = second
+    raw[1] = third[0]
+    want = raw / raw.sum(axis=1)[:, None]
+    np.testing.assert_array_equal(probs.view(np.int64), want.view(np.int64))
+
+
 def _simplex_failures(q):
     """The checks rows ``q`` fail as |psi|^2 of Haar states, which are
     uniform on the simplex: a KS test of q_0 against its Beta(1, D - 1) law
@@ -914,14 +961,15 @@ def test_the_simplex_checks_fail_uniforms_and_unnormalised_rows(D, monkeypatch):
 @pytest.mark.parametrize("D", [2, 4, 32, 128])
 def test_one_group_of_blocks_stays_below_16_mib(D):
     # A group holds at most BLOCK_ENTRIES = 2**16 entries per (rows, D)
-    # array, 1 MiB complex.
+    # array, 1 MiB complex, plus the replayed row in group 0.
     runner = ProtocolRunner(_staged_channel(D), StrategyConfig(k_max=min(3, D - 1)))
     trials = engine.group_size(D)
     assert trials * D <= engine.BLOCK_ENTRIES
-    engine._run_blocks(runner, 5, trials, range(1))
+    replay = engine._replay_draw(runner, 5)[1]
+    engine._run_blocks(runner, 5, trials, replay, range(1))
     tracemalloc.start()
     try:
-        engine._run_blocks(runner, 5, trials, range(1))
+        engine._run_blocks(runner, 5, trials, replay, range(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -938,6 +986,46 @@ def test_monte_carlo_replay_check_catches_a_disagreeing_kernel(monkeypatch):
     monkeypatch.setattr(ProtocolRunner, "run_block", flipped)
     with pytest.raises(AssertionError, match="replayed trial"):
         monte_carlo(EXAMPLE, DET, 1000, seed=3)
+
+
+def test_the_replayed_trial_is_checked_in_a_call_of_many_rows(monkeypatch):
+    # The replayed trial rides in group 0's kernel call, so it sees what the
+    # sampled trials see: a kernel wrong only on calls of more than one row
+    # fails the check.
+    kernel = ProtocolRunner.run_block
+
+    def flipped_on_blocks(self, probs, uniforms):
+        ends, outcomes, fids = kernel(self, probs, uniforms)
+        return ends, outcomes, 1.0 - fids if len(probs) > 1 else fids
+
+    monkeypatch.setattr(ProtocolRunner, "run_block", flipped_on_blocks)
+    with pytest.raises(AssertionError, match="replayed trial"):
+        monte_carlo(EXAMPLE, DET, 1000, seed=3)
+
+
+def test_group_0_carries_the_replayed_row_last():
+    runner = ProtocolRunner(EXAMPLE, StrategyConfig(k_max=2))
+    trials = engine.group_size(4) + 5  # two groups, the second of 5 trials
+    record, replay = engine._replay_draw(runner, 9)
+    # The row is the |psi|^2 of run_haar's input, with the numbers after it.
+    rng = engine._generator(9, engine._REPLAY_STREAM)
+    np.testing.assert_array_equal(replay[0], np.abs(haar_random_state(4, rng)) ** 2)
+    np.testing.assert_array_equal(replay[1], rng.random(runner.draws_per_trial))
+    group0 = engine._group_draws(runner, 9, trials, 0, replay)
+    for got, want, row in zip(group0, engine._group_draws(runner, 9, trials, 0), replay):
+        np.testing.assert_array_equal(got[:-1], want)
+        np.testing.assert_array_equal(got[-1], row)
+    for got, want in zip(engine._group_draws(runner, 9, trials, 1, replay),
+                         engine._group_draws(runner, 9, trials, 1)):
+        np.testing.assert_array_equal(got, want)
+    ends, fids, replayed = engine._run_blocks(runner, 9, trials, replay, range(2))
+    assert ends.shape == fids.shape == (trials,)
+    for got, want in zip(replayed, runner.run_block(*group0)):
+        np.testing.assert_array_equal(got, want[-1])
+    assert (int(replayed[0]), tuple(replayed[1].tolist())) == (record.end_class, record.outcomes)
+    assert abs(replayed[2] - record.fidelity) <= engine.REPLAY_ATOL
+    # A slice without group 0 returns no replayed row.
+    assert engine._run_blocks(runner, 9, trials, replay, range(1, 2))[2] is None
 
 
 def _shifts(D):
@@ -1313,7 +1401,7 @@ def test_conclusive_probability_is_the_mean_of_the_conclusive_flags(cfg):
     trials = 2 * engine.group_size(4) + 37
     stats = monte_carlo(EXAMPLE, cfg, trials, seed=3)
     runner = ProtocolRunner(EXAMPLE, cfg)
-    ends, _ = engine._run_blocks(runner, 3, trials, range(3))
+    ends, _, _ = engine._run_blocks(runner, 3, trials, None, range(3))
     assert stats.conclusive_probability == float(np.mean(runner._conclusive[ends]))
 
 
@@ -1325,10 +1413,10 @@ def test_block_kernel_reads_neither_the_fourier_nor_the_phase_table(monkeypatch,
     trials = 3000  # one group at D = 8
     for cfg in [DET] + [StrategyConfig(k_max=3, fallback=fb) for fb in ("me", "guess", "discard")]:
         runner = ProtocolRunner(_staged_channel(8), cfg)
-        want = engine._run_blocks(runner, 6, trials, range(1))
+        want = engine._run_blocks(runner, 6, trials, None, range(1))
         with monkeypatch.context() as patch:
             patch.setattr(engine, "_tables", conjugated_tables(table))
-            got = engine._run_blocks(runner, 6, trials, range(1))
+            got = engine._run_blocks(runner, 6, trials, None, range(1))
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
 
